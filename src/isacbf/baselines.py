@@ -9,8 +9,6 @@ from .kinematics import VehicleState
 from .nn.model import NaiveNet, output_to_matrix
 from .sensing import ObservationRecord
 
-BASELINE_KINDS = ("genie", "naive_dl", "random")
-
 
 def genie_beamformer(states: list[VehicleState], config: SimConfig) -> np.ndarray:
     """Perfectly aligned equal-power-split beams sqrt(P/K) * a(theta_k)."""

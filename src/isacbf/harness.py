@@ -47,10 +47,16 @@ def verify_causality(trace: EpisodeTrace) -> bool:
     return all(dec < n for n, dec in enumerate(trace.decided_at))
 
 
+def _usable(ob) -> bool:
+    """An observation can stand in for its vehicle's channel: it exists and
+    its distance estimate is positive (delay noise can push it below zero)."""
+    return ob is not None and ob.d_hat > 0
+
+
 def _estimated_channel_matrix(obs, prev, config: SimConfig) -> np.ndarray:
     h = np.zeros((config.n_tx, config.n_vehicles), dtype=complex)
     for k, ob in enumerate(obs):
-        if ob is not None and ob.d_hat > 0:
+        if _usable(ob):
             h[:, k] = effective_channel(ob.theta_hat, ob.d_hat, config)
         elif prev is not None:
             h[:, k] = prev[:, k]
@@ -124,7 +130,7 @@ def run_episode(config: SimConfig, method: str, rng: np.random.Generator,
                 w_next = random_beamformer(config, rng_beam)
             decided_at = n
         elif method == "naive_dl":
-            if all(ob is not None for ob in obs):
+            if all(_usable(ob) for ob in obs):
                 w_next = naive_dl_beamformer(obs, model, config)
             else:
                 w_next = random_beamformer(config, rng_beam)
@@ -198,7 +204,7 @@ def generate_dataset(config: SimConfig, n_examples: int,
             if len(xs) >= n_examples:
                 break
             obs_prev = trace.observations[n - 1]
-            if any(ob is None for ob in obs_prev):
+            if not all(_usable(ob) for ob in obs_prev):
                 continue
             window = HistoryWindow(trace.est_channels[n - tau:n])
             xs.append(window.as_tensor())
@@ -290,13 +296,14 @@ def monte_carlo_eval(config: SimConfig, methods: list[str],
     """Independent episodes per realization; per-method means and 95% CIs.
 
     The same realization seeds drive every method, so motion trajectories are
-    common random numbers across methods.
+    common random numbers across methods.  Each method gets fresh children:
+    ``run_episode`` spawns from its generator, which advances the sequence.
     """
     models = models or {}
-    children = np.random.SeedSequence(seed).spawn(n_realizations)
     stats = []
     tau = config.history_len
     for method in methods:
+        children = np.random.SeedSequence(seed).spawn(n_realizations)
         per = np.array([
             _episode_summary(
                 run_episode(config, method, np.random.default_rng(children[r]),

@@ -236,7 +236,7 @@ class HCLNet:
         gp = gseq.reshape(b, self.pool_h, self.pool_w, CONV_FILTERS)
         gr = kernels.maxpool2x2_bwd(cache["idx"], gp, cache["pshape"])
         gz = gr * cache["mask"]
-        _, g_cw, g_cb = kernels.conv2d3x3_same_bwd(cache["x4"], v["conv_w"], gz)
+        g_cw, g_cb = kernels.conv2d3x3_same_bwd(cache["x4"], v["conv_w"], gz)
         grad = np.empty_like(self.params)
         off = 0
         for name, shape in self._shapes:

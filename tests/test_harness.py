@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from isacbf import harness
 from isacbf.harness import (CSV_HEADER, Dataset, EpisodeTrace, MethodStats,
                             export, generate_dataset, monte_carlo_eval,
                             power_sweep, run_episode, train_hcl, train_naive,
@@ -108,6 +110,48 @@ def test_monte_carlo_eval_ordering(small_cfg):
     assert stats["random"].rate_ci > 0
     assert stats["random"].w_power_mean == pytest.approx(
         small_cfg.power_budget, rel=1e-9)
+
+
+def test_method_stats_independent_of_method_order(small_cfg):
+    """Each method's result is the same alone or listed after others."""
+    models = _models(small_cfg)
+    methods = ["random", "naive_dl", "hcl", "genie"]
+    together = monte_carlo_eval(small_cfg, methods, 2, models=models, seed=3)
+    for stats in together.stats:
+        alone = monte_carlo_eval(small_cfg, [stats.method], 2, models=models,
+                                 seed=3)
+        assert alone.stats == [stats]
+
+
+def test_negative_distance_estimate_is_unusable(small_cfg, monkeypatch):
+    """An observation with d_hat <= 0 counts as missing: it never reaches a
+    dataset row or the naive-DL network."""
+    real_observe = harness.generate_observation
+    real_naive = harness.naive_dl_beamformer
+    calls, seen = [0], []
+
+    def observe(*args, **kwargs):
+        ob = real_observe(*args, **kwargs)
+        calls[0] += 1
+        if ob is not None and calls[0] % 3 == 0:
+            ob = dataclasses.replace(ob, d_hat=-131.0)
+        return ob
+
+    def naive(obs, model, config):
+        seen.append([ob.d_hat for ob in obs])
+        return real_naive(obs, model, config)
+
+    monkeypatch.setattr(harness, "generate_observation", observe)
+    monkeypatch.setattr(harness, "naive_dl_beamformer", naive)
+    ds = generate_dataset(small_cfg, 20, np.random.default_rng(0))
+    assert np.all(ds.est_dists > 0)
+    trace = run_episode(small_cfg, "naive_dl", np.random.default_rng(1),
+                        model=_models(small_cfg)["naive_dl"])
+    n_bad = sum(any(ob is None or ob.d_hat <= 0 for ob in obs)
+                for obs in trace.observations)
+    assert n_bad > 0
+    assert len(seen) == small_cfg.n_slots - n_bad
+    assert all(d > 0 for row in seen for d in row)
 
 
 def test_power_sweep_reuse_and_retrain(small_cfg):

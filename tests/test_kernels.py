@@ -1,12 +1,7 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
 from isacbf.nn import kernels
-from isacbf.nn.kernels import _pykernels
 
 
 def _naive_conv(x, w, b):
@@ -48,31 +43,18 @@ def _rand_io(rng, nb=3, h=4, w=8, cin=2, f=4):
     return x, cw, cb
 
 
-@pytest.fixture(params=["selected", "python"])
-def backend(request):
-    if request.param == "selected":
-        return kernels
-    return _pykernels
-
-
-def test_backend_reported():
-    assert kernels.get_backend() in ("cython", "python")
-    assert _pykernels.BACKEND == "python"
-
-
-def test_env_forces_python_backend():
-    code = ("import os; os.environ['ISACBF_PURE_PYTHON']='1'; "
-            "from isacbf.nn import kernels; print(kernels.get_backend())")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env={**os.environ,
-                                         "ISACBF_PURE_PYTHON": "1"})
-    assert out.returncode == 0 and out.stdout.strip() == "python"
+@pytest.fixture(params=["selected"])
+def backend():
+    return kernels
 
 
 def test_conv_fwd_matches_naive(backend, rng):
-    x, cw, cb = _rand_io(rng)
-    out = backend.conv2d3x3_same_fwd(x, cw, cb)
-    assert np.allclose(out, _naive_conv(x, cw, cb), rtol=1e-12, atol=1e-12)
+    # widths 8 and 2 (n_tx 32 and 8) in one process: each slice shape needs
+    # its own Toeplitz index map
+    for w in (8, 2, 8):
+        x, cw, cb = _rand_io(rng, w=w)
+        out = backend.conv2d3x3_same_fwd(x, cw, cb)
+        assert np.allclose(out, _naive_conv(x, cw, cb), rtol=1e-12, atol=1e-12)
 
 
 def test_conv_bwd_matches_fd(backend, rng):
@@ -82,9 +64,9 @@ def test_conv_bwd_matches_fd(backend, rng):
     def loss(xx, ww, bb):
         return float((backend.conv2d3x3_same_fwd(xx, ww, bb) * g).sum())
 
-    gx, gw, gb = backend.conv2d3x3_same_bwd(x, cw, g)
+    gw, gb = backend.conv2d3x3_same_bwd(x, cw, g)
     eps = 1e-6
-    for arr, grad, which in ((x, gx, "x"), (cw, gw, "w"), (cb, gb, "b")):
+    for arr, grad, which in ((cw, gw, "w"), (cb, gb, "b")):
         flat = arr.ravel()
         idx = np.random.default_rng(0).choice(
             flat.size, size=min(12, flat.size), replace=False)
@@ -135,26 +117,3 @@ def test_pool_tie_break_first_max(backend):
     g = np.ones_like(p)
     gr = backend.maxpool2x2_bwd(idx, g, x.shape)
     assert gr[0, 0, 0, 0] == 1.0 and gr.sum() == 1.0
-
-
-@pytest.mark.skipif(kernels.get_backend() != "cython",
-                    reason="compiled backend not built")
-def test_backends_agree(rng):
-    """Compiled and numpy kernels agree to summation-order rounding; the
-    pooling index/scatter paths are exactly identical."""
-    from isacbf.nn.kernels import _ckernels
-    x, cw, cb = _rand_io(rng, nb=5)
-    fc = _ckernels.conv2d3x3_same_fwd(x, cw, cb)
-    fp = _pykernels.conv2d3x3_same_fwd(x, cw, cb)
-    assert np.allclose(fc, fp, rtol=1e-13, atol=1e-13)
-    g = rng.normal(size=fc.shape)
-    bc = _ckernels.conv2d3x3_same_bwd(x, cw, g)
-    bp = _pykernels.conv2d3x3_same_bwd(x, cw, g)
-    for a, b in zip(bc, bp):
-        assert np.allclose(a, b, rtol=1e-13, atol=1e-13)
-    pc, ic = _ckernels.maxpool2x2_fwd(x)
-    pp, ip = _pykernels.maxpool2x2_fwd(x)
-    assert np.array_equal(pc, pp) and np.array_equal(ic, ip)
-    gp = rng.normal(size=pc.shape)
-    assert np.array_equal(_ckernels.maxpool2x2_bwd(ic, gp, x.shape),
-                          _pykernels.maxpool2x2_bwd(ip, gp, x.shape))
