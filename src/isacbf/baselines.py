@@ -10,25 +10,23 @@ from .nn.model import NaiveNet, output_to_matrix
 from .sensing import ObservationRecord
 
 
+def _aimed_beams(thetas: np.ndarray, config: SimConfig) -> np.ndarray:
+    """N_t x K equal-power-split beams sqrt(P/K) * a(theta_k)."""
+    p = config.power_budget / config.n_vehicles
+    return np.ascontiguousarray((np.sqrt(p) * steering(thetas, config.n_tx)).T)
+
+
 def genie_beamformer(states: list[VehicleState], config: SimConfig) -> np.ndarray:
     """Perfectly aligned equal-power-split beams sqrt(P/K) * a(theta_k)."""
-    k = config.n_vehicles
-    w = np.empty((config.n_tx, k), dtype=complex)
-    p = config.power_budget / k
-    for i, st in enumerate(states):
-        w[:, i] = np.sqrt(p) * steering(st.theta, config.n_tx)
-    return w
+    return _aimed_beams(np.array([st.theta for st in states]), config)
 
 
 def genie_rate(states: list[VehicleState], config: SimConfig) -> float:
     """Interference-free perfect-CSI sum-rate: the upper bound on the problem."""
     p = config.power_budget / config.n_vehicles
-    total = 0.0
-    for st in states:
-        alpha2 = path_loss_amp(st.dist, config) ** 2
-        snr = p * config.n_tx * alpha2 / config.noise_vehicle
-        total += np.log2(1.0 + snr)
-    return float(total)
+    alpha2 = path_loss_amp(np.array([st.dist for st in states]), config) ** 2
+    return float(np.log2(1.0 + p * config.n_tx * alpha2
+                         / config.noise_vehicle).sum())
 
 
 def naive_dl_beamformer(last_obs: list[ObservationRecord], net: NaiveNet,
@@ -44,9 +42,4 @@ def naive_dl_beamformer(last_obs: list[ObservationRecord], net: NaiveNet,
 
 def random_beamformer(config: SimConfig, rng: np.random.Generator) -> np.ndarray:
     """Beams aimed at i.i.d. U(0, pi) angles; ||W||_F^2 = P exactly."""
-    k = config.n_vehicles
-    w = np.empty((config.n_tx, k), dtype=complex)
-    p = config.power_budget / k
-    for i in range(k):
-        w[:, i] = np.sqrt(p) * steering(rng.uniform(0.0, np.pi), config.n_tx)
-    return w
+    return _aimed_beams(rng.uniform(0.0, np.pi, size=config.n_vehicles), config)

@@ -1,4 +1,6 @@
-"""Steering vectors, path loss, effective downlink channels, SINR, sum-rate."""
+"""Steering vectors, path loss, effective downlink channels, SINR, sum-rate.
+
+Angles and distances broadcast; the antenna axis is appended last."""
 from __future__ import annotations
 
 import numpy as np
@@ -6,47 +8,65 @@ import numpy as np
 from .config import SimConfig
 
 
-def steering(theta: float, n_ant: int) -> np.ndarray:
+def _per_antenna(x):
+    """x with a trailing antenna axis if it is an array; a scalar as is
+    (indexing a numpy scalar costs more than a whole steering vector)."""
+    return x[..., None] if np.ndim(x) else x
+
+
+def steering(theta, n_ant: int) -> np.ndarray:
     """Unit-norm ULA steering vector; entry m is exp(-j*pi*m*cos(theta))/sqrt(N)."""
     if n_ant < 1:
         raise ValueError("n_ant must be >= 1")
-    m = np.arange(n_ant)
-    return np.exp(-1j * np.pi * m * np.cos(theta)) / np.sqrt(n_ant)
+    # (-j pi m) * cos(theta) in this order: an array of angles then gives
+    # the bits of one-angle calls, so random beams keep their values
+    phase = (-1j * np.pi * np.arange(n_ant)) * _per_antenna(np.cos(theta))
+    return np.exp(phase) / np.sqrt(n_ant)
 
 
-def steering_dtheta(theta: float, n_ant: int) -> np.ndarray:
+def steering_dtheta(theta, n_ant: int) -> np.ndarray:
     """Entry-wise derivative of steering() with respect to theta."""
-    m = np.arange(n_ant)
-    return (1j * np.pi * m * np.sin(theta)) * steering(theta, n_ant)
+    ramp = (1j * np.pi * np.arange(n_ant)) * _per_antenna(np.sin(theta))
+    return ramp * steering(theta, n_ant)
 
 
-def path_loss_amp(dist: float, config: SimConfig) -> float:
-    """One-way amplitude path loss sqrt(alpha_0 * (d/d_0)^-zeta)."""
-    if not dist > 0:
+def check_distance(dist) -> None:
+    """Raise ValueError unless every distance is > 0 (a NaN is not)."""
+    positive = (dist > 0).all() if isinstance(dist, np.ndarray) else dist > 0
+    if not positive:
         raise ValueError("distance must be > 0")
-    return float(np.sqrt(config.pathloss_ref
-                         * (dist / config.ref_dist) ** (-config.pathloss_exp)))
 
 
-def effective_channel(theta: float, dist: float, config: SimConfig) -> np.ndarray:
+def path_loss_amp(dist, config: SimConfig):
+    """One-way amplitude path loss sqrt(alpha_0 * (d/d_0)^-zeta)."""
+    check_distance(dist)
+    return np.sqrt(config.pathloss_ref
+                   * (dist / config.ref_dist) ** (-config.pathloss_exp))
+
+
+def effective_channel(theta, dist, config: SimConfig) -> np.ndarray:
     """Downlink channel h = sqrt(N_t) * alpha(d) * a(theta), length N_t."""
-    return np.sqrt(config.n_tx) * path_loss_amp(dist, config) \
-        * steering(theta, config.n_tx)
+    gain = np.sqrt(config.n_tx) * path_loss_amp(dist, config)
+    return _per_antenna(gain) * steering(theta, config.n_tx)
 
 
-def sinr(h_k: np.ndarray, W: np.ndarray, k: int, sigma2: float) -> float:
-    """SINR of user k for beamforming matrix W (columns are per-user beams)."""
-    gains = np.abs(h_k.conj() @ W) ** 2
-    signal = gains[k]
-    interference = gains.sum() - signal
-    return float(signal / (interference + sigma2))
+def batch_sinr(h: np.ndarray, w: np.ndarray, sigma2: float):
+    """SINR of every user for a batch of channels and beams.
+
+    h and w are [..., K, M]: row k holds user k's channel h_k and beam w_k.
+    Returns (phi, s, denom): phi[..., k] is user k's SINR, s[..., k, j] =
+    h_k^H w_j, and denom[..., k] is user k's interference plus noise.
+    """
+    s = np.einsum("...km,...jm->...kj", h.conj(), w)
+    g2 = np.abs(s) ** 2
+    sig = np.einsum("...kk->...k", g2)
+    denom = g2.sum(axis=-1) - sig + sigma2
+    return sig / denom, s, denom
 
 
 def sum_rate(H: np.ndarray, W: np.ndarray, sigma2: float) -> float:
     """Sum of log2(1 + SINR_k) over the K users; H and W are N_t x K."""
     if H.shape[1] != W.shape[1]:
         raise ValueError("H and W must have the same number of columns")
-    total = 0.0
-    for k in range(H.shape[1]):
-        total += np.log2(1.0 + sinr(H[:, k], W, k, sigma2))
-    return float(total)
+    phi, _, _ = batch_sinr(H.T, W.T, sigma2)
+    return float(np.log2(1.0 + phi).sum())

@@ -135,7 +135,11 @@ def main(argv=None) -> int:
 
     if args.command in ("eval", "sweep"):
         methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-        models = _load_models(args.model, config)
+        try:
+            models = _load_models(args.model, config)
+        except (OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         for m in methods:
             if m in ("hcl", "naive_dl") and m not in models:
                 print(f"error: model file required for method {m!r} "

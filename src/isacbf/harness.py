@@ -63,6 +63,48 @@ def _estimated_channel_matrix(obs, prev, config: SimConfig) -> np.ndarray:
     return h
 
 
+def _true_channels(states, config: SimConfig) -> np.ndarray:
+    """[K, M] true channels of one slot, row k for vehicle k."""
+    return effective_channel(np.array([s.theta for s in states]),
+                             np.array([s.dist for s in states]), config)
+
+
+def _slots(config: SimConfig, method: str, rng: np.random.Generator,
+           model, theta_mode: str, project: bool):
+    """The slot loop of run_episode and generate_dataset: motion, beams,
+    observations and the estimate history.  Yields (states, w, decided_at,
+    observations, estimated channels) of each slot before deciding the next
+    slot's beams."""
+    rng_motion, rng_obs, rng_beam = rng.spawn(3)
+    tau = config.history_len
+    states = init_vehicles(config, rng_motion)
+    history: list[np.ndarray] = []
+    w_next = random_beamformer(config, rng_beam)
+    decided_at = -1
+    for n in range(config.n_slots):
+        if n > 0:
+            states = [step_motion(s, config, rng_motion) for s in states]
+        if method == "genie":
+            w, dec = genie_beamformer(states, config), n
+        else:
+            w, dec = w_next, decided_at
+        obs = [generate_observation(s, w[:, k], config, rng_obs, theta_mode)
+               for k, s in enumerate(states)]
+        est = _estimated_channel_matrix(obs, history[-1] if history else None,
+                                        config)
+        history = (history + [est])[-tau:]
+        yield states, w, dec, obs, est
+        # decide the next slot's beams; the predictors fall back to random
+        # beams while their input is incomplete
+        if method == "hcl" and len(history) == tau:
+            w_next = model.predict(HistoryWindow(history), project=project)
+        elif method == "naive_dl" and all(_usable(ob) for ob in obs):
+            w_next = naive_dl_beamformer(obs, model, config)
+        elif method != "genie":
+            w_next = random_beamformer(config, rng_beam)
+        decided_at = n
+
+
 def run_episode(config: SimConfig, method: str, rng: np.random.Generator,
                 model=None, theta_mode: str = "relative",
                 project: bool = False) -> EpisodeTrace:
@@ -71,70 +113,31 @@ def run_episode(config: SimConfig, method: str, rng: np.random.Generator,
     Motion, observation noise, and random-beam draws use three independent
     child streams so trajectories are comparable across methods at a fixed
     seed.  The genie recomputes its aligned beams from the current truth each
-    slot and is exempt from the causality invariant.
+    slot and is exempt from the causality invariant.  Every slot's sum-rate
+    and CRLBs are measured against the true state.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     if method in ("hcl", "naive_dl") and model is None:
         raise ValueError(f"method {method!r} requires a trained model")
-    rng_motion, rng_obs, rng_beam = rng.spawn(3)
-    tau = config.history_len
-    states = init_vehicles(config, rng_motion)
     trace = EpisodeTrace()
-    history: list[np.ndarray] = []
-    w_next = random_beamformer(config, rng_beam)
-    decided_at = -1
-    for n in range(config.n_slots):
-        if n > 0:
-            states = [step_motion(s, config, rng_motion) for s in states]
+    for states, w, dec, obs, est in _slots(config, method, rng, model,
+                                            theta_mode, project):
         if method == "genie":
-            w = genie_beamformer(states, config)
-            dec = n
             rate = genie_rate(states, config)
         else:
-            w = w_next
-            dec = decided_at
-            h_true = np.column_stack([
-                effective_channel(s.theta, s.dist, config) for s in states])
-            rate = sum_rate(h_true, w, config.noise_vehicle)
-        ct = np.empty(config.n_vehicles)
-        cd = np.empty(config.n_vehicles)
-        for k, s in enumerate(states):
-            info = fisher_information(s, w[:, k], config)
-            ct[k] = info.crlb_theta
-            cd[k] = info.crlb_d
-        obs = [generate_observation(s, w[:, k], config, rng_obs, theta_mode)
-               for k, s in enumerate(states)]
-        prev = history[-1] if history else None
-        est = _estimated_channel_matrix(obs, prev, config)
-        history.append(est)
-        if len(history) > tau:
-            history.pop(0)
+            rate = sum_rate(_true_channels(states, config).T, w,
+                            config.noise_vehicle)
+        infos = [fisher_information(s, w[:, k], config)
+                 for k, s in enumerate(states)]
         trace.states.append(states)
         trace.w_applied.append(w)
         trace.decided_at.append(dec)
         trace.rates.append(rate)
-        trace.crlb_theta.append(ct)
-        trace.crlb_d.append(cd)
+        trace.crlb_theta.append(np.array([i.crlb_theta for i in infos]))
+        trace.crlb_d.append(np.array([i.crlb_d for i in infos]))
         trace.observations.append(obs)
         trace.est_channels.append(est)
-        # decide the next slot's beams
-        if method == "random":
-            w_next = random_beamformer(config, rng_beam)
-            decided_at = n
-        elif method == "hcl":
-            if len(history) >= tau:
-                w_next = model.predict(HistoryWindow(history[-tau:]),
-                                       project=project)
-            else:
-                w_next = random_beamformer(config, rng_beam)
-            decided_at = n
-        elif method == "naive_dl":
-            if all(_usable(ob) for ob in obs):
-                w_next = naive_dl_beamformer(obs, model, config)
-            else:
-                w_next = random_beamformer(config, rng_beam)
-            decided_at = n
     return trace
 
 
@@ -191,30 +194,28 @@ def generate_dataset(config: SimConfig, n_examples: int,
 
     Each valid position n >= history_len of an episode yields one example:
     the window of estimated channels from slots [n-tau, n-1] and slot n's
-    true channels/angles/distances.
+    true channels/angles/distances.  The episodes run the slot loop of
+    run_episode without its rates and CRLBs, which no example holds.
     """
     if n_examples < 1:
         raise ValueError("n_examples must be >= 1")
-    tau, k, m = config.history_len, config.n_vehicles, config.n_tx
+    tau = config.history_len
     xs, hs, ths, ds, eth, edi = [], [], [], [], [], []
     while len(xs) < n_examples:
-        trace = run_episode(config, "random", rng.spawn(1)[0],
-                            theta_mode=theta_mode)
-        for n in range(tau, len(trace)):
+        window, obs_prev = [], None    # estimates of the last tau slots
+        for states, _, _, obs, est in _slots(config, "random", rng.spawn(1)[0],
+                                             None, theta_mode, False):
             if len(xs) >= n_examples:
                 break
-            obs_prev = trace.observations[n - 1]
-            if not all(_usable(ob) for ob in obs_prev):
-                continue
-            window = HistoryWindow(trace.est_channels[n - tau:n])
-            xs.append(window.as_tensor())
-            states = trace.states[n]
-            hs.append(np.stack([
-                effective_channel(s.theta, s.dist, config) for s in states]))
-            ths.append([s.theta for s in states])
-            ds.append([s.dist for s in states])
-            eth.append([ob.theta_hat for ob in obs_prev])
-            edi.append([ob.d_hat for ob in obs_prev])
+            if len(window) == tau and all(_usable(ob) for ob in obs_prev):
+                xs.append(HistoryWindow(window).as_tensor())
+                hs.append(_true_channels(states, config))
+                ths.append([s.theta for s in states])
+                ds.append([s.dist for s in states])
+                eth.append([ob.theta_hat for ob in obs_prev])
+                edi.append([ob.d_hat for ob in obs_prev])
+            window = (window + [est])[-tau:]
+            obs_prev = obs
     return Dataset(x=np.stack(xs), h=np.stack(hs),
                    thetas=np.asarray(ths), dists=np.asarray(ds),
                    est_thetas=np.asarray(eth), est_dists=np.asarray(edi))

@@ -8,10 +8,12 @@ The scalar cost is
       + lambda_power * (1/Nb) sum_i relu(||W_i||_F^2 - P)^2
 
 with the CRLBs evaluated at each example's true geometry using the network's
-per-user beams.  Everything here is expressed in terms of the real network
-output O [Nb, K, M, 2]; dJ/dO comes from Wirtinger calculus on the complex
-beam columns w_k = O[...,0] + j O[...,1] and is verified against finite
-differences in the tests.
+per-user beams.  The SINR and the CRLBs come from ``channel.batch_sinr`` and
+``sensing.crlbs``, the formulas the simulator evaluates; this module adds
+only the caps, the penalties and the gradient.  Everything here is expressed
+in terms of the real network output O [Nb, K, M, 2]; dJ/dO comes from
+Wirtinger calculus on the complex beam columns w_k = O[...,0] + j O[...,1]
+and is verified against finite differences in the tests.
 
 CRLB terms are clamped at CAP_FACTOR * gamma so the loss stays finite at
 pathological (zero-beam) parameter points; clamped terms contribute zero
@@ -23,7 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..channel import batch_sinr, steering, steering_dtheta
 from ..config import SimConfig
+from ..sensing import EchoConstants, crlbs, echo_constants
 
 CAP_FACTOR = 1e6
 _LN2 = float(np.log(2.0))
@@ -35,17 +39,14 @@ class BatchGeometry:
     h: np.ndarray        # [Ne, K, M] complex true channels (rows are h_k)
     a: np.ndarray        # [Ne, K, M] steering at true angles
     ap: np.ndarray       # [Ne, K, M] d(steering)/d(theta)
-    s_bp: np.ndarray     # [Ne, K] ||b'(theta)||^2
-    q_bp: np.ndarray     # [Ne, K] complex b'(theta)^H b(theta)
-    c1sq: np.ndarray     # [Ne, K] |G beta xi|^2
-    c_dist: np.ndarray   # [Ne, K] CRLB_d numerator: CRLB_d = c_dist/|a^H w|^2
+    echo: EchoConstants  # [Ne, K] each: the CRLB constants at the true geometry
 
     def __len__(self):
         return self.h.shape[0]
 
     def subset(self, idx) -> "BatchGeometry":
-        return BatchGeometry(*(getattr(self, f)[idx] for f in
-                               ("h", "a", "ap", "s_bp", "q_bp", "c1sq", "c_dist")))
+        return BatchGeometry(self.h[idx], self.a[idx], self.ap[idx],
+                             EchoConstants(*(c[idx] for c in self.echo)))
 
 
 def build_geometry(h: np.ndarray, thetas: np.ndarray, dists: np.ndarray,
@@ -54,23 +55,9 @@ def build_geometry(h: np.ndarray, thetas: np.ndarray, dists: np.ndarray,
 
     h: [Ne, K, M] complex; thetas, dists: [Ne, K].
     """
-    nt, nr = config.n_tx, config.n_rx
-    m = np.arange(nt)
-    cos_t = np.cos(thetas)[..., None]
-    sin_t = np.sin(thetas)[..., None]
-    a = np.exp(-1j * np.pi * m * cos_t) / np.sqrt(nt)
-    ap = (1j * np.pi * m * sin_t) * a
-    mr = np.arange(nr)
-    # ||b'||^2 = (pi sin)^2 * sum(m^2)/Nr ; b'^H b = -j pi sin (Nr-1)/2
-    s_bp = (np.pi * sin_t[..., 0]) ** 2 * float((mr ** 2).sum()) / nr
-    q_bp = -1j * np.pi * sin_t[..., 0] * (nr - 1) / 2.0
-    beta2 = np.abs(config.rcs_coeff) ** 2 / (2.0 * dists) ** 2
-    c1sq = nt * nr * beta2 * config.mf_gain ** 2
-    psi2 = nt * nr * beta2
-    c_dist = (config.wave_speed ** 2 / 4.0) * config.rho_nu ** 2 \
-        * config.noise_rsu / (config.mf_gain * psi2)
-    return BatchGeometry(h=h, a=a, ap=ap, s_bp=s_bp, q_bp=q_bp,
-                         c1sq=c1sq, c_dist=c_dist)
+    return BatchGeometry(h=h, a=steering(thetas, config.n_tx),
+                         ap=steering_dtheta(thetas, config.n_tx),
+                         echo=echo_constants(thetas, dists, config))
 
 
 def _relu(x):
@@ -86,31 +73,18 @@ def penalty_loss_and_grad(o: np.ndarray, geom: BatchGeometry,
     """
     nb, k, _, _ = o.shape
     w = o[..., 0] + 1j * o[..., 1]                       # [Nb, K, M]
-    sig2 = config.noise_vehicle
     cap_t = CAP_FACTOR * config.gamma_theta
     cap_d = CAP_FACTOR * config.gamma_d
 
-    # SINR / sum-rate term
-    s = np.einsum("ikm,ijm->ikj", geom.h.conj(), w)      # s[i,k,j] = h_k^H w_j
-    g2 = np.abs(s) ** 2
-    sig = np.einsum("ikk->ik", g2)
-    interf = g2.sum(axis=2) - sig
-    denom = interf + sig2
-    phi = sig / denom
+    phi, s, denom = batch_sinr(geom.h, w, config.noise_vehicle)
     rate = np.log2(1.0 + phi).sum() / nb
 
-    # CRLB terms at the true geometry
+    # CRLB terms at the true geometry; an infinite or undefined one is capped
     u = np.einsum("ikm,ikm->ik", geom.a.conj(), w)
     v = np.einsum("ikm,ikm->ik", geom.ap.conj(), w)
-    d_theta = geom.c1sq * (geom.s_bp * np.abs(u) ** 2 + np.abs(v) ** 2
-                           + 2.0 * (geom.q_bp * np.conj(u) * v).real)
-    sr2 = config.echo_noise_var
-    with np.errstate(divide="ignore"):
-        crlb_t = np.where(d_theta > sr2 / cap_t, sr2 / np.maximum(d_theta, 1e-300),
-                          cap_t)
-        u2 = np.abs(u) ** 2
-        crlb_d = np.where(u2 > geom.c_dist / cap_d,
-                          geom.c_dist / np.maximum(u2, 1e-300), cap_d)
+    crlb_t, crlb_d = crlbs(u, v, geom.echo, config.echo_noise_var)
+    crlb_t = np.where(crlb_t < cap_t, crlb_t, cap_t)
+    crlb_d = np.where(crlb_d < cap_d, crlb_d, cap_d)
     mean_t = float(crlb_t.mean())
     mean_d = float(crlb_d.mean())
     viol_t = _relu(mean_t - config.gamma_theta)
@@ -142,26 +116,24 @@ def penalty_loss_and_grad(o: np.ndarray, geom: BatchGeometry,
     t_kj[:, kk, kk] = coef * s[:, kk, kk]
     gw += -(1.0 / (nb * _LN2)) * np.einsum("ikj,ikm->ijm", t_kj, geom.h)
 
-    # CRLB_theta penalty
+    # CRLB penalties (clamped terms are flat); CRLB_theta = sigma_r^2 / D with
+    # D = ||dr/dtheta||^2 quadratic in (u, v), and CRLB_d = c_dist / |u|^2
+    echo = geom.echo
     if viol_t > 0.0:
-        live = crlb_t < cap_t
         dj_dcrlb = 2.0 * config.lambda_theta * viol_t / crlb_t.size
-        with np.errstate(divide="ignore", over="ignore"):
-            dcrlb_dd = np.where(live, -sr2 / np.maximum(d_theta, 1e-300) ** 2,
-                                0.0)
-        coef_t = dj_dcrlb * dcrlb_dd
-        du = geom.c1sq * (geom.s_bp * u + geom.q_bp * v)
-        dv = geom.c1sq * (v + np.conj(geom.q_bp) * u)
+        # dCRLB/dD = -sigma_r^2 / D^2 = -CRLB^2 / sigma_r^2
+        coef_t = np.where(crlb_t < cap_t,
+                          -dj_dcrlb * crlb_t ** 2 / config.echo_noise_var, 0.0)
+        du = echo.c1sq * (echo.s_bp * u + echo.q_bp * v)
+        dv = echo.c1sq * (v + np.conj(echo.q_bp) * u)
         gw += (coef_t * du)[..., None] * geom.a + (coef_t * dv)[..., None] * geom.ap
 
-    # CRLB_d penalty
     if viol_d > 0.0:
-        live = crlb_d < cap_d
         dj_dcrlb = 2.0 * config.lambda_d * viol_d / crlb_d.size
-        with np.errstate(divide="ignore", over="ignore"):
-            coef_d = np.where(live, -geom.c_dist / np.maximum(u2, 1e-300) ** 2,
-                              0.0)
-        gw += (dj_dcrlb * coef_d * u)[..., None] * geom.a
+        # dCRLB/d|u|^2 = -c_dist / |u|^4 = -CRLB^2 / c_dist
+        coef_d = np.where(crlb_d < cap_d, -dj_dcrlb * crlb_d ** 2 / echo.c_dist,
+                          0.0)
+        gw += (coef_d * u)[..., None] * geom.a
 
     # power penalty
     gw += (2.0 * config.lambda_power / nb) * viol_p[:, None, None] * w

@@ -57,12 +57,6 @@ def map_input(window: HistoryWindow, config: SimConfig,
     return kappa * window.as_tensor()
 
 
-def window_to_complex(tensor: np.ndarray) -> list[np.ndarray]:
-    """Inverse of HistoryWindow.as_tensor (before any kappa scaling)."""
-    return [(tensor[t, :, :, 0] + 1j * tensor[t, :, :, 1]).T
-            for t in range(tensor.shape[0])]
-
-
 def output_to_matrix(o: np.ndarray) -> np.ndarray:
     """Map the real [K, M, 2] network output to the complex N_t x K matrix."""
     return (o[:, :, 0] + 1j * o[:, :, 1]).T
@@ -77,7 +71,49 @@ def _glorot(rng, shape, fan_in, fan_out):
     return rng.uniform(-limit, limit, size=shape)
 
 
-class HCLNet:
+class _FlatParams:
+    """One flat float64 parameter vector, named views into it and the model
+    file that stores it.  A subclass sets KIND and calls _layout(shapes);
+    kappa is the input scale the file keeps (only HCL-Net sets it)."""
+
+    KIND = ""
+    kappa = 1.0
+
+    def _layout(self, shapes: list[tuple[str, tuple]]) -> None:
+        self._shapes = shapes
+        self.n_params = sum(int(np.prod(s)) for _, s in shapes)
+        self.params = np.zeros(self.n_params)
+        self._views = {}
+        off = 0
+        for name, shape in shapes:
+            size = int(np.prod(shape))
+            self._views[name] = self.params[off:off + size].reshape(shape)
+            off += size
+
+    def view(self, name: str) -> np.ndarray:
+        return self._views[name]
+
+    def _flat_grad(self, blocks: dict) -> np.ndarray:
+        """The flat gradient from per-view gradient blocks."""
+        return np.concatenate([blocks[name].ravel() for name, _ in self._shapes])
+
+    def save(self, path: str) -> None:
+        meta = {"kind": self.KIND, "kappa": self.kappa,
+                "config": self.config.as_dict(),
+                "shapes": {n: list(s) for n, s in self._shapes}}
+        save_container(path, meta, {"params": self.params})
+
+    @classmethod
+    def load(cls, path: str, config: SimConfig):
+        net = load_model(path, config)
+        if not isinstance(net, cls):
+            raise ValueError(f"{path}: not a {cls.KIND} model file")
+        return net
+
+
+class HCLNet(_FlatParams):
+    KIND = "hcl"
+
     def __init__(self, config: SimConfig, kappa: float = 1.0):
         m = config.n_tx
         if m % 8 != 0:
@@ -90,7 +126,7 @@ class HCLNet:
         self.hidden = LSTM_HIDDEN
         self.feat = self.k * m          # concatenated CNN features per slot
         self.out_dim = 2 * self.k * m
-        self._shapes = [
+        self._layout([
             ("conv_w", (CONV_FILTERS, 3, 3, 2)),
             ("conv_b", (CONV_FILTERS,)),
             ("wx", (4 * self.hidden, self.feat)),
@@ -98,18 +134,7 @@ class HCLNet:
             ("lstm_b", (4 * self.hidden,)),
             ("fc_w", (self.hidden, self.out_dim)),
             ("fc_b", (self.out_dim,)),
-        ]
-        self.n_params = sum(int(np.prod(s)) for _, s in self._shapes)
-        self.params = np.zeros(self.n_params)
-        self._views = {}
-        off = 0
-        for name, shape in self._shapes:
-            size = int(np.prod(shape))
-            self._views[name] = self.params[off:off + size].reshape(shape)
-            off += size
-
-    def view(self, name: str) -> np.ndarray:
-        return self._views[name]
+        ])
 
     def init_params(self, rng: np.random.Generator) -> None:
         """Glorot-uniform weights, zero biases, +1 forget-gate bias; the output
@@ -138,20 +163,6 @@ class HCLNet:
         z = kernels.conv2d3x3_same_fwd(x4, self.view("conv_w"), self.view("conv_b"))
         p, _ = kernels.maxpool2x2_fwd(z * (z > 0))
         return p.reshape(-1)
-
-    def lstm_step(self, x: np.ndarray, h_prev: np.ndarray,
-                  c_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One LSTM update for a single feature vector (widths feat/hidden)."""
-        if x.shape != (self.feat,) or h_prev.shape != (self.hidden,):
-            raise ValueError("bad lstm_step input widths")
-        hh = self.hidden
-        gates = self.view("wx") @ x + self.view("wh") @ h_prev + self.view("lstm_b")
-        gi = _sigmoid(gates[:hh])
-        gf = _sigmoid(gates[hh:2 * hh])
-        gg = np.tanh(gates[2 * hh:3 * hh])
-        go = _sigmoid(gates[3 * hh:])
-        c = gf * c_prev + gi * gg
-        return go * np.tanh(c), c
 
     # ---- forward / backward ------------------------------------------------
 
@@ -237,15 +248,9 @@ class HCLNet:
         gr = kernels.maxpool2x2_bwd(cache["idx"], gp, cache["pshape"])
         gz = gr * cache["mask"]
         g_cw, g_cb = kernels.conv2d3x3_same_bwd(cache["x4"], v["conv_w"], gz)
-        grad = np.empty_like(self.params)
-        off = 0
-        for name, shape in self._shapes:
-            size = int(np.prod(shape))
-            block = {"conv_w": g_cw, "conv_b": g_cb, "wx": g_wx, "wh": g_wh,
-                     "lstm_b": g_lb, "fc_w": g_fc_w, "fc_b": g_fc_b}[name]
-            grad[off:off + size] = block.ravel()
-            off += size
-        return grad
+        return self._flat_grad({
+            "conv_w": g_cw, "conv_b": g_cb, "wx": g_wx, "wh": g_wh,
+            "lstm_b": g_lb, "fc_w": g_fc_w, "fc_b": g_fc_b})
 
     @property
     def pool_h(self) -> int:
@@ -268,33 +273,15 @@ class HCLNet:
                 w = w * np.sqrt(self.config.power_budget / pw)
         return w
 
-    # ---- persistence -------------------------------------------------------
 
-    def save(self, path: str) -> None:
-        meta = {"kind": "hcl", "kappa": self.kappa,
-                "config": self.config.as_dict(),
-                "shapes": {n: list(s) for n, s in self._shapes}}
-        save_container(path, meta, {"params": self.params})
-
-    @classmethod
-    def load(cls, path: str, config: SimConfig) -> "HCLNet":
-        meta, arrays = load_container(path)
-        if meta.get("kind") != "hcl":
-            raise ValueError(f"{path}: not an HCL-Net model file")
-        net = cls(config, kappa=meta["kappa"])
-        if arrays["params"].shape != net.params.shape:
-            raise ValueError(f"{path}: parameter count mismatch")
-        net.params[:] = arrays["params"]
-        return net
-
-
-class NaiveNet:
+class NaiveNet(_FlatParams):
     """FC baseline: (angle, distance) of the last slot -> beamforming matrix.
 
     Two ReLU hidden layers of width 128; distances are divided by 100 m on
     input to keep features O(1).
     """
 
+    KIND = "naive"
     HIDDEN = 128
     DIST_SCALE = 100.0
 
@@ -305,22 +292,11 @@ class NaiveNet:
         self.in_dim = 2 * self.k
         self.out_dim = 2 * self.k * self.m
         hdim = self.HIDDEN
-        self._shapes = [
+        self._layout([
             ("w1", (self.in_dim, hdim)), ("b1", (hdim,)),
             ("w2", (hdim, hdim)), ("b2", (hdim,)),
             ("w3", (hdim, self.out_dim)), ("b3", (self.out_dim,)),
-        ]
-        self.n_params = sum(int(np.prod(s)) for _, s in self._shapes)
-        self.params = np.zeros(self.n_params)
-        self._views = {}
-        off = 0
-        for name, shape in self._shapes:
-            size = int(np.prod(shape))
-            self._views[name] = self.params[off:off + size].reshape(shape)
-            off += size
-
-    def view(self, name: str) -> np.ndarray:
-        return self._views[name]
+        ])
 
     def init_params(self, rng: np.random.Generator) -> None:
         v = self._views
@@ -359,39 +335,33 @@ class NaiveNet:
         ga1 = (ga2 @ v["w2"].T) * (cache["z1"] > 0)
         g_w1 = cache["x"].T @ ga1
         g_b1 = ga1.sum(axis=0)
-        grad = np.empty_like(self.params)
-        off = 0
-        blocks = {"w1": g_w1, "b1": g_b1, "w2": g_w2, "b2": g_b2,
-                  "w3": g_w3, "b3": g_b3}
-        for name, shape in self._shapes:
-            size = int(np.prod(shape))
-            grad[off:off + size] = blocks[name].ravel()
-            off += size
-        return grad
+        return self._flat_grad({"w1": g_w1, "b1": g_b1, "w2": g_w2,
+                                "b2": g_b2, "w3": g_w3, "b3": g_b3})
 
-    def save(self, path: str) -> None:
-        meta = {"kind": "naive", "kappa": 1.0,
-                "config": self.config.as_dict(),
-                "shapes": {n: list(s) for n, s in self._shapes}}
-        save_container(path, meta, {"params": self.params})
 
-    @classmethod
-    def load(cls, path: str, config: SimConfig) -> "NaiveNet":
-        meta, arrays = load_container(path)
-        if meta.get("kind") != "naive":
-            raise ValueError(f"{path}: not a naive-DL model file")
-        net = cls(config)
-        if arrays["params"].shape != net.params.shape:
-            raise ValueError(f"{path}: parameter count mismatch")
-        net.params[:] = arrays["params"]
-        return net
+
+# config fields that fix a model's weight shapes or its input window
+_SHAPE_FIELDS = ("n_tx", "n_vehicles", "history_len")
+
+
+_MODEL_KINDS = {HCLNet.KIND: HCLNet, NaiveNet.KIND: NaiveNet}
 
 
 def load_model(path: str, config: SimConfig):
-    meta, _ = load_container(path)
+    """The HCL-Net or naive-FC model saved at path, for a run under config."""
+    meta, arrays = load_container(path)
     kind = meta.get("kind")
-    if kind == "hcl":
-        return HCLNet.load(path, config)
-    if kind == "naive":
-        return NaiveNet.load(path, config)
-    raise ValueError(f"{path}: unknown model kind {kind!r}")
+    if kind not in _MODEL_KINDS:
+        raise ValueError(f"{path}: unknown model kind {kind!r}")
+    saved = meta.get("config", {})
+    for field in _SHAPE_FIELDS:
+        if saved.get(field) != getattr(config, field):
+            raise ValueError(
+                f"{path}: model saved with {field}={saved.get(field)}, "
+                f"the run has {field}={getattr(config, field)}")
+    net = _MODEL_KINDS[kind](config)
+    if arrays["params"].shape != net.params.shape:
+        raise ValueError(f"{path}: parameter count mismatch")
+    net.kappa = float(meta["kappa"])
+    net.params[:] = arrays["params"]
+    return net

@@ -1,9 +1,13 @@
-"""Shared test oracles: finite-difference gradients and an independent FIM."""
+"""Shared test oracles: finite-difference gradients, an independent FIM, and
+the explicit one-user and one-vector forms behind the package's closed forms."""
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
-from isacbf.sensing import echo_mean, obs_noise_vars
+from isacbf.channel import steering, steering_dtheta
+from isacbf.sensing import echo_mean, reflection_coeff
 
 
 def fd_fim(state, w_k, config, eps: float = 1e-7) -> np.ndarray:
@@ -12,20 +16,49 @@ def fd_fim(state, w_k, config, eps: float = 1e-7) -> np.ndarray:
     The angle block uses a central-difference Jacobian of the noiseless echo
     (distance, and hence the reflection amplitude, held fixed); the delay and
     Doppler blocks come straight from the scalar measurement models
-    nu = 2d/c + noise and mu = 2*v_dot*f_c/c + noise.
+    nu = 2d/c + noise and mu = 2*v_dot*f_c/c + noise, whose variances are
+    rho^2 * sigma_rsu^2 / (xi * N_t*N_r*|beta|^2 * |a^H w|^2).
     """
-    noise = obs_noise_vars(state.theta, state.dist, w_k, config)
     f = np.zeros((3, 3))
-    if not noise.observable:
+    gain = abs(np.vdot(steering(state.theta, config.n_tx), w_k)) ** 2
+    if gain <= 1e-30 * max(1.0, float(np.vdot(w_k, w_k).real)):
         return f
     rp = echo_mean(state.theta + eps, state.dist, w_k, config)
     rm = echo_mean(state.theta - eps, state.dist, w_k, config)
     dr = (rp - rm) / (2.0 * eps)
+    beta2 = abs(config.rcs_coeff / (2.0 * state.dist)) ** 2
+    echo_snr = config.mf_gain * config.n_tx * config.n_rx * beta2 * gain \
+        / config.noise_rsu
+    sigma_nu2 = config.rho_nu ** 2 / echo_snr
+    sigma_mu2 = config.rho_mu ** 2 / echo_snr
     c = config.wave_speed
-    f[0, 0] = float(np.vdot(dr, dr).real) / noise.sigma_r2
-    f[1, 1] = (2.0 / c) ** 2 / noise.sigma_nu2
-    f[2, 2] = (2.0 * config.carrier_hz / c) ** 2 / noise.sigma_mu2
+    f[0, 0] = float(np.vdot(dr, dr).real) / config.echo_noise_var
+    f[1, 1] = (2.0 / c) ** 2 / sigma_nu2
+    f[2, 2] = (2.0 * config.carrier_hz / c) ** 2 / sigma_mu2
     return f
+
+
+def echo_dtheta(theta: float, dist: float, w_k: np.ndarray,
+                config) -> np.ndarray:
+    """d(echo_mean)/d(theta) as a vector, G*beta*xi*(b' (a^H w) + b (a'^H w)):
+    the explicit form of the norm that sensing.crlbs has in closed form."""
+    g = math.sqrt(config.n_tx * config.n_rx)
+    beta = reflection_coeff(dist, config)
+    a = steering(theta, config.n_tx)
+    ap = steering_dtheta(theta, config.n_tx)
+    b = steering(theta, config.n_rx)
+    bp = steering_dtheta(theta, config.n_rx)
+    return g * beta * config.mf_gain * (bp * (a.conj() @ w_k)
+                                        + b * (ap.conj() @ w_k))
+
+
+def sinr(h_k: np.ndarray, W: np.ndarray, k: int, sigma2: float) -> float:
+    """SINR of user k for beamforming matrix W (columns are per-user beams),
+    one user at a time: the reference for channel.batch_sinr."""
+    gains = np.abs(h_k.conj() @ W) ** 2
+    signal = gains[k]
+    interference = gains.sum() - signal
+    return float(signal / (interference + sigma2))
 
 
 def fd_grad(fun, x: np.ndarray, idx, eps: float = 1e-6) -> np.ndarray:

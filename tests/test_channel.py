@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from isacbf.channel import (effective_channel, path_loss_amp, sinr, steering,
-                            steering_dtheta, sum_rate)
+from helpers import sinr
+from isacbf.channel import (batch_sinr, effective_channel, path_loss_amp,
+                            steering, steering_dtheta, sum_rate)
 
 # frozen oracle values (high-precision arithmetic, defaults alpha0=1e-7,
 # zeta=2.55, d0=1): one-way amplitude at d=25 m and the matching channel norm
@@ -26,6 +27,18 @@ def test_steering_phase_progression():
     assert np.allclose(ratios, np.exp(-1j * np.pi * np.cos(theta)))
 
 
+def test_steering_broadcasts_bit_identically():
+    """An array of angles gives, row by row, the bits of one-angle calls, so
+    beams built either way feed the same observation noise."""
+    thetas = np.random.default_rng(0).uniform(0.0, np.pi, size=(3, 4))
+    a = steering(thetas, 32)
+    ap = steering_dtheta(thetas, 32)
+    assert a.shape == ap.shape == (3, 4, 32)
+    for idx in np.ndindex(thetas.shape):
+        assert np.array_equal(a[idx], steering(float(thetas[idx]), 32))
+        assert np.array_equal(ap[idx], steering_dtheta(float(thetas[idx]), 32))
+
+
 def test_steering_rejects_empty():
     with pytest.raises(ValueError):
         steering(0.5, 0)
@@ -43,6 +56,8 @@ def test_path_loss_frozen_value(cfg):
         np.sqrt(cfg.pathloss_ref))
     with pytest.raises(ValueError):
         path_loss_amp(0.0, cfg)
+    with pytest.raises(ValueError):
+        path_loss_amp(np.array([25.0, -1.0]), cfg)
 
 
 def test_path_loss_monotone_decreasing(cfg):
@@ -58,25 +73,41 @@ def test_effective_channel(cfg):
     # h is a scaled steering vector
     a = steering(0.9272952180016122, cfg.n_tx)
     assert np.allclose(h, np.sqrt(cfg.n_tx) * ALPHA_25 * a, rtol=1e-10)
+    # an array of geometries gives one channel per row
+    th, d = np.array([0.9, 1.3]), np.array([25.0, 40.0])
+    rows = effective_channel(th, d, cfg)
+    assert rows.shape == (2, cfg.n_tx)
+    for k in range(2):
+        assert np.allclose(rows[k], effective_channel(th[k], d[k], cfg),
+                           rtol=1e-15, atol=0.0)
 
 
 def test_sinr_no_interference():
     n, sigma2 = 8, 0.5
-    h = np.ones(n, dtype=complex)
-    w = np.zeros((n, 2), dtype=complex)
-    w[:, 0] = 0.25
-    assert sinr(h, w, 0, sigma2) == pytest.approx(abs(h.conj() @ w[:, 0]) ** 2
-                                                  / sigma2)
+    h = np.ones((2, n), dtype=complex)
+    w = np.zeros((2, n), dtype=complex)
+    w[0] = 0.25
+    phi, s, denom = batch_sinr(h, w, sigma2)
+    assert phi[0] == pytest.approx(abs(h[0].conj() @ w[0]) ** 2 / sigma2)
+    assert phi[1] == 0.0
+    assert denom[0] == sigma2
 
 
 def test_sinr_with_interference():
     n, sigma2 = 4, 1e-3
     rng = np.random.default_rng(0)
-    h = rng.normal(size=n) + 1j * rng.normal(size=n)
-    w = rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))
-    gains = np.abs(h.conj() @ w) ** 2
-    expect = gains[1] / (gains[0] + gains[2] + sigma2)
-    assert sinr(h, w, 1, sigma2) == pytest.approx(expect, rel=1e-12)
+    h = rng.normal(size=(2, 3, n)) + 1j * rng.normal(size=(2, 3, n))
+    w = rng.normal(size=(2, 3, n)) + 1j * rng.normal(size=(2, 3, n))
+    phi, s, denom = batch_sinr(h, w, sigma2)
+    assert phi.shape == denom.shape == (2, 3) and s.shape == (2, 3, 3)
+    for i in range(2):
+        gains = np.abs(h[i, 1].conj() @ w[i].T) ** 2
+        expect = gains[1] / (gains[0] + gains[2] + sigma2)
+        assert phi[i, 1] == pytest.approx(expect, rel=1e-12)
+        assert s[i, 1, 2] == pytest.approx(h[i, 1].conj() @ w[i, 2], rel=1e-12)
+        for k in range(3):
+            assert phi[i, k] == pytest.approx(sinr(h[i, k], w[i].T, k, sigma2),
+                                              rel=1e-12)
 
 
 def test_sum_rate_matches_per_user_sum():

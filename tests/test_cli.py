@@ -82,6 +82,12 @@ def test_train_hcl_arch(tmp_path, capsys):
                "--realizations", "2"])
     out = capsys.readouterr().out
     assert rc == 0 and "hcl" in out
+    # a model trained with another history length is refused, not run
+    for cmd in ("eval", "sweep"):
+        rc = main([cmd, *SMALL, "--set", "history_len=2", "--methods", "hcl",
+                   "--model", model, "--realizations", "2"])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
 
 
 def test_eval_requires_model(capsys):

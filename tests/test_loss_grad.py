@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from isacbf.channel import effective_channel, steering, steering_dtheta, sum_rate
+from helpers import echo_dtheta, fd_fim, sinr
+from isacbf.channel import effective_channel
 from isacbf.kinematics import make_state
 from isacbf.nn.loss import (CAP_FACTOR, build_geometry, gradient, penalty_loss,
                             penalty_loss_and_grad)
 from isacbf.nn.model import HCLNet, output_to_matrix
-from isacbf.sensing import fisher_information
+from isacbf.sensing import EchoConstants, crlbs
 
 
 def _geometry(cfg, rng, ne=4):
@@ -18,19 +19,26 @@ def _geometry(cfg, rng, ne=4):
     return h, th, d, build_geometry(h, th, d, cfg)
 
 
+def _state(theta, dist):
+    return make_state(dist * np.cos(theta), dist * np.sin(theta), 8.0)
+
+
 def test_build_geometry_constants(cfg, rng):
+    """The loss's per-example constants give the CRLBs of the explicit echo
+    derivative (angle) and of the delay measurement model (distance)."""
     _, th, d, geom = _geometry(cfg, rng, ne=2)
     i, j = 1, 2
-    a = steering(th[i, j], cfg.n_tx)
-    ap = steering_dtheta(th[i, j], cfg.n_tx)
-    bp = steering_dtheta(th[i, j], cfg.n_rx)
-    b = steering(th[i, j], cfg.n_rx)
-    assert np.allclose(geom.a[i, j], a)
-    assert np.allclose(geom.ap[i, j], ap)
-    assert geom.s_bp[i, j] == pytest.approx(float(np.vdot(bp, bp).real), rel=1e-12)
-    assert geom.q_bp[i, j] == pytest.approx(complex(np.vdot(bp, b)), rel=1e-10)
+    w = rng.normal(size=cfg.n_tx) + 1j * rng.normal(size=cfg.n_tx)
+    echo = EchoConstants(*(c[i, j] for c in geom.echo))
+    ct, cd = crlbs(np.vdot(geom.a[i, j], w), np.vdot(geom.ap[i, j], w), echo,
+                   cfg.echo_noise_var)
+    dr = echo_dtheta(th[i, j], d[i, j], w, cfg)
+    assert ct == pytest.approx(cfg.echo_noise_var / np.vdot(dr, dr).real,
+                               rel=1e-12)
+    assert cd == pytest.approx(1.0 / fd_fim(_state(th[i, j], d[i, j]), w,
+                                            cfg)[1, 1], rel=1e-12)
     beta2 = abs(cfg.rcs_coeff) ** 2 / (2 * d[i, j]) ** 2
-    assert geom.c1sq[i, j] == pytest.approx(
+    assert echo.c1sq == pytest.approx(
         cfg.n_tx * cfg.n_rx * beta2 * cfg.mf_gain ** 2, rel=1e-12)
 
 
@@ -39,12 +47,15 @@ def test_loss_rate_term_matches_sum_rate(cfg, rng):
     o = rng.normal(size=(4, cfg.n_vehicles, cfg.n_tx, 2)) * 0.1
     j, parts = penalty_loss_and_grad(o, geom, cfg, want_grad=False)
     expect = np.mean([
-        sum_rate(h[i].T, output_to_matrix(o[i]), cfg.noise_vehicle)
+        sum(np.log2(1.0 + sinr(h[i, k], output_to_matrix(o[i]), k,
+                               cfg.noise_vehicle))
+            for k in range(cfg.n_vehicles))
         for i in range(4)])
     assert parts["rate"] == pytest.approx(expect, rel=1e-10)
 
 
 def test_loss_crlbs_match_fisher_information(cfg, rng):
+    """The loss's mean CRLBs against the independent numeric FIM oracle."""
     h, th, d, geom = _geometry(cfg, rng, ne=3)
     o = rng.normal(size=(3, cfg.n_vehicles, cfg.n_tx, 2)) * 0.3
     _, parts = penalty_loss_and_grad(o, geom, cfg, want_grad=False)
@@ -52,13 +63,12 @@ def test_loss_crlbs_match_fisher_information(cfg, rng):
     for i in range(3):
         w = output_to_matrix(o[i])
         for k in range(cfg.n_vehicles):
-            s = make_state(d[i, k] * np.cos(th[i, k]),
-                           d[i, k] * np.sin(th[i, k]), 8.0)
-            info = fisher_information(s, w[:, k], cfg)
-            ct.append(info.crlb_theta)
-            cd.append(info.crlb_d)
-    assert parts["crlb_theta_mean"] == pytest.approx(np.mean(ct), rel=1e-9)
-    assert parts["crlb_d_mean"] == pytest.approx(np.mean(cd), rel=1e-9)
+            f = fd_fim(_state(th[i, k], d[i, k]), w[:, k], cfg)
+            ct.append(1.0 / f[0, 0])
+            cd.append(1.0 / f[1, 1])
+    # the angle oracle is a central difference (error ~1e-8, criterion 2)
+    assert parts["crlb_theta_mean"] == pytest.approx(np.mean(ct), rel=1e-7)
+    assert parts["crlb_d_mean"] == pytest.approx(np.mean(cd), rel=1e-12)
 
 
 def test_loss_gradient_wrt_output_fd(cfg, rng):
@@ -137,4 +147,4 @@ def test_geometry_subset(cfg, rng):
     sub = geom.subset(np.array([0, 3]))
     assert len(sub) == 2
     assert np.allclose(sub.h[1], geom.h[3])
-    assert np.allclose(sub.c_dist[1], geom.c_dist[3])
+    assert np.allclose(sub.echo.c_dist[1], geom.echo.c_dist[3])

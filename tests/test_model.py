@@ -4,8 +4,26 @@ import pytest
 from helpers import fd_grad
 from isacbf.config import SimConfig
 from isacbf.nn.model import (CONV_FILTERS, LSTM_HIDDEN, HCLNet, HistoryWindow,
-                             NaiveNet, load_model, map_input, output_to_matrix,
-                             window_to_complex)
+                             NaiveNet, load_model, map_input, output_to_matrix)
+
+
+def _window_to_complex(tensor):
+    """Inverse of HistoryWindow.as_tensor (before any kappa scaling)."""
+    return [(tensor[t, :, :, 0] + 1j * tensor[t, :, :, 1]).T
+            for t in range(tensor.shape[0])]
+
+
+def _lstm_step(net, x, h_prev, c_prev):
+    """One LSTM update of one feature vector: the per-slot reference for the
+    batched recurrence in HCLNet.forward."""
+    def sigmoid(z):
+        return 1.0 / (1.0 + np.exp(-z))
+
+    hh = net.hidden
+    gates = net.view("wx") @ x + net.view("wh") @ h_prev + net.view("lstm_b")
+    c = sigmoid(gates[hh:2 * hh]) * c_prev \
+        + sigmoid(gates[:hh]) * np.tanh(gates[2 * hh:3 * hh])
+    return sigmoid(gates[3 * hh:]) * np.tanh(c), c
 
 
 def _window(cfg, rng):
@@ -19,7 +37,7 @@ def test_history_window_roundtrip(cfg, rng):
     w = _window(cfg, rng)
     t = w.as_tensor()
     assert t.shape == (cfg.history_len, cfg.n_vehicles, cfg.n_tx, 2)
-    back = window_to_complex(t)
+    back = _window_to_complex(t)
     for a, b in zip(w.slots, back):
         assert np.allclose(a, b)
 
@@ -89,7 +107,7 @@ def test_forward_shapes_and_kappa(cfg, rng):
 
 
 def test_forward_composes_single_slice_blocks(cfg, rng):
-    """The batched forward equals cnn_forward per slice + lstm_step + FC."""
+    """The batched forward equals cnn_forward per slice + an LSTM step + FC."""
     net = HCLNet(cfg, kappa=1.7)
     net.init_params(rng)
     x = rng.normal(size=(1, cfg.history_len, cfg.n_vehicles, cfg.n_tx, 2))
@@ -101,7 +119,7 @@ def test_forward_composes_single_slice_blocks(cfg, rng):
             net.cnn_forward(net.kappa * x[0, t, k])
             for k in range(cfg.n_vehicles)])
         assert feats.shape == (net.feat,)
-        h, c = net.lstm_step(feats, h, c)
+        h, c = _lstm_step(net, feats, h, c)
     out = (h @ net.view("fc_w") + net.view("fc_b")).reshape(
         cfg.n_vehicles, cfg.n_tx, 2)
     assert np.allclose(out, o[0], rtol=1e-10, atol=1e-12)
@@ -112,8 +130,6 @@ def test_single_slice_validation(cfg, rng):
     net.init_params(rng)
     with pytest.raises(ValueError):
         net.cnn_forward(np.zeros((cfg.n_tx, 3)))
-    with pytest.raises(ValueError):
-        net.lstm_step(np.zeros(3), np.zeros(net.hidden), np.zeros(net.hidden))
 
 
 def test_hclnet_backward_matches_fd(small_cfg, rng):
@@ -194,8 +210,12 @@ def test_load_model_dispatch(cfg, rng, tmp_path):
         HCLNet.load(pn, cfg)
     with pytest.raises(ValueError):
         NaiveNet.load(ph, cfg)
-    # wrong geometry -> parameter count mismatch
-    with pytest.raises(ValueError):
+    # a shape-critical field of the run differs from the saved config
+    for field, value in (("n_tx", 16), ("n_vehicles", 2), ("history_len", 3)):
+        for path in (ph, pn):
+            with pytest.raises(ValueError, match=field):
+                load_model(path, cfg.replace(**{field: value}))
+    with pytest.raises(ValueError, match="n_tx"):
         HCLNet.load(ph, cfg.replace(n_tx=16))
 
 

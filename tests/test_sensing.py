@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from helpers import fd_fim
+from helpers import echo_dtheta, fd_fim
 from isacbf.channel import steering
 from isacbf.kinematics import make_state
-from isacbf.sensing import (beam_gain, echo_dtheta, echo_mean,
-                            fisher_information, generate_observation,
-                            obs_noise_vars, reflection_coeff)
+from isacbf.sensing import (beam_gain, echo_mean, fisher_information,
+                            generate_observation, obs_noise_vars,
+                            reflection_coeff)
 
 # frozen oracle values at the 25 m geometry (state at x=15, y=20) with an
 # aligned unit-norm beam and default constants
