@@ -7,7 +7,6 @@ from .channel import path_loss_amp, steering
 from .config import SimConfig
 from .kinematics import VehicleState
 from .nn.model import NaiveNet, output_to_matrix
-from .sensing import ObservationRecord
 
 
 def _aimed_beams(thetas: np.ndarray, config: SimConfig) -> np.ndarray:
@@ -16,27 +15,25 @@ def _aimed_beams(thetas: np.ndarray, config: SimConfig) -> np.ndarray:
     return np.ascontiguousarray((np.sqrt(p) * steering(thetas, config.n_tx)).T)
 
 
-def genie_beamformer(states: list[VehicleState], config: SimConfig) -> np.ndarray:
+def genie_beamformer(vehicles: VehicleState, config: SimConfig) -> np.ndarray:
     """Perfectly aligned equal-power-split beams sqrt(P/K) * a(theta_k)."""
-    return _aimed_beams(np.array([st.theta for st in states]), config)
+    return _aimed_beams(vehicles.theta, config)
 
 
-def genie_rate(states: list[VehicleState], config: SimConfig) -> float:
+def genie_rate(vehicles: VehicleState, config: SimConfig) -> float:
     """Interference-free perfect-CSI sum-rate: the upper bound on the problem."""
     p = config.power_budget / config.n_vehicles
-    alpha2 = path_loss_amp(np.array([st.dist for st in states]), config) ** 2
+    alpha2 = path_loss_amp(vehicles.dist, config) ** 2
     return float(np.log2(1.0 + p * config.n_tx * alpha2
                          / config.noise_vehicle).sum())
 
 
-def naive_dl_beamformer(last_obs: list[ObservationRecord], net: NaiveNet,
-                        config: SimConfig) -> np.ndarray:
-    """Beams from the last slot's estimated angles/distances via the FC net."""
+def naive_dl_beamformer(theta_hat: np.ndarray, d_hat: np.ndarray,
+                        net: NaiveNet, config: SimConfig) -> np.ndarray:
+    """Beams from the last slot's [K] estimated angles/distances via the FC net."""
     if net is None:
         raise ValueError("naive DL baseline requires a trained network")
-    thetas = np.array([[o.theta_hat for o in last_obs]])
-    dists = np.array([[o.d_hat for o in last_obs]])
-    o = net.forward(net.features(thetas, dists))
+    o = net.forward(net.features(theta_hat[None], d_hat[None]))
     return output_to_matrix(o[0])
 
 

@@ -24,10 +24,13 @@ def steering(theta, n_ant: int) -> np.ndarray:
     return np.exp(phase) / np.sqrt(n_ant)
 
 
-def steering_dtheta(theta, n_ant: int) -> np.ndarray:
-    """Entry-wise derivative of steering() with respect to theta."""
+def steering_dtheta(theta, n_ant: int, a=None) -> np.ndarray:
+    """Entry-wise derivative of steering() with respect to theta; pass the
+    caller's steering(theta, n_ant) as a to skip recomputing it."""
+    if a is None:
+        a = steering(theta, n_ant)
     ramp = (1j * np.pi * np.arange(n_ant)) * _per_antenna(np.sin(theta))
-    return ramp * steering(theta, n_ant)
+    return ramp * a
 
 
 def check_distance(dist) -> None:

@@ -121,7 +121,11 @@ def main(argv=None) -> int:
         if not args.out:
             print("error: --out is required", file=sys.stderr)
             return 2
-        ds = Dataset.load(args.data)
+        try:
+            ds = Dataset.load(args.data)
+        except (OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         hyper = TrainHyper(lr=args.lr, batch_size=args.batch_size,
                            max_iters=args.iters, momentum=args.momentum,
                            seed=config.rng_seed)

@@ -9,7 +9,8 @@ random beams so predictive methods always see a full window.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -18,9 +19,9 @@ from .baselines import (genie_beamformer, genie_rate, naive_dl_beamformer,
 from .channel import effective_channel, sum_rate
 from .config import SimConfig
 from .io_container import load_container, save_container
-from .kinematics import VehicleState, init_vehicles, step_motion
+from .kinematics import init_vehicles, step_motion
 from .nn.loss import BatchGeometry, build_geometry
-from .nn.model import HCLNet, HistoryWindow, NaiveNet
+from .nn.model import HCLNet, NaiveNet
 from .nn.train import TrainHyper, TrainResult, train
 from .sensing import fisher_information, generate_observation
 
@@ -29,17 +30,20 @@ METHODS = ("genie", "naive_dl", "random", "hcl")
 
 @dataclass
 class EpisodeTrace:
-    states: list = field(default_factory=list)        # per slot: list[VehicleState]
+    vehicles: list = field(default_factory=list)      # per slot: VehicleState of [K] arrays
     w_applied: list = field(default_factory=list)     # per slot: (N_t, K) complex
     decided_at: list = field(default_factory=list)    # slot index that chose W
     rates: list = field(default_factory=list)
     crlb_theta: list = field(default_factory=list)    # per slot: (K,) array
     crlb_d: list = field(default_factory=list)
-    observations: list = field(default_factory=list)  # per slot: list[Obs|None]
-    est_channels: list = field(default_factory=list)  # per slot: (M, K) complex
 
     def __len__(self):
         return len(self.rates)
+
+    @cached_property
+    def states(self) -> list:
+        """Per slot: the K vehicles as scalar VehicleState records."""
+        return [v.records() for v in self.vehicles]
 
 
 def verify_causality(trace: EpisodeTrace) -> bool:
@@ -47,59 +51,39 @@ def verify_causality(trace: EpisodeTrace) -> bool:
     return all(dec < n for n, dec in enumerate(trace.decided_at))
 
 
-def _usable(ob) -> bool:
-    """An observation can stand in for its vehicle's channel: it exists and
-    its distance estimate is positive (delay noise can push it below zero)."""
-    return ob is not None and ob.d_hat > 0
-
-
-def _estimated_channel_matrix(obs, prev, config: SimConfig) -> np.ndarray:
-    h = np.zeros((config.n_tx, config.n_vehicles), dtype=complex)
-    for k, ob in enumerate(obs):
-        if _usable(ob):
-            h[:, k] = effective_channel(ob.theta_hat, ob.d_hat, config)
-        elif prev is not None:
-            h[:, k] = prev[:, k]
-    return h
-
-
-def _true_channels(states, config: SimConfig) -> np.ndarray:
-    """[K, M] true channels of one slot, row k for vehicle k."""
-    return effective_channel(np.array([s.theta for s in states]),
-                             np.array([s.dist for s in states]), config)
-
-
 def _slots(config: SimConfig, method: str, rng: np.random.Generator,
            model, theta_mode: str, project: bool):
-    """The slot loop of run_episode and generate_dataset: motion, beams,
-    observations and the estimate history.  Yields (states, w, decided_at,
-    observations, estimated channels) of each slot before deciding the next
-    slot's beams."""
+    """The slot loop of run_episode and generate_dataset over the K vehicles
+    as arrays: motion, beams, observations and the estimate history.  Yields
+    (vehicles, w, decided_at, observations, history) of each slot before
+    deciding the next slot's beams; history is the [tau, K, M] window of
+    estimated channels ending at this slot, zeros before the first."""
     rng_motion, rng_obs, rng_beam = rng.spawn(3)
     tau = config.history_len
-    states = init_vehicles(config, rng_motion)
-    history: list[np.ndarray] = []
+    vehicles = init_vehicles(config, rng_motion)
+    history = np.zeros((tau, config.n_vehicles, config.n_tx), dtype=complex)
     w_next = random_beamformer(config, rng_beam)
     decided_at = -1
     for n in range(config.n_slots):
         if n > 0:
-            states = [step_motion(s, config, rng_motion) for s in states]
+            vehicles = step_motion(vehicles, config, rng_motion)
         if method == "genie":
-            w, dec = genie_beamformer(states, config), n
+            w, dec = genie_beamformer(vehicles, config), n
         else:
             w, dec = w_next, decided_at
-        obs = [generate_observation(s, w[:, k], config, rng_obs, theta_mode)
-               for k, s in enumerate(states)]
-        est = _estimated_channel_matrix(obs, history[-1] if history else None,
-                                        config)
-        history = (history + [est])[-tau:]
-        yield states, w, dec, obs, est
+        obs = generate_observation(vehicles, w, config, rng_obs, theta_mode)
+        # a vehicle without a usable estimate carries its previous row forward
+        history = np.concatenate((history[1:], history[-1:]))
+        history[-1, obs.usable] = effective_channel(
+            obs.theta_hat[obs.usable], obs.d_hat[obs.usable], config)
+        yield vehicles, w, dec, obs, history
         # decide the next slot's beams; the predictors fall back to random
         # beams while their input is incomplete
-        if method == "hcl" and len(history) == tau:
-            w_next = model.predict(HistoryWindow(history), project=project)
-        elif method == "naive_dl" and all(_usable(ob) for ob in obs):
-            w_next = naive_dl_beamformer(obs, model, config)
+        if method == "hcl" and n >= tau - 1:
+            w_next = model.predict(history, project=project)
+        elif method == "naive_dl" and obs.usable.all():
+            w_next = naive_dl_beamformer(obs.theta_hat, obs.d_hat, model,
+                                         config)
         elif method != "genie":
             w_next = random_beamformer(config, rng_beam)
         decided_at = n
@@ -121,23 +105,20 @@ def run_episode(config: SimConfig, method: str, rng: np.random.Generator,
     if method in ("hcl", "naive_dl") and model is None:
         raise ValueError(f"method {method!r} requires a trained model")
     trace = EpisodeTrace()
-    for states, w, dec, obs, est in _slots(config, method, rng, model,
-                                            theta_mode, project):
+    for vehicles, w, dec, _, _ in _slots(config, method, rng, model,
+                                         theta_mode, project):
         if method == "genie":
-            rate = genie_rate(states, config)
+            rate = genie_rate(vehicles, config)
         else:
-            rate = sum_rate(_true_channels(states, config).T, w,
-                            config.noise_vehicle)
-        infos = [fisher_information(s, w[:, k], config)
-                 for k, s in enumerate(states)]
-        trace.states.append(states)
+            h = effective_channel(vehicles.theta, vehicles.dist, config)
+            rate = sum_rate(h.T, w, config.noise_vehicle)
+        info = fisher_information(vehicles, w, config)
+        trace.vehicles.append(vehicles)
         trace.w_applied.append(w)
         trace.decided_at.append(dec)
         trace.rates.append(rate)
-        trace.crlb_theta.append(np.array([i.crlb_theta for i in infos]))
-        trace.crlb_d.append(np.array([i.crlb_d for i in infos]))
-        trace.observations.append(obs)
-        trace.est_channels.append(est)
+        trace.crlb_theta.append(info.crlb_theta)
+        trace.crlb_d.append(info.crlb_d)
     return trace
 
 
@@ -167,22 +148,19 @@ class Dataset:
 
     def save(self, path: str, config: SimConfig) -> None:
         meta = {"kind": "dataset", "config": config.as_dict()}
-        save_container(path, meta, {
-            "x": self.x, "h": self.h, "thetas": self.thetas,
-            "dists": self.dists, "est_thetas": self.est_thetas,
-            "est_dists": self.est_dists})
+        save_container(path, meta, vars(self))
 
     @classmethod
     def load(cls, path: str) -> "Dataset":
         meta, arrays = load_container(path)
-        if meta.get("kind") != "dataset":
+        if (meta.get("kind") != "dataset"
+                or list(arrays) != [f.name for f in fields(cls)]):
             raise ValueError(f"{path}: not a dataset file")
         return cls(**arrays)
 
     def sha256(self) -> str:
         digest = hashlib.sha256()
-        for arr in (self.x, self.h, self.thetas, self.dists,
-                    self.est_thetas, self.est_dists):
+        for arr in vars(self).values():
             digest.update(np.ascontiguousarray(arr).tobytes())
         return digest.hexdigest()
 
@@ -199,26 +177,26 @@ def generate_dataset(config: SimConfig, n_examples: int,
     """
     if n_examples < 1:
         raise ValueError("n_examples must be >= 1")
-    tau = config.history_len
-    xs, hs, ths, ds, eth, edi = [], [], [], [], [], []
-    while len(xs) < n_examples:
-        window, obs_prev = [], None    # estimates of the last tau slots
-        for states, _, _, obs, est in _slots(config, "random", rng.spawn(1)[0],
-                                             None, theta_mode, False):
-            if len(xs) >= n_examples:
+    tau, k, m = config.history_len, config.n_vehicles, config.n_tx
+    x = np.empty((n_examples, tau, k, m, 2))
+    h = np.empty((n_examples, k, m), dtype=complex)
+    thetas, dists, est_thetas, est_dists = np.empty((4, n_examples, k))
+    i = 0
+    while i < n_examples:
+        slots = _slots(config, "random", rng.spawn(1)[0], None, theta_mode,
+                       False)
+        for n, (vehicles, _, _, obs, history) in enumerate(slots):
+            if i >= n_examples:
                 break
-            if len(window) == tau and all(_usable(ob) for ob in obs_prev):
-                xs.append(HistoryWindow(window).as_tensor())
-                hs.append(_true_channels(states, config))
-                ths.append([s.theta for s in states])
-                ds.append([s.dist for s in states])
-                eth.append([ob.theta_hat for ob in obs_prev])
-                edi.append([ob.d_hat for ob in obs_prev])
-            window = (window + [est])[-tau:]
-            obs_prev = obs
-    return Dataset(x=np.stack(xs), h=np.stack(hs),
-                   thetas=np.asarray(ths), dists=np.asarray(ds),
-                   est_thetas=np.asarray(eth), est_dists=np.asarray(edi))
+            if n >= tau and obs_prev.usable.all():
+                x[i, ..., 0], x[i, ..., 1] = window.real, window.imag
+                h[i] = effective_channel(vehicles.theta, vehicles.dist, config)
+                thetas[i], dists[i] = vehicles.theta, vehicles.dist
+                est_thetas[i], est_dists[i] = obs_prev.theta_hat, obs_prev.d_hat
+                i += 1
+            obs_prev, window = obs, history
+    return Dataset(x=x, h=h, thetas=thetas, dists=dists,
+                   est_thetas=est_thetas, est_dists=est_dists)
 
 
 # ---- training entry points -------------------------------------------------

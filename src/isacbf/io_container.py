@@ -12,6 +12,8 @@ Floats are stored as little-endian float64; complex arrays as complex128.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 
 import numpy as np
@@ -42,17 +44,45 @@ def save_container(path: str, meta: dict, arrays: dict[str, np.ndarray]) -> None
 
 
 def load_container(path: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """(meta, arrays) of a container file; ValueError naming the path when
+    the file is not a well-formed container."""
+    def bad(why: str) -> ValueError:
+        return ValueError(f"{path}: {why}")
+
     with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != MAGIC:
-            raise ValueError(f"{path}: not an ISACBF container")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(16)
+        if head[:8] != MAGIC:
+            raise bad("not an ISACBF container")
+        if len(head) < 16:
+            raise bad("file ends inside the header length")
+        (hlen,) = struct.unpack("<Q", head[8:])
+        if hlen > size - 16:
+            raise bad(f"header length {hlen} runs past the end of the file")
+        try:
+            header = json.loads(fh.read(hlen).decode("utf-8"))
+            meta, entries = header["meta"], list(header["arrays"])
+        except (ValueError, KeyError, TypeError) as exc:
+            raise bad(f"malformed header ({exc!r})") from None
+        if not isinstance(meta, dict):
+            raise bad("header meta is not a JSON object")
+        left = size - 16 - hlen
         arrays = {}
-        for entry in header["arrays"]:
-            dt = np.dtype(_DTYPES[entry["dtype"]])
-            count = int(np.prod(entry["shape"])) if entry["shape"] else 1
-            buf = fh.read(dt.itemsize * count)
-            arrays[entry["name"]] = np.frombuffer(buf, dtype=dt).reshape(
-                entry["shape"]).copy()
-    return header["meta"], arrays
+        for entry in entries:
+            try:
+                name, key, shape = entry["name"], entry["dtype"], entry["shape"]
+                shape = [int(n) for n in shape]
+            except (KeyError, TypeError, ValueError):
+                raise bad(f"malformed array entry {entry!r}") from None
+            if key not in _DTYPES:
+                raise bad(f"array {name!r} has unknown dtype {key!r}")
+            if any(n < 0 for n in shape):
+                raise bad(f"array {name!r} has negative shape {shape}")
+            dt = np.dtype(_DTYPES[key])
+            nbytes = dt.itemsize * math.prod(shape)
+            if nbytes > left:
+                raise bad(f"payload truncated in array {name!r}")
+            left -= nbytes
+            arrays[name] = np.frombuffer(fh.read(nbytes), dtype=dt).reshape(
+                shape).copy()
+    return meta, arrays

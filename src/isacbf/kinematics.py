@@ -6,7 +6,6 @@ axis so that cos(theta) enters the steering phases directly.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,25 +19,31 @@ _ANCHOR_SPACING = 10.0
 
 @dataclass(frozen=True)
 class VehicleState:
-    x: float
-    y: float
-    v: float
-    theta: float      # angle to RSU, rad, in (0, pi)
-    dist: float       # range to RSU, m
-    radial_v: float   # LoS-projected speed, m/s, positive = receding
+    """The K vehicles of one slot as [K] arrays (or one vehicle as scalars)."""
+    x: np.ndarray
+    y: np.ndarray
+    v: np.ndarray
+    theta: np.ndarray     # angle to RSU, rad, in (0, pi)
+    dist: np.ndarray      # range to RSU, m
+    radial_v: np.ndarray  # LoS-projected speed, m/s, positive = receding
+
+    def records(self) -> list["VehicleState"]:
+        """One scalar VehicleState per vehicle, in vehicle order."""
+        return [VehicleState(*f) for f in zip(
+            self.x, self.y, self.v, self.theta, self.dist, self.radial_v)]
 
 
-def derive_geometry(x: float, y: float, v: float) -> tuple[float, float, float]:
-    """Angle/range/radial-speed triple for a vehicle at (x, y) moving in +x."""
-    dist = math.hypot(x, y)
-    if dist == 0.0:
+def derive_geometry(x, y, v):
+    """Angle/range/radial-speed triple of vehicles at (x, y) moving in +x."""
+    dist = np.hypot(x, y)
+    if np.any(dist == 0.0):
         raise ValueError("vehicle cannot be at the RSU origin")
-    theta = math.atan2(y, x)
+    theta = np.arctan2(y, x)
     radial_v = v * x / dist
     return theta, dist, radial_v
 
 
-def make_state(x: float, y: float, v: float) -> VehicleState:
+def make_state(x, y, v) -> VehicleState:
     theta, dist, radial_v = derive_geometry(x, y, v)
     return VehicleState(x=x, y=y, v=v, theta=theta, dist=dist, radial_v=radial_v)
 
@@ -51,27 +56,25 @@ def anchor_points(k: int) -> list[tuple[float, float]]:
     return anchors[:k]
 
 
-def init_vehicles(config: SimConfig, rng: np.random.Generator) -> list[VehicleState]:
+def init_vehicles(config: SimConfig, rng: np.random.Generator) -> VehicleState:
     """Place K vehicles at jittered anchors with uniform initial speeds.
 
     Draw order per vehicle is (dx, dy, v): two standard normals for position
     jitter, then U(v_min, v_max) for speed.
     """
-    states = []
-    for ax, ay in anchor_points(config.n_vehicles):
-        dx = rng.standard_normal()
-        dy = rng.standard_normal()
-        v = rng.uniform(config.v_min, config.v_max)
-        states.append(make_state(ax + dx, ay + dy, v))
-    return states
+    draws = [(ax + rng.standard_normal(), ay + rng.standard_normal(),
+              rng.uniform(config.v_min, config.v_max))
+             for ax, ay in anchor_points(config.n_vehicles)]
+    return make_state(*np.array(draws).T)
 
 
 def step_motion(state: VehicleState, config: SimConfig,
                 rng: np.random.Generator) -> VehicleState:
-    """Advance one slot: redraw the slot-average speed, move parallel to the road.
+    """Advance one slot: redraw the slot-average speeds, move parallel to the road.
 
     The new speed is the average velocity within the slot, so the position
-    advances with it: x' = x + v_new * slot_dur.
+    advances with it: x' = x + v_new * slot_dur.  One draw per vehicle, in
+    vehicle order.
     """
-    v_new = rng.uniform(config.v_min, config.v_max)
+    v_new = rng.uniform(config.v_min, config.v_max, size=np.shape(state.x))
     return make_state(state.x + v_new * config.slot_dur, state.y, v_new)

@@ -55,8 +55,8 @@ def build_geometry(h: np.ndarray, thetas: np.ndarray, dists: np.ndarray,
 
     h: [Ne, K, M] complex; thetas, dists: [Ne, K].
     """
-    return BatchGeometry(h=h, a=steering(thetas, config.n_tx),
-                         ap=steering_dtheta(thetas, config.n_tx),
+    a = steering(thetas, config.n_tx)
+    return BatchGeometry(h=h, a=a, ap=steering_dtheta(thetas, config.n_tx, a),
                          echo=echo_constants(thetas, dists, config))
 
 

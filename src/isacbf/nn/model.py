@@ -22,41 +22,6 @@ CONV_FILTERS = 4
 CNN_ROWS = 4  # a length-M antenna vector is reshaped to 4 x (M/4) x 2
 
 
-class HistoryWindow:
-    """Ordered window of estimated channel matrices, oldest first."""
-
-    def __init__(self, slots: list[np.ndarray]):
-        if not slots:
-            raise ValueError("history window must contain at least one slot")
-        shape = slots[0].shape
-        for s in slots:
-            if s.shape != shape:
-                raise ValueError("all history slots must share a shape")
-        self.slots = [np.asarray(s, dtype=complex) for s in slots]
-
-    def __len__(self):
-        return len(self.slots)
-
-    def as_tensor(self) -> np.ndarray:
-        """Real tensor [tau, K, M, 2]; channel 0 real part, channel 1 imaginary."""
-        tau = len(self.slots)
-        m, k = self.slots[0].shape
-        out = np.empty((tau, k, m, 2))
-        for t, h in enumerate(self.slots):
-            out[t, :, :, 0] = h.real.T
-            out[t, :, :, 1] = h.imag.T
-        return out
-
-
-def map_input(window: HistoryWindow, config: SimConfig,
-              kappa: float = 1.0) -> np.ndarray:
-    """Pack a history window into the network input tensor, scaled by kappa."""
-    if len(window) != config.history_len:
-        raise ValueError(
-            f"expected {config.history_len} history slots, got {len(window)}")
-    return kappa * window.as_tensor()
-
-
 def output_to_matrix(o: np.ndarray) -> np.ndarray:
     """Map the real [K, M, 2] network output to the complex N_t x K matrix."""
     return (o[:, :, 0] + 1j * o[:, :, 1]).T
@@ -262,10 +227,10 @@ class HCLNet(_FlatParams):
 
     # ---- inference ---------------------------------------------------------
 
-    def predict(self, window: HistoryWindow, project: bool = False) -> np.ndarray:
-        """Beamforming matrix (N_t x K) for one history window."""
-        x = map_input(window, self.config)[None, ...]
-        o = self.forward(x)
+    def predict(self, history: np.ndarray, project: bool = False) -> np.ndarray:
+        """Beamforming matrix (N_t x K) for one [tau, K, M] complex history of
+        estimated channels, oldest slot first."""
+        o = self.forward(np.stack((history.real, history.imag), axis=-1)[None])
         w = output_to_matrix(o[0])
         if project:
             pw = float(np.sum(np.abs(w) ** 2))

@@ -22,29 +22,36 @@ from .kinematics import VehicleState
 _GAIN_FLOOR = 1e-30
 
 
-@dataclass(frozen=True)
-class ObservationRecord:
-    nu_hat: float      # delay estimate, s
-    mu_hat: float      # Doppler estimate, Hz
-    theta_hat: float   # angle estimate, rad
-    d_hat: float       # distance estimate, m (= c*nu_hat/2)
-    vdot_hat: float    # radial speed estimate, m/s (= c*mu_hat/(2 f_c))
+class Observations(NamedTuple):
+    """One slot's estimates of the K vehicles; an entry is meaningful only
+    where usable is True."""
+    theta_hat: np.ndarray  # [K] angle estimates, rad
+    d_hat: np.ndarray      # [K] distance estimates, m (= c*nu_hat/2)
+    vdot_hat: np.ndarray   # [K] radial speed estimates, m/s (= c*mu_hat/(2 f_c))
+    usable: np.ndarray     # [K] bool: observable and d_hat > 0
 
 
-@dataclass(frozen=True)
-class SensingNoiseModel:
-    sigma_r2: float    # echo noise variance, W
-    sigma_nu2: float   # delay variance, s^2
-    sigma_mu2: float   # Doppler variance, Hz^2
-    beam_gain: float   # |a(theta)^H w|^2
-    observable: bool
+class ObsNoise(NamedTuple):
+    """Delay/Doppler error model of beams toward their vehicles; each field
+    has the shape of the angles (one entry per vehicle)."""
+    u: np.ndarray           # a(theta)^H w, complex; |u|^2 is the beam gain
+    observable: np.ndarray  # bool: the beam carries energy toward the vehicle
+    sigma_nu2: np.ndarray   # delay variance, s^2 (inf where unobservable)
+    sigma_mu2: np.ndarray   # Doppler variance, Hz^2 (inf where unobservable)
 
 
 @dataclass(frozen=True)
 class FisherInfo:
-    f: np.ndarray          # 3x3 information matrix over (theta, d, v_dot)
-    crlb_theta: float      # rad^2
-    crlb_d: float          # m^2
+    crlb_theta: np.ndarray  # rad^2
+    crlb_d: np.ndarray      # m^2
+    f_doppler: np.ndarray   # (2 f_c / c)^2 / sigma_mu^2
+
+    @property
+    def f(self) -> np.ndarray:
+        """Diagonal information matrices [..., 3, 3] over (theta, d, v_dot)."""
+        diag = np.stack(np.broadcast_arrays(
+            1.0 / self.crlb_theta, 1.0 / self.crlb_d, self.f_doppler), axis=-1)
+        return diag[..., None] * np.eye(3)
 
 
 class EchoConstants(NamedTuple):
@@ -73,59 +80,65 @@ def _delay_doppler_vars(dist, gain, config: SimConfig):
             config.rho_mu ** 2 * config.noise_rsu / denom)
 
 
-def beam_gain(theta: float, w_k: np.ndarray) -> float:
-    a = steering(theta, len(w_k))
-    return float(np.abs(a.conj() @ w_k) ** 2)
+def _beam_dot(a: np.ndarray, W: np.ndarray):
+    """a_k^H w_k for each vehicle: a is [..., M] and W is N_t x K (or one
+    beam).  A stack of row-times-column products sums in the order of one
+    vehicle's a^H w."""
+    return (a.conj()[..., None, :] @ W.T[..., :, None])[..., 0, 0]
 
 
-def obs_noise_vars(theta: float, dist: float, w_k: np.ndarray,
-                   config: SimConfig) -> SensingNoiseModel:
-    """Delay/Doppler error variances for a given geometry and transmit beam.
+def obs_noise_vars(theta, dist, W: np.ndarray, config: SimConfig,
+                   a=None) -> ObsNoise:
+    """Delay/Doppler error variances for given geometries and transmit beams.
 
-    Both variances scale as 1/(xi * |psi|^2 * |a^H w|^2) with
-    |psi|^2 = N_t*N_r*|beta|^2 (the Doppler phase has unit modulus).
+    Column k of W is the beam toward the vehicle at (theta[k], dist[k]); a is
+    steering(theta, N_t) if the caller has it.  Both variances scale as
+    1/(xi * |psi|^2 * |a^H w|^2) with |psi|^2 = N_t*N_r*|beta|^2 (the
+    Doppler phase has unit modulus).
     """
-    return _noise_model(beam_gain(theta, w_k), dist, w_k, config)
+    if a is None:
+        a = steering(theta, config.n_tx)
+    u = _beam_dot(a, W)
+    gain = np.abs(u) ** 2
+    wnorm2 = _beam_dot(W.T, W).real
+    observable = ~(gain <= _GAIN_FLOOR * np.maximum(1.0, wnorm2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        nu2, mu2 = _delay_doppler_vars(dist, gain, config)
+    return ObsNoise(u=u, observable=observable,
+                    sigma_nu2=np.where(observable, nu2, np.inf)[()],
+                    sigma_mu2=np.where(observable, mu2, np.inf)[()])
 
 
-def _noise_model(gain: float, dist: float, w_k: np.ndarray,
-                 config: SimConfig) -> SensingNoiseModel:
-    """obs_noise_vars for a beam gain |a^H w|^2 already computed."""
-    wnorm2 = float(np.vdot(w_k, w_k).real)
-    observable = not gain <= _GAIN_FLOOR * max(1.0, wnorm2)
-    sigma_nu2, sigma_mu2 = (_delay_doppler_vars(dist, gain, config)
-                            if observable else (math.inf, math.inf))
-    return SensingNoiseModel(sigma_r2=config.echo_noise_var,
-                             sigma_nu2=sigma_nu2, sigma_mu2=sigma_mu2,
-                             beam_gain=gain, observable=observable)
-
-
-def generate_observation(state: VehicleState, w_k: np.ndarray,
+def generate_observation(vehicles: VehicleState, W: np.ndarray,
                          config: SimConfig, rng: np.random.Generator,
-                         mode: str = "relative") -> ObservationRecord | None:
-    """Noisy (delay, Doppler, angle) observation of one vehicle.
+                         mode: str = "relative") -> Observations:
+    """Noisy (delay, Doppler, angle) observations of the K vehicles.
 
     mode "relative": theta_hat = theta*(1+e), e ~ N(0, obs_rel_mse);
     mode "crlb":     theta_hat = theta + N(0, CRLB(theta, w)).
-    Returns None when the beam carries no energy toward the vehicle.
+    One (K, 3) standard-normal block is drawn for every slot, whether or not
+    a vehicle is observable, so the stream stays aligned; a vehicle whose
+    beam carries no energy toward it, or whose distance estimate is not
+    positive, is marked unusable.
     """
-    noise = obs_noise_vars(state.theta, state.dist, w_k, config)
-    if not noise.observable:
-        return None
-    c = config.wave_speed
-    nu = 2.0 * state.dist / c + rng.normal(0.0, math.sqrt(noise.sigma_nu2))
-    mu = 2.0 * state.radial_v * config.carrier_hz / c \
-        + rng.normal(0.0, math.sqrt(noise.sigma_mu2))
-    if mode == "relative":
-        theta_hat = state.theta * (1.0 + rng.normal(0.0, math.sqrt(config.obs_rel_mse)))
-    elif mode == "crlb":
-        info = fisher_information(state, w_k, config)
-        theta_hat = state.theta + rng.normal(0.0, math.sqrt(info.crlb_theta))
-    else:
+    if mode not in ("relative", "crlb"):
         raise ValueError(f"unknown observation mode: {mode!r}")
-    return ObservationRecord(nu_hat=nu, mu_hat=mu, theta_hat=theta_hat,
-                             d_hat=c * nu / 2.0,
-                             vdot_hat=c * mu / (2.0 * config.carrier_hz))
+    z = rng.standard_normal(np.shape(vehicles.theta) + (3,))
+    noise = obs_noise_vars(vehicles.theta, vehicles.dist, W, config)
+    c = config.wave_speed
+    nu = 2.0 * vehicles.dist / c + np.sqrt(noise.sigma_nu2) * z[..., 0]
+    mu = 2.0 * vehicles.radial_v * config.carrier_hz / c \
+        + np.sqrt(noise.sigma_mu2) * z[..., 1]
+    if mode == "relative":
+        theta_hat = vehicles.theta * (1.0 + math.sqrt(config.obs_rel_mse)
+                                      * z[..., 2])
+    else:
+        crlb_theta = fisher_information(vehicles, W, config).crlb_theta
+        theta_hat = vehicles.theta + np.sqrt(crlb_theta) * z[..., 2]
+    d_hat = c * nu / 2.0
+    return Observations(theta_hat=theta_hat, d_hat=d_hat,
+                        vdot_hat=c * mu / (2.0 * config.carrier_hz),
+                        usable=noise.observable & (d_hat > 0))
 
 
 def echo_mean(theta: float, dist: float, w_k: np.ndarray,
@@ -166,23 +179,23 @@ def crlbs(u, v, echo: EchoConstants, sigma_r2: float):
         return sigma_r2 / dr2, echo.c_dist / u2
 
 
-def fisher_information(state: VehicleState, w_k: np.ndarray,
+def fisher_information(vehicles: VehicleState, W: np.ndarray,
                        config: SimConfig) -> FisherInfo:
-    """Diagonal FIM over (theta, d, v_dot) and the angle/distance CRLBs.
+    """Diagonal FIMs over (theta, d, v_dot) and the angle/distance CRLBs of
+    the vehicles, column k of W being the beam toward vehicle k.
 
     f11 = 1/CRLB_theta = ||d(echo)/d(theta)||^2 / sigma_r^2,
     f22 = 1/CRLB_d = (2/c)^2 / sigma_nu^2, f33 = (2 f_c/c)^2 / sigma_mu^2.
-    Zero beam gain yields infinite CRLBs.
+    An unobservable vehicle gets infinite CRLBs.
     """
-    u = steering(state.theta, config.n_tx).conj() @ w_k
-    noise = _noise_model(float(np.abs(u) ** 2), state.dist, w_k, config)
-    if not noise.observable:
-        return FisherInfo(f=np.zeros((3, 3)), crlb_theta=math.inf,
-                          crlb_d=math.inf)
-    v = steering_dtheta(state.theta, config.n_tx).conj() @ w_k
-    crlb_theta, crlb_d = crlbs(
-        u, v, echo_constants(state.theta, state.dist, config), noise.sigma_r2)
-    f_doppler = (2.0 * config.carrier_hz / config.wave_speed) ** 2 \
-        / noise.sigma_mu2
-    return FisherInfo(f=np.diag([1.0 / crlb_theta, 1.0 / crlb_d, f_doppler]),
-                      crlb_theta=float(crlb_theta), crlb_d=float(crlb_d))
+    theta, dist = vehicles.theta, vehicles.dist
+    a = steering(theta, config.n_tx)
+    noise = obs_noise_vars(theta, dist, W, config, a)
+    v = _beam_dot(steering_dtheta(theta, config.n_tx, a), W)
+    crlb_theta, crlb_d = crlbs(noise.u, v, echo_constants(theta, dist, config),
+                               config.echo_noise_var)
+    return FisherInfo(
+        crlb_theta=np.where(noise.observable, crlb_theta, np.inf)[()],
+        crlb_d=np.where(noise.observable, crlb_d, np.inf)[()],
+        f_doppler=(2.0 * config.carrier_hz / config.wave_speed) ** 2
+        / noise.sigma_mu2)

@@ -45,9 +45,9 @@ def echo_dtheta(theta: float, dist: float, w_k: np.ndarray,
     g = math.sqrt(config.n_tx * config.n_rx)
     beta = reflection_coeff(dist, config)
     a = steering(theta, config.n_tx)
-    ap = steering_dtheta(theta, config.n_tx)
+    ap = steering_dtheta(theta, config.n_tx, a)
     b = steering(theta, config.n_rx)
-    bp = steering_dtheta(theta, config.n_rx)
+    bp = steering_dtheta(theta, config.n_rx, b)
     return g * beta * config.mf_gain * (bp * (a.conj() @ w_k)
                                         + b * (ap.conj() @ w_k))
 

@@ -6,7 +6,6 @@ from isacbf.baselines import (genie_beamformer, genie_rate,
 from isacbf.channel import effective_channel, path_loss_amp, steering, sum_rate
 from isacbf.kinematics import init_vehicles
 from isacbf.nn.model import NaiveNet, output_to_matrix
-from isacbf.sensing import ObservationRecord
 
 
 def _states(cfg, seed=0):
@@ -19,7 +18,7 @@ def test_genie_beams_are_aligned(cfg):
     assert w.shape == (cfg.n_tx, cfg.n_vehicles)
     assert np.sum(np.abs(w) ** 2) == pytest.approx(cfg.power_budget, rel=1e-12)
     p = cfg.power_budget / cfg.n_vehicles
-    for i, s in enumerate(states):
+    for i, s in enumerate(states.records()):
         assert np.allclose(w[:, i], np.sqrt(p) * steering(s.theta, cfg.n_tx))
 
 
@@ -28,11 +27,11 @@ def test_genie_rate_closed_form_and_upper_bound(cfg):
     p = cfg.power_budget / cfg.n_vehicles
     expect = sum(
         np.log2(1 + p * cfg.n_tx * path_loss_amp(s.dist, cfg) ** 2
-                / cfg.noise_vehicle) for s in states)
+                / cfg.noise_vehicle) for s in states.records())
     assert genie_rate(states, cfg) == pytest.approx(expect, rel=1e-12)
     # the interference-free bound dominates the realized rate of its own beams
     h = np.column_stack([effective_channel(s.theta, s.dist, cfg)
-                         for s in states])
+                         for s in states.records()])
     realized = sum_rate(h, genie_beamformer(states, cfg), cfg.noise_vehicle)
     assert genie_rate(states, cfg) >= realized
 
@@ -40,18 +39,15 @@ def test_genie_rate_closed_form_and_upper_bound(cfg):
 def test_naive_dl_beamformer(cfg):
     net = NaiveNet(cfg)
     net.init_params(np.random.default_rng(0))
-    obs = [ObservationRecord(nu_hat=2 * d / 3e8, mu_hat=0.0, theta_hat=t,
-                             d_hat=d, vdot_hat=0.0)
-           for t, d in ((0.9, 25.0), (0.7, 35.0), (0.5, 45.0))]
-    w = naive_dl_beamformer(obs, net, cfg)
+    th = np.array([0.9, 0.7, 0.5])
+    dd = np.array([25.0, 35.0, 45.0])
+    w = naive_dl_beamformer(th, dd, net, cfg)
     assert w.shape == (cfg.n_tx, cfg.n_vehicles)
     # matches a direct forward pass on the same features
-    th = np.array([[o.theta_hat for o in obs]])
-    dd = np.array([[o.d_hat for o in obs]])
-    o = net.forward(net.features(th, dd))
+    o = net.forward(net.features(th[None], dd[None]))
     assert np.allclose(w, output_to_matrix(o[0]))
     with pytest.raises(ValueError):
-        naive_dl_beamformer(obs, None, cfg)
+        naive_dl_beamformer(th, dd, None, cfg)
 
 
 def test_random_beamformer(cfg):

@@ -1,25 +1,35 @@
 """The names the benchmark in isacbench/ looks up in the package.
 
 The traced benchmark run wraps each trace point by replacing
-``vars(owner)[attr]``, and its correctness checks call ``sensing.echo_mean``
-and record ``kernels.get_backend()``.  A refactor that moves or renames one
-of them breaks ``isacbench/run.py --trace 1`` or the episode check; these
-tests catch that without running the benchmark.
+``vars(owner)[attr]``, and its correctness checks call ``sensing.echo_mean``,
+read ``run_episode``'s trace and ``generate_dataset``'s arrays, and record
+``kernels.get_backend()``.  A refactor that moves or renames one of them
+breaks ``isacbench/run.py`` or its checks; these tests catch that without
+running the benchmark.
 """
 import importlib.util
 from pathlib import Path
 
-from isacbf import sensing
-from isacbf.nn import kernels
+import numpy as np
 
-LAYERS = Path(__file__).resolve().parents[1] / "isacbench" / "layers.py"
+from isacbf import sensing
+from isacbf.harness import METHODS, generate_dataset, run_episode
+from isacbf.nn import kernels
+from isacbf.nn.model import HCLNet, NaiveNet
+
+BENCH = Path(__file__).resolve().parents[1] / "isacbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        f"isacbench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _trace_points():
-    spec = importlib.util.spec_from_file_location("isacbench_layers", LAYERS)
-    layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layers)
-    return layers.trace_points()
+    return _load("layers").trace_points()
 
 
 def test_trace_points_resolve():
@@ -35,3 +45,24 @@ def test_trace_points_resolve():
 def test_benchmark_entry_points():
     assert callable(sensing.echo_mean)
     assert isinstance(kernels.get_backend(), str)
+
+
+def test_benchmark_checks_accept_outputs(small_cfg):
+    """The benchmark's episode and dataset checks pass on the simulator's
+    outputs, as ``isacbench/workloads.py`` calls them."""
+    checks = _load("checks")
+    hcl, naive = HCLNet(small_cfg), NaiveNet(small_cfg)
+    hcl.init_params(np.random.default_rng(0))
+    naive.init_params(np.random.default_rng(0))
+    models = {"hcl": hcl, "naive_dl": naive}
+    traces = {}
+    for method in METHODS:
+        child = np.random.SeedSequence(7).spawn(1)[0]
+        traces[method] = run_episode(small_cfg, method,
+                                     np.random.default_rng(child),
+                                     model=models.get(method))
+        checks.check_episode(traces[method], method, small_cfg,
+                             sensing.echo_mean)
+    checks.check_common_trajectories(traces)
+    checks.check_dataset(generate_dataset(small_cfg, 20,
+                                          np.random.default_rng(3)), small_cfg)

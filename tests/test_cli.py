@@ -114,3 +114,29 @@ def test_config_file_is_read(tmp_path, capsys):
     main(["crlb", "--theta", "0.9", "--dist", "25", "--power", "1"])
     out32 = capsys.readouterr().out
     assert out16 != out32          # fewer antennas -> different CRLBs
+
+
+def test_missing_or_malformed_files_are_errors(tmp_path, capsys):
+    """A missing, short or non-dataset file given to train --data or
+    eval --model prints an error naming it and exits 2."""
+    short = tmp_path / "short.bin"
+    short.write_bytes(b"ISACBF01\x05")
+    other = tmp_path / "model.bin"
+    assert main(["train", *SMALL, "--data", str(tmp_path / "none.bin"),
+                 "--out", str(other)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert main(["train", *SMALL, "--data", str(short), "--out",
+                 str(other)]) == 2
+    assert f"error: {short}" in capsys.readouterr().err
+    assert main(["eval", *SMALL, "--methods", "hcl", "--model", str(short),
+                 "--realizations", "1"]) == 2
+    assert f"error: {short}" in capsys.readouterr().err
+    # a model container is not a dataset
+    data = str(tmp_path / "data.bin")
+    assert main(["gen-data", *SMALL, "--n-examples", "4", "--out", data]) == 0
+    assert main(["train", *SMALL, "--data", data, "--arch", "naive",
+                 "--iters", "1", "--out", str(other)]) == 0
+    capsys.readouterr()
+    assert main(["train", *SMALL, "--data", str(other), "--out",
+                 str(tmp_path / "x.bin")]) == 2
+    assert "not a dataset file" in capsys.readouterr().err

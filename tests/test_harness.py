@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import numpy as np
@@ -9,6 +8,7 @@ from isacbf.harness import (CSV_HEADER, Dataset, EpisodeTrace, MethodStats,
                             export, generate_dataset, monte_carlo_eval,
                             power_sweep, run_episode, train_hcl, train_naive,
                             verify_causality)
+from isacbf.channel import effective_channel
 from isacbf.nn.model import HCLNet, NaiveNet
 from isacbf.nn.train import TrainHyper
 
@@ -123,35 +123,48 @@ def test_method_stats_independent_of_method_order(small_cfg):
         assert alone.stats == [stats]
 
 
-def test_negative_distance_estimate_is_unusable(small_cfg, monkeypatch):
-    """An observation with d_hat <= 0 counts as missing: it never reaches a
-    dataset row or the naive-DL network."""
+def _noisy(cfg):
+    """A config whose delay noise (tens of metres) often drives a distance
+    estimate below zero."""
+    return cfg.replace(rho_nu=2.0)
+
+
+def _record_observations(monkeypatch):
     real_observe = harness.generate_observation
-    real_naive = harness.naive_dl_beamformer
-    calls, seen = [0], []
+    seen = []
 
     def observe(*args, **kwargs):
-        ob = real_observe(*args, **kwargs)
-        calls[0] += 1
-        if ob is not None and calls[0] % 3 == 0:
-            ob = dataclasses.replace(ob, d_hat=-131.0)
-        return ob
-
-    def naive(obs, model, config):
-        seen.append([ob.d_hat for ob in obs])
-        return real_naive(obs, model, config)
+        seen.append(real_observe(*args, **kwargs))
+        return seen[-1]
 
     monkeypatch.setattr(harness, "generate_observation", observe)
+    return seen
+
+
+def test_negative_distance_estimate_is_unusable(small_cfg, monkeypatch):
+    """A distance estimate <= 0 marks its vehicle unusable: it never reaches
+    a dataset row or the naive-DL network."""
+    cfg = _noisy(small_cfg)
+    obs = _record_observations(monkeypatch)
+    real_naive = harness.naive_dl_beamformer
+    seen = []
+
+    def naive(theta_hat, d_hat, model, config):
+        seen.append(d_hat)
+        return real_naive(theta_hat, d_hat, model, config)
+
     monkeypatch.setattr(harness, "naive_dl_beamformer", naive)
-    ds = generate_dataset(small_cfg, 20, np.random.default_rng(0))
+    ds = generate_dataset(cfg, 20, np.random.default_rng(0))
+    assert any((ob.d_hat <= 0).any() for ob in obs)
+    assert all(np.array_equal(ob.usable, ob.d_hat > 0) for ob in obs)
     assert np.all(ds.est_dists > 0)
-    trace = run_episode(small_cfg, "naive_dl", np.random.default_rng(1),
-                        model=_models(small_cfg)["naive_dl"])
-    n_bad = sum(any(ob is None or ob.d_hat <= 0 for ob in obs)
-                for obs in trace.observations)
+    obs.clear()
+    run_episode(cfg, "naive_dl", np.random.default_rng(1),
+                model=_models(cfg)["naive_dl"])
+    n_bad = sum(not ob.usable.all() for ob in obs)
     assert n_bad > 0
-    assert len(seen) == small_cfg.n_slots - n_bad
-    assert all(d > 0 for row in seen for d in row)
+    assert len(seen) == cfg.n_slots - n_bad
+    assert all((d > 0).all() for d in seen)
 
 
 def test_power_sweep_reuse_and_retrain(small_cfg):
@@ -213,12 +226,68 @@ def test_method_stats_sqrt_properties():
 
 
 def test_estimated_channel_falls_back_to_previous(small_cfg):
-    from isacbf.harness import _estimated_channel_matrix
-    from isacbf.sensing import ObservationRecord
-    prev = np.ones((small_cfg.n_tx, small_cfg.n_vehicles), dtype=complex)
-    ob = ObservationRecord(nu_hat=2 * 25 / 3e8, mu_hat=0.0, theta_hat=0.9,
-                           d_hat=25.0, vdot_hat=0.0)
-    obs = [ob, None]
-    est = _estimated_channel_matrix(obs, prev, small_cfg)
-    assert not np.allclose(est[:, 0], prev[:, 0])
-    assert np.array_equal(est[:, 1], prev[:, 1])
+    """Each slot shifts the [tau, K, M] history by one row; a usable vehicle's
+    new row is the channel from its estimates, an unusable one repeats its
+    previous row (zeros before the first slot)."""
+    cfg = _noisy(small_cfg)
+    prev = np.zeros((cfg.history_len, cfg.n_vehicles, cfg.n_tx), dtype=complex)
+    n_carried = 0
+    for _, _, _, ob, hist in harness._slots(
+            cfg, "random", np.random.default_rng(2), None, "relative", False):
+        assert np.array_equal(hist[:-1], prev[1:])
+        for k in range(cfg.n_vehicles):
+            if ob.usable[k]:
+                assert np.allclose(hist[-1, k], effective_channel(
+                    ob.theta_hat[k], ob.d_hat[k], cfg), rtol=1e-14, atol=0)
+            else:
+                assert np.array_equal(hist[-1, k], prev[-1, k])
+                n_carried += 1
+        prev = hist
+    assert n_carried > 0
+
+
+def test_zero_beam_keeps_streams_aligned(small_cfg, monkeypatch):
+    """Observation noise is drawn for every vehicle in every slot and masked
+    afterwards.  Vehicle 1's beam is zero from slot 4 on: it is unusable,
+    its CRLBs are infinite and its history row is carried forward, while the
+    other vehicle's estimates and all trajectories equal those of the same
+    seed with aimed beams."""
+    real_random = harness.random_beamformer
+    zero_from = 4
+
+    def patch_beams(start):
+        calls = [0]       # call n decides slot n's beams
+
+        def beams(config, rng):
+            w = real_random(config, rng)
+            if calls[0] >= start:
+                w[:, 1] = 0.0
+            calls[0] += 1
+            return w
+
+        monkeypatch.setattr(harness, "random_beamformer", beams)
+
+    def slots(start):
+        patch_beams(start)
+        return list(harness._slots(small_cfg, "random",
+                                   np.random.default_rng(4), None, "relative",
+                                   False))
+
+    aimed, zeroed = slots(small_cfg.n_slots), slots(zero_from)
+    patch_beams(zero_from)
+    trace = run_episode(small_cfg, "random", np.random.default_rng(4))
+    held = zeroed[zero_from - 1][4][-1, 1]
+    assert np.any(held != 0)
+    for n, ((va, _, _, oa, _), (vz, _, _, oz, hz)) in enumerate(
+            zip(aimed, zeroed)):
+        assert va.records() == vz.records()
+        assert oa.theta_hat[0] == oz.theta_hat[0]
+        assert oa.d_hat[0] == oz.d_hat[0]
+        unusable = n >= zero_from
+        assert oz.usable[1] != unusable
+        assert np.isinf(trace.crlb_theta[n][1]) == unusable
+        assert np.isinf(trace.crlb_d[n][1]) == unusable
+        if unusable:
+            assert np.array_equal(hz[-1, 1], held)
+    assert trace.states == run_episode(small_cfg, "genie",
+                                       np.random.default_rng(4)).states

@@ -1,8 +1,10 @@
 import json
+import re
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from isacbf.io_container import MAGIC, load_container, save_container
 
@@ -55,3 +57,53 @@ def test_zero_dim_array_promoted_to_length_one(tmp_path):
     save_container(path, {}, {"s": np.array(3.5)})
     _, back = load_container(path)
     assert back["s"].shape == (1,) and back["s"][0] == 3.5
+
+
+def _valid_bytes(tmp_path) -> bytes:
+    path = tmp_path / "v.bin"
+    save_container(str(path), {"kind": "test"},
+                   {"a": np.arange(3.0), "b": np.ones((2, 2), dtype=complex)})
+    return path.read_bytes()
+
+
+def test_rejects_malformed_files_naming_the_path(tmp_path):
+    raw = _valid_bytes(tmp_path)
+    (hlen,) = struct.unpack("<Q", raw[8:16])
+    header = json.loads(raw[16:16 + hlen])
+
+    def with_header(h):
+        text = json.dumps(h).encode()
+        return MAGIC + struct.pack("<Q", len(text)) + text + raw[16 + hlen:]
+
+    entry = dict(header["arrays"][0], dtype="float32")
+    cases = {
+        "short": raw[:12],
+        "long_header": MAGIC + struct.pack("<Q", 2 ** 63) + raw[16:],
+        "truncated": raw[:-1],
+        "dtype": with_header({**header, "arrays": [entry]}),
+        "no_meta": with_header({"arrays": header["arrays"]}),
+        "no_arrays": with_header({"meta": header["meta"]}),
+        "not_json": MAGIC + struct.pack("<Q", 2) + b"\xff{",
+    }
+    for name, data in cases.items():
+        path = tmp_path / f"{name}.bin"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_container(str(path))
+
+
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(shape=st.lists(st.integers(0, 3), max_size=3), note=st.text(max_size=8))
+def test_every_truncation_raises_value_error(tmp_path, shape, note):
+    """Each proper prefix of a valid container is refused with a ValueError
+    naming the file."""
+    path = tmp_path / "c.bin"
+    save_container(str(path), {"note": note},
+                   {"a": np.ones(shape), "c": np.zeros(2, dtype=complex)})
+    raw = path.read_bytes()
+    cut = tmp_path / "cut.bin"
+    for n in range(len(raw)):
+        cut.write_bytes(raw[:n])
+        with pytest.raises(ValueError, match=re.escape(str(cut))):
+            load_container(str(cut))

@@ -38,23 +38,33 @@ def test_anchor_points_extension():
 
 def test_init_vehicles(cfg):
     states = init_vehicles(cfg, np.random.default_rng(0))
-    assert len(states) == cfg.n_vehicles
-    for st_, (ax, ay) in zip(states, anchor_points(cfg.n_vehicles)):
+    assert states.x.shape == (cfg.n_vehicles,)
+    for st_, (ax, ay) in zip(states.records(), anchor_points(cfg.n_vehicles)):
         assert abs(st_.x - ax) < 6.0 and abs(st_.y - ay) < 6.0
         assert cfg.v_min <= st_.v <= cfg.v_max
+    # per-vehicle draw order (dx, dy, v)
+    rng = np.random.default_rng(0)
+    first = [rng.standard_normal(), rng.standard_normal(),
+             rng.uniform(cfg.v_min, cfg.v_max)]
+    assert [states.x[0] - 15.0, states.y[0] - 20.0, states.v[0]] \
+        == pytest.approx(first, rel=1e-15)
     # deterministic under the seed
     again = init_vehicles(cfg, np.random.default_rng(0))
-    assert all(a == b for a, b in zip(states, again))
+    assert states.records() == again.records()
 
 
 def test_step_motion(cfg):
-    s0 = make_state(15.0, 20.0, 8.1)
+    s0 = init_vehicles(cfg, np.random.default_rng(0))
     s1 = step_motion(s0, cfg, np.random.default_rng(3))
-    assert s1.y == s0.y
-    assert cfg.v_min <= s1.v <= cfg.v_max
+    assert np.array_equal(s1.y, s0.y)
+    assert np.all((cfg.v_min <= s1.v) & (s1.v <= cfg.v_max))
     assert s1.x == pytest.approx(s0.x + s1.v * cfg.slot_dur)
+    # one speed per vehicle, the stream of K scalar draws
+    rng = np.random.default_rng(3)
+    assert s1.v.tolist() == [rng.uniform(cfg.v_min, cfg.v_max)
+                             for _ in range(cfg.n_vehicles)]
     # derived quantities are self-consistent
-    assert s1.dist == pytest.approx(math.hypot(s1.x, s1.y))
+    assert s1.dist == pytest.approx(np.hypot(s1.x, s1.y))
     assert s1.radial_v == pytest.approx(s1.v * s1.x / s1.dist)
 
 

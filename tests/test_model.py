@@ -3,14 +3,8 @@ import pytest
 
 from helpers import fd_grad
 from isacbf.config import SimConfig
-from isacbf.nn.model import (CONV_FILTERS, LSTM_HIDDEN, HCLNet, HistoryWindow,
-                             NaiveNet, load_model, map_input, output_to_matrix)
-
-
-def _window_to_complex(tensor):
-    """Inverse of HistoryWindow.as_tensor (before any kappa scaling)."""
-    return [(tensor[t, :, :, 0] + 1j * tensor[t, :, :, 1]).T
-            for t in range(tensor.shape[0])]
+from isacbf.nn.model import (CONV_FILTERS, LSTM_HIDDEN, HCLNet, NaiveNet,
+                             load_model, output_to_matrix)
 
 
 def _lstm_step(net, x, h_prev, c_prev):
@@ -27,35 +21,27 @@ def _lstm_step(net, x, h_prev, c_prev):
 
 
 def _window(cfg, rng):
-    m, k = cfg.n_tx, cfg.n_vehicles
-    return HistoryWindow([
-        rng.normal(size=(m, k)) + 1j * rng.normal(size=(m, k))
-        for _ in range(cfg.history_len)])
-
-
-def test_history_window_roundtrip(cfg, rng):
-    w = _window(cfg, rng)
-    t = w.as_tensor()
-    assert t.shape == (cfg.history_len, cfg.n_vehicles, cfg.n_tx, 2)
-    back = _window_to_complex(t)
-    for a, b in zip(w.slots, back):
-        assert np.allclose(a, b)
-
-
-def test_history_window_validation():
-    with pytest.raises(ValueError):
-        HistoryWindow([])
-    with pytest.raises(ValueError):
-        HistoryWindow([np.zeros((4, 2)), np.zeros((4, 3))])
+    """A random [tau, K, M] complex history of estimated channels."""
+    shape = (cfg.history_len, cfg.n_vehicles, cfg.n_tx)
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
 def test_map_input(cfg, rng):
-    w = _window(cfg, rng)
-    x = map_input(w, cfg, kappa=2.5)
-    assert np.allclose(x, 2.5 * w.as_tensor())
-    short = HistoryWindow(w.slots[:-1])
-    with pytest.raises(ValueError):
-        map_input(short, cfg)
+    """predict feeds forward the history as [1, tau, K, M, 2], channel 0 the
+    real and channel 1 the imaginary part, kappa applied once."""
+    net = HCLNet(cfg, kappa=2.5)
+    net.init_params(rng)
+    hist = _window(cfg, rng)
+    x = np.empty((1, cfg.history_len, cfg.n_vehicles, cfg.n_tx, 2))
+    for t in range(cfg.history_len):
+        for k in range(cfg.n_vehicles):
+            x[0, t, k, :, 0] = hist[t, k].real
+            x[0, t, k, :, 1] = hist[t, k].imag
+    assert np.array_equal(net.predict(hist), output_to_matrix(net.forward(x)[0]))
+    # a short window, or one whose vehicle or antenna count is off, is refused
+    for bad in (hist[:-1], hist[:, :-1], hist[:, :, :-1]):
+        with pytest.raises(ValueError):
+            net.predict(bad)
 
 
 def test_output_to_matrix():

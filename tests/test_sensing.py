@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from helpers import echo_dtheta, fd_fim
+from isacbf.config import SimConfig
 from isacbf.channel import steering
-from isacbf.kinematics import make_state
-from isacbf.sensing import (beam_gain, echo_mean, fisher_information,
+from isacbf.kinematics import init_vehicles, make_state
+from isacbf.sensing import (echo_mean, fisher_information,
                             generate_observation, obs_noise_vars,
                             reflection_coeff)
 
@@ -19,6 +20,15 @@ def _state_25(v=8.0):
     return make_state(15.0, 20.0, v)
 
 
+def _vehicles_25(k=3, v=8.0):
+    """K vehicles at the 25 m geometry, as [K] arrays."""
+    return make_state(np.full(k, 15.0), np.full(k, 20.0), np.full(k, v))
+
+
+def _beam_gain(theta, w):
+    return abs(obs_noise_vars(theta, 25.0, w, SimConfig()).u) ** 2
+
+
 def test_reflection_coeff(cfg):
     assert reflection_coeff(25.0, cfg) == pytest.approx(0.2 + 0.2j)
     with pytest.raises(ValueError):
@@ -28,8 +38,10 @@ def test_reflection_coeff(cfg):
 def test_beam_gain_aligned_and_orthogonal(cfg):
     s = _state_25()
     a = steering(s.theta, cfg.n_tx)
-    assert beam_gain(s.theta, a) == pytest.approx(1.0, rel=1e-12)
-    assert beam_gain(s.theta, 3.0 * a) == pytest.approx(9.0, rel=1e-12)
+    assert _beam_gain(s.theta, a) == pytest.approx(1.0, rel=1e-12)
+    assert _beam_gain(s.theta, 3.0 * a) == pytest.approx(9.0, rel=1e-12)
+    # a beam aimed elsewhere leaves almost no gain toward the vehicle
+    assert _beam_gain(s.theta, steering(s.theta + 0.5, cfg.n_tx)) < 0.01
 
 
 def test_obs_noise_vars_frozen(cfg):
@@ -37,8 +49,8 @@ def test_obs_noise_vars_frozen(cfg):
     w = steering(s.theta, cfg.n_tx)
     noise = obs_noise_vars(s.theta, s.dist, w, cfg)
     assert noise.observable
-    assert noise.beam_gain == pytest.approx(1.0, rel=1e-12)
-    assert noise.sigma_r2 == pytest.approx(1e-10)
+    assert abs(noise.u) ** 2 == pytest.approx(1.0, rel=1e-12)
+    assert cfg.echo_noise_var == pytest.approx(1e-10)
     assert noise.sigma_nu2 == pytest.approx(SIGMA_NU2_25, rel=1e-12)
     # rho_mu defaults to rho_nu, so the Doppler variance matches
     assert noise.sigma_mu2 == pytest.approx(SIGMA_NU2_25, rel=1e-12)
@@ -49,6 +61,13 @@ def test_obs_noise_vars_scaling(cfg):
     w = 2.0 * steering(s.theta, cfg.n_tx)     # 4x gain -> variances / 4
     noise = obs_noise_vars(s.theta, s.dist, w, cfg)
     assert noise.sigma_nu2 == pytest.approx(SIGMA_NU2_25 / 4.0, rel=1e-12)
+    # K vehicles with the columns of one beam matrix: one entry each
+    v = _vehicles_25()
+    W = np.stack([steering(s.theta, cfg.n_tx) * g for g in (1.0, 2.0, 4.0)],
+                 axis=1)
+    noise = obs_noise_vars(v.theta, v.dist, W, cfg)
+    assert noise.sigma_nu2 == pytest.approx(
+        SIGMA_NU2_25 / np.array([1.0, 4.0, 16.0]), rel=1e-12)
 
 
 def test_zero_beam_is_unobservable(cfg):
@@ -57,48 +76,54 @@ def test_zero_beam_is_unobservable(cfg):
     noise = obs_noise_vars(s.theta, s.dist, w, cfg)
     assert not noise.observable
     assert math.isinf(noise.sigma_nu2)
-    assert generate_observation(s, w, cfg, np.random.default_rng(0)) is None
     info = fisher_information(s, w, cfg)
     assert math.isinf(info.crlb_theta) and math.isinf(info.crlb_d)
+    # one zeroed column among aimed ones: only that vehicle is unusable
+    v = _vehicles_25()
+    W = np.repeat(steering(s.theta, cfg.n_tx)[:, None], 3, axis=1)
+    W[:, 1] = 0.0
+    ob = generate_observation(v, W, cfg, np.random.default_rng(0))
+    assert ob.usable.tolist() == [True, False, True]
+    info = fisher_information(v, W, cfg)
+    assert np.isinf(info.crlb_theta).tolist() == [False, True, False]
+    assert np.isinf(info.crlb_d).tolist() == [False, True, False]
 
 
 def test_observation_noiseless_recovery():
-    from isacbf.config import SimConfig
     cfg = SimConfig(rho_nu=0.0, rho_mu=0.0, obs_rel_mse=0.0)
-    s = _state_25(v=8.0)
-    w = steering(s.theta, cfg.n_tx)
-    ob = generate_observation(s, w, cfg, np.random.default_rng(0))
-    assert ob.nu_hat == pytest.approx(2 * 25.0 / 3e8, rel=1e-12)
-    assert ob.d_hat == pytest.approx(25.0, rel=1e-12)
-    assert ob.vdot_hat == pytest.approx(s.radial_v, rel=1e-12)
-    assert ob.mu_hat == pytest.approx(2 * s.radial_v * cfg.carrier_hz / 3e8,
-                                      rel=1e-12)
-    assert ob.theta_hat == pytest.approx(s.theta, rel=1e-12)
+    v = init_vehicles(cfg, np.random.default_rng(1))
+    W = steering(v.theta, cfg.n_tx).T
+    ob = generate_observation(v, W, cfg, np.random.default_rng(0))
+    assert ob.usable.all()
+    assert ob.d_hat == pytest.approx(v.dist, rel=1e-12)
+    assert ob.vdot_hat == pytest.approx(v.radial_v, rel=1e-12)
+    assert ob.theta_hat == pytest.approx(v.theta, rel=1e-12)
 
 
 def test_observation_modes(cfg):
-    s = _state_25()
-    w = steering(s.theta, cfg.n_tx)
+    v = _vehicles_25()
+    W = np.repeat(steering(v.theta[0], cfg.n_tx)[:, None], 3, axis=1)
     rng = np.random.default_rng(0)
-    ob_rel = generate_observation(s, w, cfg, rng, mode="relative")
-    ob_crlb = generate_observation(s, w, cfg, rng, mode="crlb")
-    assert ob_rel is not None and ob_crlb is not None
+    ob_rel = generate_observation(v, W, cfg, rng, mode="relative")
+    ob_crlb = generate_observation(v, W, cfg, rng, mode="crlb")
+    assert ob_rel.usable.all() and ob_crlb.usable.all()
     # crlb-mode angle noise is tiny at these SNRs; relative mode is ~10% rms
-    assert abs(ob_crlb.theta_hat - s.theta) < 1e-4
+    assert np.all(np.abs(ob_crlb.theta_hat - v.theta) < 1e-4)
     with pytest.raises(ValueError):
-        generate_observation(s, w, cfg, rng, mode="bogus")
+        generate_observation(v, W, cfg, rng, mode="bogus")
 
 
 def test_observation_statistics(cfg):
-    s = _state_25()
-    w = steering(s.theta, cfg.n_tx)
-    rng = np.random.default_rng(42)
-    true_nu = 2 * s.dist / cfg.wave_speed
-    nus = np.array([generate_observation(s, w, cfg, rng).nu_hat
-                    for _ in range(20000)])
-    sigma2 = obs_noise_vars(s.theta, s.dist, w, cfg).sigma_nu2
-    assert nus.mean() == pytest.approx(true_nu, abs=4 * math.sqrt(sigma2 / 20000))
-    assert nus.var(ddof=1) / sigma2 == pytest.approx(1.0, abs=0.05)
+    """Distance estimates of 20000 vehicles in one call: unbiased, with the
+    delay variance of the noise model mapped through d = c*nu/2."""
+    n = 20000
+    v = _vehicles_25(k=n)
+    W = np.repeat(steering(v.theta[0], cfg.n_tx)[:, None], n, axis=1)
+    ob = generate_observation(v, W, cfg, np.random.default_rng(42))
+    sigma2 = obs_noise_vars(v.theta[0], v.dist[0], W[:, 0], cfg).sigma_nu2 \
+        * cfg.wave_speed ** 2 / 4.0
+    assert ob.d_hat.mean() == pytest.approx(25.0, abs=4 * math.sqrt(sigma2 / n))
+    assert ob.d_hat.var(ddof=1) / sigma2 == pytest.approx(1.0, abs=0.05)
 
 
 def test_echo_mean_formula(cfg, rng):
