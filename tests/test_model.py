@@ -26,6 +26,33 @@ def _window(cfg, rng):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
+def test_history_window_roundtrip(cfg, rng, monkeypatch):
+    """The real tensor predict builds from a [tau, K, M] complex history has
+    shape [1, tau, K, M, 2] and unpacks back to that history exactly."""
+    net = HCLNet(cfg)
+    net.init_params(rng)
+    hist = _window(cfg, rng)
+    seen = []
+    forward = net.forward
+    monkeypatch.setattr(net, "forward", lambda x: seen.append(x) or forward(x))
+    net.predict(hist)
+    (x,) = seen
+    assert x.shape == (1, cfg.history_len, cfg.n_vehicles, cfg.n_tx, 2)
+    assert np.array_equal(x[0, ..., 0] + 1j * x[0, ..., 1], hist)
+
+
+def test_history_window_validation(cfg, rng):
+    """An empty or short window, or one whose vehicle or antenna count is
+    off, or one laid out as per-slot N_t x K matrices, is refused."""
+    net = HCLNet(cfg)
+    net.init_params(rng)
+    hist = _window(cfg, rng)
+    for bad in (hist[:0], hist[:1], hist[:, :-1], hist[:, :, :-1],
+                hist.swapaxes(1, 2)):
+        with pytest.raises(ValueError):
+            net.predict(bad)
+
+
 def test_map_input(cfg, rng):
     """predict feeds forward the history as [1, tau, K, M, 2], channel 0 the
     real and channel 1 the imaginary part, kappa applied once."""
