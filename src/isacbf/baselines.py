@@ -20,12 +20,13 @@ def genie_beamformer(vehicles: VehicleState, config: SimConfig) -> np.ndarray:
     return _aimed_beams(vehicles.theta, config)
 
 
-def genie_rate(vehicles: VehicleState, config: SimConfig) -> float:
-    """Interference-free perfect-CSI sum-rate: the upper bound on the problem."""
+def genie_rate(vehicles: VehicleState, config: SimConfig):
+    """Interference-free perfect-CSI sum-rate, the upper bound on the problem,
+    over the last (vehicle) axis: [n, K] states of n slots give [n] rates."""
     p = config.power_budget / config.n_vehicles
     alpha2 = path_loss_amp(vehicles.dist, config) ** 2
-    return float(np.log2(1.0 + p * config.n_tx * alpha2
-                         / config.noise_vehicle).sum())
+    return np.log2(1.0 + p * config.n_tx * alpha2
+                   / config.noise_vehicle).sum(axis=-1)
 
 
 def naive_dl_beamformer(theta_hat: np.ndarray, d_hat: np.ndarray,

@@ -67,9 +67,10 @@ def batch_sinr(h: np.ndarray, w: np.ndarray, sigma2: float):
     return sig / denom, s, denom
 
 
-def sum_rate(H: np.ndarray, W: np.ndarray, sigma2: float) -> float:
-    """Sum of log2(1 + SINR_k) over the K users; H and W are N_t x K."""
+def sum_rate(H: np.ndarray, W: np.ndarray, sigma2: float):
+    """Sum of log2(1 + SINR_k) over the K users; H and W are N_t x K, or
+    [N_t, K, n] stacks of n slots that give [n] sum-rates."""
     if H.shape[1] != W.shape[1]:
         raise ValueError("H and W must have the same number of columns")
     phi, _, _ = batch_sinr(H.T, W.T, sigma2)
-    return float(np.log2(1.0 + phi).sum())
+    return np.log2(1.0 + phi).sum(axis=-1)

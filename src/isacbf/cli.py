@@ -9,8 +9,9 @@ import numpy as np
 
 from .channel import steering
 from .config import SimConfig, load_config
-from .harness import (DEFAULT_POWER_GRID, Dataset, export, generate_dataset,
-                      monte_carlo_eval, power_sweep, train_hcl, train_naive)
+from .harness import (DEFAULT_POWER_GRID, Dataset, check_eval_args, export,
+                      generate_dataset, monte_carlo_eval, power_sweep,
+                      train_hcl, train_naive)
 from .kinematics import make_state
 from .nn.model import load_model
 from .nn.train import TrainHyper
@@ -84,6 +85,23 @@ def _config_from(args) -> SimConfig:
     return load_config(args.config, overrides=args.set, seed=args.seed)
 
 
+def _check_positive(name: str, *values: float) -> None:
+    """Raise ValueError unless every value is a finite number > 0."""
+    for v in values:
+        if not (math.isfinite(v) and v > 0):
+            raise ValueError(f"--{name} must be finite and > 0, got {v!r}")
+
+
+def _power_grid(text: str) -> list[float]:
+    try:
+        grid = [float(v) for v in text.split(",")]
+    except ValueError:
+        raise ValueError("--power-grid must be comma-separated numbers, "
+                         f"got {text!r}") from None
+    _check_positive("power-grid", *grid)
+    return grid
+
+
 def _load_models(paths: list[str], config: SimConfig) -> dict:
     models = {}
     for path in paths:
@@ -110,8 +128,12 @@ def main(argv=None) -> int:
             print("error: --out is required", file=sys.stderr)
             return 2
         rng = np.random.default_rng(config.rng_seed)
-        ds = generate_dataset(config, args.n_examples, rng,
-                              theta_mode=args.theta_mode)
+        try:
+            ds = generate_dataset(config, args.n_examples, rng,
+                                  theta_mode=args.theta_mode)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         ds.save(args.out, config)
         print(f"wrote {len(ds)} examples to {args.out} "
               f"(sha256 {ds.sha256()[:16]})")
@@ -149,6 +171,13 @@ def main(argv=None) -> int:
                 print(f"error: model file required for method {m!r} "
                       "(pass --model)", file=sys.stderr)
                 return 2
+        try:
+            check_eval_args(methods, args.realizations, models)
+            if args.command == "sweep":
+                grid = _power_grid(args.power_grid)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         if args.command == "eval":
             report = monte_carlo_eval(config, methods, args.realizations,
                                       models=models, seed=config.rng_seed,
@@ -156,7 +185,6 @@ def main(argv=None) -> int:
                                       project=args.project_power)
             rows = report.stats
         else:
-            grid = [float(v) for v in args.power_grid.split(",")]
             rows = power_sweep(config, grid, methods, args.realizations,
                                models=models, seed=config.rng_seed,
                                theta_mode=args.theta_mode,
@@ -172,6 +200,14 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "crlb":
+        try:
+            if not math.isfinite(args.theta):
+                raise ValueError(f"--theta must be finite, got {args.theta!r}")
+            _check_positive("dist", args.dist)
+            _check_positive("power", args.power)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         w = math.sqrt(args.power) * steering(args.theta, config.n_tx)
         state = make_state(args.dist * math.cos(args.theta),
                            args.dist * math.sin(args.theta), 0.0)

@@ -1,15 +1,15 @@
 """Episode simulation, dataset generation, Monte-Carlo evaluation, sweeps.
 
 Protocol per slot: the RSU applies the beamforming matrix decided during the
-previous slot, measures the realized sum-rate and CRLBs against the true
-state, receives noisy observations, refreshes the estimated-channel history,
-and decides the next slot's beams.  The first history_len slots warm up with
-random beams so predictive methods always see a full window.
+previous slot, receives noisy observations, refreshes the estimated-channel
+history, and decides the next slot's beams.  The first history_len slots warm
+up with random beams so predictive methods always see a full window.  One
+pass after the last slot measures every slot's sum-rate and CRLBs.
 """
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -19,7 +19,7 @@ from .baselines import (genie_beamformer, genie_rate, naive_dl_beamformer,
 from .channel import effective_channel, sum_rate
 from .config import SimConfig
 from .io_container import load_container, save_container
-from .kinematics import init_vehicles, step_motion
+from .kinematics import VehicleState, init_vehicles, step_motion
 from .nn.loss import BatchGeometry, build_geometry
 from .nn.model import HCLNet, NaiveNet
 from .nn.train import TrainHyper, TrainResult, train
@@ -30,12 +30,12 @@ METHODS = ("genie", "naive_dl", "random", "hcl")
 
 @dataclass
 class EpisodeTrace:
-    vehicles: list = field(default_factory=list)      # per slot: VehicleState of [K] arrays
-    w_applied: list = field(default_factory=list)     # per slot: (N_t, K) complex
-    decided_at: list = field(default_factory=list)    # slot index that chose W
-    rates: list = field(default_factory=list)
-    crlb_theta: list = field(default_factory=list)    # per slot: (K,) array
-    crlb_d: list = field(default_factory=list)
+    vehicles: VehicleState   # [n_slots, K] arrays
+    w_applied: np.ndarray    # [n_slots, N_t, K] complex
+    decided_at: np.ndarray   # [n_slots] slot index that chose W
+    rates: np.ndarray        # [n_slots]
+    crlb_theta: np.ndarray   # [n_slots, K]
+    crlb_d: np.ndarray       # [n_slots, K]
 
     def __len__(self):
         return len(self.rates)
@@ -43,12 +43,28 @@ class EpisodeTrace:
     @cached_property
     def states(self) -> list:
         """Per slot: the K vehicles as scalar VehicleState records."""
-        return [v.records() for v in self.vehicles]
+        return [v.records() for v in self.vehicles.records()]
 
 
 def verify_causality(trace: EpisodeTrace) -> bool:
     """True when every applied W was decided strictly before its slot."""
-    return all(dec < n for n, dec in enumerate(trace.decided_at))
+    return bool((trace.decided_at < np.arange(len(trace))).all())
+
+
+def _check_method(method: str, model) -> None:
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    if method in ("hcl", "naive_dl") and model is None:
+        raise ValueError(f"method {method!r} requires a trained model")
+
+
+def check_eval_args(methods, n_realizations: int, models: dict) -> None:
+    """Raise ValueError for an unknown method, a predictive method without
+    a model, or fewer than one realization."""
+    for method in methods:
+        _check_method(method, models.get(method))
+    if n_realizations < 1:
+        raise ValueError("n_realizations must be >= 1")
 
 
 def _slots(config: SimConfig, method: str, rng: np.random.Generator,
@@ -97,29 +113,26 @@ def run_episode(config: SimConfig, method: str, rng: np.random.Generator,
     Motion, observation noise, and random-beam draws use three independent
     child streams so trajectories are comparable across methods at a fixed
     seed.  The genie recomputes its aligned beams from the current truth each
-    slot and is exempt from the causality invariant.  Every slot's sum-rate
-    and CRLBs are measured against the true state.
+    slot and is exempt from the causality invariant.  One pass after the
+    loop measures every slot's sum-rate and CRLBs against the true state.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    if method in ("hcl", "naive_dl") and model is None:
-        raise ValueError(f"method {method!r} requires a trained model")
-    trace = EpisodeTrace()
-    for vehicles, w, dec, _, _ in _slots(config, method, rng, model,
-                                         theta_mode, project):
-        if method == "genie":
-            rate = genie_rate(vehicles, config)
-        else:
-            h = effective_channel(vehicles.theta, vehicles.dist, config)
-            rate = sum_rate(h.T, w, config.noise_vehicle)
-        info = fisher_information(vehicles, w, config)
-        trace.vehicles.append(vehicles)
-        trace.w_applied.append(w)
-        trace.decided_at.append(dec)
-        trace.rates.append(rate)
-        trace.crlb_theta.append(info.crlb_theta)
-        trace.crlb_d.append(info.crlb_d)
-    return trace
+    _check_method(method, model)
+    slots = [(vars(v).values(), w, dec) for v, w, dec, _, _ in _slots(
+        config, method, rng, model, theta_mode, project)]
+    state_fields, w, decided_at = zip(*slots)
+    vehicles = VehicleState(*map(np.stack, zip(*state_fields)))
+    w = np.stack(w)
+    # [N_t, K, n_slots]: its .T is the [n_slots, K, N_t] stack of beam rows
+    beams = w.transpose(1, 2, 0)
+    if method == "genie":
+        rates = genie_rate(vehicles, config)
+    else:
+        h = effective_channel(vehicles.theta, vehicles.dist, config)
+        rates = sum_rate(h.T, beams, config.noise_vehicle)
+    info = fisher_information(vehicles, beams, config)
+    return EpisodeTrace(vehicles=vehicles, w_applied=w,
+                        decided_at=np.array(decided_at), rates=rates,
+                        crlb_theta=info.crlb_theta, crlb_d=info.crlb_d)
 
 
 # ---- datasets --------------------------------------------------------------
@@ -257,15 +270,12 @@ class EvalReport:
 
 
 def _episode_summary(trace: EpisodeTrace, tau: int):
-    sl = slice(tau, None)
-    rates = np.asarray(trace.rates[sl])
-    ct = np.concatenate([c for c in trace.crlb_theta[sl]])
-    cd = np.concatenate([c for c in trace.crlb_d[sl]])
-    pw = [float(np.sum(np.abs(w) ** 2)) for w in trace.w_applied[sl]]
-    return (float(rates.mean()),
-            float(ct[np.isfinite(ct)].mean()) if np.isfinite(ct).any() else np.inf,
-            float(cd[np.isfinite(cd)].mean()) if np.isfinite(cd).any() else np.inf,
-            float(np.mean(pw)))
+    ct, cd = trace.crlb_theta[tau:], trace.crlb_d[tau:]
+    ct, cd = ct[np.isfinite(ct)], cd[np.isfinite(cd)]
+    return (float(trace.rates[tau:].mean()),
+            float(ct.mean()) if ct.size else np.inf,
+            float(cd.mean()) if cd.size else np.inf,
+            float((np.abs(trace.w_applied[tau:]) ** 2).sum(axis=(1, 2)).mean()))
 
 
 def monte_carlo_eval(config: SimConfig, methods: list[str],
@@ -277,8 +287,10 @@ def monte_carlo_eval(config: SimConfig, methods: list[str],
     The same realization seeds drive every method, so motion trajectories are
     common random numbers across methods.  Each method gets fresh children:
     ``run_episode`` spawns from its generator, which advances the sequence.
+    The arguments are checked before any episode runs.
     """
     models = models or {}
+    check_eval_args(methods, n_realizations, models)
     stats = []
     tau = config.history_len
     for method in methods:

@@ -182,7 +182,10 @@ def crlbs(u, v, echo: EchoConstants, sigma_r2: float):
 def fisher_information(vehicles: VehicleState, W: np.ndarray,
                        config: SimConfig) -> FisherInfo:
     """Diagonal FIMs over (theta, d, v_dot) and the angle/distance CRLBs of
-    the vehicles, column k of W being the beam toward vehicle k.
+    the vehicles, column k of W being the beam toward vehicle k.  The
+    vehicles are [K] arrays with an N_t x K W, or [n, K] arrays of n slots
+    with an [N_t, K, n] W (whose .T stacks the slots' beam rows); the CRLBs
+    take the vehicles' shape.
 
     f11 = 1/CRLB_theta = ||d(echo)/d(theta)||^2 / sigma_r^2,
     f22 = 1/CRLB_d = (2/c)^2 / sigma_nu^2, f33 = (2 f_c/c)^2 / sigma_mu^2.

@@ -4,7 +4,7 @@ import pytest
 from isacbf.baselines import (genie_beamformer, genie_rate,
                               naive_dl_beamformer, random_beamformer)
 from isacbf.channel import effective_channel, path_loss_amp, steering, sum_rate
-from isacbf.kinematics import init_vehicles
+from isacbf.kinematics import init_vehicles, make_state
 from isacbf.nn.model import NaiveNet, output_to_matrix
 
 
@@ -34,6 +34,16 @@ def test_genie_rate_closed_form_and_upper_bound(cfg):
                          for s in states.records()])
     realized = sum_rate(h, genie_beamformer(states, cfg), cfg.noise_vehicle)
     assert genie_rate(states, cfg) >= realized
+
+
+def test_genie_rate_over_a_stack_of_slots(cfg):
+    """[n, K] vehicle arrays of n slots give the n per-slot genie rates."""
+    x = np.random.default_rng(0).uniform(-50.0, 50.0, size=(3, cfg.n_vehicles))
+    stack = make_state(x, np.full_like(x, 20.0), np.full_like(x, 8.0))
+    rates = genie_rate(stack, cfg)
+    assert rates.shape == (3,)
+    np.testing.assert_allclose(
+        rates, [genie_rate(v, cfg) for v in stack.records()], rtol=1e-14)
 
 
 def test_naive_dl_beamformer(cfg):

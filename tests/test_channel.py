@@ -119,6 +119,21 @@ def test_sum_rate_matches_per_user_sum():
     assert sum_rate(h, w, sigma2) == pytest.approx(total, rel=1e-12)
 
 
+def test_sum_rate_over_a_stack_of_slots():
+    """[N_t, K, n] stacks give the n per-slot sum-rates; slot 1 has a zero
+    beam toward user 2."""
+    rng = np.random.default_rng(2)
+    n, k, sigma2 = 8, 3, 1e-2
+    h = rng.normal(size=(n, k, 3)) + 1j * rng.normal(size=(n, k, 3))
+    w = rng.normal(size=(n, k, 3)) + 1j * rng.normal(size=(n, k, 3))
+    w[:, 2, 1] = 0.0
+    rates = sum_rate(h, w, sigma2)
+    assert rates.shape == (3,)
+    np.testing.assert_allclose(
+        rates, [sum_rate(h[..., s], w[..., s], sigma2) for s in range(3)],
+        rtol=1e-14)
+
+
 def test_sum_rate_shape_mismatch():
     with pytest.raises(ValueError):
         sum_rate(np.zeros((4, 2), complex), np.zeros((4, 3), complex), 1.0)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from isacbf import harness
 from isacbf.cli import main
 from isacbf.harness import Dataset
 
@@ -16,6 +17,36 @@ def test_crlb_subcommand(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "crlb_theta" in out and "crlb_d" in out and "rad^2" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["crlb", "--theta", "0.9", "--dist", "-25", "--power", "1"],
+    ["crlb", "--theta", "0.9", "--dist", "0", "--power", "1"],
+    ["crlb", "--theta", "0.9", "--dist", "25", "--power", "-1"],
+    ["crlb", "--theta", "0.9", "--dist", "inf", "--power", "1"],
+    ["crlb", "--theta", "nan", "--dist", "25", "--power", "1"],
+    ["eval", *SMALL, "--methods", "random,bogus", "--realizations", "2"],
+    ["eval", *SMALL, "--methods", "random", "--realizations", "0"],
+    ["eval", *SMALL, "--methods", "random", "--realizations", "-3"],
+    ["sweep", *SMALL, "--methods", "random", "--power-grid", "1,x",
+     "--realizations", "1"],
+    ["sweep", *SMALL, "--methods", "random", "--power-grid", "1,-1",
+     "--realizations", "1"],
+    ["gen-data", *SMALL, "--n-examples", "0", "--out", "data.bin"],
+])
+def test_bad_input_is_error(argv, tmp_path, monkeypatch, capsys):
+    """Bad input prints one error line and exits 2 before any episode runs
+    or any file is written."""
+    def no_episode(*args, **kwargs):
+        raise AssertionError("an episode ran")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(harness, "run_episode", no_episode)
+    monkeypatch.setattr(harness, "_slots", no_episode)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_help_exits_cleanly():

@@ -8,9 +8,11 @@ from isacbf.harness import (CSV_HEADER, Dataset, EpisodeTrace, MethodStats,
                             export, generate_dataset, monte_carlo_eval,
                             power_sweep, run_episode, train_hcl, train_naive,
                             verify_causality)
-from isacbf.channel import effective_channel
+from isacbf.baselines import genie_rate
+from isacbf.channel import effective_channel, sum_rate
 from isacbf.nn.model import HCLNet, NaiveNet
 from isacbf.nn.train import TrainHyper
+from isacbf.sensing import fisher_information
 
 
 def _models(small_cfg):
@@ -34,6 +36,48 @@ def test_run_episode_shapes_and_causality(small_cfg):
                    for n in range(1, small_cfg.n_slots))
         for w in trace.w_applied:
             assert w.shape == (small_cfg.n_tx, small_cfg.n_vehicles)
+
+
+def test_episode_measurement_matches_per_slot_calls(small_cfg, monkeypatch):
+    """One pass after the slot loop measures every slot: each rate equals
+    that slot's own genie_rate or sum_rate bit for bit, and its CRLBs that
+    slot's fisher_information.  Every other random beam has a zero column
+    toward vehicle 1, so infinite CRLBs occur."""
+    real_random = harness.random_beamformer
+    calls = [0]
+
+    def beams(config, rng):
+        w = real_random(config, rng)
+        if calls[0] % 2:
+            w[:, 1] = 0.0
+        calls[0] += 1
+        return w
+
+    monkeypatch.setattr(harness, "random_beamformer", beams)
+    cfg, models = small_cfg, _models(small_cfg)
+    n, k = cfg.n_slots, cfg.n_vehicles
+    n_inf = 0
+    for method in harness.METHODS:
+        trace = run_episode(cfg, method, np.random.default_rng(3),
+                            model=models.get(method))
+        assert trace.w_applied.shape == (n, cfg.n_tx, k)
+        assert trace.decided_at.shape == trace.rates.shape == (n,)
+        assert trace.crlb_theta.shape == trace.crlb_d.shape == (n, k)
+        for s, (v, w) in enumerate(zip(trace.vehicles.records(),
+                                       trace.w_applied)):
+            if method == "genie":
+                rate = genie_rate(v, cfg)
+            else:
+                h = effective_channel(v.theta, v.dist, cfg)
+                rate = sum_rate(h.T, w, cfg.noise_vehicle)
+            assert trace.rates[s] == rate
+            info = fisher_information(v, w, cfg)
+            np.testing.assert_allclose(trace.crlb_theta[s], info.crlb_theta,
+                                       rtol=1e-13)
+            np.testing.assert_allclose(trace.crlb_d[s], info.crlb_d,
+                                       rtol=1e-13)
+        n_inf += np.isinf(trace.crlb_theta).sum()
+    assert n_inf > 0
 
 
 def test_genie_is_exempt_from_causality(small_cfg):
@@ -110,6 +154,19 @@ def test_monte_carlo_eval_ordering(small_cfg):
     assert stats["random"].rate_ci > 0
     assert stats["random"].w_power_mean == pytest.approx(
         small_cfg.power_budget, rel=1e-9)
+
+
+def test_monte_carlo_eval_checks_inputs_first(small_cfg, monkeypatch):
+    """An unknown method, a missing model or a realization count < 1 is
+    refused before any episode runs."""
+    def no_episode(*args, **kwargs):
+        raise AssertionError("an episode ran")
+
+    monkeypatch.setattr(harness, "run_episode", no_episode)
+    for methods, n in ((["random", "bogus"], 2), (["random", "hcl"], 2),
+                       (["random"], 0), (["random"], -3)):
+        with pytest.raises(ValueError):
+            monte_carlo_eval(small_cfg, methods, n)
 
 
 def test_method_stats_independent_of_method_order(small_cfg):
