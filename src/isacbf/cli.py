@@ -144,13 +144,13 @@ def main(argv=None) -> int:
             print("error: --out is required", file=sys.stderr)
             return 2
         try:
+            hyper = TrainHyper(lr=args.lr, batch_size=args.batch_size,
+                               max_iters=args.iters, momentum=args.momentum,
+                               seed=config.rng_seed)
             ds = Dataset.load(args.data)
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        hyper = TrainHyper(lr=args.lr, batch_size=args.batch_size,
-                           max_iters=args.iters, momentum=args.momentum,
-                           seed=config.rng_seed)
         trainer = train_hcl if args.arch == "hcl" else train_naive
         net, result = trainer(ds, config, hyper)
         net.save(args.out)

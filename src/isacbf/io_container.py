@@ -24,8 +24,8 @@ _DTYPES = {"float64": "<f8", "complex128": "<c16", "int64": "<i8"}
 
 
 def save_container(path: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
-    entries = []
-    payload = bytearray()
+    """Write the arrays' buffers straight to the file, with no payload copy."""
+    entries, data = [], []
     for name, arr in arrays.items():
         arr = np.ascontiguousarray(arr)
         key = arr.dtype.name
@@ -33,14 +33,15 @@ def save_container(path: str, meta: dict, arrays: dict[str, np.ndarray]) -> None
             raise TypeError(f"unsupported dtype {arr.dtype} for array {name!r}")
         arr = arr.astype(_DTYPES[key], copy=False)
         entries.append({"name": name, "dtype": key, "shape": list(arr.shape)})
-        payload += arr.tobytes()
+        data.append(arr)
     header = json.dumps({"meta": meta, "arrays": entries},
                         sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", len(header)))
         fh.write(header)
-        fh.write(bytes(payload))
+        for arr in data:
+            fh.write(arr.reshape(-1).view(np.uint8))
 
 
 def load_container(path: str) -> tuple[dict, dict[str, np.ndarray]]:
@@ -83,6 +84,8 @@ def load_container(path: str) -> tuple[dict, dict[str, np.ndarray]]:
             if nbytes > left:
                 raise bad(f"payload truncated in array {name!r}")
             left -= nbytes
-            arrays[name] = np.frombuffer(fh.read(nbytes), dtype=dt).reshape(
-                shape).copy()
+            arr = np.empty(shape, dtype=dt)
+            if fh.readinto(arr.reshape(-1).view(np.uint8)) != nbytes:
+                raise bad(f"short read in array {name!r}")
+            arrays[name] = arr
     return meta, arrays

@@ -8,6 +8,14 @@ The conv on one H x W x C_in slice is a fixed linear map, so it runs as one
 matmul against an (H*W*C_in) x (H*W*F) Toeplitz matrix scattered from the
 filter weights (Chellapilla et al. 2006, unrolling convolution to a matrix
 product); the weight gradient is the matching X^T gY gathered back.
+
+Memory layout: the conv output and the pool's input gradient are
+batch-innermost, i.e. [B, H, W, C] views of a C-contiguous [H, W, C, B]
+buffer.  The conv computes its transposed product T^T X^T, which BLAS takes
+without a copy; each 2x2 window corner is then one long contiguous run over
+the batch, so the pool is four elementwise passes with no transposing copy.
+The logical shapes stay channels-last, so callers and the loop references
+index them as before, and the pool kernels accept any layout.
 """
 from __future__ import annotations
 
@@ -39,14 +47,15 @@ def _toeplitz_index(h: int, wd: int, cin: int, nf: int):
 
 
 def conv2d3x3_same_fwd(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[B, H, W, F] conv output, as a batch-innermost view."""
     bsz, h, wd, cin = x.shape
     nf = w.shape[0]
     pos, widx = _toeplitz_index(h, wd, cin, nf)
     t = np.zeros((h * wd * cin, h * wd * nf), dtype=w.dtype)
     t.flat[pos] = w.ravel()[widx]
-    y = x.reshape(bsz, -1) @ t
-    y += np.tile(b, h * wd)     # broadcasting over a trailing F is far slower
-    return y.reshape(bsz, h, wd, nf)
+    yt = t.T @ x.reshape(bsz, -1).T
+    yt += np.tile(b, h * wd)[:, None]
+    return yt.T.reshape(bsz, h, wd, nf)
 
 
 def conv2d3x3_same_bwd(x: np.ndarray, w: np.ndarray, gy: np.ndarray):
@@ -60,18 +69,28 @@ def conv2d3x3_same_bwd(x: np.ndarray, w: np.ndarray, gy: np.ndarray):
     return gw.reshape(w.shape), gy2.sum(axis=0).reshape(-1, nf).sum(axis=0)
 
 
-def maxpool2x2_fwd(x: np.ndarray):
+def _corners(x: np.ndarray):
+    """The four corners of every 2x2 window of [B, H, W, C] x, as strided
+    views in window order 2*dy + dx."""
     bsz, h, wd, c = x.shape
-    win = x.reshape(bsz, h // 2, 2, wd // 2, 2, c).transpose(0, 1, 3, 5, 2, 4)
-    win = win.reshape(bsz, h // 2, wd // 2, c, 4)
-    idx = win.argmax(axis=-1)
-    out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
-    return out, idx.astype(np.int64)
+    win = x.reshape(bsz, h // 2, 2, wd // 2, 2, c)
+    return [win[:, :, q // 2, :, q % 2] for q in range(4)]
+
+
+def maxpool2x2_fwd(x: np.ndarray):
+    """Window maxima and the index 2*dy + dx of each window's first maximum."""
+    a, b, c, d = _corners(x)
+    top = np.maximum(a, b)
+    bot = np.maximum(c, d)
+    idx = np.where(bot > top, 2 + (d > c), b > a).astype(np.int64, copy=False)
+    return np.maximum(top, bot), idx
 
 
 def maxpool2x2_bwd(idx: np.ndarray, gy: np.ndarray, shape) -> np.ndarray:
+    """dL/dx of the pool: each window's gradient goes to its first maximum.
+    The result is batch-innermost."""
     bsz, h, wd, c = shape
-    gwin = np.zeros((bsz, h // 2, wd // 2, c, 4), dtype=gy.dtype)
-    np.put_along_axis(gwin, idx[..., None], gy[..., None], axis=-1)
-    gwin = gwin.reshape(bsz, h // 2, wd // 2, c, 2, 2).transpose(0, 1, 4, 2, 5, 3)
-    return gwin.reshape(bsz, h, wd, c)
+    gx = np.empty((h, wd, c, bsz), dtype=gy.dtype).transpose(3, 0, 1, 2)
+    for q, corner in enumerate(_corners(gx)):
+        np.multiply(gy, idx == q, out=corner)
+    return gx

@@ -146,10 +146,12 @@ class HCLNet(_FlatParams):
         x4 = np.ascontiguousarray(
             xs.reshape(b, CNN_ROWS, self.m // CNN_ROWS, 2))
         z = kernels.conv2d3x3_same_fwd(x4, v["conv_w"], v["conv_b"])
-        mask = z > 0
-        r = z * mask
-        p, idx = kernels.maxpool2x2_fwd(r)
+        # ReLU is monotone, so it commutes with the max: pooling first
+        # leaves 4x fewer entries to rectify, with the same outputs.
+        p, idx = kernels.maxpool2x2_fwd(z)
+        mask = p > 0
         seq = p.reshape(nb, self.tau, self.feat)
+        seq *= mask.reshape(seq.shape)
         h = np.zeros((nb, self.hidden))
         c = np.zeros((nb, self.hidden))
         steps = []
@@ -170,7 +172,7 @@ class HCLNet(_FlatParams):
         out = o.reshape(nb, self.k, self.m, 2)
         if not want_cache:
             return out
-        cache = {"x4": x4, "mask": mask, "idx": idx, "pshape": r.shape,
+        cache = {"x4": x4, "mask": mask, "idx": idx, "pshape": z.shape,
                  "steps": steps, "h_final": h, "nb": nb}
         return out, cache
 
@@ -208,22 +210,16 @@ class HCLNet(_FlatParams):
             gseq[:, t, :] = dgates @ v["wx"]
             gh = dgates @ v["wh"]
             gc = gc_prev
-        b = nb * self.tau * self.k
-        gp = gseq.reshape(b, self.pool_h, self.pool_w, CONV_FILTERS)
-        gr = kernels.maxpool2x2_bwd(cache["idx"], gp, cache["pshape"])
-        gz = gr * cache["mask"]
+        # gradient of the pooled ReLU, in the mask's batch-innermost layout
+        mask = cache["mask"]
+        gp = np.empty_like(mask, dtype=np.float64)
+        gp[...] = gseq.reshape(mask.shape)
+        gp *= mask
+        gz = kernels.maxpool2x2_bwd(cache["idx"], gp, cache["pshape"])
         g_cw, g_cb = kernels.conv2d3x3_same_bwd(cache["x4"], v["conv_w"], gz)
         return self._flat_grad({
             "conv_w": g_cw, "conv_b": g_cb, "wx": g_wx, "wh": g_wh,
             "lstm_b": g_lb, "fc_w": g_fc_w, "fc_b": g_fc_b})
-
-    @property
-    def pool_h(self) -> int:
-        return CNN_ROWS // 2
-
-    @property
-    def pool_w(self) -> int:
-        return self.m // CNN_ROWS // 2
 
     # ---- inference ---------------------------------------------------------
 

@@ -1,6 +1,7 @@
 """Gradient-descent training loop for the beamforming networks."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +26,17 @@ class TrainHyper:
     # gradients when a constraint is badly violated
     max_grad_norm: float = 100.0
     seed: int = 0
+
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ValueError(f"batch size must be at least 1, got {self.batch_size}")
+        if self.max_iters < 1:
+            raise ValueError(f"iterations must be at least 1, got {self.max_iters}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"learning rate must be finite and positive, "
+                             f"got {self.lr}")
+        if not 0 <= self.momentum < 1:
+            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
 
 
 @dataclass

@@ -1,5 +1,6 @@
-"""Shared test oracles: finite-difference gradients, an independent FIM, and
-the explicit one-user and one-vector forms behind the package's closed forms."""
+"""Shared test oracles: finite-difference gradients, an independent FIM, a
+loop max-pool, and the explicit one-user and one-vector forms behind the
+package's closed forms."""
 from __future__ import annotations
 
 import math
@@ -84,3 +85,19 @@ def rel_err(a, b) -> float:
     denom = np.maximum(np.abs(a), np.abs(b))
     denom[denom == 0.0] = 1.0
     return float(np.max(np.abs(a - b) / denom))
+
+
+def loop_maxpool2x2(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """2x2 max-pool of [B, H, W, C] x and the window index 2*dy + dx of each
+    window's first maximum, one window at a time."""
+    nb, h, w, c = x.shape
+    out = np.empty((nb, h // 2, w // 2, c))
+    idx = np.empty(out.shape, dtype=np.int64)
+    for n, i, j, ch in np.ndindex(out.shape):
+        win = x[n, 2 * i:2 * i + 2, 2 * j:2 * j + 2, ch].ravel()
+        best = 0
+        for q in (1, 2, 3):
+            if win[q] > win[best]:
+                best = q
+        out[n, i, j, ch], idx[n, i, j, ch] = win[best], best
+    return out, idx

@@ -33,16 +33,26 @@ def test_crlb_subcommand(capsys):
     ["sweep", *SMALL, "--methods", "random", "--power-grid", "1,-1",
      "--realizations", "1"],
     ["gen-data", *SMALL, "--n-examples", "0", "--out", "data.bin"],
+    *(["train", *SMALL, "--data", "data.bin", "--out", "m.bin", *bad]
+      for bad in (["--batch-size", "-5"], ["--batch-size", "0"],
+                  ["--iters", "0"], ["--iters", "-1"], ["--lr", "0"],
+                  ["--lr=-1e-3"], ["--lr", "nan"], ["--lr", "inf"],
+                  ["--momentum", "1"], ["--momentum", "-0.1"],
+                  ["--momentum", "nan"])),
 ])
 def test_bad_input_is_error(argv, tmp_path, monkeypatch, capsys):
-    """Bad input prints one error line and exits 2 before any episode runs
-    or any file is written."""
+    """Bad input prints one error line and exits 2 before any episode runs,
+    any dataset is loaded or any file is written."""
     def no_episode(*args, **kwargs):
         raise AssertionError("an episode ran")
+
+    def no_load(*args, **kwargs):
+        raise AssertionError("a dataset was loaded")
 
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(harness, "run_episode", no_episode)
     monkeypatch.setattr(harness, "_slots", no_episode)
+    monkeypatch.setattr(Dataset, "load", no_load)
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1

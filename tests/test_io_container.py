@@ -1,6 +1,7 @@
 import json
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -57,6 +58,27 @@ def test_zero_dim_array_promoted_to_length_one(tmp_path):
     save_container(path, {}, {"s": np.array(3.5)})
     _, back = load_container(path)
     assert back["s"].shape == (1,) and back["s"][0] == 3.5
+
+
+def test_save_and_load_stream_the_payload(tmp_path):
+    """Saving writes each array's buffer to the file without copying the
+    payload, and loading reads into one array per entry."""
+    arr = np.arange(1 << 20, dtype=float)          # 8 MB
+    path = str(tmp_path / "big.bin")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        save_container(path, {"k": 1}, {"a": arr})
+        save_peak = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        _, back = load_container(path)
+        load_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back["a"], arr)
+    assert save_peak < 1 << 20
+    assert load_peak < 1.2 * arr.nbytes
 
 
 def _valid_bytes(tmp_path) -> bytes:

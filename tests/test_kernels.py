@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import loop_maxpool2x2
 from isacbf.nn import kernels
 
 
@@ -24,16 +25,14 @@ def _naive_conv(x, w, b):
     return out
 
 
-def _naive_pool(x):
-    nb, h, w, c = x.shape
-    out = np.empty((nb, h // 2, w // 2, c))
-    for n in range(nb):
-        for i in range(h // 2):
-            for j in range(w // 2):
-                for ch in range(c):
-                    out[n, i, j, ch] = x[n, 2 * i:2 * i + 2,
-                                         2 * j:2 * j + 2, ch].max()
-    return out
+def _layouts(x):
+    """x as a C-contiguous array, as a batch-innermost view (what the conv
+    returns) and as a view sliced out of a larger array."""
+    inner = np.ascontiguousarray(np.moveaxis(x, 0, -1))
+    wide = np.zeros(x.shape[:-1] + (2 * x.shape[-1],))
+    wide[..., 1::2] = x
+    return {"c": np.ascontiguousarray(x), "batch_inner": np.moveaxis(inner, -1, 0),
+            "sliced": wide[..., 1::2]}
 
 
 def _rand_io(rng, nb=3, h=4, w=8, cin=2, f=4):
@@ -84,7 +83,45 @@ def test_conv_bwd_matches_fd(backend, rng):
 def test_pool_fwd_matches_naive(backend, rng):
     x = rng.normal(size=(3, 4, 8, 4))
     p, idx = backend.maxpool2x2_fwd(x)
-    assert np.allclose(p, _naive_pool(x))
+    ref, ref_idx = loop_maxpool2x2(x)
+    assert np.array_equal(p, ref) and np.array_equal(idx, ref_idx)
+
+
+def test_conv_fwd_is_batch_innermost(backend, rng):
+    """The conv output is a [B, H, W, F] view whose batch axis is the
+    contiguous one, so each window corner the pool reads is one run."""
+    x, cw, cb = _rand_io(rng, nb=5)
+    y = backend.conv2d3x3_same_fwd(x, cw, cb)
+    assert y.shape == (5, 4, 8, 4)
+    assert y.transpose(1, 2, 3, 0).flags.c_contiguous
+
+
+def test_pool_is_layout_independent(backend, rng):
+    """Values, int64 indices and routed gradients do not depend on the
+    memory layout of the input or of the incoming gradient.  Small integers
+    make ties common."""
+    x = rng.integers(-2, 3, size=(5, 4, 8, 4)).astype(float)
+    ref, ref_idx = loop_maxpool2x2(x)
+    g = rng.normal(size=ref.shape)
+    ref_gr = backend.maxpool2x2_bwd(ref_idx, g, x.shape)
+    for name, xl in _layouts(x).items():
+        p, idx = backend.maxpool2x2_fwd(xl)
+        assert idx.dtype == np.int64, name
+        assert np.array_equal(p, ref) and np.array_equal(idx, ref_idx), name
+        for gname, gl in _layouts(g).items():
+            gr = backend.maxpool2x2_bwd(idx, gl, xl.shape)
+            assert np.array_equal(gr, ref_gr), (name, gname)
+
+
+def test_conv_bwd_is_layout_independent(backend, rng):
+    x, cw, cb = _rand_io(rng, nb=6)
+    g = rng.normal(size=(6, 4, 8, 4))
+    ref_w, ref_b = backend.conv2d3x3_same_bwd(x, cw, g)
+    for name, gl in _layouts(g).items():
+        gw, gb = backend.conv2d3x3_same_bwd(x, cw, gl)
+        # the bias gradient's sum may run in another order
+        assert np.allclose(gw, ref_w, rtol=1e-14, atol=0), name
+        assert np.allclose(gb, ref_b, rtol=1e-14, atol=1e-14), name
 
 
 def test_pool_bwd_scatters_to_argmax(backend, rng):
@@ -112,8 +149,20 @@ def test_pool_bwd_scatters_to_argmax(backend, rng):
 
 
 def test_pool_tie_break_first_max(backend):
-    x = np.zeros((1, 2, 2, 1))     # all entries tie; np.argmax picks the first
-    p, idx = backend.maxpool2x2_fwd(x)
-    g = np.ones_like(p)
-    gr = backend.maxpool2x2_bwd(idx, g, x.shape)
-    assert gr[0, 0, 0, 0] == 1.0 and gr.sum() == 1.0
+    """The index is the first maximum in the order 2*dy + dx, and the
+    gradient goes there alone."""
+    cases = [
+        ([[0, 0], [0, 0]], 0),      # all four tie
+        ([[0, 2], [2, 0]], 1),      # tie across rows: the top row wins
+        ([[0, 0], [2, 2]], 2),      # tie within the bottom row: the left wins
+        ([[2, 2], [0, 0]], 0),      # tie within the top row
+        ([[-1, 0], [0, -1]], 1),
+        ([[-3, -2], [-1, -1]], 2),
+        ([[1, 0], [0, 3]], 3),
+    ]
+    for window, first in cases:
+        x = np.array(window, dtype=float)[None, :, :, None]
+        p, idx = backend.maxpool2x2_fwd(x)
+        assert idx.item() == first and p.item() == x.max(), window
+        gr = backend.maxpool2x2_bwd(idx, np.ones_like(p), x.shape)
+        assert gr[0, first // 2, first % 2, 0] == 1.0 and gr.sum() == 1.0

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from helpers import fd_grad
+from helpers import fd_grad, loop_maxpool2x2
 from isacbf.config import SimConfig
+from isacbf.nn import kernels
 from isacbf.nn.model import (CONV_FILTERS, LSTM_HIDDEN, HCLNet, NaiveNet,
                              load_model, output_to_matrix)
 
@@ -136,6 +137,53 @@ def test_forward_composes_single_slice_blocks(cfg, rng):
     out = (h @ net.view("fc_w") + net.view("fc_b")).reshape(
         cfg.n_vehicles, cfg.n_tx, 2)
     assert np.allclose(out, o[0], rtol=1e-10, atol=1e-12)
+
+
+def test_pool_then_relu_matches_relu_then_pool(cfg, rng, monkeypatch):
+    """HCLNet.forward pools the raw conv output and rectifies the maxima.
+    A reference that rectifies first, as cnn_forward does, pools with plain
+    loops and routes the gradient through ReLU'(z) after the pool gives the
+    same output bit for bit and the same gradient to 1e-14, on a batch with
+    all-negative windows, windows of exact zeros and ties."""
+    net = HCLNet(cfg)
+    net.init_params(rng)
+    # filter 0 is negative everywhere; on the zeroed vehicle, filter 1 is
+    # exactly 0 and filter 2 is one positive constant (four-way ties)
+    net.view("conv_b")[:] = [-50.0, 0.0, 0.3, 0.1]
+    x = rng.normal(size=(3, cfg.history_len, cfg.n_vehicles, cfg.n_tx, 2))
+    x[:, :, 0] = 0.0
+    g = rng.normal(size=(3, cfg.n_vehicles, cfg.n_tx, 2))
+    o, cache = net.forward(x, want_cache=True)
+    grad = net.backward(g, cache)
+
+    seen = {}
+
+    def relu_then_pool(z):
+        seen["z"] = z
+        return loop_maxpool2x2(z * (z > 0))
+
+    def loop_pool_bwd(idx, gy, shape):
+        gr = np.zeros(shape)
+        for n, i, j, ch in np.ndindex(gy.shape):
+            q = idx[n, i, j, ch]
+            gr[n, 2 * i + q // 2, 2 * j + q % 2, ch] = gy[n, i, j, ch]
+        return gr * (seen["z"] > 0)
+
+    monkeypatch.setattr(kernels, "maxpool2x2_fwd", relu_then_pool)
+    monkeypatch.setattr(kernels, "maxpool2x2_bwd", loop_pool_bwd)
+    o_ref, cache_ref = net.forward(x, want_cache=True)
+    grad_ref = net.backward(g, cache_ref)
+    z = seen["z"]
+    assert np.all(z[..., 0] < 0) and np.any(z[..., 1] == 0)
+    # the two orders pick different entries of non-positive windows
+    assert np.any(cache["idx"] != cache_ref["idx"])
+    assert o.tobytes() == o_ref.tobytes()
+    off = 0
+    for name, shape in net._shapes:
+        size = int(np.prod(shape))
+        a, b = grad[off:off + size], grad_ref[off:off + size]
+        assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max(), name
+        off += size
 
 
 def test_single_slice_validation(cfg, rng):
