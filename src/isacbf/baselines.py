@@ -10,13 +10,16 @@ from .nn.model import NaiveNet, output_to_matrix
 
 
 def _aimed_beams(thetas: np.ndarray, config: SimConfig) -> np.ndarray:
-    """N_t x K equal-power-split beams sqrt(P/K) * a(theta_k)."""
+    """N_t x K equal-power-split beams sqrt(P/K) * a(theta_k); [n, K] angles
+    of n slots give the [n, N_t, K] stack of the slots' matrices."""
     p = config.power_budget / config.n_vehicles
-    return np.ascontiguousarray((np.sqrt(p) * steering(thetas, config.n_tx)).T)
+    return np.ascontiguousarray(
+        np.swapaxes(np.sqrt(p) * steering(thetas, config.n_tx), -1, -2))
 
 
 def genie_beamformer(vehicles: VehicleState, config: SimConfig) -> np.ndarray:
-    """Perfectly aligned equal-power-split beams sqrt(P/K) * a(theta_k)."""
+    """Perfectly aligned equal-power-split beams sqrt(P/K) * a(theta_k):
+    N_t x K for [K] vehicles, [n, N_t, K] for [n, K] vehicles of n slots."""
     return _aimed_beams(vehicles.theta, config)
 
 
@@ -38,6 +41,14 @@ def naive_dl_beamformer(theta_hat: np.ndarray, d_hat: np.ndarray,
     return output_to_matrix(o[0])
 
 
-def random_beamformer(config: SimConfig, rng: np.random.Generator) -> np.ndarray:
-    """Beams aimed at i.i.d. U(0, pi) angles; ||W||_F^2 = P exactly."""
-    return _aimed_beams(rng.uniform(0.0, np.pi, size=config.n_vehicles), config)
+def random_beamformer(config: SimConfig, rng: np.random.Generator,
+                      n_slots: int | None = None) -> np.ndarray:
+    """Beams aimed at i.i.d. U(0, pi) angles; ||W||_F^2 = P exactly.
+
+    N_t x K from K draws, or with n_slots the [n_slots, N_t, K] stack of
+    n_slots matrices from one [n_slots, K] draw, the per-slot draws in slot
+    order.
+    """
+    k = config.n_vehicles
+    size = k if n_slots is None else (n_slots, k)
+    return _aimed_beams(rng.uniform(0.0, np.pi, size=size), config)

@@ -148,6 +148,7 @@ def main(argv=None) -> int:
                                max_iters=args.iters, momentum=args.momentum,
                                seed=config.rng_seed)
             ds = Dataset.load(args.data)
+            ds.check(config)
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

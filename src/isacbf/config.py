@@ -60,6 +60,9 @@ class SimConfig:
         for name in ("n_tx", "n_rx", "n_vehicles", "history_len"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.n_tx % 8:
+            raise ValueError("n_tx must be divisible by 8 for the HCL-Net "
+                             "CNN reshape")
         if self.v_min > self.v_max:
             raise ValueError("v_min must not exceed v_max")
         positive = (

@@ -3,7 +3,9 @@
 Protocol per slot: the RSU applies the beamforming matrix decided during the
 previous slot, receives noisy observations, refreshes the estimated-channel
 history, and decides the next slot's beams.  The first history_len slots warm
-up with random beams so predictive methods always see a full window.  One
+up with random beams so predictive methods always see a full window.  Motion
+and random beams never depend on an observation, so each episode draws them
+as [n_slots, K] blocks; only the causal methods step through the slots.  One
 pass after the last slot measures every slot's sum-rate and CRLBs.
 """
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .baselines import (genie_beamformer, genie_rate, naive_dl_beamformer,
                         random_beamformer)
@@ -67,42 +70,50 @@ def check_eval_args(methods, n_realizations: int, models: dict) -> None:
         raise ValueError("n_realizations must be >= 1")
 
 
-def _slots(config: SimConfig, method: str, rng: np.random.Generator,
-           model, theta_mode: str, project: bool):
-    """The slot loop of run_episode and generate_dataset over the K vehicles
-    as arrays: motion, beams, observations and the estimate history.  Yields
-    (vehicles, w, decided_at, observations, history) of each slot before
-    deciding the next slot's beams; history is the [tau, K, M] window of
-    estimated channels ending at this slot, zeros before the first."""
+def _exogenous(config: SimConfig, rng: np.random.Generator):
+    """The draws of one episode that no decision depends on: the [n_slots, K]
+    trajectory, and the observation and random-beam streams."""
     rng_motion, rng_obs, rng_beam = rng.spawn(3)
-    tau = config.history_len
-    vehicles = init_vehicles(config, rng_motion)
-    history = np.zeros((tau, config.n_vehicles, config.n_tx), dtype=complex)
-    w_next = random_beamformer(config, rng_beam)
-    decided_at = -1
-    for n in range(config.n_slots):
-        if n > 0:
-            vehicles = step_motion(vehicles, config, rng_motion)
-        if method == "genie":
-            w, dec = genie_beamformer(vehicles, config), n
-        else:
-            w, dec = w_next, decided_at
-        obs = generate_observation(vehicles, w, config, rng_obs, theta_mode)
-        # a vehicle without a usable estimate carries its previous row forward
-        history = np.concatenate((history[1:], history[-1:]))
-        history[-1, obs.usable] = effective_channel(
-            obs.theta_hat[obs.usable], obs.d_hat[obs.usable], config)
-        yield vehicles, w, dec, obs, history
-        # decide the next slot's beams; the predictors fall back to random
-        # beams while their input is incomplete
-        if method == "hcl" and n >= tau - 1:
-            w_next = model.predict(history, project=project)
-        elif method == "naive_dl" and obs.usable.all():
-            w_next = naive_dl_beamformer(obs.theta_hat, obs.d_hat, model,
-                                         config)
-        elif method != "genie":
-            w_next = random_beamformer(config, rng_beam)
-        decided_at = n
+    vehicles = step_motion(init_vehicles(config, rng_motion), config,
+                           rng_motion, config.n_slots - 1)
+    return vehicles, rng_obs, rng_beam
+
+
+def _write_estimates(est: np.ndarray, obs, config: SimConfig) -> None:
+    """Write the estimated channels of the slots of obs into est[1:], one
+    [K, M] row per slot, est[0] holding the row before the first.  obs holds
+    one slot's [K] arrays or n slots' [n, K] arrays.  A vehicle without a
+    usable estimate carries its previous row forward."""
+    k = est.shape[1]
+    usable = obs.usable.reshape(-1, k)
+    rows = est[1:]
+    rows[usable] = effective_channel(obs.theta_hat.reshape(-1, k)[usable],
+                                     obs.d_hat.reshape(-1, k)[usable], config)
+    # each row's latest usable row of the vehicle, 0 for the row before
+    latest = np.maximum.accumulate(
+        usable * np.arange(1, len(usable) + 1)[:, None], axis=0)
+    rows[:] = est[latest, np.arange(k)]
+
+
+def _decide(config: SimConfig, method: str, model, vehicles: VehicleState,
+            w: np.ndarray, rng_obs: np.random.Generator, theta_mode: str,
+            project: bool) -> None:
+    """The causal slot loop of hcl and naive_dl: observe slot n under w[n],
+    then decide w[n + 1] in place.  w holds random beams on entry, which a
+    slot keeps while the method's input is incomplete."""
+    tau, k = config.history_len, config.n_vehicles
+    # row tau + n holds slot n's estimated channels, zeros before slot 0
+    est = np.zeros((config.n_slots + tau, k, config.n_tx), dtype=complex)
+    for n, slot in enumerate(vehicles.records()[:-1]):
+        obs = generate_observation(slot, w[n], config, rng_obs, theta_mode)
+        if method == "hcl":
+            _write_estimates(est[n + tau - 1:n + tau + 1], obs, config)
+            if n >= tau - 1:
+                w[n + 1] = model.predict(est[n + 1:n + tau + 1],
+                                         project=project)
+        elif obs.usable.all():
+            w[n + 1] = naive_dl_beamformer(obs.theta_hat, obs.d_hat, model,
+                                           config)
 
 
 def run_episode(config: SimConfig, method: str, rng: np.random.Generator,
@@ -112,16 +123,23 @@ def run_episode(config: SimConfig, method: str, rng: np.random.Generator,
 
     Motion, observation noise, and random-beam draws use three independent
     child streams so trajectories are comparable across methods at a fixed
-    seed.  The genie recomputes its aligned beams from the current truth each
-    slot and is exempt from the causality invariant.  One pass after the
-    loop measures every slot's sum-rate and CRLBs against the true state.
+    seed; each is drawn as one [n_slots, K] block.  The genie aims at the
+    current truth each slot and is exempt from the causality invariant.
+    Only hcl and naive_dl observe the vehicles, in a causal slot loop.  One
+    pass at the end measures every slot's sum-rate and CRLBs against the
+    true state.
     """
     _check_method(method, model)
-    slots = [(vars(v).values(), w, dec) for v, w, dec, _, _ in _slots(
-        config, method, rng, model, theta_mode, project)]
-    state_fields, w, decided_at = zip(*slots)
-    vehicles = VehicleState(*map(np.stack, zip(*state_fields)))
-    w = np.stack(w)
+    n = config.n_slots
+    vehicles, rng_obs, rng_beam = _exogenous(config, rng)
+    if method == "genie":
+        w, decided_at = genie_beamformer(vehicles, config), np.arange(n)
+    else:
+        w = random_beamformer(config, rng_beam, n)
+        decided_at = np.arange(-1, n - 1)
+        if method != "random":
+            _decide(config, method, model, vehicles, w, rng_obs, theta_mode,
+                    project)
     # [N_t, K, n_slots]: its .T is the [n_slots, K, N_t] stack of beam rows
     beams = w.transpose(1, 2, 0)
     if method == "genie":
@@ -130,9 +148,9 @@ def run_episode(config: SimConfig, method: str, rng: np.random.Generator,
         h = effective_channel(vehicles.theta, vehicles.dist, config)
         rates = sum_rate(h.T, beams, config.noise_vehicle)
     info = fisher_information(vehicles, beams, config)
-    return EpisodeTrace(vehicles=vehicles, w_applied=w,
-                        decided_at=np.array(decided_at), rates=rates,
-                        crlb_theta=info.crlb_theta, crlb_d=info.crlb_d)
+    return EpisodeTrace(vehicles=vehicles, w_applied=w, decided_at=decided_at,
+                        rates=rates, crlb_theta=info.crlb_theta,
+                        crlb_d=info.crlb_d)
 
 
 # ---- datasets --------------------------------------------------------------
@@ -156,7 +174,20 @@ class Dataset:
         med = float(np.median(norms))
         return 1.0 / med if med > 0 else 1.0
 
+    def check(self, config: SimConfig) -> None:
+        """Raise ValueError naming the field when the windows were made
+        under another history_len, n_vehicles or n_tx than config's."""
+        for field, made in zip(("history_len", "n_vehicles", "n_tx"),
+                               self.x.shape[1:4]):
+            if made != getattr(config, field):
+                raise ValueError(
+                    f"dataset made with {field}={made}, the run has "
+                    f"{field}={getattr(config, field)}")
+
     def geometry(self, config: SimConfig) -> BatchGeometry:
+        """The examples' loss geometry under config, which check() must
+        accept."""
+        self.check(config)
         return build_geometry(self.h, self.thetas, self.dists, config)
 
     def save(self, path: str, config: SimConfig) -> None:
@@ -183,31 +214,42 @@ def generate_dataset(config: SimConfig, n_examples: int,
                      theta_mode: str = "relative") -> Dataset:
     """Collect examples from fresh random-beam episodes.
 
-    Each valid position n >= history_len of an episode yields one example:
-    the window of estimated channels from slots [n-tau, n-1] and slot n's
-    true channels/angles/distances.  The episodes run the slot loop of
-    run_episode without its rates and CRLBs, which no example holds.
+    Each slot n >= history_len of an episode whose previous slot observed
+    every vehicle yields one example: the window of estimated channels from
+    slots [n-tau, n-1] and slot n's true channels/angles/distances.  An
+    episode is one observation call over its [n_slots, K] states and random
+    beams, and no rates or CRLBs, which no example holds.
     """
     if n_examples < 1:
         raise ValueError("n_examples must be >= 1")
     tau, k, m = config.history_len, config.n_vehicles, config.n_tx
+    if config.n_slots <= tau:
+        raise ValueError("n_slots must exceed history_len for an episode "
+                         "to yield an example")
     x = np.empty((n_examples, tau, k, m, 2))
     h = np.empty((n_examples, k, m), dtype=complex)
     thetas, dists, est_thetas, est_dists = np.empty((4, n_examples, k))
     i = 0
     while i < n_examples:
-        slots = _slots(config, "random", rng.spawn(1)[0], None, theta_mode,
-                       False)
-        for n, (vehicles, _, _, obs, history) in enumerate(slots):
-            if i >= n_examples:
-                break
-            if n >= tau and obs_prev.usable.all():
-                x[i, ..., 0], x[i, ..., 1] = window.real, window.imag
-                h[i] = effective_channel(vehicles.theta, vehicles.dist, config)
-                thetas[i], dists[i] = vehicles.theta, vehicles.dist
-                est_thetas[i], est_dists[i] = obs_prev.theta_hat, obs_prev.d_hat
-                i += 1
-            obs_prev, window = obs, history
+        vehicles, rng_obs, rng_beam = _exogenous(config, rng.spawn(1)[0])
+        w = random_beamformer(config, rng_beam, config.n_slots)
+        obs = generate_observation(vehicles, w.transpose(1, 2, 0), config,
+                                   rng_obs, theta_mode)
+        # row tau + n holds slot n's estimated channels, zeros before slot 0,
+        # so window n (rows n .. n + tau - 1) is slot n's input
+        est = np.zeros((config.n_slots + tau, k, m), dtype=complex)
+        _write_estimates(est[tau - 1:], obs, config)
+        windows = sliding_window_view(
+            est.view(float).reshape(est.shape + (2,)), tau, axis=0)
+        slots = 1 + np.flatnonzero(obs.usable[:-1].all(axis=1))
+        slots = slots[slots >= tau][:n_examples - i]
+        j = i + len(slots)
+        x[i:j] = np.moveaxis(windows[slots], -1, 1)
+        thetas[i:j], dists[i:j] = vehicles.theta[slots], vehicles.dist[slots]
+        h[i:j] = effective_channel(thetas[i:j], dists[i:j], config)
+        est_thetas[i:j] = obs.theta_hat[slots - 1]
+        est_dists[i:j] = obs.d_hat[slots - 1]
+        i = j
     return Dataset(x=x, h=h, thetas=thetas, dists=dists,
                    est_thetas=est_thetas, est_dists=est_dists)
 

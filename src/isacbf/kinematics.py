@@ -19,7 +19,8 @@ _ANCHOR_SPACING = 10.0
 
 @dataclass(frozen=True)
 class VehicleState:
-    """The K vehicles of one slot as [K] arrays (or one vehicle as scalars)."""
+    """The K vehicles of one slot as [K] arrays, of n slots as [n, K] arrays,
+    or one vehicle as scalars."""
     x: np.ndarray
     y: np.ndarray
     v: np.ndarray
@@ -28,7 +29,8 @@ class VehicleState:
     radial_v: np.ndarray  # LoS-projected speed, m/s, positive = receding
 
     def records(self) -> list["VehicleState"]:
-        """One scalar VehicleState per vehicle, in vehicle order."""
+        """The states along the first axis: one scalar VehicleState per
+        vehicle of [K] arrays, one [K] state per slot of [n, K] arrays."""
         return [VehicleState(*f) for f in zip(
             self.x, self.y, self.v, self.theta, self.dist, self.radial_v)]
 
@@ -69,12 +71,26 @@ def init_vehicles(config: SimConfig, rng: np.random.Generator) -> VehicleState:
 
 
 def step_motion(state: VehicleState, config: SimConfig,
-                rng: np.random.Generator) -> VehicleState:
+                rng: np.random.Generator,
+                n_steps: int | None = None) -> VehicleState:
     """Advance one slot: redraw the slot-average speeds, move parallel to the road.
 
     The new speed is the average velocity within the slot, so the position
     advances with it: x' = x + v_new * slot_dur.  One draw per vehicle, in
     vehicle order.
+
+    With n_steps, advance n_steps slots from one [n_steps, K] speed draw (the
+    per-slot draws in slot order) and return the trajectory: state followed
+    by the n_steps states after it, as [n_steps + 1, K] arrays.  x
+    accumulates slot by slot, so every state has the bits of the same number
+    of one-slot steps.
     """
-    v_new = rng.uniform(config.v_min, config.v_max, size=np.shape(state.x))
-    return make_state(state.x + v_new * config.slot_dur, state.y, v_new)
+    if n_steps is None:
+        v_new = rng.uniform(config.v_min, config.v_max, size=np.shape(state.x))
+        return make_state(state.x + v_new * config.slot_dur, state.y, v_new)
+    v_new = rng.uniform(config.v_min, config.v_max,
+                        size=(n_steps,) + np.shape(state.x))
+    x = np.cumsum(np.concatenate((state.x[None], v_new * config.slot_dur)),
+                  axis=0)
+    return make_state(x, np.broadcast_to(state.y, x.shape).copy(),
+                      np.concatenate((state.v[None], v_new)))

@@ -81,8 +81,6 @@ class HCLNet(_FlatParams):
 
     def __init__(self, config: SimConfig, kappa: float = 1.0):
         m = config.n_tx
-        if m % 8 != 0:
-            raise ValueError("n_tx must be divisible by 8 for the CNN reshape")
         self.config = config
         self.kappa = float(kappa)
         self.k = config.n_vehicles

@@ -114,27 +114,31 @@ def generate_observation(vehicles: VehicleState, W: np.ndarray,
                          mode: str = "relative") -> Observations:
     """Noisy (delay, Doppler, angle) observations of the K vehicles.
 
+    The vehicles are [K] arrays with an N_t x K W, or [n, K] arrays of n
+    slots with an [N_t, K, n] W (as in fisher_information); the estimates
+    take the vehicles' shape.
     mode "relative": theta_hat = theta*(1+e), e ~ N(0, obs_rel_mse);
     mode "crlb":     theta_hat = theta + N(0, CRLB(theta, w)).
-    One (K, 3) standard-normal block is drawn for every slot, whether or not
-    a vehicle is observable, so the stream stays aligned; a vehicle whose
-    beam carries no energy toward it, or whose distance estimate is not
-    positive, is marked unusable.
+    One (K, 3) standard-normal block is drawn for every slot, in slot order,
+    whether or not a vehicle is observable, so the stream stays aligned; a
+    vehicle whose beam carries no energy toward it, or whose distance
+    estimate is not positive, is marked unusable.
     """
     if mode not in ("relative", "crlb"):
         raise ValueError(f"unknown observation mode: {mode!r}")
     z = rng.standard_normal(np.shape(vehicles.theta) + (3,))
-    noise = obs_noise_vars(vehicles.theta, vehicles.dist, W, config)
+    theta, dist = vehicles.theta, vehicles.dist
+    a = steering(theta, config.n_tx)
+    noise = obs_noise_vars(theta, dist, W, config, a)
     c = config.wave_speed
-    nu = 2.0 * vehicles.dist / c + np.sqrt(noise.sigma_nu2) * z[..., 0]
+    nu = 2.0 * dist / c + np.sqrt(noise.sigma_nu2) * z[..., 0]
     mu = 2.0 * vehicles.radial_v * config.carrier_hz / c \
         + np.sqrt(noise.sigma_mu2) * z[..., 1]
     if mode == "relative":
-        theta_hat = vehicles.theta * (1.0 + math.sqrt(config.obs_rel_mse)
-                                      * z[..., 2])
+        theta_hat = theta * (1.0 + math.sqrt(config.obs_rel_mse) * z[..., 2])
     else:
-        crlb_theta = fisher_information(vehicles, W, config).crlb_theta
-        theta_hat = vehicles.theta + np.sqrt(crlb_theta) * z[..., 2]
+        crlb_theta, _ = _crlbs(theta, dist, W, config, a, noise)
+        theta_hat = theta + np.sqrt(crlb_theta) * z[..., 2]
     d_hat = c * nu / 2.0
     return Observations(theta_hat=theta_hat, d_hat=d_hat,
                         vdot_hat=c * mu / (2.0 * config.carrier_hz),
@@ -194,11 +198,20 @@ def fisher_information(vehicles: VehicleState, W: np.ndarray,
     theta, dist = vehicles.theta, vehicles.dist
     a = steering(theta, config.n_tx)
     noise = obs_noise_vars(theta, dist, W, config, a)
+    crlb_theta, crlb_d = _crlbs(theta, dist, W, config, a, noise)
+    return FisherInfo(
+        crlb_theta=crlb_theta, crlb_d=crlb_d,
+        f_doppler=(2.0 * config.carrier_hz / config.wave_speed) ** 2
+        / noise.sigma_mu2)
+
+
+def _crlbs(theta, dist, W: np.ndarray, config: SimConfig, a: np.ndarray,
+           noise: ObsNoise):
+    """(CRLB_theta, CRLB_d) of the beams W toward vehicles at (theta, dist),
+    given their steering vectors a and noise model; infinite where a
+    vehicle is unobservable."""
     v = _beam_dot(steering_dtheta(theta, config.n_tx, a), W)
     crlb_theta, crlb_d = crlbs(noise.u, v, echo_constants(theta, dist, config),
                                config.echo_noise_var)
-    return FisherInfo(
-        crlb_theta=np.where(noise.observable, crlb_theta, np.inf)[()],
-        crlb_d=np.where(noise.observable, crlb_d, np.inf)[()],
-        f_doppler=(2.0 * config.carrier_hz / config.wave_speed) ** 2
-        / noise.sigma_mu2)
+    return (np.where(noise.observable, crlb_theta, np.inf)[()],
+            np.where(noise.observable, crlb_d, np.inf)[()])

@@ -1,14 +1,18 @@
 """Shared test oracles: finite-difference gradients, an independent FIM, a
-loop max-pool, and the explicit one-user and one-vector forms behind the
-package's closed forms."""
+loop max-pool, the explicit one-user and one-vector forms behind the
+package's closed forms, and one-slot-at-a-time episode and dataset loops."""
 from __future__ import annotations
 
 import math
 
 import numpy as np
 
-from isacbf.channel import steering, steering_dtheta
-from isacbf.sensing import echo_mean, reflection_coeff
+from isacbf.baselines import genie_beamformer, genie_rate, random_beamformer
+from isacbf.channel import (effective_channel, steering, steering_dtheta,
+                            sum_rate)
+from isacbf.kinematics import init_vehicles, step_motion
+from isacbf.sensing import (echo_mean, fisher_information,
+                            generate_observation, reflection_coeff)
 
 
 def fd_fim(state, w_k, config, eps: float = 1e-7) -> np.ndarray:
@@ -101,3 +105,67 @@ def loop_maxpool2x2(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 best = q
         out[n, i, j, ch], idx[n, i, j, ch] = win[best], best
     return out, idx
+
+
+def slot_loop_episode(config, method: str, rng):
+    """A genie or random episode one slot at a time: one motion step, one
+    beam draw and one measurement per slot.  Returns the per-slot vehicles,
+    beams, rates, CRLB_theta and CRLB_d."""
+    rng_motion, _, rng_beam = rng.spawn(3)
+    vehicles = init_vehicles(config, rng_motion)
+    out = []
+    for n in range(config.n_slots):
+        if n:
+            vehicles = step_motion(vehicles, config, rng_motion)
+        if method == "genie":
+            w = genie_beamformer(vehicles, config)
+            rate = genie_rate(vehicles, config)
+        else:
+            w = random_beamformer(config, rng_beam)
+            h = effective_channel(vehicles.theta, vehicles.dist, config)
+            rate = sum_rate(h.T, w, config.noise_vehicle)
+        info = fisher_information(vehicles, w, config)
+        out.append((vehicles, w, rate, info.crlb_theta, info.crlb_d))
+    return tuple(zip(*out))
+
+
+def shift_history(history, obs, config):
+    """The [tau, K, M] history after one slot's observation, one vehicle at a
+    time: a usable vehicle's new row is the channel from its estimates, an
+    unusable one repeats its previous row."""
+    latest = history[-1].copy()
+    for k in range(config.n_vehicles):
+        if obs.usable[k]:
+            latest[k] = effective_channel(obs.theta_hat[k], obs.d_hat[k],
+                                          config)
+    return np.concatenate((history[1:], latest[None]))
+
+
+def slot_loop_dataset(config, n_examples: int, rng,
+                      theta_mode: str = "relative") -> dict:
+    """generate_dataset one slot at a time: per-slot draws, a [tau, K, M]
+    history shifted by one row each slot in which an unusable vehicle
+    repeats its previous entry, and an example at each slot n >= tau whose
+    previous slot observed every vehicle."""
+    tau = config.history_len
+    rows = []
+    while len(rows) < n_examples:
+        rng_motion, rng_obs, rng_beam = rng.spawn(1)[0].spawn(3)
+        vehicles = init_vehicles(config, rng_motion)
+        history = np.zeros((tau, config.n_vehicles, config.n_tx),
+                           dtype=complex)
+        for n in range(config.n_slots):
+            if n:
+                vehicles = step_motion(vehicles, config, rng_motion)
+            if n >= tau and obs.usable.all():
+                rows.append((
+                    np.stack((history.real, history.imag), axis=-1),
+                    effective_channel(vehicles.theta, vehicles.dist, config),
+                    vehicles.theta, vehicles.dist, obs.theta_hat, obs.d_hat))
+            w = random_beamformer(config, rng_beam)
+            obs = generate_observation(vehicles, w, config, rng_obs,
+                                       theta_mode)
+            history = shift_history(history, obs, config)
+    names = ("x", "h", "thetas", "dists", "est_thetas", "est_dists")
+    return {name: np.stack(col) for name, col in
+            zip(names, zip(*rows[:n_examples]))}

@@ -70,3 +70,9 @@ def test_random_beamformer(cfg):
     # each column is a scaled steering vector: constant modulus entries
     p = cfg.power_budget / cfg.n_vehicles
     assert np.allclose(np.abs(w1), np.sqrt(p / cfg.n_tx))
+    # a block of slots is the per-slot draws in slot order
+    block = random_beamformer(cfg, np.random.default_rng(7), 4)
+    rng = np.random.default_rng(7)
+    assert block.shape == (4, cfg.n_tx, cfg.n_vehicles)
+    assert np.array_equal(block, [random_beamformer(cfg, rng)
+                                  for _ in range(4)])

@@ -33,6 +33,8 @@ def test_crlb_subcommand(capsys):
     ["sweep", *SMALL, "--methods", "random", "--power-grid", "1,-1",
      "--realizations", "1"],
     ["gen-data", *SMALL, "--n-examples", "0", "--out", "data.bin"],
+    ["gen-data", *SMALL, "--set", "n_tx=12", "--out", "data.bin"],
+    ["gen-data", *SMALL, "--set", "n_slots=3", "--out", "data.bin"],
     *(["train", *SMALL, "--data", "data.bin", "--out", "m.bin", *bad]
       for bad in (["--batch-size", "-5"], ["--batch-size", "0"],
                   ["--iters", "0"], ["--iters", "-1"], ["--lr", "0"],
@@ -51,7 +53,7 @@ def test_bad_input_is_error(argv, tmp_path, monkeypatch, capsys):
 
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(harness, "run_episode", no_episode)
-    monkeypatch.setattr(harness, "_slots", no_episode)
+    monkeypatch.setattr(harness, "step_motion", no_episode)
     monkeypatch.setattr(Dataset, "load", no_load)
     assert main(argv) == 2
     out, err = capsys.readouterr()
@@ -129,6 +131,26 @@ def test_train_hcl_arch(tmp_path, capsys):
                    "--model", model, "--realizations", "2"])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("arch", ["hcl", "naive"])
+@pytest.mark.parametrize("field, value", [("n_tx", 16), ("n_vehicles", 3),
+                                          ("history_len", 2)])
+def test_dataset_from_another_config_is_error(arch, field, value, tmp_path,
+                                              capsys):
+    """train --data on a dataset made under another n_tx, n_vehicles or
+    history_len prints an error naming the field and writes no model."""
+    data = str(tmp_path / "data.bin")
+    assert main(["gen-data", *SMALL, "--n-examples", "4", "--out", data]) == 0
+    capsys.readouterr()
+    model = tmp_path / "m.bin"
+    rc = main(["train", *SMALL, "--set", f"{field}={value}", "--data", data,
+               "--arch", arch, "--iters", "1", "--out", str(model)])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and f"{field}=" in err
+    assert err.count("\n") == 1
+    assert not model.exists()
 
 
 def test_eval_requires_model(capsys):

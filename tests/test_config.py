@@ -22,7 +22,7 @@ def test_echo_noise_var_default_and_override(cfg):
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"n_tx": 0}, {"n_vehicles": 0}, {"history_len": 0},
+    {"n_tx": 0}, {"n_tx": 12}, {"n_vehicles": 0}, {"history_len": 0},
     {"v_min": 9.0, "v_max": 8.0}, {"power_budget": 0.0},
     {"sigma_r2": 0.0}, {"n_slots": 0}, {"obs_rel_mse": -1.0},
 ])

@@ -3,12 +3,13 @@ import json
 import numpy as np
 import pytest
 
+from helpers import shift_history, slot_loop_dataset, slot_loop_episode
 from isacbf import harness
 from isacbf.harness import (CSV_HEADER, Dataset, EpisodeTrace, MethodStats,
                             export, generate_dataset, monte_carlo_eval,
                             power_sweep, run_episode, train_hcl, train_naive,
                             verify_causality)
-from isacbf.baselines import genie_rate
+from isacbf.baselines import genie_rate, random_beamformer
 from isacbf.channel import effective_channel, sum_rate
 from isacbf.nn.model import HCLNet, NaiveNet
 from isacbf.nn.train import TrainHyper
@@ -44,13 +45,10 @@ def test_episode_measurement_matches_per_slot_calls(small_cfg, monkeypatch):
     slot's fisher_information.  Every other random beam has a zero column
     toward vehicle 1, so infinite CRLBs occur."""
     real_random = harness.random_beamformer
-    calls = [0]
 
-    def beams(config, rng):
-        w = real_random(config, rng)
-        if calls[0] % 2:
-            w[:, 1] = 0.0
-        calls[0] += 1
+    def beams(config, rng, n_slots):
+        w = real_random(config, rng, n_slots)
+        w[1::2, :, 1] = 0.0
         return w
 
     monkeypatch.setattr(harness, "random_beamformer", beams)
@@ -78,6 +76,55 @@ def test_episode_measurement_matches_per_slot_calls(small_cfg, monkeypatch):
                                        rtol=1e-13)
         n_inf += np.isinf(trace.crlb_theta).sum()
     assert n_inf > 0
+
+
+@pytest.mark.parametrize("method", ["genie", "random"])
+def test_exogenous_episode_matches_slot_loop(small_cfg, cfg, method):
+    """A genie or random episode, drawn as [n_slots, K] blocks, equals the
+    one-slot-at-a-time loop: trajectories, beams and rates bit for bit,
+    CRLBs to 1e-13."""
+    for config in (small_cfg, cfg):
+        for seed in range(3):
+            trace = run_episode(config, method, np.random.default_rng(seed))
+            vehicles, w, rates, crlb_theta, crlb_d = slot_loop_episode(
+                config, method, np.random.default_rng(seed))
+            assert trace.states == [v.records() for v in vehicles]
+            assert np.array_equal(trace.w_applied, np.stack(w))
+            assert np.array_equal(trace.rates, np.array(rates))
+            np.testing.assert_allclose(trace.crlb_theta, np.stack(crlb_theta),
+                                       rtol=1e-13)
+            np.testing.assert_allclose(trace.crlb_d, np.stack(crlb_d),
+                                       rtol=1e-13)
+
+
+def test_exogenous_methods_observe_nothing(small_cfg, monkeypatch):
+    """No genie or random beam depends on an observation, so their episodes
+    make none; the causal methods observe every slot but the last."""
+    seen = _record_observations(monkeypatch)
+    models = _models(small_cfg)
+    for method in harness.METHODS:
+        seen.clear()
+        run_episode(small_cfg, method, np.random.default_rng(0),
+                    model=models.get(method))
+        causal = method in ("hcl", "naive_dl")
+        assert len(seen) == (small_cfg.n_slots - 1 if causal else 0)
+
+
+def test_naive_dl_falls_back_to_its_slots_random_row(small_cfg, monkeypatch):
+    """A naive-DL slot whose previous observation is incomplete applies the
+    row of the episode's random-beam block for that slot; every other slot
+    after the first applies the network's beams."""
+    cfg = _noisy(small_cfg)
+    obs = _record_observations(monkeypatch)
+    seed = 1
+    trace = run_episode(cfg, "naive_dl", np.random.default_rng(seed),
+                        model=_models(cfg)["naive_dl"])
+    rng_beam = np.random.default_rng(seed).spawn(3)[2]
+    block = random_beamformer(cfg, rng_beam, cfg.n_slots)
+    fallback = [True] + [not ob.usable.all() for ob in obs]
+    assert 0 < sum(fallback[1:]) < cfg.n_slots - 1
+    for n, w in enumerate(trace.w_applied):
+        assert np.array_equal(w, block[n]) == fallback[n]
 
 
 def test_genie_is_exempt_from_causality(small_cfg):
@@ -124,6 +171,25 @@ def test_generate_dataset(small_cfg):
     assert ds.sha256() == ds2.sha256()
     with pytest.raises(ValueError):
         generate_dataset(small_cfg, 0, rng)
+    # no slot of an episode no longer than its window yields an example
+    with pytest.raises(ValueError, match="n_slots"):
+        generate_dataset(small_cfg.replace(n_slots=3), 4, rng)
+
+
+def test_dataset_matches_slot_loop(small_cfg):
+    """generate_dataset, one observation call and one estimate array per
+    episode, picks the examples of the one-slot-at-a-time loop, with values
+    to 1e-13, on a config where many vehicles are unusable and carry their
+    previous estimate forward."""
+    cfg = _noisy(small_cfg)
+    for mode in ("relative", "crlb"):
+        ds = generate_dataset(cfg, 40, np.random.default_rng(6), mode)
+        ref = slot_loop_dataset(cfg, 40, np.random.default_rng(6), mode)
+        assert np.array_equal(ds.thetas, ref["thetas"])
+        assert np.array_equal(ds.dists, ref["dists"])
+        for name, value in ref.items():
+            np.testing.assert_allclose(getattr(ds, name), value, rtol=1e-13,
+                                       atol=0)
 
 
 def test_dataset_save_load_roundtrip(small_cfg, tmp_path):
@@ -143,6 +209,12 @@ def test_train_entry_points(small_cfg):
     naive, res_n = train_naive(ds, small_cfg, hyper)
     assert len(res_h.loss_trace) == 5 and len(res_n.loss_trace) == 5
     assert hcl.kappa == pytest.approx(ds.kappa())
+    # a dataset made under another window shape is refused by both
+    for field in ("n_tx", "n_vehicles", "history_len"):
+        other = small_cfg.replace(**{field: 2 * getattr(small_cfg, field)})
+        for trainer in (train_hcl, train_naive):
+            with pytest.raises(ValueError, match=field):
+                trainer(ds, other, hyper)
 
 
 def test_monte_carlo_eval_ordering(small_cfg):
@@ -220,7 +292,7 @@ def test_negative_distance_estimate_is_unusable(small_cfg, monkeypatch):
                 model=_models(cfg)["naive_dl"])
     n_bad = sum(not ob.usable.all() for ob in obs)
     assert n_bad > 0
-    assert len(seen) == cfg.n_slots - n_bad
+    assert len(seen) == len(obs) - n_bad
     assert all((d > 0).all() for d in seen)
 
 
@@ -282,69 +354,89 @@ def test_method_stats_sqrt_properties():
     assert d["P"] == 1.0 and d["n"] == 3
 
 
-def test_estimated_channel_falls_back_to_previous(small_cfg):
-    """Each slot shifts the [tau, K, M] history by one row; a usable vehicle's
+class _FixedBeams:
+    """A stand-in HCL model: records each history it is given and returns
+    the same beams whatever the history, with the column toward vehicle 1
+    zero for the slots from zero_from on."""
+
+    def __init__(self, config, zero_from=None):
+        self.w = random_beamformer(config, np.random.default_rng(11))
+        self.slot = config.history_len   # the slot the next call decides
+        self.zero_from = zero_from
+        self.histories = []
+
+    def predict(self, history, project=False):
+        self.histories.append(history.copy())
+        w = self.w.copy()
+        if self.zero_from is not None and self.slot >= self.zero_from:
+            w[:, 1] = 0.0
+        self.slot += 1
+        return w
+
+
+def _expected_histories(config, observations):
+    """Each slot's history, built one row at a time from the slot's
+    observation (zeros before the first slot)."""
+    history = np.zeros((config.history_len, config.n_vehicles, config.n_tx),
+                       dtype=complex)
+    out = []
+    for ob in observations:
+        history = shift_history(history, ob, config)
+        out.append(history)
+    return out
+
+
+def test_estimated_channel_falls_back_to_previous(small_cfg, monkeypatch):
+    """HCL-Net's history at each slot shifts by one row; a usable vehicle's
     new row is the channel from its estimates, an unusable one repeats its
     previous row (zeros before the first slot)."""
     cfg = _noisy(small_cfg)
-    prev = np.zeros((cfg.history_len, cfg.n_vehicles, cfg.n_tx), dtype=complex)
-    n_carried = 0
-    for _, _, _, ob, hist in harness._slots(
-            cfg, "random", np.random.default_rng(2), None, "relative", False):
-        assert np.array_equal(hist[:-1], prev[1:])
-        for k in range(cfg.n_vehicles):
-            if ob.usable[k]:
-                assert np.allclose(hist[-1, k], effective_channel(
-                    ob.theta_hat[k], ob.d_hat[k], cfg), rtol=1e-14, atol=0)
-            else:
-                assert np.array_equal(hist[-1, k], prev[-1, k])
-                n_carried += 1
-        prev = hist
+    obs = _record_observations(monkeypatch)
+    model = _FixedBeams(cfg)
+    run_episode(cfg, "hcl", np.random.default_rng(2), model=model)
+    expected = _expected_histories(cfg, obs)[cfg.history_len - 1:]
+    assert len(model.histories) == len(expected)
+    assert len(expected) == cfg.n_slots - cfg.history_len
+    for got, want in zip(model.histories, expected):
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+    n_carried = sum((~ob.usable).sum() for ob in obs)
     assert n_carried > 0
 
 
 def test_zero_beam_keeps_streams_aligned(small_cfg, monkeypatch):
     """Observation noise is drawn for every vehicle in every slot and masked
-    afterwards.  Vehicle 1's beam is zero from slot 4 on: it is unusable,
-    its CRLBs are infinite and its history row is carried forward, while the
-    other vehicle's estimates and all trajectories equal those of the same
-    seed with aimed beams."""
-    real_random = harness.random_beamformer
+    afterwards.  HCL's beam toward vehicle 1 is zero from slot 4 on: it is
+    unusable, its CRLBs are infinite and its history row is carried forward,
+    while the other vehicle's estimates and all trajectories equal those of
+    the same seed with aimed beams."""
     zero_from = 4
+    obs = _record_observations(monkeypatch)
 
-    def patch_beams(start):
-        calls = [0]       # call n decides slot n's beams
+    def episode(model):
+        obs.clear()
+        trace = run_episode(small_cfg, "hcl", np.random.default_rng(4),
+                            model=model)
+        return trace, list(obs)
 
-        def beams(config, rng):
-            w = real_random(config, rng)
-            if calls[0] >= start:
-                w[:, 1] = 0.0
-            calls[0] += 1
-            return w
-
-        monkeypatch.setattr(harness, "random_beamformer", beams)
-
-    def slots(start):
-        patch_beams(start)
-        return list(harness._slots(small_cfg, "random",
-                                   np.random.default_rng(4), None, "relative",
-                                   False))
-
-    aimed, zeroed = slots(small_cfg.n_slots), slots(zero_from)
-    patch_beams(zero_from)
-    trace = run_episode(small_cfg, "random", np.random.default_rng(4))
-    held = zeroed[zero_from - 1][4][-1, 1]
-    assert np.any(held != 0)
-    for n, ((va, _, _, oa, _), (vz, _, _, oz, hz)) in enumerate(
-            zip(aimed, zeroed)):
-        assert va.records() == vz.records()
-        assert oa.theta_hat[0] == oz.theta_hat[0]
-        assert oa.d_hat[0] == oz.d_hat[0]
-        unusable = n >= zero_from
-        assert oz.usable[1] != unusable
-        assert np.isinf(trace.crlb_theta[n][1]) == unusable
-        assert np.isinf(trace.crlb_d[n][1]) == unusable
-        if unusable:
-            assert np.array_equal(hz[-1, 1], held)
+    (aimed, obs_a), zeroed = episode(_FixedBeams(small_cfg)), _FixedBeams(
+        small_cfg, zero_from)
+    trace, obs_z = episode(zeroed)
+    assert trace.states == aimed.states
     assert trace.states == run_episode(small_cfg, "genie",
                                        np.random.default_rng(4)).states
+    for n, (oa, oz) in enumerate(zip(obs_a, obs_z)):
+        assert oa.theta_hat[0] == oz.theta_hat[0]
+        assert oa.d_hat[0] == oz.d_hat[0]
+        assert oz.usable[1] != (n >= zero_from)
+    for n in range(small_cfg.n_slots):
+        unusable = n >= zero_from
+        assert np.isinf(trace.crlb_theta[n][1]) == unusable
+        assert np.isinf(trace.crlb_d[n][1]) == unusable
+    # history i ends at slot tau - 1 + i; vehicle 1's row is held from the
+    # last slot it was usable
+    tau = small_cfg.history_len
+    held = zeroed.histories[zero_from - tau][-1, 1]
+    assert np.any(held != 0)
+    for i, hist in enumerate(zeroed.histories):
+        if tau - 1 + i >= zero_from:
+            assert np.array_equal(hist[-1, 1], held)

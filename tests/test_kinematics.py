@@ -68,6 +68,21 @@ def test_step_motion(cfg):
     assert s1.radial_v == pytest.approx(s1.v * s1.x / s1.dist)
 
 
+def test_step_motion_block_matches_slot_steps(cfg):
+    """n_steps slots from one [n_steps, K] speed draw give the bits of
+    n_steps one-slot steps, the start state first."""
+    s0 = init_vehicles(cfg, np.random.default_rng(0))
+    traj = step_motion(s0, cfg, np.random.default_rng(3), 49)
+    assert traj.x.shape == traj.y.shape == (50, cfg.n_vehicles)
+    rng, s, states = np.random.default_rng(3), s0, [s0.records()]
+    for _ in range(49):
+        s = step_motion(s, cfg, rng)
+        states.append(s.records())
+    assert [v.records() for v in traj.records()] == states
+    one = step_motion(s0, cfg, np.random.default_rng(3), 0)
+    assert [v.records() for v in one.records()] == [s0.records()]
+
+
 def test_vehicles_advance_downrange(cfg):
     rng = np.random.default_rng(5)
     s = make_state(15.0, 20.0, 8.0)

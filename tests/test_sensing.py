@@ -113,6 +113,30 @@ def test_observation_modes(cfg):
         generate_observation(v, W, cfg, rng, mode="bogus")
 
 
+def test_crlb_mode_angle_noise_is_the_fisher_crlb(cfg):
+    """In crlb mode theta_hat = theta + sqrt(CRLB_theta) * z, with CRLB_theta
+    that of fisher_information and z the angle column of the slot's (K, 3)
+    draw, for one slot's [K] vehicles and a stack of slots alike."""
+    rng = np.random.default_rng(2)
+    v = init_vehicles(cfg, rng)
+    W = steering(v.theta + rng.normal(0.0, 0.05, 3), cfg.n_tx).T
+    ob = generate_observation(v, W, cfg, np.random.default_rng(9), "crlb")
+    z = np.random.default_rng(9).standard_normal((cfg.n_vehicles, 3))[:, 2]
+    crlb = fisher_information(v, W, cfg).crlb_theta
+    np.testing.assert_allclose(ob.theta_hat, v.theta + np.sqrt(crlb) * z,
+                               rtol=1e-15, atol=0)
+    # two slots: the same vehicles, then with the beams of the first two
+    # vehicles swapped
+    vs = make_state(*(np.stack((f, f)) for f in (v.x, v.y, v.v)))
+    Ws = np.stack((W, W[:, [1, 0, 2]]), axis=-1)
+    ob = generate_observation(vs, Ws, cfg, np.random.default_rng(9), "crlb")
+    z = np.random.default_rng(9).standard_normal((2, cfg.n_vehicles, 3))
+    crlb = fisher_information(vs, Ws, cfg).crlb_theta
+    np.testing.assert_allclose(ob.theta_hat,
+                               vs.theta + np.sqrt(crlb) * z[..., 2],
+                               rtol=1e-15, atol=0)
+
+
 def test_observation_statistics(cfg):
     """Distance estimates of 20000 vehicles in one call: unbiased, with the
     delay variance of the noise model mapped through d = c*nu/2."""
