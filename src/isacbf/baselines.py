@@ -10,16 +10,15 @@ from .nn.model import NaiveNet, output_to_matrix
 
 
 def _aimed_beams(thetas: np.ndarray, config: SimConfig) -> np.ndarray:
-    """N_t x K equal-power-split beams sqrt(P/K) * a(theta_k); [n, K] angles
-    of n slots give the [n, N_t, K] stack of the slots' matrices."""
+    """Equal-power-split beams sqrt(P/K) * a(theta_k), one row per angle:
+    [K] angles give [K, N_t], [n, K] angles of n slots give [n, K, N_t]."""
     p = config.power_budget / config.n_vehicles
-    return np.ascontiguousarray(
-        np.swapaxes(np.sqrt(p) * steering(thetas, config.n_tx), -1, -2))
+    return np.sqrt(p) * steering(thetas, config.n_tx)
 
 
 def genie_beamformer(vehicles: VehicleState, config: SimConfig) -> np.ndarray:
     """Perfectly aligned equal-power-split beams sqrt(P/K) * a(theta_k):
-    N_t x K for [K] vehicles, [n, N_t, K] for [n, K] vehicles of n slots."""
+    [K, N_t] for [K] vehicles, [n, K, N_t] for [n, K] vehicles of n slots."""
     return _aimed_beams(vehicles.theta, config)
 
 
@@ -34,7 +33,8 @@ def genie_rate(vehicles: VehicleState, config: SimConfig):
 
 def naive_dl_beamformer(theta_hat: np.ndarray, d_hat: np.ndarray,
                         net: NaiveNet, config: SimConfig) -> np.ndarray:
-    """Beams from the last slot's [K] estimated angles/distances via the FC net."""
+    """[K, N_t] beams from the last slot's [K] estimated angles/distances via
+    the FC net."""
     if net is None:
         raise ValueError("naive DL baseline requires a trained network")
     o = net.forward(net.features(theta_hat[None], d_hat[None]))
@@ -45,7 +45,7 @@ def random_beamformer(config: SimConfig, rng: np.random.Generator,
                       n_slots: int | None = None) -> np.ndarray:
     """Beams aimed at i.i.d. U(0, pi) angles; ||W||_F^2 = P exactly.
 
-    N_t x K from K draws, or with n_slots the [n_slots, N_t, K] stack of
+    [K, N_t] from K draws, or with n_slots the [n_slots, K, N_t] stack of
     n_slots matrices from one [n_slots, K] draw, the per-slot draws in slot
     order.
     """

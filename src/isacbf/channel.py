@@ -68,9 +68,10 @@ def batch_sinr(h: np.ndarray, w: np.ndarray, sigma2: float):
 
 
 def sum_rate(H: np.ndarray, W: np.ndarray, sigma2: float):
-    """Sum of log2(1 + SINR_k) over the K users; H and W are N_t x K, or
-    [N_t, K, n] stacks of n slots that give [n] sum-rates."""
-    if H.shape[1] != W.shape[1]:
-        raise ValueError("H and W must have the same number of columns")
-    phi, _, _ = batch_sinr(H.T, W.T, sigma2)
+    """Sum of log2(1 + SINR_k) over the K users; H and W are [K, N_t] (row k
+    user k's channel and beam), or [n, K, N_t] stacks of n slots that give
+    [n] sum-rates."""
+    if H.shape != W.shape:
+        raise ValueError(f"H {H.shape} and W {W.shape} must have one shape")
+    phi, _, _ = batch_sinr(H, W, sigma2)
     return np.log2(1.0 + phi).sum(axis=-1)

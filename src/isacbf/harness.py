@@ -34,7 +34,9 @@ METHODS = ("genie", "naive_dl", "random", "hcl")
 @dataclass
 class EpisodeTrace:
     vehicles: VehicleState   # [n_slots, K] arrays
-    w_applied: np.ndarray    # [n_slots, N_t, K] complex
+    # [n_slots, N_t, K] complex, column k vehicle k's beam (the benchmark's
+    # episode check reads w[:, k]): a view of the [n_slots, K, N_t] beam rows
+    w_applied: np.ndarray
     decided_at: np.ndarray   # [n_slots] slot index that chose W
     rates: np.ndarray        # [n_slots]
     crlb_theta: np.ndarray   # [n_slots, K]
@@ -140,17 +142,15 @@ def run_episode(config: SimConfig, method: str, rng: np.random.Generator,
         if method != "random":
             _decide(config, method, model, vehicles, w, rng_obs, theta_mode,
                     project)
-    # [N_t, K, n_slots]: its .T is the [n_slots, K, N_t] stack of beam rows
-    beams = w.transpose(1, 2, 0)
     if method == "genie":
         rates = genie_rate(vehicles, config)
     else:
         h = effective_channel(vehicles.theta, vehicles.dist, config)
-        rates = sum_rate(h.T, beams, config.noise_vehicle)
-    info = fisher_information(vehicles, beams, config)
-    return EpisodeTrace(vehicles=vehicles, w_applied=w, decided_at=decided_at,
-                        rates=rates, crlb_theta=info.crlb_theta,
-                        crlb_d=info.crlb_d)
+        rates = sum_rate(h, w, config.noise_vehicle)
+    info = fisher_information(vehicles, w, config)
+    return EpisodeTrace(vehicles=vehicles, w_applied=w.swapaxes(1, 2),
+                        decided_at=decided_at, rates=rates,
+                        crlb_theta=info.crlb_theta, crlb_d=info.crlb_d)
 
 
 # ---- datasets --------------------------------------------------------------
@@ -169,7 +169,8 @@ class Dataset:
         return self.x.shape[0]
 
     def kappa(self) -> float:
-        """Input normalization 1 / median estimated-channel column norm."""
+        """Input normalization 1 / median norm of the estimated-channel rows
+        h_k (each slot's and vehicle's length-M vector)."""
         norms = np.sqrt((self.x ** 2).sum(axis=(3, 4)))
         med = float(np.median(norms))
         return 1.0 / med if med > 0 else 1.0
@@ -233,8 +234,7 @@ def generate_dataset(config: SimConfig, n_examples: int,
     while i < n_examples:
         vehicles, rng_obs, rng_beam = _exogenous(config, rng.spawn(1)[0])
         w = random_beamformer(config, rng_beam, config.n_slots)
-        obs = generate_observation(vehicles, w.transpose(1, 2, 0), config,
-                                   rng_obs, theta_mode)
+        obs = generate_observation(vehicles, w, config, rng_obs, theta_mode)
         # row tau + n holds slot n's estimated channels, zeros before slot 0,
         # so window n (rows n .. n + tau - 1) is slot n's input
         est = np.zeros((config.n_slots + tau, k, m), dtype=complex)

@@ -23,8 +23,9 @@ CNN_ROWS = 4  # a length-M antenna vector is reshaped to 4 x (M/4) x 2
 
 
 def output_to_matrix(o: np.ndarray) -> np.ndarray:
-    """Map the real [K, M, 2] network output to the complex N_t x K matrix."""
-    return (o[:, :, 0] + 1j * o[:, :, 1]).T
+    """Map the real [..., K, M, 2] network output to the complex [..., K, M]
+    beams, row k vehicle k's beam."""
+    return o[..., 0] + 1j * o[..., 1]
 
 
 def _sigmoid(x):
@@ -222,8 +223,8 @@ class HCLNet(_FlatParams):
     # ---- inference ---------------------------------------------------------
 
     def predict(self, history: np.ndarray, project: bool = False) -> np.ndarray:
-        """Beamforming matrix (N_t x K) for one [tau, K, M] complex history of
-        estimated channels, oldest slot first."""
+        """[K, N_t] beams, row k vehicle k's, for one [tau, K, M] complex
+        history of estimated channels, oldest slot first."""
         o = self.forward(np.stack((history.real, history.imag), axis=-1)[None])
         w = output_to_matrix(o[0])
         if project:

@@ -80,27 +80,20 @@ def _delay_doppler_vars(dist, gain, config: SimConfig):
             config.rho_mu ** 2 * config.noise_rsu / denom)
 
 
-def _beam_dot(a: np.ndarray, W: np.ndarray):
-    """a_k^H w_k for each vehicle: a is [..., M] and W is N_t x K (or one
-    beam).  A stack of row-times-column products sums in the order of one
-    vehicle's a^H w."""
-    return (a.conj()[..., None, :] @ W.T[..., :, None])[..., 0, 0]
-
-
 def obs_noise_vars(theta, dist, W: np.ndarray, config: SimConfig,
                    a=None) -> ObsNoise:
     """Delay/Doppler error variances for given geometries and transmit beams.
 
-    Column k of W is the beam toward the vehicle at (theta[k], dist[k]); a is
+    Row k of W is the beam toward the vehicle at (theta[k], dist[k]); a is
     steering(theta, N_t) if the caller has it.  Both variances scale as
     1/(xi * |psi|^2 * |a^H w|^2) with |psi|^2 = N_t*N_r*|beta|^2 (the
     Doppler phase has unit modulus).
     """
     if a is None:
         a = steering(theta, config.n_tx)
-    u = _beam_dot(a, W)
+    u = np.vecdot(a, W)
     gain = np.abs(u) ** 2
-    wnorm2 = _beam_dot(W.T, W).real
+    wnorm2 = np.vecdot(W, W).real
     observable = ~(gain <= _GAIN_FLOOR * np.maximum(1.0, wnorm2))
     with np.errstate(divide="ignore", invalid="ignore"):
         nu2, mu2 = _delay_doppler_vars(dist, gain, config)
@@ -114,8 +107,8 @@ def generate_observation(vehicles: VehicleState, W: np.ndarray,
                          mode: str = "relative") -> Observations:
     """Noisy (delay, Doppler, angle) observations of the K vehicles.
 
-    The vehicles are [K] arrays with an N_t x K W, or [n, K] arrays of n
-    slots with an [N_t, K, n] W (as in fisher_information); the estimates
+    The vehicles are [K] arrays with a [K, N_t] W, or [n, K] arrays of n
+    slots with an [n, K, N_t] W (as in fisher_information); the estimates
     take the vehicles' shape.
     mode "relative": theta_hat = theta*(1+e), e ~ N(0, obs_rel_mse);
     mode "crlb":     theta_hat = theta + N(0, CRLB(theta, w)).
@@ -186,10 +179,9 @@ def crlbs(u, v, echo: EchoConstants, sigma_r2: float):
 def fisher_information(vehicles: VehicleState, W: np.ndarray,
                        config: SimConfig) -> FisherInfo:
     """Diagonal FIMs over (theta, d, v_dot) and the angle/distance CRLBs of
-    the vehicles, column k of W being the beam toward vehicle k.  The
-    vehicles are [K] arrays with an N_t x K W, or [n, K] arrays of n slots
-    with an [N_t, K, n] W (whose .T stacks the slots' beam rows); the CRLBs
-    take the vehicles' shape.
+    the vehicles, row k of W being the beam toward vehicle k.  The vehicles
+    are [K] arrays with a [K, N_t] W, or [n, K] arrays of n slots with an
+    [n, K, N_t] W; the CRLBs take the vehicles' shape.
 
     f11 = 1/CRLB_theta = ||d(echo)/d(theta)||^2 / sigma_r^2,
     f22 = 1/CRLB_d = (2/c)^2 / sigma_nu^2, f33 = (2 f_c/c)^2 / sigma_mu^2.
@@ -210,7 +202,7 @@ def _crlbs(theta, dist, W: np.ndarray, config: SimConfig, a: np.ndarray,
     """(CRLB_theta, CRLB_d) of the beams W toward vehicles at (theta, dist),
     given their steering vectors a and noise model; infinite where a
     vehicle is unobservable."""
-    v = _beam_dot(steering_dtheta(theta, config.n_tx, a), W)
+    v = np.vecdot(steering_dtheta(theta, config.n_tx, a), W)
     crlb_theta, crlb_d = crlbs(noise.u, v, echo_constants(theta, dist, config),
                                config.echo_noise_var)
     return (np.where(noise.observable, crlb_theta, np.inf)[()],

@@ -58,9 +58,9 @@ def echo_dtheta(theta: float, dist: float, w_k: np.ndarray,
 
 
 def sinr(h_k: np.ndarray, W: np.ndarray, k: int, sigma2: float) -> float:
-    """SINR of user k for beamforming matrix W (columns are per-user beams),
-    one user at a time: the reference for channel.batch_sinr."""
-    gains = np.abs(h_k.conj() @ W) ** 2
+    """SINR of user k for the [K, N_t] beams W (row j is user j's beam), one
+    user at a time: the reference for channel.batch_sinr."""
+    gains = np.abs(W @ h_k.conj()) ** 2
     signal = gains[k]
     interference = gains.sum() - signal
     return float(signal / (interference + sigma2))
@@ -123,7 +123,7 @@ def slot_loop_episode(config, method: str, rng):
         else:
             w = random_beamformer(config, rng_beam)
             h = effective_channel(vehicles.theta, vehicles.dist, config)
-            rate = sum_rate(h.T, w, config.noise_vehicle)
+            rate = sum_rate(h, w, config.noise_vehicle)
         info = fisher_information(vehicles, w, config)
         out.append((vehicles, w, rate, info.crlb_theta, info.crlb_d))
     return tuple(zip(*out))

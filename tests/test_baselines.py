@@ -15,11 +15,11 @@ def _states(cfg, seed=0):
 def test_genie_beams_are_aligned(cfg):
     states = _states(cfg)
     w = genie_beamformer(states, cfg)
-    assert w.shape == (cfg.n_tx, cfg.n_vehicles)
+    assert w.shape == (cfg.n_vehicles, cfg.n_tx)
     assert np.sum(np.abs(w) ** 2) == pytest.approx(cfg.power_budget, rel=1e-12)
     p = cfg.power_budget / cfg.n_vehicles
     for i, s in enumerate(states.records()):
-        assert np.allclose(w[:, i], np.sqrt(p) * steering(s.theta, cfg.n_tx))
+        assert np.allclose(w[i], np.sqrt(p) * steering(s.theta, cfg.n_tx))
 
 
 def test_genie_rate_closed_form_and_upper_bound(cfg):
@@ -30,8 +30,8 @@ def test_genie_rate_closed_form_and_upper_bound(cfg):
                 / cfg.noise_vehicle) for s in states.records())
     assert genie_rate(states, cfg) == pytest.approx(expect, rel=1e-12)
     # the interference-free bound dominates the realized rate of its own beams
-    h = np.column_stack([effective_channel(s.theta, s.dist, cfg)
-                         for s in states.records()])
+    h = np.stack([effective_channel(s.theta, s.dist, cfg)
+                  for s in states.records()])
     realized = sum_rate(h, genie_beamformer(states, cfg), cfg.noise_vehicle)
     assert genie_rate(states, cfg) >= realized
 
@@ -52,7 +52,7 @@ def test_naive_dl_beamformer(cfg):
     th = np.array([0.9, 0.7, 0.5])
     dd = np.array([25.0, 35.0, 45.0])
     w = naive_dl_beamformer(th, dd, net, cfg)
-    assert w.shape == (cfg.n_tx, cfg.n_vehicles)
+    assert w.shape == (cfg.n_vehicles, cfg.n_tx)
     # matches a direct forward pass on the same features
     o = net.forward(net.features(th[None], dd[None]))
     assert np.allclose(w, output_to_matrix(o[0]))
@@ -67,12 +67,12 @@ def test_random_beamformer(cfg):
     assert np.array_equal(w1, w2)
     assert not np.array_equal(w1, w3)
     assert np.sum(np.abs(w1) ** 2) == pytest.approx(cfg.power_budget, rel=1e-12)
-    # each column is a scaled steering vector: constant modulus entries
+    # each row is a scaled steering vector: constant modulus entries
     p = cfg.power_budget / cfg.n_vehicles
     assert np.allclose(np.abs(w1), np.sqrt(p / cfg.n_tx))
     # a block of slots is the per-slot draws in slot order
     block = random_beamformer(cfg, np.random.default_rng(7), 4)
     rng = np.random.default_rng(7)
-    assert block.shape == (4, cfg.n_tx, cfg.n_vehicles)
+    assert block.shape == (4, cfg.n_vehicles, cfg.n_tx)
     assert np.array_equal(block, [random_beamformer(cfg, rng)
                                   for _ in range(4)])

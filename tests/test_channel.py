@@ -101,39 +101,42 @@ def test_sinr_with_interference():
     phi, s, denom = batch_sinr(h, w, sigma2)
     assert phi.shape == denom.shape == (2, 3) and s.shape == (2, 3, 3)
     for i in range(2):
-        gains = np.abs(h[i, 1].conj() @ w[i].T) ** 2
+        gains = np.abs(w[i] @ h[i, 1].conj()) ** 2
         expect = gains[1] / (gains[0] + gains[2] + sigma2)
         assert phi[i, 1] == pytest.approx(expect, rel=1e-12)
         assert s[i, 1, 2] == pytest.approx(h[i, 1].conj() @ w[i, 2], rel=1e-12)
         for k in range(3):
-            assert phi[i, k] == pytest.approx(sinr(h[i, k], w[i].T, k, sigma2),
+            assert phi[i, k] == pytest.approx(sinr(h[i, k], w[i], k, sigma2),
                                               rel=1e-12)
 
 
 def test_sum_rate_matches_per_user_sum():
     rng = np.random.default_rng(1)
     n, k, sigma2 = 8, 3, 1e-2
-    h = rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))
-    w = rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k))
-    total = sum(np.log2(1 + sinr(h[:, i], w, i, sigma2)) for i in range(k))
+    h = rng.normal(size=(k, n)) + 1j * rng.normal(size=(k, n))
+    w = rng.normal(size=(k, n)) + 1j * rng.normal(size=(k, n))
+    total = sum(np.log2(1 + sinr(h[i], w, i, sigma2)) for i in range(k))
     assert sum_rate(h, w, sigma2) == pytest.approx(total, rel=1e-12)
 
 
 def test_sum_rate_over_a_stack_of_slots():
-    """[N_t, K, n] stacks give the n per-slot sum-rates; slot 1 has a zero
+    """[n, K, N_t] stacks give the n per-slot sum-rates; slot 1 has a zero
     beam toward user 2."""
     rng = np.random.default_rng(2)
     n, k, sigma2 = 8, 3, 1e-2
-    h = rng.normal(size=(n, k, 3)) + 1j * rng.normal(size=(n, k, 3))
-    w = rng.normal(size=(n, k, 3)) + 1j * rng.normal(size=(n, k, 3))
-    w[:, 2, 1] = 0.0
+    h = rng.normal(size=(3, k, n)) + 1j * rng.normal(size=(3, k, n))
+    w = rng.normal(size=(3, k, n)) + 1j * rng.normal(size=(3, k, n))
+    w[1, 2] = 0.0
     rates = sum_rate(h, w, sigma2)
     assert rates.shape == (3,)
     np.testing.assert_allclose(
-        rates, [sum_rate(h[..., s], w[..., s], sigma2) for s in range(3)],
-        rtol=1e-14)
+        rates, [sum_rate(h[s], w[s], sigma2) for s in range(3)], rtol=1e-14)
 
 
 def test_sum_rate_shape_mismatch():
-    with pytest.raises(ValueError):
-        sum_rate(np.zeros((4, 2), complex), np.zeros((4, 3), complex), 1.0)
+    """A user count or an antenna count that differs between H and W is
+    refused before any product is formed."""
+    for w_shape in ((3, 4), (2, 5)):
+        with pytest.raises(ValueError, match="one shape"):
+            sum_rate(np.zeros((2, 4), complex), np.zeros(w_shape, complex),
+                     1.0)

@@ -42,13 +42,13 @@ def test_run_episode_shapes_and_causality(small_cfg):
 def test_episode_measurement_matches_per_slot_calls(small_cfg, monkeypatch):
     """One pass after the slot loop measures every slot: each rate equals
     that slot's own genie_rate or sum_rate bit for bit, and its CRLBs that
-    slot's fisher_information.  Every other random beam has a zero column
+    slot's fisher_information.  Every other random beam has a zero row
     toward vehicle 1, so infinite CRLBs occur."""
     real_random = harness.random_beamformer
 
     def beams(config, rng, n_slots):
         w = real_random(config, rng, n_slots)
-        w[1::2, :, 1] = 0.0
+        w[1::2, 1] = 0.0
         return w
 
     monkeypatch.setattr(harness, "random_beamformer", beams)
@@ -62,12 +62,12 @@ def test_episode_measurement_matches_per_slot_calls(small_cfg, monkeypatch):
         assert trace.decided_at.shape == trace.rates.shape == (n,)
         assert trace.crlb_theta.shape == trace.crlb_d.shape == (n, k)
         for s, (v, w) in enumerate(zip(trace.vehicles.records(),
-                                       trace.w_applied)):
+                                       trace.w_applied.swapaxes(1, 2))):
             if method == "genie":
                 rate = genie_rate(v, cfg)
             else:
                 h = effective_channel(v.theta, v.dist, cfg)
-                rate = sum_rate(h.T, w, cfg.noise_vehicle)
+                rate = sum_rate(h, w, cfg.noise_vehicle)
             assert trace.rates[s] == rate
             info = fisher_information(v, w, cfg)
             np.testing.assert_allclose(trace.crlb_theta[s], info.crlb_theta,
@@ -89,7 +89,8 @@ def test_exogenous_episode_matches_slot_loop(small_cfg, cfg, method):
             vehicles, w, rates, crlb_theta, crlb_d = slot_loop_episode(
                 config, method, np.random.default_rng(seed))
             assert trace.states == [v.records() for v in vehicles]
-            assert np.array_equal(trace.w_applied, np.stack(w))
+            assert np.array_equal(trace.w_applied.swapaxes(1, 2),
+                                  np.stack(w))
             assert np.array_equal(trace.rates, np.array(rates))
             np.testing.assert_allclose(trace.crlb_theta, np.stack(crlb_theta),
                                        rtol=1e-13)
@@ -123,7 +124,7 @@ def test_naive_dl_falls_back_to_its_slots_random_row(small_cfg, monkeypatch):
     block = random_beamformer(cfg, rng_beam, cfg.n_slots)
     fallback = [True] + [not ob.usable.all() for ob in obs]
     assert 0 < sum(fallback[1:]) < cfg.n_slots - 1
-    for n, w in enumerate(trace.w_applied):
+    for n, w in enumerate(trace.w_applied.swapaxes(1, 2)):
         assert np.array_equal(w, block[n]) == fallback[n]
 
 
@@ -356,7 +357,7 @@ def test_method_stats_sqrt_properties():
 
 class _FixedBeams:
     """A stand-in HCL model: records each history it is given and returns
-    the same beams whatever the history, with the column toward vehicle 1
+    the same beams whatever the history, with the row toward vehicle 1
     zero for the slots from zero_from on."""
 
     def __init__(self, config, zero_from=None):
@@ -369,7 +370,7 @@ class _FixedBeams:
         self.histories.append(history.copy())
         w = self.w.copy()
         if self.zero_from is not None and self.slot >= self.zero_from:
-            w[:, 1] = 0.0
+            w[1] = 0.0
         self.slot += 1
         return w
 

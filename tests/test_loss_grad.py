@@ -63,7 +63,7 @@ def test_loss_crlbs_match_fisher_information(cfg, rng):
     for i in range(3):
         w = output_to_matrix(o[i])
         for k in range(cfg.n_vehicles):
-            f = fd_fim(_state(th[i, k], d[i, k]), w[:, k], cfg)
+            f = fd_fim(_state(th[i, k], d[i, k]), w[k], cfg)
             ct.append(1.0 / f[0, 0])
             cd.append(1.0 / f[1, 1])
     # the angle oracle is a central difference (error ~1e-8, criterion 2)

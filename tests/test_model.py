@@ -75,8 +75,8 @@ def test_map_input(cfg, rng):
 def test_output_to_matrix():
     o = np.arange(3 * 4 * 2, dtype=float).reshape(3, 4, 2)
     w = output_to_matrix(o)
-    assert w.shape == (4, 3)
-    assert w[1, 2] == o[2, 1, 0] + 1j * o[2, 1, 1]
+    assert w.shape == (3, 4)
+    assert w[2, 1] == o[2, 1, 0] + 1j * o[2, 1, 1]
 
 
 def test_hclnet_parameter_layout(cfg):
@@ -217,7 +217,7 @@ def test_predict_and_projection(cfg, rng):
     net = HCLNet(cfg)
     net.init_params(rng)
     w = net.predict(_window(cfg, rng))
-    assert w.shape == (cfg.n_tx, cfg.n_vehicles)
+    assert w.shape == (cfg.n_vehicles, cfg.n_tx)
     wp = net.predict(_window(cfg, rng), project=True)
     assert np.sum(np.abs(wp) ** 2) <= cfg.power_budget * (1 + 1e-12)
 

@@ -61,10 +61,9 @@ def test_obs_noise_vars_scaling(cfg):
     w = 2.0 * steering(s.theta, cfg.n_tx)     # 4x gain -> variances / 4
     noise = obs_noise_vars(s.theta, s.dist, w, cfg)
     assert noise.sigma_nu2 == pytest.approx(SIGMA_NU2_25 / 4.0, rel=1e-12)
-    # K vehicles with the columns of one beam matrix: one entry each
+    # K vehicles with the rows of one beam matrix: one entry each
     v = _vehicles_25()
-    W = np.stack([steering(s.theta, cfg.n_tx) * g for g in (1.0, 2.0, 4.0)],
-                 axis=1)
+    W = np.stack([steering(s.theta, cfg.n_tx) * g for g in (1.0, 2.0, 4.0)])
     noise = obs_noise_vars(v.theta, v.dist, W, cfg)
     assert noise.sigma_nu2 == pytest.approx(
         SIGMA_NU2_25 / np.array([1.0, 4.0, 16.0]), rel=1e-12)
@@ -78,10 +77,10 @@ def test_zero_beam_is_unobservable(cfg):
     assert math.isinf(noise.sigma_nu2)
     info = fisher_information(s, w, cfg)
     assert math.isinf(info.crlb_theta) and math.isinf(info.crlb_d)
-    # one zeroed column among aimed ones: only that vehicle is unusable
+    # one zeroed row among aimed ones: only that vehicle is unusable
     v = _vehicles_25()
-    W = np.repeat(steering(s.theta, cfg.n_tx)[:, None], 3, axis=1)
-    W[:, 1] = 0.0
+    W = np.repeat(steering(s.theta, cfg.n_tx)[None], 3, axis=0)
+    W[1] = 0.0
     ob = generate_observation(v, W, cfg, np.random.default_rng(0))
     assert ob.usable.tolist() == [True, False, True]
     info = fisher_information(v, W, cfg)
@@ -92,7 +91,7 @@ def test_zero_beam_is_unobservable(cfg):
 def test_observation_noiseless_recovery():
     cfg = SimConfig(rho_nu=0.0, rho_mu=0.0, obs_rel_mse=0.0)
     v = init_vehicles(cfg, np.random.default_rng(1))
-    W = steering(v.theta, cfg.n_tx).T
+    W = steering(v.theta, cfg.n_tx)
     ob = generate_observation(v, W, cfg, np.random.default_rng(0))
     assert ob.usable.all()
     assert ob.d_hat == pytest.approx(v.dist, rel=1e-12)
@@ -102,7 +101,7 @@ def test_observation_noiseless_recovery():
 
 def test_observation_modes(cfg):
     v = _vehicles_25()
-    W = np.repeat(steering(v.theta[0], cfg.n_tx)[:, None], 3, axis=1)
+    W = np.repeat(steering(v.theta[0], cfg.n_tx)[None], 3, axis=0)
     rng = np.random.default_rng(0)
     ob_rel = generate_observation(v, W, cfg, rng, mode="relative")
     ob_crlb = generate_observation(v, W, cfg, rng, mode="crlb")
@@ -119,7 +118,7 @@ def test_crlb_mode_angle_noise_is_the_fisher_crlb(cfg):
     draw, for one slot's [K] vehicles and a stack of slots alike."""
     rng = np.random.default_rng(2)
     v = init_vehicles(cfg, rng)
-    W = steering(v.theta + rng.normal(0.0, 0.05, 3), cfg.n_tx).T
+    W = steering(v.theta + rng.normal(0.0, 0.05, 3), cfg.n_tx)
     ob = generate_observation(v, W, cfg, np.random.default_rng(9), "crlb")
     z = np.random.default_rng(9).standard_normal((cfg.n_vehicles, 3))[:, 2]
     crlb = fisher_information(v, W, cfg).crlb_theta
@@ -128,7 +127,7 @@ def test_crlb_mode_angle_noise_is_the_fisher_crlb(cfg):
     # two slots: the same vehicles, then with the beams of the first two
     # vehicles swapped
     vs = make_state(*(np.stack((f, f)) for f in (v.x, v.y, v.v)))
-    Ws = np.stack((W, W[:, [1, 0, 2]]), axis=-1)
+    Ws = np.stack((W, W[[1, 0, 2]]))
     ob = generate_observation(vs, Ws, cfg, np.random.default_rng(9), "crlb")
     z = np.random.default_rng(9).standard_normal((2, cfg.n_vehicles, 3))
     crlb = fisher_information(vs, Ws, cfg).crlb_theta
@@ -142,9 +141,9 @@ def test_observation_statistics(cfg):
     delay variance of the noise model mapped through d = c*nu/2."""
     n = 20000
     v = _vehicles_25(k=n)
-    W = np.repeat(steering(v.theta[0], cfg.n_tx)[:, None], n, axis=1)
+    W = np.repeat(steering(v.theta[0], cfg.n_tx)[None], n, axis=0)
     ob = generate_observation(v, W, cfg, np.random.default_rng(42))
-    sigma2 = obs_noise_vars(v.theta[0], v.dist[0], W[:, 0], cfg).sigma_nu2 \
+    sigma2 = obs_noise_vars(v.theta[0], v.dist[0], W[0], cfg).sigma_nu2 \
         * cfg.wave_speed ** 2 / 4.0
     assert ob.d_hat.mean() == pytest.approx(25.0, abs=4 * math.sqrt(sigma2 / n))
     assert ob.d_hat.var(ddof=1) / sigma2 == pytest.approx(1.0, abs=0.05)
