@@ -9,17 +9,21 @@ from .kinematics import VehicleState
 from .nn.model import NaiveNet, output_to_matrix
 
 
-def _aimed_beams(thetas: np.ndarray, config: SimConfig) -> np.ndarray:
-    """Equal-power-split beams sqrt(P/K) * a(theta_k), one row per angle:
-    [K] angles give [K, N_t], [n, K] angles of n slots give [n, K, N_t]."""
+def _aimed_beams(a: np.ndarray, config: SimConfig) -> np.ndarray:
+    """Equal-power-split beams sqrt(P/K) * a(theta_k), one row per steering
+    vector: [K, N_t] for K angles, [n, K, N_t] for [n, K] angles of n slots."""
     p = config.power_budget / config.n_vehicles
-    return np.sqrt(p) * steering(thetas, config.n_tx)
+    return np.sqrt(p) * a
 
 
-def genie_beamformer(vehicles: VehicleState, config: SimConfig) -> np.ndarray:
+def genie_beamformer(vehicles: VehicleState, config: SimConfig,
+                     a=None) -> np.ndarray:
     """Perfectly aligned equal-power-split beams sqrt(P/K) * a(theta_k):
-    [K, N_t] for [K] vehicles, [n, K, N_t] for [n, K] vehicles of n slots."""
-    return _aimed_beams(vehicles.theta, config)
+    [K, N_t] for [K] vehicles, [n, K, N_t] for [n, K] vehicles of n slots;
+    a is steering(vehicles.theta, N_t) if the caller has it."""
+    if a is None:
+        a = steering(vehicles.theta, config.n_tx)
+    return _aimed_beams(a, config)
 
 
 def genie_rate(vehicles: VehicleState, config: SimConfig):
@@ -51,4 +55,5 @@ def random_beamformer(config: SimConfig, rng: np.random.Generator,
     """
     k = config.n_vehicles
     size = k if n_slots is None else (n_slots, k)
-    return _aimed_beams(rng.uniform(0.0, np.pi, size=size), config)
+    return _aimed_beams(steering(rng.uniform(0.0, np.pi, size=size),
+                                 config.n_tx), config)

@@ -47,10 +47,13 @@ def path_loss_amp(dist, config: SimConfig):
                    * (dist / config.ref_dist) ** (-config.pathloss_exp))
 
 
-def effective_channel(theta, dist, config: SimConfig) -> np.ndarray:
-    """Downlink channel h = sqrt(N_t) * alpha(d) * a(theta), length N_t."""
+def effective_channel(theta, dist, config: SimConfig, a=None) -> np.ndarray:
+    """Downlink channel h = sqrt(N_t) * alpha(d) * a(theta), length N_t;
+    a is steering(theta, N_t) if the caller has it."""
+    if a is None:
+        a = steering(theta, config.n_tx)
     gain = np.sqrt(config.n_tx) * path_loss_amp(dist, config)
-    return _per_antenna(gain) * steering(theta, config.n_tx)
+    return _per_antenna(gain) * a
 
 
 def batch_sinr(h: np.ndarray, w: np.ndarray, sigma2: float):

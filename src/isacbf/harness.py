@@ -3,10 +3,11 @@
 Protocol per slot: the RSU applies the beamforming matrix decided during the
 previous slot, receives noisy observations, refreshes the estimated-channel
 history, and decides the next slot's beams.  The first history_len slots warm
-up with random beams so predictive methods always see a full window.  Motion
-and random beams never depend on an observation, so each episode draws them
-as [n_slots, K] blocks; only the causal methods step through the slots.  One
-pass after the last slot measures every slot's sum-rate and CRLBs.
+up with random beams so predictive methods always see a full window.  Motion,
+random beams and the standard-normal observation noise never depend on an
+observation, so each episode draws them as [n_slots, K] blocks; only the
+causal methods step through the slots.  One pass after the last slot
+measures every slot's sum-rate and CRLBs.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .baselines import (genie_beamformer, genie_rate, naive_dl_beamformer,
                         random_beamformer)
-from .channel import effective_channel, sum_rate
+from .channel import effective_channel, steering, sum_rate
 from .config import SimConfig
 from .io_container import load_container, save_container
 from .kinematics import VehicleState, init_vehicles, step_motion
@@ -98,21 +99,28 @@ def _write_estimates(est: np.ndarray, obs, config: SimConfig) -> None:
 
 
 def _decide(config: SimConfig, method: str, model, vehicles: VehicleState,
-            w: np.ndarray, rng_obs: np.random.Generator, theta_mode: str,
-            project: bool) -> None:
+            w: np.ndarray, a: np.ndarray, rng_obs: np.random.Generator,
+            theta_mode: str, project: bool) -> None:
     """The causal slot loop of hcl and naive_dl: observe slot n under w[n],
     then decide w[n + 1] in place.  w holds random beams on entry, which a
-    slot keeps while the method's input is incomplete."""
-    tau, k = config.history_len, config.n_vehicles
-    # row tau + n holds slot n's estimated channels, zeros before slot 0
-    est = np.zeros((config.n_slots + tau, k, config.n_tx), dtype=complex)
-    for n, slot in enumerate(vehicles.records()[:-1]):
-        obs = generate_observation(slot, w[n], config, rng_obs, theta_mode)
+    slot keeps while the method's input is incomplete.  a is the episode's
+    [n_slots, K, N_t] steering; the observation noise is one block drawn
+    before the loop, the stream of the per-slot draws."""
+    n_slots, k = config.n_slots, config.n_vehicles
+    z = rng_obs.standard_normal((n_slots - 1, k, 3))
+    fields = vars(vehicles).values()
+    if method == "hcl":
+        stream = model.stream(project)
+        # row n + 1 holds slot n's estimated channels, zeros before slot 0
+        est = np.zeros((n_slots, k, config.n_tx), dtype=complex)
+    for n in range(n_slots - 1):
+        slot = VehicleState(*(f[n] for f in fields))
+        obs = generate_observation(slot, w[n], config, z[n], theta_mode, a[n])
         if method == "hcl":
-            _write_estimates(est[n + tau - 1:n + tau + 1], obs, config)
-            if n >= tau - 1:
-                w[n + 1] = model.predict(est[n + 1:n + tau + 1],
-                                         project=project)
+            _write_estimates(est[n:n + 2], obs, config)
+            beams = stream.push(est[n + 1])
+            if beams is not None:
+                w[n + 1] = beams
         elif obs.usable.all():
             w[n + 1] = naive_dl_beamformer(obs.theta_hat, obs.d_hat, model,
                                            config)
@@ -129,25 +137,27 @@ def run_episode(config: SimConfig, method: str, rng: np.random.Generator,
     current truth each slot and is exempt from the causality invariant.
     Only hcl and naive_dl observe the vehicles, in a causal slot loop.  One
     pass at the end measures every slot's sum-rate and CRLBs against the
-    true state.
+    true state.  The steering vectors of the true angles are evaluated once
+    and shared by the beams, observations and measurements.
     """
     _check_method(method, model)
     n = config.n_slots
     vehicles, rng_obs, rng_beam = _exogenous(config, rng)
+    a = steering(vehicles.theta, config.n_tx)
     if method == "genie":
-        w, decided_at = genie_beamformer(vehicles, config), np.arange(n)
+        w, decided_at = genie_beamformer(vehicles, config, a), np.arange(n)
     else:
         w = random_beamformer(config, rng_beam, n)
         decided_at = np.arange(-1, n - 1)
         if method != "random":
-            _decide(config, method, model, vehicles, w, rng_obs, theta_mode,
-                    project)
+            _decide(config, method, model, vehicles, w, a, rng_obs,
+                    theta_mode, project)
     if method == "genie":
         rates = genie_rate(vehicles, config)
     else:
-        h = effective_channel(vehicles.theta, vehicles.dist, config)
+        h = effective_channel(vehicles.theta, vehicles.dist, config, a)
         rates = sum_rate(h, w, config.noise_vehicle)
-    info = fisher_information(vehicles, w, config)
+    info = fisher_information(vehicles, w, config, a)
     return EpisodeTrace(vehicles=vehicles, w_applied=w.swapaxes(1, 2),
                         decided_at=decided_at, rates=rates,
                         crlb_theta=info.crlb_theta, crlb_d=info.crlb_d)
@@ -234,7 +244,9 @@ def generate_dataset(config: SimConfig, n_examples: int,
     while i < n_examples:
         vehicles, rng_obs, rng_beam = _exogenous(config, rng.spawn(1)[0])
         w = random_beamformer(config, rng_beam, config.n_slots)
-        obs = generate_observation(vehicles, w, config, rng_obs, theta_mode)
+        obs = generate_observation(
+            vehicles, w, config,
+            rng_obs.standard_normal(vehicles.theta.shape + (3,)), theta_mode)
         # row tau + n holds slot n's estimated channels, zeros before slot 0,
         # so window n (rows n .. n + tau - 1) is slot n's input
         est = np.zeros((config.n_slots + tau, k, m), dtype=complex)

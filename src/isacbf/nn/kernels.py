@@ -8,6 +8,8 @@ The conv on one H x W x C_in slice is a fixed linear map, so it runs as one
 matmul against an (H*W*C_in) x (H*W*F) Toeplitz matrix scattered from the
 filter weights (Chellapilla et al. 2006, unrolling convolution to a matrix
 product); the weight gradient is the matching X^T gY gathered back.
+conv_matrix builds that matrix alone, so a caller that applies fixed
+weights to many small batches (HCLStream) builds it once.
 
 Memory layout: the conv output and the pool's input gradient are
 batch-innermost, i.e. [B, H, W, C] views of a C-contiguous [H, W, C, B]
@@ -46,16 +48,30 @@ def _toeplitz_index(h: int, wd: int, cin: int, nf: int):
     return pos, widx
 
 
-def conv2d3x3_same_fwd(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """[B, H, W, F] conv output, as a batch-innermost view."""
-    bsz, h, wd, cin = x.shape
-    nf = w.shape[0]
+def conv_matrix(w: np.ndarray, h: int, wd: int) -> np.ndarray:
+    """The (H*W*C_in) x (H*W*F) Toeplitz matrix of the [F, 3, 3, C_in]
+    filters w on an H x W slice.  It holds copies of the weights, so a
+    caller that keeps it must rebuild it when w changes."""
+    nf, cin = w.shape[0], w.shape[-1]
     pos, widx = _toeplitz_index(h, wd, cin, nf)
     t = np.zeros((h * wd * cin, h * wd * nf), dtype=w.dtype)
     t.flat[pos] = w.ravel()[widx]
-    yt = t.T @ x.reshape(bsz, -1).T
-    yt += np.tile(b, h * wd)[:, None]
-    return yt.T.reshape(bsz, h, wd, nf)
+    return t
+
+
+def conv_by_matrix(x: np.ndarray, t: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[B, H, W, F] conv output of x through its conv_matrix t and the bias
+    b, as a batch-innermost view."""
+    bsz, h, wd, _ = x.shape
+    nf = len(b)
+    yt = (t.T @ x.reshape(bsz, -1).T).reshape(h * wd, nf, bsz)
+    yt += b[:, None]
+    return yt.reshape(-1, bsz).T.reshape(bsz, h, wd, nf)
+
+
+def conv2d3x3_same_fwd(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[B, H, W, F] conv output, as a batch-innermost view."""
+    return conv_by_matrix(x, conv_matrix(w, x.shape[1], x.shape[2]), b)
 
 
 def conv2d3x3_same_bwd(x: np.ndarray, w: np.ndarray, gy: np.ndarray):

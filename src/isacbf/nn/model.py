@@ -11,6 +11,8 @@ NaiveNet: the fully-connected baseline mapping the last slot's estimated
 """
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 
 from ..config import SimConfig
@@ -115,18 +117,43 @@ class HCLNet(_FlatParams):
         v["fc_w"][:] = scale * _glorot(rng, v["fc_w"].shape, h, self.out_dim)
         v["fc_b"][:] = 0.0
 
-    # ---- single-slice building blocks --------------------------------------
+    # ---- CNN features ------------------------------------------------------
+
+    def features(self, rows: np.ndarray, conv: np.ndarray | None = None,
+                 cache: dict | None = None) -> np.ndarray:
+        """CNN features of real [..., M, 2] channel slices: kappa, then per
+        slice a reshape to 4 x (M/4) x 2, conv, 2x2 max-pool and ReLU,
+        flattened and concatenated along the axis before M.  [..., K, M, 2]
+        rows give [..., K*M]; one M x 2 slice gives M.
+
+        conv is the kernels.conv_matrix of the current filters, built here
+        when None; a given cache dict receives what backward() needs."""
+        if rows.shape[-2:] != (self.m, 2):
+            raise ValueError(f"expected (..., {self.m}, 2) slices, "
+                             f"got {rows.shape}")
+        v = self._views
+        xs = self.kappa * np.asarray(rows, dtype=np.float64)
+        x4 = np.ascontiguousarray(
+            xs.reshape(-1, CNN_ROWS, self.m // CNN_ROWS, 2))
+        if conv is None:
+            z = kernels.conv2d3x3_same_fwd(x4, v["conv_w"], v["conv_b"])
+        else:
+            z = kernels.conv_by_matrix(x4, conv, v["conv_b"])
+        # ReLU is monotone, so it commutes with the max: pooling first
+        # leaves 4x fewer entries to rectify, with the same outputs.
+        p, idx = kernels.maxpool2x2_fwd(z)
+        mask = p > 0
+        feat = p.reshape(rows.shape[:-3] + (-1,))
+        feat *= mask.reshape(feat.shape)
+        if cache is not None:
+            cache.update(x4=x4, mask=mask, idx=idx, pshape=z.shape)
+        return feat
 
     def cnn_forward(self, slice_m2: np.ndarray) -> np.ndarray:
-        """Feature vector (length M) for one M x 2 per-vehicle channel slice:
-        reshape to 4 x (M/4) x 2, conv+ReLU, 2x2 max-pool, flatten."""
+        """Feature vector (length M) for one M x 2 per-vehicle channel slice."""
         if slice_m2.shape != (self.m, 2):
             raise ValueError(f"expected ({self.m}, 2) slice, got {slice_m2.shape}")
-        x4 = np.ascontiguousarray(
-            slice_m2.reshape(1, CNN_ROWS, self.m // CNN_ROWS, 2), dtype=np.float64)
-        z = kernels.conv2d3x3_same_fwd(x4, self.view("conv_w"), self.view("conv_b"))
-        p, _ = kernels.maxpool2x2_fwd(z * (z > 0))
-        return p.reshape(-1)
+        return self.features(slice_m2)
 
     # ---- forward / backward ------------------------------------------------
 
@@ -140,17 +167,8 @@ class HCLNet(_FlatParams):
         if x.shape[1:] != (self.tau, self.k, self.m, 2):
             raise ValueError(f"bad input shape {x.shape}")
         v = self._views
-        xs = self.kappa * np.asarray(x, dtype=np.float64)
-        b = nb * self.tau * self.k
-        x4 = np.ascontiguousarray(
-            xs.reshape(b, CNN_ROWS, self.m // CNN_ROWS, 2))
-        z = kernels.conv2d3x3_same_fwd(x4, v["conv_w"], v["conv_b"])
-        # ReLU is monotone, so it commutes with the max: pooling first
-        # leaves 4x fewer entries to rectify, with the same outputs.
-        p, idx = kernels.maxpool2x2_fwd(z)
-        mask = p > 0
-        seq = p.reshape(nb, self.tau, self.feat)
-        seq *= mask.reshape(seq.shape)
+        cache = {} if want_cache else None
+        seq = self.features(x, cache=cache)
         h = np.zeros((nb, self.hidden))
         c = np.zeros((nb, self.hidden))
         steps = []
@@ -171,8 +189,7 @@ class HCLNet(_FlatParams):
         out = o.reshape(nb, self.k, self.m, 2)
         if not want_cache:
             return out
-        cache = {"x4": x4, "mask": mask, "idx": idx, "pshape": z.shape,
-                 "steps": steps, "h_final": h, "nb": nb}
+        cache.update(steps=steps, h_final=h, nb=nb)
         return out, cache
 
     def backward(self, g_out: np.ndarray, cache: dict) -> np.ndarray:
@@ -222,16 +239,77 @@ class HCLNet(_FlatParams):
 
     # ---- inference ---------------------------------------------------------
 
+    def stream(self, project: bool = False) -> "HCLStream":
+        """Decisions over one episode, one slot at a time (see HCLStream)."""
+        return HCLStream(self, project)
+
     def predict(self, history: np.ndarray, project: bool = False) -> np.ndarray:
         """[K, N_t] beams, row k vehicle k's, for one [tau, K, M] complex
         history of estimated channels, oldest slot first."""
-        o = self.forward(np.stack((history.real, history.imag), axis=-1)[None])
-        w = output_to_matrix(o[0])
-        if project:
-            pw = float(np.sum(np.abs(w) ** 2))
-            if pw > self.config.power_budget:
-                w = w * np.sqrt(self.config.power_budget / pw)
+        if history.shape != (self.tau, self.k, self.m):
+            raise ValueError(f"expected a ({self.tau}, {self.k}, {self.m}) "
+                             f"history, got {history.shape}")
+        stream = self.stream(project)
+        for rows in history:
+            w = stream.push(rows)
         return w
+
+
+class HCLStream:
+    """HCL-Net decisions over one episode, one slot at a time.
+
+    push() runs the CNN on the new slot's K rows only and keeps that slot's
+    LSTM input projection x_t W_x^T, as the [1, K*M] product of the batched
+    forward, in a ring of the last tau slots.  A decision then reruns just
+    the tau-step recurrence and the FC layer, with the bits of forward() on
+    the same window.  The conv matrix is built once, from the weights at
+    creation, so a stream must not outlive a change of the weights.
+    """
+
+    def __init__(self, net: HCLNet, project: bool):
+        self.net = net
+        self.project = project
+        self._conv = kernels.conv_matrix(net.view("conv_w"), CNN_ROWS,
+                                         net.m // CNN_ROWS)
+        self._xw = deque(maxlen=net.tau)
+
+    def push(self, rows: np.ndarray) -> np.ndarray | None:
+        """Take the next slot's [K, M] complex estimated channels; return the
+        [K, N_t] beams for the window of the last tau slots, or None while
+        fewer than tau slots are in."""
+        net = self.net
+        if rows.shape != (net.k, net.m):
+            raise ValueError(f"expected ({net.k}, {net.m}) rows, "
+                             f"got {rows.shape}")
+        pairs = np.ascontiguousarray(rows, dtype=complex).view(float)
+        x = net.features(pairs.reshape(rows.shape + (2,)), self._conv)
+        self._xw.append(x[None] @ net.view("wx").T)
+        if len(self._xw) < net.tau:
+            return None
+        w = output_to_matrix(self._recur().reshape(net.k, net.m, 2))
+        if self.project:
+            pw = float(np.sum(np.abs(w) ** 2))
+            if pw > net.config.power_budget:
+                w = w * np.sqrt(net.config.power_budget / pw)
+        return w
+
+    def _recur(self) -> np.ndarray:
+        """The [1, 2*K*M] FC output after the LSTM over the ring.  One
+        sigmoid covers all four gates; the first step, where h = c = 0,
+        skips h W_h^T and f * c, which add exact zeros in forward()."""
+        v, hh = self.net._views, self.net.hidden
+        h = c = None
+        # exp(-x) overflows to inf for a gate below -709, whose sigmoid is
+        # then exactly 0; the cell-input gate's sigmoid is never read
+        with np.errstate(over="ignore"):
+            for xw in self._xw:
+                gates = xw + v["lstm_b"] if h is None \
+                    else xw + h @ v["wh"].T + v["lstm_b"]
+                s = _sigmoid(gates)
+                ig = s[:, :hh] * np.tanh(gates[:, 2 * hh:3 * hh])
+                c = ig if c is None else s[:, hh:2 * hh] * c + ig
+                h = s[:, 3 * hh:] * np.tanh(c)
+        return h @ v["fc_w"] + v["fc_b"]
 
 
 class NaiveNet(_FlatParams):

@@ -103,25 +103,31 @@ def obs_noise_vars(theta, dist, W: np.ndarray, config: SimConfig,
 
 
 def generate_observation(vehicles: VehicleState, W: np.ndarray,
-                         config: SimConfig, rng: np.random.Generator,
-                         mode: str = "relative") -> Observations:
+                         config: SimConfig, z: np.ndarray,
+                         mode: str = "relative", a=None) -> Observations:
     """Noisy (delay, Doppler, angle) observations of the K vehicles.
 
     The vehicles are [K] arrays with a [K, N_t] W, or [n, K] arrays of n
     slots with an [n, K, N_t] W (as in fisher_information); the estimates
-    take the vehicles' shape.
+    take the vehicles' shape.  z is the standard-normal block of the
+    vehicles' shape plus a trailing 3 (delay, Doppler, angle), and a is
+    steering(vehicles.theta, N_t) if the caller has it.
     mode "relative": theta_hat = theta*(1+e), e ~ N(0, obs_rel_mse);
     mode "crlb":     theta_hat = theta + N(0, CRLB(theta, w)).
-    One (K, 3) standard-normal block is drawn for every slot, in slot order,
-    whether or not a vehicle is observable, so the stream stays aligned; a
-    vehicle whose beam carries no energy toward it, or whose distance
-    estimate is not positive, is marked unusable.
+    A caller draws one (K, 3) block for every slot, in slot order, whether
+    or not a vehicle is observable, so the stream stays aligned: one
+    (n, K, 3) draw equals n successive (K, 3) draws.  A vehicle whose beam
+    carries no energy toward it, or whose distance estimate is not
+    positive, is marked unusable.
     """
     if mode not in ("relative", "crlb"):
         raise ValueError(f"unknown observation mode: {mode!r}")
-    z = rng.standard_normal(np.shape(vehicles.theta) + (3,))
     theta, dist = vehicles.theta, vehicles.dist
-    a = steering(theta, config.n_tx)
+    if z.shape != np.shape(theta) + (3,):
+        raise ValueError(f"noise block {z.shape} does not match vehicles "
+                         f"{np.shape(theta)} plus a trailing 3")
+    if a is None:
+        a = steering(theta, config.n_tx)
     noise = obs_noise_vars(theta, dist, W, config, a)
     c = config.wave_speed
     nu = 2.0 * dist / c + np.sqrt(noise.sigma_nu2) * z[..., 0]
@@ -177,7 +183,7 @@ def crlbs(u, v, echo: EchoConstants, sigma_r2: float):
 
 
 def fisher_information(vehicles: VehicleState, W: np.ndarray,
-                       config: SimConfig) -> FisherInfo:
+                       config: SimConfig, a=None) -> FisherInfo:
     """Diagonal FIMs over (theta, d, v_dot) and the angle/distance CRLBs of
     the vehicles, row k of W being the beam toward vehicle k.  The vehicles
     are [K] arrays with a [K, N_t] W, or [n, K] arrays of n slots with an
@@ -185,10 +191,12 @@ def fisher_information(vehicles: VehicleState, W: np.ndarray,
 
     f11 = 1/CRLB_theta = ||d(echo)/d(theta)||^2 / sigma_r^2,
     f22 = 1/CRLB_d = (2/c)^2 / sigma_nu^2, f33 = (2 f_c/c)^2 / sigma_mu^2.
-    An unobservable vehicle gets infinite CRLBs.
+    An unobservable vehicle gets infinite CRLBs.  a is
+    steering(vehicles.theta, N_t) if the caller has it.
     """
     theta, dist = vehicles.theta, vehicles.dist
-    a = steering(theta, config.n_tx)
+    if a is None:
+        a = steering(theta, config.n_tx)
     noise = obs_noise_vars(theta, dist, W, config, a)
     crlb_theta, crlb_d = _crlbs(theta, dist, W, config, a, noise)
     return FisherInfo(

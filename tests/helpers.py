@@ -1,13 +1,15 @@
 """Shared test oracles: finite-difference gradients, an independent FIM, a
 loop max-pool, the explicit one-user and one-vector forms behind the
-package's closed forms, and one-slot-at-a-time episode and dataset loops."""
+package's closed forms, and one-slot-at-a-time episode, decision and dataset
+loops."""
 from __future__ import annotations
 
 import math
 
 import numpy as np
 
-from isacbf.baselines import genie_beamformer, genie_rate, random_beamformer
+from isacbf.baselines import (genie_beamformer, genie_rate,
+                              naive_dl_beamformer, random_beamformer)
 from isacbf.channel import (effective_channel, steering, steering_dtheta,
                             sum_rate)
 from isacbf.kinematics import init_vehicles, step_motion
@@ -130,15 +132,46 @@ def slot_loop_episode(config, method: str, rng):
 
 
 def shift_history(history, obs, config):
-    """The [tau, K, M] history after one slot's observation, one vehicle at a
-    time: a usable vehicle's new row is the channel from its estimates, an
-    unusable one repeats its previous row."""
+    """The [tau, K, M] history after one slot's observation: the usable
+    vehicles' new rows are the channels from their estimates, from one call
+    over those vehicles' arrays, and an unusable vehicle repeats its
+    previous row."""
     latest = history[-1].copy()
-    for k in range(config.n_vehicles):
-        if obs.usable[k]:
-            latest[k] = effective_channel(obs.theta_hat[k], obs.d_hat[k],
-                                          config)
+    usable = obs.usable
+    latest[usable] = effective_channel(obs.theta_hat[usable],
+                                       obs.d_hat[usable], config)
     return np.concatenate((history[1:], latest[None]))
+
+
+def slot_loop_decide(config, method: str, model, rng,
+                     theta_mode: str = "relative", project: bool = False):
+    """The applied beams [n_slots, K, N_t] of an hcl or naive_dl episode and
+    its observations, one slot at a time: per slot one motion step, one
+    random-beam draw, one (K, 3) noise draw and one observation; hcl shifts
+    a [tau, K, M] history by one row and predicts from the whole window,
+    naive_dl maps a complete observation through the FC net."""
+    rng_motion, rng_obs, rng_beam = rng.spawn(3)
+    k, tau = config.n_vehicles, config.history_len
+    vehicles = init_vehicles(config, rng_motion)
+    history = np.zeros((tau, k, config.n_tx), dtype=complex)
+    w = [random_beamformer(config, rng_beam)]
+    observations = []
+    for n in range(config.n_slots - 1):
+        if n:
+            vehicles = step_motion(vehicles, config, rng_motion)
+        obs = generate_observation(vehicles, w[n], config,
+                                   rng_obs.standard_normal((k, 3)),
+                                   theta_mode)
+        observations.append(obs)
+        w.append(random_beamformer(config, rng_beam))
+        if method == "hcl":
+            history = shift_history(history, obs, config)
+            if n >= tau - 1:
+                w[n + 1] = model.predict(history, project=project)
+        elif obs.usable.all():
+            w[n + 1] = naive_dl_beamformer(obs.theta_hat, obs.d_hat, model,
+                                           config)
+    return np.stack(w), observations
 
 
 def slot_loop_dataset(config, n_examples: int, rng,
@@ -163,8 +196,9 @@ def slot_loop_dataset(config, n_examples: int, rng,
                     effective_channel(vehicles.theta, vehicles.dist, config),
                     vehicles.theta, vehicles.dist, obs.theta_hat, obs.d_hat))
             w = random_beamformer(config, rng_beam)
-            obs = generate_observation(vehicles, w, config, rng_obs,
-                                       theta_mode)
+            obs = generate_observation(
+                vehicles, w, config,
+                rng_obs.standard_normal((config.n_vehicles, 3)), theta_mode)
             history = shift_history(history, obs, config)
     names = ("x", "h", "thetas", "dists", "est_thetas", "est_dists")
     return {name: np.stack(col) for name, col in

@@ -20,6 +20,9 @@ def test_genie_beams_are_aligned(cfg):
     p = cfg.power_budget / cfg.n_vehicles
     for i, s in enumerate(states.records()):
         assert np.allclose(w[i], np.sqrt(p) * steering(s.theta, cfg.n_tx))
+    # aimed from the caller's steering vectors, the beams keep their bits
+    assert np.array_equal(
+        genie_beamformer(states, cfg, steering(states.theta, cfg.n_tx)), w)
 
 
 def test_genie_rate_closed_form_and_upper_bound(cfg):

@@ -80,6 +80,9 @@ def test_effective_channel(cfg):
     for k in range(2):
         assert np.allclose(rows[k], effective_channel(th[k], d[k], cfg),
                            rtol=1e-15, atol=0.0)
+    # the caller's steering vectors give the same bits
+    assert np.array_equal(effective_channel(th, d, cfg, steering(th, cfg.n_tx)),
+                          rows)
 
 
 def test_sinr_no_interference():

@@ -1,10 +1,12 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from helpers import shift_history, slot_loop_dataset, slot_loop_episode
-from isacbf import harness
+from helpers import (shift_history, slot_loop_dataset, slot_loop_decide,
+                     slot_loop_episode)
+from isacbf import baselines, channel, harness, sensing
 from isacbf.harness import (CSV_HEADER, Dataset, EpisodeTrace, MethodStats,
                             export, generate_dataset, monte_carlo_eval,
                             power_sweep, run_episode, train_hcl, train_naive,
@@ -96,6 +98,76 @@ def test_exogenous_episode_matches_slot_loop(small_cfg, cfg, method):
                                        rtol=1e-13)
             np.testing.assert_allclose(trace.crlb_d, np.stack(crlb_d),
                                        rtol=1e-13)
+
+
+def _zero_vehicle_1(models, config):
+    """The models with the output units of vehicle 1's beam set to zero, so
+    every beam they decide leaves vehicle 1 unobservable."""
+    span = slice(2 * config.n_tx, 4 * config.n_tx)
+    for net, w, b in ((models["hcl"], "fc_w", "fc_b"),
+                      (models["naive_dl"], "w3", "b3")):
+        net.view(w)[:, span] = 0.0
+        net.view(b)[span] = 0.0
+    return models
+
+
+@pytest.mark.parametrize("method", ["hcl", "naive_dl"])
+@pytest.mark.parametrize("theta_mode", ["relative", "crlb"])
+@pytest.mark.parametrize("project", [False, True])
+def test_causal_episode_matches_slot_loop(small_cfg, cfg, method, theta_mode,
+                                          project):
+    """An hcl or naive_dl episode, with one noise block and one steering
+    evaluation per episode and HCL-Net decisions from its incremental
+    stream, applies the beams of the one-slot-at-a-time loop (a noise draw
+    per slot, a whole history shifted and predicted from) bit for bit.  On
+    the noisy config distance estimates go negative; on the zeroed one the
+    nets aim no energy at vehicle 1, so it is unusable and its row is
+    carried forward."""
+    cases = {"small": (small_cfg, _models(small_cfg)),
+             "default": (cfg, _models(cfg)),
+             "noisy": (_noisy(small_cfg), _models(small_cfg)),
+             "zeroed": (small_cfg, _zero_vehicle_1(_models(small_cfg),
+                                                   small_cfg))}
+    unusable = {}
+    for name, (config, models) in cases.items():
+        model = models[method]
+        if project and method == "hcl":
+            model.view("fc_w")[:] *= 10.0   # so that projection binds
+        unusable[name] = 0
+        for seed in range(3):
+            trace = run_episode(config, method, np.random.default_rng(seed),
+                                model=model, theta_mode=theta_mode,
+                                project=project)
+            w, obs = slot_loop_decide(config, method, model,
+                                      np.random.default_rng(seed),
+                                      theta_mode, project)
+            assert np.array_equal(trace.w_applied.swapaxes(1, 2), w), \
+                (name, seed)
+            unusable[name] += sum(not ob.usable.all() for ob in obs)
+    assert unusable["noisy"] > 0 and unusable["zeroed"] > 0
+
+
+def test_episode_evaluates_true_steering_once(small_cfg, monkeypatch):
+    """Every episode evaluates the steering vectors of its true angles once,
+    as one [n_slots, K] block that the beams, the observations, the rates
+    and the CRLBs share; no call takes one slot's true angles."""
+    real_steering = channel.steering
+    angles = []
+
+    def steering(theta, n_ant):
+        angles.append(np.array(theta))
+        return real_steering(theta, n_ant)
+
+    for module in (harness, channel, sensing, baselines):
+        monkeypatch.setattr(module, "steering", steering)
+    models = _models(small_cfg)
+    for method in harness.METHODS:
+        angles.clear()
+        trace = run_episode(small_cfg, method, np.random.default_rng(0),
+                            model=models.get(method))
+        true = trace.vehicles.theta
+        assert sum(np.array_equal(t, true) for t in angles) == 1, method
+        assert not any(np.array_equal(t, row) for t in angles for row in true)
 
 
 def test_exogenous_methods_observe_nothing(small_cfg, monkeypatch):
@@ -356,23 +428,33 @@ def test_method_stats_sqrt_properties():
 
 
 class _FixedBeams:
-    """A stand-in HCL model: records each history it is given and returns
-    the same beams whatever the history, with the row toward vehicle 1
-    zero for the slots from zero_from on."""
+    """A stand-in HCL model: its episode stream records each [tau, K, M]
+    window of the rows pushed into it and returns the same beams whatever
+    the window, with the row toward vehicle 1 zero for the slots from
+    zero_from on."""
 
     def __init__(self, config, zero_from=None):
         self.w = random_beamformer(config, np.random.default_rng(11))
-        self.slot = config.history_len   # the slot the next call decides
+        self.tau = config.history_len
+        self.slot = config.history_len   # the slot the next decision is for
         self.zero_from = zero_from
         self.histories = []
 
-    def predict(self, history, project=False):
-        self.histories.append(history.copy())
-        w = self.w.copy()
-        if self.zero_from is not None and self.slot >= self.zero_from:
-            w[1] = 0.0
-        self.slot += 1
-        return w
+    def stream(self, project=False):
+        rows = []
+
+        def push(row):
+            rows.append(row.copy())
+            if len(rows) < self.tau:
+                return None
+            self.histories.append(np.stack(rows[-self.tau:]))
+            w = self.w.copy()
+            if self.zero_from is not None and self.slot >= self.zero_from:
+                w[1] = 0.0
+            self.slot += 1
+            return w
+
+        return SimpleNamespace(push=push)
 
 
 def _expected_histories(config, observations):

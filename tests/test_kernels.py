@@ -56,6 +56,18 @@ def test_conv_fwd_matches_naive(backend, rng):
         assert np.allclose(out, _naive_conv(x, cw, cb), rtol=1e-12, atol=1e-12)
 
 
+def test_conv_matrix_matches_conv_and_loops(rng):
+    """The conv through a kept conv_matrix equals conv2d3x3_same_fwd bit for
+    bit and the loop reference, for slices of width 8 and 2."""
+    for w in (8, 2):
+        x, cw, cb = _rand_io(rng, w=w)
+        t = kernels.conv_matrix(cw, 4, w)
+        assert t.shape == (4 * w * 2, 4 * w * 4)
+        y = kernels.conv_by_matrix(x, t, cb)
+        assert np.array_equal(y, kernels.conv2d3x3_same_fwd(x, cw, cb))
+        assert np.allclose(y, _naive_conv(x, cw, cb), rtol=1e-12, atol=1e-12)
+
+
 def test_conv_bwd_matches_fd(backend, rng):
     x, cw, cb = _rand_io(rng, nb=2, h=4, w=4)
     g = rng.normal(size=(2, 4, 4, 4))

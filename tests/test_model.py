@@ -28,18 +28,20 @@ def _window(cfg, rng):
 
 
 def test_history_window_roundtrip(cfg, rng, monkeypatch):
-    """The real tensor predict builds from a [tau, K, M] complex history has
-    shape [1, tau, K, M, 2] and unpacks back to that history exactly."""
+    """The real rows predict feeds the CNN from a [tau, K, M] complex
+    history, one [K, M, 2] slot at a time, stack to [tau, K, M, 2] and
+    unpack back to that history exactly."""
     net = HCLNet(cfg)
     net.init_params(rng)
     hist = _window(cfg, rng)
     seen = []
-    forward = net.forward
-    monkeypatch.setattr(net, "forward", lambda x: seen.append(x) or forward(x))
+    features = net.features
+    monkeypatch.setattr(net, "features", lambda x, *args: seen.append(
+        x.copy()) or features(x, *args))
     net.predict(hist)
-    (x,) = seen
-    assert x.shape == (1, cfg.history_len, cfg.n_vehicles, cfg.n_tx, 2)
-    assert np.array_equal(x[0, ..., 0] + 1j * x[0, ..., 1], hist)
+    x = np.stack(seen)
+    assert x.shape == (cfg.history_len, cfg.n_vehicles, cfg.n_tx, 2)
+    assert np.array_equal(x[..., 0] + 1j * x[..., 1], hist)
 
 
 def test_history_window_validation(cfg, rng):
@@ -121,7 +123,8 @@ def test_forward_shapes_and_kappa(cfg, rng):
 
 
 def test_forward_composes_single_slice_blocks(cfg, rng):
-    """The batched forward equals cnn_forward per slice + an LSTM step + FC."""
+    """The batched forward equals cnn_forward per slice (kappa applied
+    there) + an LSTM step + FC."""
     net = HCLNet(cfg, kappa=1.7)
     net.init_params(rng)
     x = rng.normal(size=(1, cfg.history_len, cfg.n_vehicles, cfg.n_tx, 2))
@@ -130,7 +133,7 @@ def test_forward_composes_single_slice_blocks(cfg, rng):
     c = np.zeros(net.hidden)
     for t in range(cfg.history_len):
         feats = np.concatenate([
-            net.cnn_forward(net.kappa * x[0, t, k])
+            net.cnn_forward(x[0, t, k])
             for k in range(cfg.n_vehicles)])
         assert feats.shape == (net.feat,)
         h, c = _lstm_step(net, feats, h, c)
@@ -220,6 +223,60 @@ def test_predict_and_projection(cfg, rng):
     assert w.shape == (cfg.n_vehicles, cfg.n_tx)
     wp = net.predict(_window(cfg, rng), project=True)
     assert np.sum(np.abs(wp) ** 2) <= cfg.power_budget * (1 + 1e-12)
+
+
+def _forward_beams(net, window, project=False):
+    """The beams of the batched forward on one [tau, K, M] complex window,
+    projected onto the budget as predict does when asked."""
+    x = np.stack((window.real, window.imag), axis=-1)[None]
+    w = output_to_matrix(net.forward(x)[0])
+    pw = np.sum(np.abs(w) ** 2)
+    if project and pw > net.config.power_budget:
+        w = w * np.sqrt(net.config.power_budget / pw)
+    return w
+
+
+def test_stream_matches_forward_on_every_window(cfg, rng):
+    """push() returns None until tau rows are in, then at each slot exactly
+    the beams of forward() on the window of the last tau rows, with and
+    without projection.  The rows open with zero pre-history rows, whose
+    CNN features are not zero under a positive conv bias, and hold a
+    carried row (a vehicle's row repeated from the slot before)."""
+    net = HCLNet(cfg, kappa=1.3)
+    net.init_params(rng)
+    net.view("conv_b")[:] = [0.2, -0.1, 0.05, 0.3]
+    net.view("fc_w")[:] *= 10.0     # so that projection binds
+    tau, k, m = cfg.history_len, cfg.n_vehicles, cfg.n_tx
+    assert np.any(net.features(np.zeros((k, m, 2))) != 0)
+    rows = rng.normal(size=(12, k, m)) + 1j * rng.normal(size=(12, k, m))
+    rows[:tau - 2] = 0.0
+    rows[7, 1] = rows[6, 1]
+    for project in (False, True):
+        stream = net.stream(project)
+        for n, row in enumerate(rows):
+            w = stream.push(row)
+            if n < tau - 1:
+                assert w is None
+                continue
+            want = _forward_beams(net, rows[n - tau + 1:n + 1], project)
+            assert np.array_equal(w, want), (project, n)
+            if project:
+                assert np.sum(np.abs(w) ** 2) <= cfg.power_budget * (1 + 1e-12)
+    with pytest.raises(ValueError):
+        net.stream().push(rows[0, :, :-1])
+
+
+def test_predict_sees_weights_changed_in_place(cfg, rng):
+    """Each predict builds its conv matrix from the current filters, so an
+    in-place weight update, as training makes, reaches the next call."""
+    net = HCLNet(cfg)
+    net.init_params(rng)
+    hist = _window(cfg, rng)
+    before = net.predict(hist)
+    net.view("conv_w")[:] *= 1.5
+    after = net.predict(hist)
+    assert not np.array_equal(before, after)
+    assert np.array_equal(after, _forward_beams(net, hist))
 
 
 def test_hclnet_save_load_roundtrip(cfg, rng, tmp_path):

@@ -25,6 +25,12 @@ def _vehicles_25(k=3, v=8.0):
     return make_state(np.full(k, 15.0), np.full(k, 20.0), np.full(k, v))
 
 
+def _noise(vehicles, seed):
+    """The standard-normal observation block of the vehicles, from seed."""
+    return np.random.default_rng(seed).standard_normal(
+        np.shape(vehicles.theta) + (3,))
+
+
 def _beam_gain(theta, w):
     return abs(obs_noise_vars(theta, 25.0, w, SimConfig()).u) ** 2
 
@@ -81,7 +87,7 @@ def test_zero_beam_is_unobservable(cfg):
     v = _vehicles_25()
     W = np.repeat(steering(s.theta, cfg.n_tx)[None], 3, axis=0)
     W[1] = 0.0
-    ob = generate_observation(v, W, cfg, np.random.default_rng(0))
+    ob = generate_observation(v, W, cfg, _noise(v, 0))
     assert ob.usable.tolist() == [True, False, True]
     info = fisher_information(v, W, cfg)
     assert np.isinf(info.crlb_theta).tolist() == [False, True, False]
@@ -92,7 +98,7 @@ def test_observation_noiseless_recovery():
     cfg = SimConfig(rho_nu=0.0, rho_mu=0.0, obs_rel_mse=0.0)
     v = init_vehicles(cfg, np.random.default_rng(1))
     W = steering(v.theta, cfg.n_tx)
-    ob = generate_observation(v, W, cfg, np.random.default_rng(0))
+    ob = generate_observation(v, W, cfg, _noise(v, 0))
     assert ob.usable.all()
     assert ob.d_hat == pytest.approx(v.dist, rel=1e-12)
     assert ob.vdot_hat == pytest.approx(v.radial_v, rel=1e-12)
@@ -103,13 +109,15 @@ def test_observation_modes(cfg):
     v = _vehicles_25()
     W = np.repeat(steering(v.theta[0], cfg.n_tx)[None], 3, axis=0)
     rng = np.random.default_rng(0)
-    ob_rel = generate_observation(v, W, cfg, rng, mode="relative")
-    ob_crlb = generate_observation(v, W, cfg, rng, mode="crlb")
+    ob_rel = generate_observation(v, W, cfg, rng.standard_normal((3, 3)),
+                                  mode="relative")
+    ob_crlb = generate_observation(v, W, cfg, rng.standard_normal((3, 3)),
+                                   mode="crlb")
     assert ob_rel.usable.all() and ob_crlb.usable.all()
     # crlb-mode angle noise is tiny at these SNRs; relative mode is ~10% rms
     assert np.all(np.abs(ob_crlb.theta_hat - v.theta) < 1e-4)
     with pytest.raises(ValueError):
-        generate_observation(v, W, cfg, rng, mode="bogus")
+        generate_observation(v, W, cfg, _noise(v, 0), mode="bogus")
 
 
 def test_crlb_mode_angle_noise_is_the_fisher_crlb(cfg):
@@ -119,8 +127,9 @@ def test_crlb_mode_angle_noise_is_the_fisher_crlb(cfg):
     rng = np.random.default_rng(2)
     v = init_vehicles(cfg, rng)
     W = steering(v.theta + rng.normal(0.0, 0.05, 3), cfg.n_tx)
-    ob = generate_observation(v, W, cfg, np.random.default_rng(9), "crlb")
-    z = np.random.default_rng(9).standard_normal((cfg.n_vehicles, 3))[:, 2]
+    z = np.random.default_rng(9).standard_normal((cfg.n_vehicles, 3))
+    ob = generate_observation(v, W, cfg, z, "crlb")
+    z = z[:, 2]
     crlb = fisher_information(v, W, cfg).crlb_theta
     np.testing.assert_allclose(ob.theta_hat, v.theta + np.sqrt(crlb) * z,
                                rtol=1e-15, atol=0)
@@ -128,8 +137,8 @@ def test_crlb_mode_angle_noise_is_the_fisher_crlb(cfg):
     # vehicles swapped
     vs = make_state(*(np.stack((f, f)) for f in (v.x, v.y, v.v)))
     Ws = np.stack((W, W[[1, 0, 2]]))
-    ob = generate_observation(vs, Ws, cfg, np.random.default_rng(9), "crlb")
     z = np.random.default_rng(9).standard_normal((2, cfg.n_vehicles, 3))
+    ob = generate_observation(vs, Ws, cfg, z, "crlb")
     crlb = fisher_information(vs, Ws, cfg).crlb_theta
     np.testing.assert_allclose(ob.theta_hat,
                                vs.theta + np.sqrt(crlb) * z[..., 2],
@@ -142,7 +151,7 @@ def test_observation_statistics(cfg):
     n = 20000
     v = _vehicles_25(k=n)
     W = np.repeat(steering(v.theta[0], cfg.n_tx)[None], n, axis=0)
-    ob = generate_observation(v, W, cfg, np.random.default_rng(42))
+    ob = generate_observation(v, W, cfg, _noise(v, 42))
     sigma2 = obs_noise_vars(v.theta[0], v.dist[0], W[0], cfg).sigma_nu2 \
         * cfg.wave_speed ** 2 / 4.0
     assert ob.d_hat.mean() == pytest.approx(25.0, abs=4 * math.sqrt(sigma2 / n))
@@ -189,6 +198,19 @@ def test_fisher_information_vs_fd_oracle(cfg, rng):
         assert np.all(off == 0.0) and np.all(np.diag(info.f) >= 0.0)
 
 
+def test_fisher_information_takes_callers_steering(cfg):
+    """fisher_information with the caller's steering vectors gives the bits
+    of its own evaluation, for [n, K] vehicles."""
+    rng = np.random.default_rng(4)
+    v = make_state(rng.uniform(5, 80, (4, 3)), rng.uniform(5, 40, (4, 3)),
+                   np.full((4, 3), 8.0))
+    W = steering(v.theta + rng.normal(0.0, 0.05, (4, 3)), cfg.n_tx)
+    own = fisher_information(v, W, cfg)
+    given = fisher_information(v, W, cfg, steering(v.theta, cfg.n_tx))
+    for field in ("crlb_theta", "crlb_d", "f_doppler"):
+        assert np.array_equal(getattr(own, field), getattr(given, field))
+
+
 def test_crlb_d_frozen_value(cfg):
     # rho_nu chosen so sigma_nu2 = 4e-17 at the 25 m aligned-unit-beam
     # geometry, giving crlb_d = sigma_nu2 * c^2 / 4 = 0.9 exactly
@@ -205,3 +227,44 @@ def test_sigma_r2_override_feeds_crlb_theta(cfg):
     base = fisher_information(s, w, cfg)
     scaled = fisher_information(s, w, cfg.replace(sigma_r2=4e-10))
     assert scaled.crlb_theta == pytest.approx(4.0 * base.crlb_theta, rel=1e-12)
+
+
+def test_noise_block_is_the_per_slot_stream(cfg):
+    """One (n, K, 3) standard-normal draw equals n successive (K, 3) draws
+    from the same generator, and an observation of [n, K] vehicles with the
+    block equals n one-slot observations with its rows, in both modes."""
+    n, k = 6, cfg.n_vehicles
+    block = np.random.default_rng(7).standard_normal((n, k, 3))
+    rng = np.random.default_rng(7)
+    assert np.array_equal(block, [rng.standard_normal((k, 3))
+                                  for _ in range(n)])
+    rng = np.random.default_rng(3)
+    v = make_state(*(rng.uniform(lo, hi, (n, k))
+                     for lo, hi in ((5, 80), (5, 40), (8, 8.25))))
+    W = steering(v.theta + rng.normal(0.0, 0.05, (n, k)), cfg.n_tx)
+    W[2, 1] = 0.0
+    for mode in ("relative", "crlb"):
+        ob = generate_observation(v, W, cfg, block, mode)
+        assert not ob.usable[2, 1]
+        for s in range(n):
+            one = generate_observation(
+                make_state(v.x[s], v.y[s], v.v[s]), W[s], cfg, block[s], mode)
+            for field in ob._fields:
+                assert np.array_equal(getattr(ob, field)[s],
+                                      getattr(one, field)), (mode, s, field)
+
+
+def test_observation_takes_callers_steering_and_checks_noise(cfg):
+    """The caller's steering gives the observation of the default one; a
+    noise block whose shape is not the vehicles' plus 3 is refused."""
+    v = _vehicles_25()
+    W = steering(v.theta + np.array([0.0, 0.02, -0.03]), cfg.n_tx)
+    z = _noise(v, 5)
+    for mode in ("relative", "crlb"):
+        ob = generate_observation(v, W, cfg, z, mode)
+        with_a = generate_observation(v, W, cfg, z, mode,
+                                      a=steering(v.theta, cfg.n_tx))
+        assert all(np.array_equal(x, y) for x, y in zip(ob, with_a))
+    for bad in (z[:, :2], z[:2], z[None]):
+        with pytest.raises(ValueError, match="noise block"):
+            generate_observation(v, W, cfg, bad)
