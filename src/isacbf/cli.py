@@ -26,6 +26,22 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output path")
 
 
+def _add_eval_options(p: argparse.ArgumentParser) -> None:
+    """The options eval and sweep share."""
+    p.add_argument("--methods", default="random,genie",
+                   help="comma-separated subset of genie,naive_dl,random,hcl")
+    p.add_argument("--model", action="append", default=[],
+                   help="model file, kind read from the file (repeatable, "
+                        "one per kind)")
+    p.add_argument("--realizations", type=int, default=100)
+    p.add_argument("--project-power", action="store_true",
+                   help="rescale hcl and naive_dl beams above the power "
+                        "budget onto it")
+    p.add_argument("--theta-mode", choices=("relative", "crlb"),
+                   default="relative")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="isacbf",
@@ -49,28 +65,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("eval", help="Monte-Carlo evaluation")
     _add_common(e)
-    e.add_argument("--methods", default="random,genie",
-                   help="comma-separated subset of genie,naive_dl,random,hcl")
-    e.add_argument("--model", action="append", default=[],
-                   help="model file (repeatable; kind read from the file)")
-    e.add_argument("--realizations", type=int, default=100)
-    e.add_argument("--project-power", action="store_true",
-                   help="rescale predicted W onto the power budget")
-    e.add_argument("--theta-mode", choices=("relative", "crlb"),
-                   default="relative")
-    e.add_argument("--format", choices=("csv", "json"), default="csv")
+    _add_eval_options(e)
 
     s = sub.add_parser("sweep", help="power sweep over a grid")
     _add_common(s)
-    s.add_argument("--methods", default="random,genie")
-    s.add_argument("--model", action="append", default=[])
-    s.add_argument("--realizations", type=int, default=100)
+    _add_eval_options(s)
     s.add_argument("--power-grid",
                    default=",".join(str(v) for v in DEFAULT_POWER_GRID))
-    s.add_argument("--project-power", action="store_true")
-    s.add_argument("--theta-mode", choices=("relative", "crlb"),
-                   default="relative")
-    s.add_argument("--format", choices=("csv", "json"), default="csv")
 
     c = sub.add_parser("crlb", help="closed-form CRLBs for one geometry")
     _add_common(c)
@@ -103,11 +104,16 @@ def _power_grid(text: str) -> list[float]:
 
 
 def _load_models(paths: list[str], config: SimConfig) -> dict:
-    models = {}
+    """The models of the --model files by the method each serves; two files
+    of one kind are a ValueError naming both."""
+    models, sources = {}, {}
     for path in paths:
         model = load_model(path, config)
-        key = "hcl" if type(model).__name__ == "HCLNet" else "naive_dl"
-        models[key] = model
+        method = {"hcl": "hcl", "naive": "naive_dl"}[model.KIND]
+        if method in models:
+            raise ValueError(f"--model {sources[method]} and {path} are both "
+                             f"{model.KIND} models")
+        models[method], sources[method] = model, path
     return models
 
 

@@ -98,32 +98,41 @@ def _write_estimates(est: np.ndarray, obs, config: SimConfig) -> None:
     rows[:] = est[latest, np.arange(k)]
 
 
+def project_power(w: np.ndarray, budget: float) -> np.ndarray:
+    """w scaled onto the budget when ||w||_F^2 exceeds it, else w itself."""
+    pw = float(np.sum(np.abs(w) ** 2))
+    return w * np.sqrt(budget / pw) if pw > budget else w
+
+
 def _decide(config: SimConfig, method: str, model, vehicles: VehicleState,
             w: np.ndarray, a: np.ndarray, rng_obs: np.random.Generator,
             theta_mode: str, project: bool) -> None:
     """The causal slot loop of hcl and naive_dl: observe slot n under w[n],
-    then decide w[n + 1] in place.  w holds random beams on entry, which a
-    slot keeps while the method's input is incomplete.  a is the episode's
-    [n_slots, K, N_t] steering; the observation noise is one block drawn
-    before the loop, the stream of the per-slot draws."""
+    then decide w[n + 1] in place, projected onto the power budget when
+    project is set.  w holds random beams on entry, which a slot keeps while
+    the method's input is incomplete.  a is the episode's [n_slots, K, N_t]
+    steering; the observation noise is one block drawn before the loop, the
+    stream of the per-slot draws."""
     n_slots, k = config.n_slots, config.n_vehicles
     z = rng_obs.standard_normal((n_slots - 1, k, 3))
     fields = vars(vehicles).values()
     if method == "hcl":
-        stream = model.stream(project)
+        stream = model.stream()
         # row n + 1 holds slot n's estimated channels, zeros before slot 0
         est = np.zeros((n_slots, k, config.n_tx), dtype=complex)
     for n in range(n_slots - 1):
         slot = VehicleState(*(f[n] for f in fields))
         obs = generate_observation(slot, w[n], config, z[n], theta_mode, a[n])
+        beams = None
         if method == "hcl":
             _write_estimates(est[n:n + 2], obs, config)
             beams = stream.push(est[n + 1])
-            if beams is not None:
-                w[n + 1] = beams
         elif obs.usable.all():
-            w[n + 1] = naive_dl_beamformer(obs.theta_hat, obs.d_hat, model,
-                                           config)
+            beams = naive_dl_beamformer(obs.theta_hat, obs.d_hat, model,
+                                        config)
+        if beams is not None:
+            w[n + 1] = project_power(beams, config.power_budget) if project \
+                else beams
 
 
 def run_episode(config: SimConfig, method: str, rng: np.random.Generator,

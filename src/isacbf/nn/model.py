@@ -169,28 +169,38 @@ class HCLNet(_FlatParams):
         v = self._views
         cache = {} if want_cache else None
         seq = self.features(x, cache=cache)
-        h = np.zeros((nb, self.hidden))
-        c = np.zeros((nb, self.hidden))
-        steps = []
-        hh = self.hidden
-        for t in range(self.tau):
-            xt = seq[:, t, :]
-            gates = xt @ v["wx"].T + h @ v["wh"].T + v["lstm_b"]
-            gi = _sigmoid(gates[:, :hh])
-            gf = _sigmoid(gates[:, hh:2 * hh])
-            gg = np.tanh(gates[:, 2 * hh:3 * hh])
-            go = _sigmoid(gates[:, 3 * hh:])
-            c_new = gf * c + gi * gg
-            tc = np.tanh(c_new)
-            h_new = go * tc
-            steps.append((xt, h, c, gi, gf, gg, go, tc))
-            h, c = h_new, c_new
+        steps = [] if want_cache else None
+        h = self._lstm((seq[:, t, :] @ v["wx"].T for t in range(self.tau)),
+                       nb, steps)
         o = h @ v["fc_w"] + v["fc_b"]
         out = o.reshape(nb, self.k, self.m, 2)
         if not want_cache:
             return out
-        cache.update(steps=steps, h_final=h, nb=nb)
+        cache.update(seq=seq, steps=steps, h_final=h, nb=nb)
         return out, cache
+
+    def _lstm(self, xw, nb: int, steps: list | None = None) -> np.ndarray:
+        """The [nb, hidden] last hidden state of the LSTM run from h = c = 0
+        over the per-slot input products x_t W_x^T in xw, each [nb, 4H].
+        One sigmoid covers all four gates; the first step skips h W_h^T and
+        f * c, which add exact zeros.  A given steps list receives each
+        step's (h_prev, c_prev, i, f, g, o, tanh c) for backward()."""
+        hh, wh_t, b = self.hidden, self._views["wh"].T, self._views["lstm_b"]
+        h = c = np.zeros((nb, hh))
+        # exp(-x) overflows to inf for a gate below -709, whose sigmoid is
+        # then exactly 0; the cell-input gate's sigmoid is never read
+        with np.errstate(over="ignore"):
+            for t, xwt in enumerate(xw):
+                gates = xwt + h @ wh_t + b if t else xwt + b
+                s = _sigmoid(gates)
+                gi, gf, go = s[:, :hh], s[:, hh:2 * hh], s[:, 3 * hh:]
+                gg = np.tanh(gates[:, 2 * hh:3 * hh])
+                c_new = gf * c + gi * gg if t else gi * gg
+                tc = np.tanh(c_new)
+                if steps is not None:
+                    steps.append((h, c, gi, gf, gg, go, tc))
+                h, c = go * tc, c_new
+        return h
 
     def backward(self, g_out: np.ndarray, cache: dict) -> np.ndarray:
         """Gradient of a scalar loss w.r.t. the flat parameter vector, given
@@ -207,7 +217,7 @@ class HCLNet(_FlatParams):
         g_lb = np.zeros_like(v["lstm_b"])
         gseq = np.empty((nb, self.tau, self.feat))
         for t in range(self.tau - 1, -1, -1):
-            xt, h_prev, c_prev, gi, gf, gg, go_, tc = cache["steps"][t]
+            h_prev, c_prev, gi, gf, gg, go_, tc = cache["steps"][t]
             d_o = gh * tc
             gc = gc + gh * go_ * (1.0 - tc * tc)
             d_i = gc * gg
@@ -220,7 +230,7 @@ class HCLNet(_FlatParams):
                 d_g * (1.0 - gg * gg),
                 d_o * go_ * (1.0 - go_),
             ], axis=1)
-            g_wx += dgates.T @ xt
+            g_wx += dgates.T @ cache["seq"][:, t, :]
             g_wh += dgates.T @ h_prev
             g_lb += dgates.sum(axis=0)
             gseq[:, t, :] = dgates @ v["wx"]
@@ -239,17 +249,17 @@ class HCLNet(_FlatParams):
 
     # ---- inference ---------------------------------------------------------
 
-    def stream(self, project: bool = False) -> "HCLStream":
+    def stream(self) -> "HCLStream":
         """Decisions over one episode, one slot at a time (see HCLStream)."""
-        return HCLStream(self, project)
+        return HCLStream(self)
 
-    def predict(self, history: np.ndarray, project: bool = False) -> np.ndarray:
+    def predict(self, history: np.ndarray) -> np.ndarray:
         """[K, N_t] beams, row k vehicle k's, for one [tau, K, M] complex
         history of estimated channels, oldest slot first."""
         if history.shape != (self.tau, self.k, self.m):
             raise ValueError(f"expected a ({self.tau}, {self.k}, {self.m}) "
                              f"history, got {history.shape}")
-        stream = self.stream(project)
+        stream = self.stream()
         for rows in history:
             w = stream.push(rows)
         return w
@@ -259,16 +269,15 @@ class HCLStream:
     """HCL-Net decisions over one episode, one slot at a time.
 
     push() runs the CNN on the new slot's K rows only and keeps that slot's
-    LSTM input projection x_t W_x^T, as the [1, K*M] product of the batched
+    LSTM input product x_t W_x^T, as the [1, 4H] product of the batched
     forward, in a ring of the last tau slots.  A decision then reruns just
     the tau-step recurrence and the FC layer, with the bits of forward() on
     the same window.  The conv matrix is built once, from the weights at
     creation, so a stream must not outlive a change of the weights.
     """
 
-    def __init__(self, net: HCLNet, project: bool):
+    def __init__(self, net: HCLNet):
         self.net = net
-        self.project = project
         self._conv = kernels.conv_matrix(net.view("conv_w"), CNN_ROWS,
                                          net.m // CNN_ROWS)
         self._xw = deque(maxlen=net.tau)
@@ -286,30 +295,8 @@ class HCLStream:
         self._xw.append(x[None] @ net.view("wx").T)
         if len(self._xw) < net.tau:
             return None
-        w = output_to_matrix(self._recur().reshape(net.k, net.m, 2))
-        if self.project:
-            pw = float(np.sum(np.abs(w) ** 2))
-            if pw > net.config.power_budget:
-                w = w * np.sqrt(net.config.power_budget / pw)
-        return w
-
-    def _recur(self) -> np.ndarray:
-        """The [1, 2*K*M] FC output after the LSTM over the ring.  One
-        sigmoid covers all four gates; the first step, where h = c = 0,
-        skips h W_h^T and f * c, which add exact zeros in forward()."""
-        v, hh = self.net._views, self.net.hidden
-        h = c = None
-        # exp(-x) overflows to inf for a gate below -709, whose sigmoid is
-        # then exactly 0; the cell-input gate's sigmoid is never read
-        with np.errstate(over="ignore"):
-            for xw in self._xw:
-                gates = xw + v["lstm_b"] if h is None \
-                    else xw + h @ v["wh"].T + v["lstm_b"]
-                s = _sigmoid(gates)
-                ig = s[:, :hh] * np.tanh(gates[:, 2 * hh:3 * hh])
-                c = ig if c is None else s[:, hh:2 * hh] * c + ig
-                h = s[:, 3 * hh:] * np.tanh(c)
-        return h @ v["fc_w"] + v["fc_b"]
+        o = net._lstm(self._xw, 1) @ net.view("fc_w") + net.view("fc_b")
+        return output_to_matrix(o.reshape(net.k, net.m, 2))
 
 
 class NaiveNet(_FlatParams):

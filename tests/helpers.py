@@ -149,7 +149,9 @@ def slot_loop_decide(config, method: str, model, rng,
     its observations, one slot at a time: per slot one motion step, one
     random-beam draw, one (K, 3) noise draw and one observation; hcl shifts
     a [tau, K, M] history by one row and predicts from the whole window,
-    naive_dl maps a complete observation through the FC net."""
+    naive_dl maps a complete observation through the FC net.  With project,
+    a decided W with ||W||_F^2 above the budget P is scaled by
+    sqrt(P / ||W||_F^2)."""
     rng_motion, rng_obs, rng_beam = rng.spawn(3)
     k, tau = config.n_vehicles, config.history_len
     vehicles = init_vehicles(config, rng_motion)
@@ -164,13 +166,20 @@ def slot_loop_decide(config, method: str, model, rng,
                                    theta_mode)
         observations.append(obs)
         w.append(random_beamformer(config, rng_beam))
+        beams = None
         if method == "hcl":
             history = shift_history(history, obs, config)
             if n >= tau - 1:
-                w[n + 1] = model.predict(history, project=project)
+                beams = model.predict(history)
         elif obs.usable.all():
-            w[n + 1] = naive_dl_beamformer(obs.theta_hat, obs.d_hat, model,
-                                           config)
+            beams = naive_dl_beamformer(obs.theta_hat, obs.d_hat, model,
+                                        config)
+        if beams is None:
+            continue
+        power = np.sum(np.abs(beams) ** 2)
+        if project and power > config.power_budget:
+            beams = beams * np.sqrt(config.power_budget / power)
+        w[n + 1] = beams
     return np.stack(w), observations
 
 

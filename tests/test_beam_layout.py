@@ -69,7 +69,8 @@ def test_network_beams_are_vehicle_rows(cfg, rng):
     o = naive.forward(naive.features(th[None], dd[None]))[0]
     assert np.array_equal(_rows(naive_dl_beamformer(th, dd, naive, cfg), (k, m)),
                           _output_rows(o))
-    # an output layer scaled 10x overshoots the budget, so project scales it
+    # an output layer scaled 10x overshoots the budget, so the harness's
+    # projection scales it
     hcl = HCLNet(cfg)
     hcl.init_params(rng)
     hcl.view("fc_w")[:] *= 10.0
@@ -78,7 +79,7 @@ def test_network_beams_are_vehicle_rows(cfg, rng):
     o = hcl.forward(np.stack((hist.real, hist.imag), axis=-1)[None])[0]
     w = _rows(hcl.predict(hist), (k, m))
     assert np.array_equal(w, _output_rows(o))
-    wp = _rows(hcl.predict(hist, project=True), (k, m))
+    wp = _rows(harness.project_power(w, cfg.power_budget), (k, m))
     assert np.sum(np.abs(w) ** 2) > cfg.power_budget
     np.testing.assert_allclose(wp, w * np.sqrt(
         cfg.power_budget / np.sum(np.abs(w) ** 2)), rtol=1e-15, atol=0)

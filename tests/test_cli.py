@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from isacbf import harness
-from isacbf.cli import main
+from isacbf.cli import build_parser, main
 from isacbf.harness import Dataset
+from isacbf.nn.model import HCLNet, NaiveNet
 
 SMALL = ["--set", "n_tx=8", "--set", "n_rx=8", "--set", "n_vehicles=2",
          "--set", "history_len=3", "--set", "n_slots=12"]
@@ -157,6 +158,50 @@ def test_eval_requires_model(capsys):
     rc = main(["eval", *SMALL, "--methods", "hcl", "--realizations", "2"])
     assert rc == 2
     assert "model file required" in capsys.readouterr().err
+
+
+def test_two_models_of_one_kind_are_error(small_cfg, tmp_path, monkeypatch,
+                                          capsys):
+    """eval and sweep take one --model file per kind: a second file of the
+    same kind prints an error naming both and exits 2 before any episode
+    runs, while one file of each kind serves hcl and naive_dl.  small_cfg
+    is the config of SMALL."""
+    paths = {}
+    for name, net in (("hcl", HCLNet(small_cfg)), ("a", NaiveNet(small_cfg)),
+                      ("b", NaiveNet(small_cfg))):
+        net.init_params(np.random.default_rng(0))
+        paths[name] = str(tmp_path / f"{name}.bin")
+        net.save(paths[name])
+
+    def no_episode(*args, **kwargs):
+        raise AssertionError("an episode ran")
+
+    monkeypatch.setattr(harness, "run_episode", no_episode)
+    for cmd in ("eval", "sweep"):
+        rc = main([cmd, *SMALL, "--methods", "naive_dl", "--model",
+                   paths["a"], "--model", paths["b"], "--realizations", "1"])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert paths["a"] in err and paths["b"] in err
+    monkeypatch.undo()
+    rc = main(["eval", *SMALL, "--methods", "hcl,naive_dl", "--model",
+               paths["a"], "--model", paths["hcl"], "--realizations", "1"])
+    out = capsys.readouterr().out
+    assert rc == 0 and "hcl" in out and "naive_dl" in out
+
+
+@pytest.mark.parametrize("cmd", ["eval", "sweep"])
+def test_eval_and_sweep_share_their_options(cmd, capsys):
+    """Both document the six options they share, --project-power as
+    rescaling the beams of both predictive methods."""
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([cmd, "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    for option in ("--methods", "--model", "--realizations",
+                   "--project-power", "--theta-mode", "--format"):
+        assert option in text
+    assert "rescale hcl and naive_dl beams" in text
 
 
 def test_eval_prints_rows_without_out(capsys):

@@ -111,6 +111,34 @@ def _zero_vehicle_1(models, config):
     return models
 
 
+def _overshooting(net, config):
+    """net with its output-layer weights scaled 10x, so that its beams
+    overshoot the power budget.  An HCL-Net also gets the input scale of
+    a dataset, without which its beams are near zero."""
+    if isinstance(net, HCLNet):
+        net.kappa = generate_dataset(config, 20,
+                                     np.random.default_rng(0)).kappa()
+    net.view("fc_w" if isinstance(net, HCLNet) else "w3")[:] *= 10.0
+    return net
+
+
+@pytest.mark.parametrize("method", ["hcl", "naive_dl"])
+def test_projected_episode_keeps_the_power_budget(small_cfg, method):
+    """An hcl or naive_dl net whose output layer overshoots the budget
+    applies beams above it, and none with project."""
+    model = _overshooting(_models(small_cfg)[method], small_cfg)
+    budget = small_cfg.power_budget
+    for seed in range(3):
+        power = {}
+        for project in (False, True):
+            trace = run_episode(small_cfg, method, np.random.default_rng(seed),
+                                model=model, project=project)
+            power[project] = np.sum(np.abs(trace.w_applied) ** 2,
+                                    axis=(1, 2))
+        assert power[False].max() > 2.0 * budget
+        assert power[True].max() <= budget * (1 + 1e-12)
+
+
 @pytest.mark.parametrize("method", ["hcl", "naive_dl"])
 @pytest.mark.parametrize("theta_mode", ["relative", "crlb"])
 @pytest.mark.parametrize("project", [False, True])
@@ -131,8 +159,8 @@ def test_causal_episode_matches_slot_loop(small_cfg, cfg, method, theta_mode,
     unusable = {}
     for name, (config, models) in cases.items():
         model = models[method]
-        if project and method == "hcl":
-            model.view("fc_w")[:] *= 10.0   # so that projection binds
+        if project:
+            _overshooting(model, config)   # so that projection binds
         unusable[name] = 0
         for seed in range(3):
             trace = run_episode(config, method, np.random.default_rng(seed),
@@ -440,7 +468,7 @@ class _FixedBeams:
         self.zero_from = zero_from
         self.histories = []
 
-    def stream(self, project=False):
+    def stream(self):
         rows = []
 
         def push(row):

@@ -3,6 +3,7 @@ import pytest
 
 from helpers import fd_grad, loop_maxpool2x2
 from isacbf.config import SimConfig
+from isacbf.harness import project_power
 from isacbf.nn import kernels
 from isacbf.nn.model import (CONV_FILTERS, LSTM_HIDDEN, HCLNet, NaiveNet,
                              load_model, output_to_matrix)
@@ -217,51 +218,46 @@ def test_hclnet_backward_matches_fd(small_cfg, rng):
 
 
 def test_predict_and_projection(cfg, rng):
+    """predict gives [K, N_t] beams, which the harness projects onto the
+    power budget."""
     net = HCLNet(cfg)
     net.init_params(rng)
+    net.view("fc_b")[:] = 1.0     # beams far above the budget
     w = net.predict(_window(cfg, rng))
     assert w.shape == (cfg.n_vehicles, cfg.n_tx)
-    wp = net.predict(_window(cfg, rng), project=True)
+    assert np.sum(np.abs(w) ** 2) > cfg.power_budget
+    wp = project_power(w, cfg.power_budget)
     assert np.sum(np.abs(wp) ** 2) <= cfg.power_budget * (1 + 1e-12)
 
 
-def _forward_beams(net, window, project=False):
-    """The beams of the batched forward on one [tau, K, M] complex window,
-    projected onto the budget as predict does when asked."""
+def _forward_beams(net, window):
+    """The beams of the batched forward on one [tau, K, M] complex window."""
     x = np.stack((window.real, window.imag), axis=-1)[None]
-    w = output_to_matrix(net.forward(x)[0])
-    pw = np.sum(np.abs(w) ** 2)
-    if project and pw > net.config.power_budget:
-        w = w * np.sqrt(net.config.power_budget / pw)
-    return w
+    return output_to_matrix(net.forward(x)[0])
 
 
 def test_stream_matches_forward_on_every_window(cfg, rng):
     """push() returns None until tau rows are in, then at each slot exactly
-    the beams of forward() on the window of the last tau rows, with and
-    without projection.  The rows open with zero pre-history rows, whose
-    CNN features are not zero under a positive conv bias, and hold a
-    carried row (a vehicle's row repeated from the slot before)."""
+    the beams of forward() on the window of the last tau rows.  The rows
+    open with zero pre-history rows, whose CNN features are not zero under
+    a positive conv bias, and hold a carried row (a vehicle's row repeated
+    from the slot before)."""
     net = HCLNet(cfg, kappa=1.3)
     net.init_params(rng)
     net.view("conv_b")[:] = [0.2, -0.1, 0.05, 0.3]
-    net.view("fc_w")[:] *= 10.0     # so that projection binds
     tau, k, m = cfg.history_len, cfg.n_vehicles, cfg.n_tx
     assert np.any(net.features(np.zeros((k, m, 2))) != 0)
     rows = rng.normal(size=(12, k, m)) + 1j * rng.normal(size=(12, k, m))
     rows[:tau - 2] = 0.0
     rows[7, 1] = rows[6, 1]
-    for project in (False, True):
-        stream = net.stream(project)
-        for n, row in enumerate(rows):
-            w = stream.push(row)
-            if n < tau - 1:
-                assert w is None
-                continue
-            want = _forward_beams(net, rows[n - tau + 1:n + 1], project)
-            assert np.array_equal(w, want), (project, n)
-            if project:
-                assert np.sum(np.abs(w) ** 2) <= cfg.power_budget * (1 + 1e-12)
+    stream = net.stream()
+    for n, row in enumerate(rows):
+        w = stream.push(row)
+        if n < tau - 1:
+            assert w is None
+            continue
+        want = _forward_beams(net, rows[n - tau + 1:n + 1])
+        assert np.array_equal(w, want), n
     with pytest.raises(ValueError):
         net.stream().push(rows[0, :, :-1])
 
