@@ -27,7 +27,8 @@ from .kinematics import VehicleState, init_vehicles, step_motion
 from .nn.loss import BatchGeometry, build_geometry
 from .nn.model import HCLNet, NaiveNet
 from .nn.train import TrainHyper, TrainResult, train
-from .sensing import fisher_information, generate_observation
+from .sensing import (fisher_information, generate_observation,
+                      observation_terms, observe)
 
 METHODS = ("genie", "naive_dl", "random", "hcl")
 
@@ -83,19 +84,35 @@ def _exogenous(config: SimConfig, rng: np.random.Generator):
 
 
 def _write_estimates(est: np.ndarray, obs, config: SimConfig) -> None:
-    """Write the estimated channels of the slots of obs into est[1:], one
-    [K, M] row per slot, est[0] holding the row before the first.  obs holds
-    one slot's [K] arrays or n slots' [n, K] arrays.  A vehicle without a
-    usable estimate carries its previous row forward."""
+    """Write the estimated channels of the n slots of obs, [n, K] arrays,
+    into est[1:], one [K, M] row per slot, est[0] holding the row before
+    the first.  A vehicle without a usable estimate carries its previous
+    row forward."""
     k = est.shape[1]
-    usable = obs.usable.reshape(-1, k)
+    usable = obs.usable
     rows = est[1:]
-    rows[usable] = effective_channel(obs.theta_hat.reshape(-1, k)[usable],
-                                     obs.d_hat.reshape(-1, k)[usable], config)
+    rows[usable] = effective_channel(obs.theta_hat[usable], obs.d_hat[usable],
+                                     config)
     # each row's latest usable row of the vehicle, 0 for the row before
     latest = np.maximum.accumulate(
         usable * np.arange(1, len(usable) + 1)[:, None], axis=0)
     rows[:] = est[latest, np.arange(k)]
+
+
+def _next_estimates(row: np.ndarray, obs, config: SimConfig,
+                    a_hat=None) -> np.ndarray:
+    """The [K, M] estimated channels after one slot's observations obs,
+    given the row before: a usable vehicle's is the channel of its
+    estimates, from a_hat = steering(obs.theta_hat, N_t) if the caller has
+    it, and an unusable vehicle carries its previous one forward."""
+    usable = obs.usable
+    if usable.all():
+        return effective_channel(obs.theta_hat, obs.d_hat, config, a_hat)
+    row = row.copy()
+    row[usable] = effective_channel(
+        obs.theta_hat[usable], obs.d_hat[usable], config,
+        None if a_hat is None else a_hat[usable])
+    return row
 
 
 def project_power(w: np.ndarray, budget: float) -> np.ndarray:
@@ -111,22 +128,27 @@ def _decide(config: SimConfig, method: str, model, vehicles: VehicleState,
     then decide w[n + 1] in place, projected onto the power budget when
     project is set.  w holds random beams on entry, which a slot keeps while
     the method's input is incomplete.  a is the episode's [n_slots, K, N_t]
-    steering; the observation noise is one block drawn before the loop, the
-    stream of the per-slot draws."""
+    steering.  What the observations need that no beam changes (the noise
+    block, the stream of the per-slot draws, and observation_terms) is
+    computed before the loop, and so in relative mode is the steering of
+    the angle estimates; a slot computes only what depends on its beam."""
     n_slots, k = config.n_slots, config.n_vehicles
-    z = rng_obs.standard_normal((n_slots - 1, k, 3))
-    fields = vars(vehicles).values()
+    observed = VehicleState(*(f[:-1] for f in vars(vehicles).values()))
+    terms = observation_terms(
+        observed, config, rng_obs.standard_normal((n_slots - 1, k, 3)),
+        theta_mode, doppler=False)
     if method == "hcl":
         stream = model.stream()
-        # row n + 1 holds slot n's estimated channels, zeros before slot 0
-        est = np.zeros((n_slots, k, config.n_tx), dtype=complex)
+        row = np.zeros((k, config.n_tx), dtype=complex)  # before slot 0
+        a_hat = None if terms.theta_hat is None \
+            else steering(terms.theta_hat, config.n_tx)
     for n in range(n_slots - 1):
-        slot = VehicleState(*(f[n] for f in fields))
-        obs = generate_observation(slot, w[n], config, z[n], theta_mode, a[n])
+        obs = observe(terms.at(n), w[n], a[n], config)
         beams = None
         if method == "hcl":
-            _write_estimates(est[n:n + 2], obs, config)
-            beams = stream.push(est[n + 1])
+            row = _next_estimates(row, obs, config,
+                                  None if a_hat is None else a_hat[n])
+            beams = stream.push(row)
         elif obs.usable.all():
             beams = naive_dl_beamformer(obs.theta_hat, obs.d_hat, model,
                                         config)

@@ -11,8 +11,6 @@ NaiveNet: the fully-connected baseline mapping the last slot's estimated
 """
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
 from ..config import SimConfig
@@ -140,8 +138,12 @@ class HCLNet(_FlatParams):
         else:
             z = kernels.conv_by_matrix(x4, conv, v["conv_b"])
         # ReLU is monotone, so it commutes with the max: pooling first
-        # leaves 4x fewer entries to rectify, with the same outputs.
-        p, idx = kernels.maxpool2x2_fwd(z)
+        # leaves 4x fewer entries to rectify, with the same outputs.  Only
+        # backward() reads the pool's argmax, so inference takes the maxima.
+        if cache is None:
+            p = kernels.maxpool2x2(z)
+        else:
+            p, idx = kernels.maxpool2x2_fwd(z)
         mask = p > 0
         feat = p.reshape(rows.shape[:-3] + (-1,))
         feat *= mask.reshape(feat.shape)
@@ -182,25 +184,32 @@ class HCLNet(_FlatParams):
     def _lstm(self, xw, nb: int, steps: list | None = None) -> np.ndarray:
         """The [nb, hidden] last hidden state of the LSTM run from h = c = 0
         over the per-slot input products x_t W_x^T in xw, each [nb, 4H].
-        One sigmoid covers all four gates; the first step skips h W_h^T and
-        f * c, which add exact zeros.  A given steps list receives each
-        step's (h_prev, c_prev, i, f, g, o, tanh c) for backward()."""
-        hh, wh_t, b = self.hidden, self._views["wh"].T, self._views["lstm_b"]
-        h = c = np.zeros((nb, hh))
+        The first step skips h W_h^T and f * c, which add exact zeros.  A
+        given steps list receives each step's (h_prev, c_prev, i, f, g, o,
+        tanh c) for backward()."""
+        wh_t, b = self._views["wh"].T, self._views["lstm_b"]
+        h = c = np.zeros((nb, self.hidden))
+        for t, xwt in enumerate(xw):
+            gi, gf, gg, go, tc, c_new = self._cell(
+                xwt + h @ wh_t + b if t else xwt + b, c if t else None)
+            if steps is not None:
+                steps.append((h, c, gi, gf, gg, go, tc))
+            h, c = go * tc, c_new
+        return h
+
+    def _cell(self, gates: np.ndarray, c: np.ndarray | None):
+        """One LSTM cell update of the [..., 4H] gate pre-activations and
+        the cell state c (None for c = 0): the gates i, f, g, o, tanh of the
+        new cell state, and that state.  One sigmoid covers all four gates."""
+        hh = self.hidden
         # exp(-x) overflows to inf for a gate below -709, whose sigmoid is
         # then exactly 0; the cell-input gate's sigmoid is never read
         with np.errstate(over="ignore"):
-            for t, xwt in enumerate(xw):
-                gates = xwt + h @ wh_t + b if t else xwt + b
-                s = _sigmoid(gates)
-                gi, gf, go = s[:, :hh], s[:, hh:2 * hh], s[:, 3 * hh:]
-                gg = np.tanh(gates[:, 2 * hh:3 * hh])
-                c_new = gf * c + gi * gg if t else gi * gg
-                tc = np.tanh(c_new)
-                if steps is not None:
-                    steps.append((h, c, gi, gf, gg, go, tc))
-                h, c = go * tc, c_new
-        return h
+            s = _sigmoid(gates)
+        gi, gf, go = s[..., :hh], s[..., hh:2 * hh], s[..., 3 * hh:]
+        gg = np.tanh(gates[..., 2 * hh:3 * hh])
+        c_new = gi * gg if c is None else gf * c + gi * gg
+        return gi, gf, gg, go, np.tanh(c_new), c_new
 
     def backward(self, g_out: np.ndarray, cache: dict) -> np.ndarray:
         """Gradient of a scalar loss w.r.t. the flat parameter vector, given
@@ -268,19 +277,25 @@ class HCLNet(_FlatParams):
 class HCLStream:
     """HCL-Net decisions over one episode, one slot at a time.
 
-    push() runs the CNN on the new slot's K rows only and keeps that slot's
+    push() runs the CNN on the new slot's K rows only and takes that slot's
     LSTM input product x_t W_x^T, as the [1, 4H] product of the batched
-    forward, in a ring of the last tau slots.  A decision then reruns just
-    the tau-step recurrence and the FC layer, with the bits of forward() on
-    the same window.  The conv matrix is built once, from the weights at
-    creation, so a stream must not outlive a change of the weights.
+    forward.  The tau windows in flight, the one starting at this slot and
+    the tau - 1 started before it, keep their (h, c) states in a [tau, 1, H]
+    ring, and every push advances all of them by one cell step on the
+    slot's product; the window started tau - 1 slots ago then has its tau
+    steps and feeds the FC layer.  Each ring row is multiplied by W_h^T as
+    a [1, H] row, with the bits of forward() on the same window.  The conv
+    matrix is built once, from the weights at creation, so a stream must
+    not outlive a change of the weights.
     """
 
     def __init__(self, net: HCLNet):
         self.net = net
         self._conv = kernels.conv_matrix(net.view("conv_w"), CNN_ROWS,
                                          net.m // CNN_ROWS)
-        self._xw = deque(maxlen=net.tau)
+        self._h = np.zeros((net.tau, 1, net.hidden))
+        self._c = np.zeros_like(self._h)
+        self._n = 0   # slots pushed so far
 
     def push(self, rows: np.ndarray) -> np.ndarray | None:
         """Take the next slot's [K, M] complex estimated channels; return the
@@ -292,10 +307,18 @@ class HCLStream:
                              f"got {rows.shape}")
         pairs = np.ascontiguousarray(rows, dtype=complex).view(float)
         x = net.features(pairs.reshape(rows.shape + (2,)), self._conv)
-        self._xw.append(x[None] @ net.view("wx").T)
-        if len(self._xw) < net.tau:
+        # ring row n % tau starts a window at slot n, from h = c = 0
+        tau, h, c = net.tau, self._h, self._c
+        h[self._n % tau] = c[self._n % tau] = 0.0
+        self._n += 1
+        gates = x[None] @ net.view("wx").T + h @ net.view("wh").T \
+            + net.view("lstm_b")
+        *_, go, tc, c_new = net._cell(gates, c)
+        c[:] = c_new
+        h[:] = go * tc
+        if self._n < tau:
             return None
-        o = net._lstm(self._xw, 1) @ net.view("fc_w") + net.view("fc_b")
+        o = h[self._n % tau] @ net.view("fc_w") + net.view("fc_b")
         return output_to_matrix(o.reshape(net.k, net.m, 2))
 
 

@@ -73,11 +73,27 @@ def _psi2(dist, config: SimConfig):
     return config.n_tx * config.n_rx * abs(reflection_coeff(dist, config)) ** 2
 
 
-def _delay_doppler_vars(dist, gain, config: SimConfig):
-    """Delay and Doppler error variances rho^2 * sigma^2 / (xi |psi|^2 gain)."""
-    denom = config.mf_gain * _psi2(dist, config) * gain
-    return (config.rho_nu ** 2 * config.noise_rsu / denom,
-            config.rho_mu ** 2 * config.noise_rsu / denom)
+def echo_gain(dist, config: SimConfig):
+    """xi |psi|^2, the matched-filtered echo power of a unit beam gain."""
+    return config.mf_gain * _psi2(dist, config)
+
+
+def _error_var(rho, denom, config: SimConfig, observable=True):
+    """rho^2 sigma^2 / denom: the delay (rho_nu) or Doppler (rho_mu) error
+    variance of echo power denom = xi |psi|^2 |a^H w|^2, infinite where a
+    vehicle is not observable."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        var = rho ** 2 * config.noise_rsu / denom
+    return np.where(observable, var, np.inf)[()]
+
+
+def _beam_gain(a: np.ndarray, W: np.ndarray):
+    """u = a^H w, the beam gain |u|^2 and the mask of beams that carry
+    energy toward their vehicles, for steering a and beam rows W."""
+    u = np.vecdot(a, W)
+    gain = np.abs(u) ** 2
+    wnorm2 = np.vecdot(W, W).real
+    return u, gain, ~(gain <= _GAIN_FLOOR * np.maximum(1.0, wnorm2))
 
 
 def obs_noise_vars(theta, dist, W: np.ndarray, config: SimConfig,
@@ -91,21 +107,90 @@ def obs_noise_vars(theta, dist, W: np.ndarray, config: SimConfig,
     """
     if a is None:
         a = steering(theta, config.n_tx)
-    u = np.vecdot(a, W)
-    gain = np.abs(u) ** 2
-    wnorm2 = np.vecdot(W, W).real
-    observable = ~(gain <= _GAIN_FLOOR * np.maximum(1.0, wnorm2))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        nu2, mu2 = _delay_doppler_vars(dist, gain, config)
+    u, gain, observable = _beam_gain(a, W)
+    denom = echo_gain(dist, config) * gain
     return ObsNoise(u=u, observable=observable,
-                    sigma_nu2=np.where(observable, nu2, np.inf)[()],
-                    sigma_mu2=np.where(observable, mu2, np.inf)[()])
+                    sigma_nu2=_error_var(config.rho_nu, denom, config,
+                                         observable),
+                    sigma_mu2=_error_var(config.rho_mu, denom, config,
+                                         observable))
+
+
+class ObsTerms(NamedTuple):
+    """What observations of vehicles need that no beam changes, as arrays of
+    the vehicles' shape: an episode takes them once, as [n_slots, K]
+    blocks, and each slot reads its rows (at)."""
+    theta: np.ndarray      # true angles, rad
+    dist: np.ndarray       # true distances, m
+    delay: np.ndarray      # noiseless delay 2 d / c, s
+    echo: np.ndarray       # echo_gain: xi |psi|^2
+    z: np.ndarray          # standard normals, trailing (delay, Doppler, angle)
+    theta_hat: np.ndarray | None  # relative mode: the angle estimates
+    doppler: np.ndarray | None    # noiseless Doppler 2 v f_c / c, Hz
+
+    def at(self, n) -> "ObsTerms":
+        """The terms of slot n."""
+        return ObsTerms._make(None if f is None else f[n] for f in self)
+
+
+def observation_terms(vehicles: VehicleState, config: SimConfig,
+                      z: np.ndarray, mode: str = "relative",
+                      doppler: bool = True) -> ObsTerms:
+    """The beam-independent terms of noisy observations of the vehicles.
+
+    z is the standard-normal block of the vehicles' shape plus a trailing 3
+    (delay, Doppler, angle).  In mode "relative" the angle estimate
+    theta*(1+e), e ~ N(0, obs_rel_mse), needs no beam; in mode "crlb" it is
+    theta + N(0, CRLB(theta, w)), which observe() draws from the beam.
+    Without doppler, observe() gives no radial-speed estimates.
+    """
+    if mode not in ("relative", "crlb"):
+        raise ValueError(f"unknown observation mode: {mode!r}")
+    theta, dist = vehicles.theta, vehicles.dist
+    if z.shape != np.shape(theta) + (3,):
+        raise ValueError(f"noise block {z.shape} does not match vehicles "
+                         f"{np.shape(theta)} plus a trailing 3")
+    c = config.wave_speed
+    theta_hat = None
+    if mode == "relative":
+        theta_hat = theta * (1.0 + math.sqrt(config.obs_rel_mse) * z[..., 2])
+    return ObsTerms(
+        theta=theta, dist=dist, delay=2.0 * dist / c,
+        echo=echo_gain(dist, config), z=z, theta_hat=theta_hat,
+        doppler=2.0 * vehicles.radial_v * config.carrier_hz / c
+        if doppler else None)
+
+
+def observe(terms: ObsTerms, W: np.ndarray, a: np.ndarray,
+            config: SimConfig) -> Observations:
+    """The observations of the vehicles of terms under the beams W, row k
+    toward vehicle k, whose true steering vectors are a: the part of an
+    observation that depends on the beam.  vdot_hat is None when the terms
+    hold no Doppler.  A vehicle whose beam carries no energy toward it, or
+    whose distance estimate is not positive, is marked unusable."""
+    u, gain, observable = _beam_gain(a, W)
+    nu2 = _error_var(config.rho_nu, terms.echo * gain, config, observable)
+    c = config.wave_speed
+    d_hat = c * (terms.delay + np.sqrt(nu2) * terms.z[..., 0]) / 2.0
+    theta_hat = terms.theta_hat
+    if theta_hat is None:
+        crlb_theta, _ = _crlbs(terms.theta, terms.dist, W, config, a, u,
+                               observable)
+        theta_hat = terms.theta + np.sqrt(crlb_theta) * terms.z[..., 2]
+    vdot_hat = None
+    if terms.doppler is not None:
+        mu2 = _error_var(config.rho_mu, terms.echo * gain, config, observable)
+        vdot_hat = c * (terms.doppler + np.sqrt(mu2) * terms.z[..., 1]) \
+            / (2.0 * config.carrier_hz)
+    return Observations(theta_hat=theta_hat, d_hat=d_hat, vdot_hat=vdot_hat,
+                        usable=observable & (d_hat > 0))
 
 
 def generate_observation(vehicles: VehicleState, W: np.ndarray,
                          config: SimConfig, z: np.ndarray,
                          mode: str = "relative", a=None) -> Observations:
-    """Noisy (delay, Doppler, angle) observations of the K vehicles.
+    """Noisy (delay, Doppler, angle) observations of the K vehicles:
+    observe() over their observation_terms().
 
     The vehicles are [K] arrays with a [K, N_t] W, or [n, K] arrays of n
     slots with an [n, K, N_t] W (as in fisher_information); the estimates
@@ -116,32 +201,12 @@ def generate_observation(vehicles: VehicleState, W: np.ndarray,
     mode "crlb":     theta_hat = theta + N(0, CRLB(theta, w)).
     A caller draws one (K, 3) block for every slot, in slot order, whether
     or not a vehicle is observable, so the stream stays aligned: one
-    (n, K, 3) draw equals n successive (K, 3) draws.  A vehicle whose beam
-    carries no energy toward it, or whose distance estimate is not
-    positive, is marked unusable.
+    (n, K, 3) draw equals n successive (K, 3) draws.
     """
-    if mode not in ("relative", "crlb"):
-        raise ValueError(f"unknown observation mode: {mode!r}")
-    theta, dist = vehicles.theta, vehicles.dist
-    if z.shape != np.shape(theta) + (3,):
-        raise ValueError(f"noise block {z.shape} does not match vehicles "
-                         f"{np.shape(theta)} plus a trailing 3")
+    terms = observation_terms(vehicles, config, z, mode)
     if a is None:
-        a = steering(theta, config.n_tx)
-    noise = obs_noise_vars(theta, dist, W, config, a)
-    c = config.wave_speed
-    nu = 2.0 * dist / c + np.sqrt(noise.sigma_nu2) * z[..., 0]
-    mu = 2.0 * vehicles.radial_v * config.carrier_hz / c \
-        + np.sqrt(noise.sigma_mu2) * z[..., 1]
-    if mode == "relative":
-        theta_hat = theta * (1.0 + math.sqrt(config.obs_rel_mse) * z[..., 2])
-    else:
-        crlb_theta, _ = _crlbs(theta, dist, W, config, a, noise)
-        theta_hat = theta + np.sqrt(crlb_theta) * z[..., 2]
-    d_hat = c * nu / 2.0
-    return Observations(theta_hat=theta_hat, d_hat=d_hat,
-                        vdot_hat=c * mu / (2.0 * config.carrier_hz),
-                        usable=noise.observable & (d_hat > 0))
+        a = steering(vehicles.theta, config.n_tx)
+    return observe(terms, W, a, config)
 
 
 def echo_mean(theta: float, dist: float, w_k: np.ndarray,
@@ -164,7 +229,7 @@ def echo_constants(theta, dist, config: SimConfig) -> EchoConstants:
     c1sq = _psi2(dist, config) * config.mf_gain ** 2
     # d = c*nu/2, so CRLB_d = (c/2)^2 sigma_nu^2, and sigma_nu^2 ~ 1/|a^H w|^2
     c_dist = (config.wave_speed / 2.0) ** 2 \
-        * _delay_doppler_vars(dist, 1.0, config)[0]
+        * _error_var(config.rho_nu, echo_gain(dist, config), config)
     return EchoConstants(s_bp=s_bp, q_bp=q_bp, c1sq=c1sq, c_dist=c_dist)
 
 
@@ -198,7 +263,8 @@ def fisher_information(vehicles: VehicleState, W: np.ndarray,
     if a is None:
         a = steering(theta, config.n_tx)
     noise = obs_noise_vars(theta, dist, W, config, a)
-    crlb_theta, crlb_d = _crlbs(theta, dist, W, config, a, noise)
+    crlb_theta, crlb_d = _crlbs(theta, dist, W, config, a, noise.u,
+                                noise.observable)
     return FisherInfo(
         crlb_theta=crlb_theta, crlb_d=crlb_d,
         f_doppler=(2.0 * config.carrier_hz / config.wave_speed) ** 2
@@ -206,12 +272,12 @@ def fisher_information(vehicles: VehicleState, W: np.ndarray,
 
 
 def _crlbs(theta, dist, W: np.ndarray, config: SimConfig, a: np.ndarray,
-           noise: ObsNoise):
+           u: np.ndarray, observable: np.ndarray):
     """(CRLB_theta, CRLB_d) of the beams W toward vehicles at (theta, dist),
-    given their steering vectors a and noise model; infinite where a
-    vehicle is unobservable."""
+    given their steering vectors a, u = a^H w and the observable mask;
+    infinite where a vehicle is unobservable."""
     v = np.vecdot(steering_dtheta(theta, config.n_tx, a), W)
-    crlb_theta, crlb_d = crlbs(noise.u, v, echo_constants(theta, dist, config),
+    crlb_theta, crlb_d = crlbs(u, v, echo_constants(theta, dist, config),
                                config.echo_noise_var)
-    return (np.where(noise.observable, crlb_theta, np.inf)[()],
-            np.where(noise.observable, crlb_d, np.inf)[()])
+    return (np.where(observable, crlb_theta, np.inf)[()],
+            np.where(observable, crlb_d, np.inf)[()])

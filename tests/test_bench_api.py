@@ -2,8 +2,9 @@
 
 The traced benchmark run wraps each trace point by replacing
 ``vars(owner)[attr]``, and its correctness checks call ``sensing.echo_mean``,
-read ``run_episode``'s trace and ``generate_dataset``'s arrays, and record
-``kernels.get_backend()``.  A refactor that moves or renames one of them
+read ``run_episode``'s trace and ``generate_dataset``'s arrays, record
+``kernels.get_backend()``, and capture the first training conv and pool
+calls through ``kernels``.  A refactor that moves or renames one of them
 breaks ``isacbench/run.py`` or its checks; these tests catch that without
 running the benchmark.
 """
@@ -69,3 +70,28 @@ def test_benchmark_checks_accept_outputs(small_cfg):
     for cfg in (small_cfg, small_cfg.replace(rho_nu=2.0)):
         checks.check_dataset(generate_dataset(cfg, 20,
                                               np.random.default_rng(3)), cfg)
+
+
+def test_training_forward_calls_the_captured_kernels(small_cfg, monkeypatch):
+    """One HCLNet.forward(x, want_cache=True), as training makes it, calls
+    kernels.conv2d3x3_same_fwd and kernels.maxpool2x2_fwd once each through
+    the module, with positional arguments, the pool returning (maxima,
+    index): the benchmark's warm round captures these two calls by module
+    attribute and checks them against its loop references."""
+    calls = {}
+    for name in ("conv2d3x3_same_fwd", "maxpool2x2_fwd"):
+        def counted(*args, real=getattr(kernels, name), name=name):
+            out = real(*args)
+            calls.setdefault(name, []).append(out)
+            return out
+        monkeypatch.setattr(kernels, name, counted)
+    net = HCLNet(small_cfg)
+    net.init_params(np.random.default_rng(0))
+    x = np.random.default_rng(1).normal(
+        size=(4, small_cfg.history_len, small_cfg.n_vehicles, small_cfg.n_tx,
+              2))
+    net.forward(x, want_cache=True)
+    assert sorted(calls) == ["conv2d3x3_same_fwd", "maxpool2x2_fwd"]
+    assert all(len(outs) == 1 for outs in calls.values())
+    p, idx = calls["maxpool2x2_fwd"][0]
+    assert p.shape == idx.shape

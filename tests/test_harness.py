@@ -12,7 +12,7 @@ from isacbf.harness import (CSV_HEADER, Dataset, EpisodeTrace, MethodStats,
                             power_sweep, run_episode, train_hcl, train_naive,
                             verify_causality)
 from isacbf.baselines import genie_rate, random_beamformer
-from isacbf.channel import effective_channel, sum_rate
+from isacbf.channel import effective_channel, steering, sum_rate
 from isacbf.nn.model import HCLNet, NaiveNet
 from isacbf.nn.train import TrainHyper
 from isacbf.sensing import fisher_information
@@ -359,23 +359,53 @@ def _noisy(cfg):
     return cfg.replace(rho_nu=2.0)
 
 
-def _record_observations(monkeypatch):
-    real_observe = harness.generate_observation
+def _record_observations(monkeypatch, seam="observe"):
+    """The list that receives every observation made through the harness's
+    seam: one slot's under the beam (observe), or a dataset episode's
+    (generate_observation)."""
+    real_observe = getattr(harness, seam)
     seen = []
 
     def observe(*args, **kwargs):
         seen.append(real_observe(*args, **kwargs))
         return seen[-1]
 
-    monkeypatch.setattr(harness, "generate_observation", observe)
+    monkeypatch.setattr(harness, seam, observe)
     return seen
+
+
+@pytest.mark.parametrize("theta_mode", ["relative", "crlb"])
+def test_slot_estimates_match_block_estimates(small_cfg, theta_mode):
+    """The slot loop's estimated channels, one _next_estimates per slot
+    (given the steering of the angle estimates in relative mode), equal
+    the rows that _write_estimates writes for the whole episode at once,
+    bit for bit, on a config whose distance estimates often go negative
+    and with a zero beam row, so that many rows are carried forward."""
+    cfg = _noisy(small_cfg)
+    n, k, m = cfg.n_slots, cfg.n_vehicles, cfg.n_tx
+    vehicles, rng_obs, rng_beam = harness._exogenous(
+        cfg, np.random.default_rng(8))
+    w = random_beamformer(cfg, rng_beam, n)
+    w[::3, 1] = 0.0
+    obs = harness.generate_observation(
+        vehicles, w, cfg, rng_obs.standard_normal((n, k, 3)), theta_mode)
+    est = np.zeros((n + 1, k, m), dtype=complex)
+    harness._write_estimates(est, obs, cfg)
+    a_hat = steering(obs.theta_hat, m) if theta_mode == "relative" else None
+    row = est[0]
+    for s in range(n):
+        one = type(obs)(*(f[s] for f in obs))
+        row = harness._next_estimates(row, one, cfg,
+                                      None if a_hat is None else a_hat[s])
+        assert np.array_equal(row, est[s + 1]), s
+    assert 0 < (~obs.usable).sum() < obs.usable.size
 
 
 def test_negative_distance_estimate_is_unusable(small_cfg, monkeypatch):
     """A distance estimate <= 0 marks its vehicle unusable: it never reaches
     a dataset row or the naive-DL network."""
     cfg = _noisy(small_cfg)
-    obs = _record_observations(monkeypatch)
+    obs = _record_observations(monkeypatch, "generate_observation")
     real_naive = harness.naive_dl_beamformer
     seen = []
 
@@ -388,7 +418,7 @@ def test_negative_distance_estimate_is_unusable(small_cfg, monkeypatch):
     assert any((ob.d_hat <= 0).any() for ob in obs)
     assert all(np.array_equal(ob.usable, ob.d_hat > 0) for ob in obs)
     assert np.all(ds.est_dists > 0)
-    obs.clear()
+    obs = _record_observations(monkeypatch)
     run_episode(cfg, "naive_dl", np.random.default_rng(1),
                 model=_models(cfg)["naive_dl"])
     n_bad = sum(not ob.usable.all() for ob in obs)

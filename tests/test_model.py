@@ -262,6 +262,32 @@ def test_stream_matches_forward_on_every_window(cfg, rng):
         net.stream().push(rows[0, :, :-1])
 
 
+@pytest.mark.parametrize("tau", [1, 2, 5])
+def test_stream_windows_in_flight(cfg, rng, tau):
+    """With tau windows in flight, push() returns None for the first
+    tau - 1 slots and then, at every slot, exactly the beams of the batch-1
+    forward() on that slot's window, a carried row (a vehicle's row
+    repeated from the slot before) included; predict() on the window gives
+    them too."""
+    cfg = cfg.replace(history_len=tau)
+    net = HCLNet(cfg, kappa=1.3)
+    net.init_params(rng)
+    k, m = cfg.n_vehicles, cfg.n_tx
+    n = 3 * tau + 2
+    rows = rng.normal(size=(n, k, m)) + 1j * rng.normal(size=(n, k, m))
+    rows[tau, 1] = rows[tau - 1, 1]
+    stream = net.stream()
+    for s, row in enumerate(rows):
+        w = stream.push(row)
+        if s < tau - 1:
+            assert w is None
+            continue
+        window = rows[s - tau + 1:s + 1]
+        want = _forward_beams(net, window)
+        assert np.array_equal(w, want), s
+        assert np.array_equal(net.predict(window), want), s
+
+
 def test_predict_sees_weights_changed_in_place(cfg, rng):
     """Each predict builds its conv matrix from the current filters, so an
     in-place weight update, as training makes, reaches the next call."""

@@ -9,7 +9,7 @@ from isacbf.channel import steering
 from isacbf.kinematics import init_vehicles, make_state
 from isacbf.sensing import (echo_mean, fisher_information,
                             generate_observation, obs_noise_vars,
-                            reflection_coeff)
+                            observation_terms, observe, reflection_coeff)
 
 # frozen oracle values at the 25 m geometry (state at x=15, y=20) with an
 # aligned unit-norm beam and default constants
@@ -252,6 +252,41 @@ def test_noise_block_is_the_per_slot_stream(cfg):
             for field in ob._fields:
                 assert np.array_equal(getattr(ob, field)[s],
                                       getattr(one, field)), (mode, s, field)
+
+
+def test_slot_observations_over_episode_terms_match_block(cfg):
+    """An episode's observation_terms, taken once as [n, K] blocks, with one
+    observe() per slot under that slot's beams, give the observations of one
+    block generate_observation bit for bit: in both modes, with a zero beam
+    (an unobservable vehicle) and, at rho_nu = 2, negative distance
+    estimates.  Terms without Doppler give the same estimates and no
+    radial speeds."""
+    n, k = 8, cfg.n_vehicles
+    rng = np.random.default_rng(4)
+    v = make_state(*(rng.uniform(lo, hi, (n, k))
+                     for lo, hi in ((5, 80), (5, 40), (8, 8.25))))
+    a = steering(v.theta, cfg.n_tx)
+    W = steering(v.theta + rng.normal(0.0, 0.05, (n, k)), cfg.n_tx)
+    W[3, 1] = 0.0
+    z = rng.standard_normal((n, k, 3))
+    for config in (cfg, cfg.replace(rho_nu=2.0)):
+        for mode in ("relative", "crlb"):
+            block = generate_observation(v, W, config, z, mode)
+            assert not block.usable[3, 1]
+            terms = observation_terms(v, config, z, mode)
+            bare = observation_terms(v, config, z, mode, doppler=False)
+            for s in range(n):
+                one = observe(terms.at(s), W[s], a[s], config)
+                for field in block._fields:
+                    assert np.array_equal(getattr(block, field)[s],
+                                          getattr(one, field)), (mode, s)
+                one = observe(bare.at(s), W[s], a[s], config)
+                assert one.vdot_hat is None
+                for field in ("theta_hat", "d_hat", "usable"):
+                    assert np.array_equal(getattr(block, field)[s],
+                                          getattr(one, field)), (mode, s)
+        negative = (block.d_hat <= 0).any()
+        assert negative == (config.rho_nu == 2.0)
 
 
 def test_observation_takes_callers_steering_and_checks_noise(cfg):
