@@ -83,36 +83,28 @@ def _exogenous(config: SimConfig, rng: np.random.Generator):
     return vehicles, rng_obs, rng_beam
 
 
-def _write_estimates(est: np.ndarray, obs, config: SimConfig) -> None:
-    """Write the estimated channels of the n slots of obs, [n, K] arrays,
-    into est[1:], one [K, M] row per slot, est[0] holding the row before
-    the first.  A vehicle without a usable estimate carries its previous
-    row forward."""
+def _write_estimates(est: np.ndarray, obs, config: SimConfig,
+                     a_hat=None) -> None:
+    """Write the estimated channels of the slots of obs into est[1:], one
+    [K, M] row per slot, est[0] holding the row before the first.  obs holds
+    one slot's [K] arrays or n slots' [n, K] arrays, and a_hat is
+    steering(obs.theta_hat, N_t) if the caller has it.  A vehicle without a
+    usable estimate carries its previous row forward."""
     k = est.shape[1]
-    usable = obs.usable
+    usable = obs.usable.reshape(-1, k)
     rows = est[1:]
-    rows[usable] = effective_channel(obs.theta_hat[usable], obs.d_hat[usable],
-                                     config)
+    if usable.all():
+        rows[:] = effective_channel(obs.theta_hat, obs.d_hat, config, a_hat)
+        return
+    if a_hat is not None:
+        a_hat = a_hat.reshape(usable.shape + (-1,))[usable]
+    rows[usable] = effective_channel(obs.theta_hat.reshape(-1, k)[usable],
+                                     obs.d_hat.reshape(-1, k)[usable], config,
+                                     a_hat)
     # each row's latest usable row of the vehicle, 0 for the row before
     latest = np.maximum.accumulate(
         usable * np.arange(1, len(usable) + 1)[:, None], axis=0)
     rows[:] = est[latest, np.arange(k)]
-
-
-def _next_estimates(row: np.ndarray, obs, config: SimConfig,
-                    a_hat=None) -> np.ndarray:
-    """The [K, M] estimated channels after one slot's observations obs,
-    given the row before: a usable vehicle's is the channel of its
-    estimates, from a_hat = steering(obs.theta_hat, N_t) if the caller has
-    it, and an unusable vehicle carries its previous one forward."""
-    usable = obs.usable
-    if usable.all():
-        return effective_channel(obs.theta_hat, obs.d_hat, config, a_hat)
-    row = row.copy()
-    row[usable] = effective_channel(
-        obs.theta_hat[usable], obs.d_hat[usable], config,
-        None if a_hat is None else a_hat[usable])
-    return row
 
 
 def project_power(w: np.ndarray, budget: float) -> np.ndarray:
@@ -136,19 +128,20 @@ def _decide(config: SimConfig, method: str, model, vehicles: VehicleState,
     observed = VehicleState(*(f[:-1] for f in vars(vehicles).values()))
     terms = observation_terms(
         observed, config, rng_obs.standard_normal((n_slots - 1, k, 3)),
-        theta_mode, doppler=False)
+        theta_mode)
     if method == "hcl":
         stream = model.stream()
-        row = np.zeros((k, config.n_tx), dtype=complex)  # before slot 0
+        # row n + 1 holds slot n's estimated channels, zeros before slot 0
+        est = np.zeros((n_slots, k, config.n_tx), dtype=complex)
         a_hat = None if terms.theta_hat is None \
             else steering(terms.theta_hat, config.n_tx)
     for n in range(n_slots - 1):
         obs = observe(terms.at(n), w[n], a[n], config)
         beams = None
         if method == "hcl":
-            row = _next_estimates(row, obs, config,
-                                  None if a_hat is None else a_hat[n])
-            beams = stream.push(row)
+            _write_estimates(est[n:n + 2], obs, config,
+                             None if a_hat is None else a_hat[n])
+            beams = stream.push(est[n + 1])
         elif obs.usable.all():
             beams = naive_dl_beamformer(obs.theta_hat, obs.d_hat, model,
                                         config)

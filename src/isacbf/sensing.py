@@ -78,22 +78,26 @@ def echo_gain(dist, config: SimConfig):
     return config.mf_gain * _psi2(dist, config)
 
 
-def _error_var(rho, denom, config: SimConfig, observable=True):
+def _error_var(rho, denom, config: SimConfig):
     """rho^2 sigma^2 / denom: the delay (rho_nu) or Doppler (rho_mu) error
-    variance of echo power denom = xi |psi|^2 |a^H w|^2, infinite where a
-    vehicle is not observable."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        var = rho ** 2 * config.noise_rsu / denom
-    return np.where(observable, var, np.inf)[()]
+    variance of echo power denom = xi |psi|^2 |a^H w|^2."""
+    return rho ** 2 * config.noise_rsu / denom
 
 
-def _beam_gain(a: np.ndarray, W: np.ndarray):
-    """u = a^H w, the beam gain |u|^2 and the mask of beams that carry
-    energy toward their vehicles, for steering a and beam rows W."""
+def _noise(a: np.ndarray, W: np.ndarray, echo, config: SimConfig) -> ObsNoise:
+    """The ObsNoise of beam rows W toward vehicles of steering a and echo
+    gain echo = xi |psi|^2."""
     u = np.vecdot(a, W)
     gain = np.abs(u) ** 2
     wnorm2 = np.vecdot(W, W).real
-    return u, gain, ~(gain <= _GAIN_FLOOR * np.maximum(1.0, wnorm2))
+    observable = ~(gain <= _GAIN_FLOOR * np.maximum(1.0, wnorm2))
+    denom = echo * gain
+    with np.errstate(divide="ignore", invalid="ignore"):
+        nu2 = _error_var(config.rho_nu, denom, config)
+        mu2 = _error_var(config.rho_mu, denom, config)
+    return ObsNoise(u=u, observable=observable,
+                    sigma_nu2=np.where(observable, nu2, np.inf)[()],
+                    sigma_mu2=np.where(observable, mu2, np.inf)[()])
 
 
 def obs_noise_vars(theta, dist, W: np.ndarray, config: SimConfig,
@@ -107,13 +111,7 @@ def obs_noise_vars(theta, dist, W: np.ndarray, config: SimConfig,
     """
     if a is None:
         a = steering(theta, config.n_tx)
-    u, gain, observable = _beam_gain(a, W)
-    denom = echo_gain(dist, config) * gain
-    return ObsNoise(u=u, observable=observable,
-                    sigma_nu2=_error_var(config.rho_nu, denom, config,
-                                         observable),
-                    sigma_mu2=_error_var(config.rho_mu, denom, config,
-                                         observable))
+    return _noise(a, W, echo_gain(dist, config), config)
 
 
 class ObsTerms(NamedTuple):
@@ -125,8 +123,8 @@ class ObsTerms(NamedTuple):
     delay: np.ndarray      # noiseless delay 2 d / c, s
     echo: np.ndarray       # echo_gain: xi |psi|^2
     z: np.ndarray          # standard normals, trailing (delay, Doppler, angle)
+    doppler: np.ndarray    # noiseless Doppler 2 v f_c / c, Hz
     theta_hat: np.ndarray | None  # relative mode: the angle estimates
-    doppler: np.ndarray | None    # noiseless Doppler 2 v f_c / c, Hz
 
     def at(self, n) -> "ObsTerms":
         """The terms of slot n."""
@@ -134,15 +132,13 @@ class ObsTerms(NamedTuple):
 
 
 def observation_terms(vehicles: VehicleState, config: SimConfig,
-                      z: np.ndarray, mode: str = "relative",
-                      doppler: bool = True) -> ObsTerms:
+                      z: np.ndarray, mode: str = "relative") -> ObsTerms:
     """The beam-independent terms of noisy observations of the vehicles.
 
     z is the standard-normal block of the vehicles' shape plus a trailing 3
     (delay, Doppler, angle).  In mode "relative" the angle estimate
     theta*(1+e), e ~ N(0, obs_rel_mse), needs no beam; in mode "crlb" it is
     theta + N(0, CRLB(theta, w)), which observe() draws from the beam.
-    Without doppler, observe() gives no radial-speed estimates.
     """
     if mode not in ("relative", "crlb"):
         raise ValueError(f"unknown observation mode: {mode!r}")
@@ -156,34 +152,31 @@ def observation_terms(vehicles: VehicleState, config: SimConfig,
         theta_hat = theta * (1.0 + math.sqrt(config.obs_rel_mse) * z[..., 2])
     return ObsTerms(
         theta=theta, dist=dist, delay=2.0 * dist / c,
-        echo=echo_gain(dist, config), z=z, theta_hat=theta_hat,
-        doppler=2.0 * vehicles.radial_v * config.carrier_hz / c
-        if doppler else None)
+        echo=echo_gain(dist, config), z=z,
+        doppler=2.0 * vehicles.radial_v * config.carrier_hz / c,
+        theta_hat=theta_hat)
 
 
 def observe(terms: ObsTerms, W: np.ndarray, a: np.ndarray,
             config: SimConfig) -> Observations:
     """The observations of the vehicles of terms under the beams W, row k
     toward vehicle k, whose true steering vectors are a: the part of an
-    observation that depends on the beam.  vdot_hat is None when the terms
-    hold no Doppler.  A vehicle whose beam carries no energy toward it, or
-    whose distance estimate is not positive, is marked unusable."""
-    u, gain, observable = _beam_gain(a, W)
-    nu2 = _error_var(config.rho_nu, terms.echo * gain, config, observable)
+    observation that depends on the beam.  A vehicle whose beam carries no
+    energy toward it, or whose distance estimate is not positive, is marked
+    unusable."""
+    noise = _noise(a, W, terms.echo, config)
     c = config.wave_speed
-    d_hat = c * (terms.delay + np.sqrt(nu2) * terms.z[..., 0]) / 2.0
+    d_hat = c * (terms.delay + np.sqrt(noise.sigma_nu2) * terms.z[..., 0]) \
+        / 2.0
     theta_hat = terms.theta_hat
     if theta_hat is None:
-        crlb_theta, _ = _crlbs(terms.theta, terms.dist, W, config, a, u,
-                               observable)
+        crlb_theta, _ = _crlbs(terms.theta, terms.dist, W, config, a, noise)
         theta_hat = terms.theta + np.sqrt(crlb_theta) * terms.z[..., 2]
-    vdot_hat = None
-    if terms.doppler is not None:
-        mu2 = _error_var(config.rho_mu, terms.echo * gain, config, observable)
-        vdot_hat = c * (terms.doppler + np.sqrt(mu2) * terms.z[..., 1]) \
-            / (2.0 * config.carrier_hz)
+    vdot_hat = c * (terms.doppler
+                    + np.sqrt(noise.sigma_mu2) * terms.z[..., 1]) \
+        / (2.0 * config.carrier_hz)
     return Observations(theta_hat=theta_hat, d_hat=d_hat, vdot_hat=vdot_hat,
-                        usable=observable & (d_hat > 0))
+                        usable=noise.observable & (d_hat > 0))
 
 
 def generate_observation(vehicles: VehicleState, W: np.ndarray,
@@ -263,8 +256,7 @@ def fisher_information(vehicles: VehicleState, W: np.ndarray,
     if a is None:
         a = steering(theta, config.n_tx)
     noise = obs_noise_vars(theta, dist, W, config, a)
-    crlb_theta, crlb_d = _crlbs(theta, dist, W, config, a, noise.u,
-                                noise.observable)
+    crlb_theta, crlb_d = _crlbs(theta, dist, W, config, a, noise)
     return FisherInfo(
         crlb_theta=crlb_theta, crlb_d=crlb_d,
         f_doppler=(2.0 * config.carrier_hz / config.wave_speed) ** 2
@@ -272,12 +264,12 @@ def fisher_information(vehicles: VehicleState, W: np.ndarray,
 
 
 def _crlbs(theta, dist, W: np.ndarray, config: SimConfig, a: np.ndarray,
-           u: np.ndarray, observable: np.ndarray):
+           noise: ObsNoise):
     """(CRLB_theta, CRLB_d) of the beams W toward vehicles at (theta, dist),
-    given their steering vectors a, u = a^H w and the observable mask;
-    infinite where a vehicle is unobservable."""
+    given their steering vectors a and noise model; infinite where a
+    vehicle is unobservable."""
     v = np.vecdot(steering_dtheta(theta, config.n_tx, a), W)
-    crlb_theta, crlb_d = crlbs(u, v, echo_constants(theta, dist, config),
+    crlb_theta, crlb_d = crlbs(noise.u, v, echo_constants(theta, dist, config),
                                config.echo_noise_var)
-    return (np.where(observable, crlb_theta, np.inf)[()],
-            np.where(observable, crlb_d, np.inf)[()])
+    return (np.where(noise.observable, crlb_theta, np.inf)[()],
+            np.where(noise.observable, crlb_d, np.inf)[()])

@@ -376,11 +376,12 @@ def _record_observations(monkeypatch, seam="observe"):
 
 @pytest.mark.parametrize("theta_mode", ["relative", "crlb"])
 def test_slot_estimates_match_block_estimates(small_cfg, theta_mode):
-    """The slot loop's estimated channels, one _next_estimates per slot
-    (given the steering of the angle estimates in relative mode), equal
-    the rows that _write_estimates writes for the whole episode at once,
-    bit for bit, on a config whose distance estimates often go negative
-    and with a zero beam row, so that many rows are carried forward."""
+    """The slot loop's estimated channels, one _write_estimates per slot
+    into a 2-row buffer (given the steering of the angle estimates in
+    relative mode), equal the rows that _write_estimates writes for the
+    whole episode at once, bit for bit, on a config whose distance
+    estimates often go negative and with a zero beam row, so that many rows
+    are carried forward."""
     cfg = _noisy(small_cfg)
     n, k, m = cfg.n_slots, cfg.n_vehicles, cfg.n_tx
     vehicles, rng_obs, rng_beam = harness._exogenous(
@@ -392,12 +393,12 @@ def test_slot_estimates_match_block_estimates(small_cfg, theta_mode):
     est = np.zeros((n + 1, k, m), dtype=complex)
     harness._write_estimates(est, obs, cfg)
     a_hat = steering(obs.theta_hat, m) if theta_mode == "relative" else None
-    row = est[0]
+    slots = np.zeros_like(est)
     for s in range(n):
         one = type(obs)(*(f[s] for f in obs))
-        row = harness._next_estimates(row, one, cfg,
-                                      None if a_hat is None else a_hat[s])
-        assert np.array_equal(row, est[s + 1]), s
+        harness._write_estimates(slots[s:s + 2], one, cfg,
+                                 None if a_hat is None else a_hat[s])
+        assert np.array_equal(slots[s + 1], est[s + 1]), s
     assert 0 < (~obs.usable).sum() < obs.usable.size
 
 
