@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -37,8 +38,6 @@ def _add_eval_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--project-power", action="store_true",
                    help="rescale hcl and naive_dl beams above the power "
                         "budget onto it")
-    p.add_argument("--theta-mode", choices=("relative", "crlb"),
-                   default="relative")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
@@ -51,8 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen-data", help="generate a training dataset")
     _add_common(g)
     g.add_argument("--n-examples", type=int, default=2000)
-    g.add_argument("--theta-mode", choices=("relative", "crlb"),
-                   default="relative")
 
     t = sub.add_parser("train", help="train a beamforming network")
     _add_common(t)
@@ -128,6 +125,10 @@ def main(argv=None) -> int:
     except (KeyError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+        print(f"error: --out {args.out}: its directory does not exist",
+              file=sys.stderr)
+        return 2
 
     if args.command == "gen-data":
         if not args.out:
@@ -135,8 +136,7 @@ def main(argv=None) -> int:
             return 2
         rng = np.random.default_rng(config.rng_seed)
         try:
-            ds = generate_dataset(config, args.n_examples, rng,
-                                  theta_mode=args.theta_mode)
+            ds = generate_dataset(config, args.n_examples, rng)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -188,13 +188,11 @@ def main(argv=None) -> int:
         if args.command == "eval":
             report = monte_carlo_eval(config, methods, args.realizations,
                                       models=models, seed=config.rng_seed,
-                                      theta_mode=args.theta_mode,
                                       project=args.project_power)
             rows = report.stats
         else:
             rows = power_sweep(config, grid, methods, args.realizations,
                                models=models, seed=config.rng_seed,
-                               theta_mode=args.theta_mode,
                                project=args.project_power)
         if args.out:
             export(rows, config, args.out, fmt=args.format)

@@ -50,7 +50,10 @@ class SimConfig:
     lambda_power: float = 1e3
     # history window length (slots)
     history_len: int = 5
-    # normalized MSE of historical angle estimates
+    # angle estimates: "relative" draws theta*(1+e), e ~ N(0, obs_rel_mse);
+    # "crlb" draws theta + N(0, CRLB_theta) of the applied beam
+    theta_mode: str = "relative"
+    # normalized MSE of historical angle estimates (relative mode)
     obs_rel_mse: float = 0.01
     # episode length (slots)
     n_slots: int = 50
@@ -81,6 +84,11 @@ class SimConfig:
             raise ValueError("sigma_r2 override must be > 0")
         if self.n_slots < 1:
             raise ValueError("n_slots must be >= 1")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be >= 0")
+        if self.theta_mode not in ("relative", "crlb"):
+            raise ValueError("theta_mode must be 'relative' or 'crlb', got "
+                             f"{self.theta_mode!r}")
 
     @property
     def echo_noise_var(self) -> float:
@@ -118,6 +126,8 @@ def _coerce(name: str, raw: str):
         return float(raw)
     if ftype == "int":
         return int(raw)
+    if ftype == "str":
+        return raw
     return float(raw)
 
 

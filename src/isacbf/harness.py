@@ -115,20 +115,20 @@ def project_power(w: np.ndarray, budget: float) -> np.ndarray:
 
 def _decide(config: SimConfig, method: str, model, vehicles: VehicleState,
             w: np.ndarray, a: np.ndarray, rng_obs: np.random.Generator,
-            theta_mode: str, project: bool) -> None:
+            project: bool) -> None:
     """The causal slot loop of hcl and naive_dl: observe slot n under w[n],
     then decide w[n + 1] in place, projected onto the power budget when
     project is set.  w holds random beams on entry, which a slot keeps while
     the method's input is incomplete.  a is the episode's [n_slots, K, N_t]
     steering.  What the observations need that no beam changes (the noise
     block, the stream of the per-slot draws, and observation_terms) is
-    computed before the loop, and so in relative mode is the steering of
-    the angle estimates; a slot computes only what depends on its beam."""
+    computed before the loop, and so in config.theta_mode "relative" is the
+    steering of the angle estimates; a slot computes only what depends on
+    its beam."""
     n_slots, k = config.n_slots, config.n_vehicles
     observed = VehicleState(*(f[:-1] for f in vars(vehicles).values()))
     terms = observation_terms(
-        observed, config, rng_obs.standard_normal((n_slots - 1, k, 3)),
-        theta_mode)
+        observed, config, rng_obs.standard_normal((n_slots - 1, k, 3)))
     if method == "hcl":
         stream = model.stream()
         # row n + 1 holds slot n's estimated channels, zeros before slot 0
@@ -151,8 +151,7 @@ def _decide(config: SimConfig, method: str, model, vehicles: VehicleState,
 
 
 def run_episode(config: SimConfig, method: str, rng: np.random.Generator,
-                model=None, theta_mode: str = "relative",
-                project: bool = False) -> EpisodeTrace:
+                model=None, project: bool = False) -> EpisodeTrace:
     """Simulate one episode of config.n_slots slots under one beamforming method.
 
     Motion, observation noise, and random-beam draws use three independent
@@ -174,8 +173,7 @@ def run_episode(config: SimConfig, method: str, rng: np.random.Generator,
         w = random_beamformer(config, rng_beam, n)
         decided_at = np.arange(-1, n - 1)
         if method != "random":
-            _decide(config, method, model, vehicles, w, a, rng_obs,
-                    theta_mode, project)
+            _decide(config, method, model, vehicles, w, a, rng_obs, project)
     if method == "genie":
         rates = genie_rate(vehicles, config)
     else:
@@ -245,8 +243,7 @@ class Dataset:
 
 
 def generate_dataset(config: SimConfig, n_examples: int,
-                     rng: np.random.Generator,
-                     theta_mode: str = "relative") -> Dataset:
+                     rng: np.random.Generator) -> Dataset:
     """Collect examples from fresh random-beam episodes.
 
     Each slot n >= history_len of an episode whose previous slot observed
@@ -270,7 +267,7 @@ def generate_dataset(config: SimConfig, n_examples: int,
         w = random_beamformer(config, rng_beam, config.n_slots)
         obs = generate_observation(
             vehicles, w, config,
-            rng_obs.standard_normal(vehicles.theta.shape + (3,)), theta_mode)
+            rng_obs.standard_normal(vehicles.theta.shape + (3,)))
         # row tau + n holds slot n's estimated channels, zeros before slot 0,
         # so window n (rows n .. n + tau - 1) is slot n's input
         est = np.zeros((config.n_slots + tau, k, m), dtype=complex)
@@ -358,8 +355,7 @@ def _episode_summary(trace: EpisodeTrace, tau: int):
 
 def monte_carlo_eval(config: SimConfig, methods: list[str],
                      n_realizations: int, models: dict | None = None,
-                     seed: int = 0, theta_mode: str = "relative",
-                     project: bool = False) -> EvalReport:
+                     seed: int = 0, project: bool = False) -> EvalReport:
     """Independent episodes per realization; per-method means and 95% CIs.
 
     The same realization seeds drive every method, so motion trajectories are
@@ -376,8 +372,7 @@ def monte_carlo_eval(config: SimConfig, methods: list[str],
         per = np.array([
             _episode_summary(
                 run_episode(config, method, np.random.default_rng(children[r]),
-                            model=models.get(method), theta_mode=theta_mode,
-                            project=project),
+                            model=models.get(method), project=project),
                 tau)
             for r in range(n_realizations)])
         rates = per[:, 0]
@@ -399,8 +394,8 @@ DEFAULT_POWER_GRID = (0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0)
 
 def power_sweep(config: SimConfig, p_values, methods: list[str],
                 n_realizations: int, models: dict | None = None,
-                seed: int = 0, theta_mode: str = "relative",
-                project: bool = False, train_fn=None) -> list[MethodStats]:
+                seed: int = 0, project: bool = False,
+                train_fn=None) -> list[MethodStats]:
     """EvalReport rows over a transmit-power grid.
 
     By default, trained models are reused across power points; pass
@@ -411,8 +406,7 @@ def power_sweep(config: SimConfig, p_values, methods: list[str],
         cfg = config.replace(power_budget=float(p))
         models_p = train_fn(cfg) if train_fn is not None else models
         report = monte_carlo_eval(cfg, methods, n_realizations,
-                                  models=models_p, seed=seed,
-                                  theta_mode=theta_mode, project=project)
+                                  models=models_p, seed=seed, project=project)
         rows.extend(report.stats)
     return rows
 

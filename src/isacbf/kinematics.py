@@ -24,30 +24,27 @@ class VehicleState:
     x: np.ndarray
     y: np.ndarray
     v: np.ndarray
-    theta: np.ndarray     # angle to RSU, rad, in (0, pi)
-    dist: np.ndarray      # range to RSU, m
-    radial_v: np.ndarray  # LoS-projected speed, m/s, positive = receding
+    theta: np.ndarray  # angle to RSU, rad, in (0, pi)
+    dist: np.ndarray   # range to RSU, m
 
     def records(self) -> list["VehicleState"]:
         """The states along the first axis: one scalar VehicleState per
         vehicle of [K] arrays, one [K] state per slot of [n, K] arrays."""
         return [VehicleState(*f) for f in zip(
-            self.x, self.y, self.v, self.theta, self.dist, self.radial_v)]
+            self.x, self.y, self.v, self.theta, self.dist)]
 
 
-def derive_geometry(x, y, v):
-    """Angle/range/radial-speed triple of vehicles at (x, y) moving in +x."""
+def derive_geometry(x, y):
+    """Angle/range pair of vehicles at (x, y)."""
     dist = np.hypot(x, y)
     if np.any(dist == 0.0):
         raise ValueError("vehicle cannot be at the RSU origin")
-    theta = np.arctan2(y, x)
-    radial_v = v * x / dist
-    return theta, dist, radial_v
+    return np.arctan2(y, x), dist
 
 
 def make_state(x, y, v) -> VehicleState:
-    theta, dist, radial_v = derive_geometry(x, y, v)
-    return VehicleState(x=x, y=y, v=v, theta=theta, dist=dist, radial_v=radial_v)
+    theta, dist = derive_geometry(x, y)
+    return VehicleState(x=x, y=y, v=v, theta=theta, dist=dist)
 
 
 def anchor_points(k: int) -> list[tuple[float, float]]:

@@ -69,13 +69,6 @@ class _FlatParams:
                 "shapes": {n: list(s) for n, s in self._shapes}}
         save_container(path, meta, {"params": self.params})
 
-    @classmethod
-    def load(cls, path: str, config: SimConfig):
-        net = load_model(path, config)
-        if not isinstance(net, cls):
-            raise ValueError(f"{path}: not a {cls.KIND} model file")
-        return net
-
 
 class HCLNet(_FlatParams):
     KIND = "hcl"

@@ -2,9 +2,12 @@
 
 The echo seen from one vehicle after matched filtering is
 r = G*beta*xi*b(theta)*(a(theta)^H w) + noise, with G = sqrt(N_t*N_r).
-Delay/Doppler estimates carry Gaussian errors whose variances scale inversely
-with the beam gain |a^H w|^2.  The angle and distance CRLBs have one closed
-form over arrays (crlbs), shared by the loss, the simulator and the CLI.
+Delay and Doppler estimates carry Gaussian errors whose variances scale
+inversely with the beam gain |a^H w|^2.  A decision reads only the angle and
+distance estimates, so an observation holds those two; the Doppler term
+enters only the Fisher information.  The angle and distance CRLBs have one
+closed form over arrays (crlbs), shared by the loss, the simulator and the
+CLI.
 """
 from __future__ import annotations
 
@@ -27,17 +30,7 @@ class Observations(NamedTuple):
     where usable is True."""
     theta_hat: np.ndarray  # [K] angle estimates, rad
     d_hat: np.ndarray      # [K] distance estimates, m (= c*nu_hat/2)
-    vdot_hat: np.ndarray   # [K] radial speed estimates, m/s (= c*mu_hat/(2 f_c))
     usable: np.ndarray     # [K] bool: observable and d_hat > 0
-
-
-class ObsNoise(NamedTuple):
-    """Delay/Doppler error model of beams toward their vehicles; each field
-    has the shape of the angles (one entry per vehicle)."""
-    u: np.ndarray           # a(theta)^H w, complex; |u|^2 is the beam gain
-    observable: np.ndarray  # bool: the beam carries energy toward the vehicle
-    sigma_nu2: np.ndarray   # delay variance, s^2 (inf where unobservable)
-    sigma_mu2: np.ndarray   # Doppler variance, Hz^2 (inf where unobservable)
 
 
 @dataclass(frozen=True)
@@ -84,34 +77,18 @@ def _error_var(rho, denom, config: SimConfig):
     return rho ** 2 * config.noise_rsu / denom
 
 
-def _noise(a: np.ndarray, W: np.ndarray, echo, config: SimConfig) -> ObsNoise:
-    """The ObsNoise of beam rows W toward vehicles of steering a and echo
-    gain echo = xi |psi|^2."""
-    u = np.vecdot(a, W)
-    gain = np.abs(u) ** 2
-    wnorm2 = np.vecdot(W, W).real
-    observable = ~(gain <= _GAIN_FLOOR * np.maximum(1.0, wnorm2))
-    denom = echo * gain
+def _masked_var(rho, echo, gain, observable, config: SimConfig):
+    """The _error_var of beam gains gain = |a^H w|^2 toward vehicles of echo
+    gain echo = xi |psi|^2, infinite where a vehicle is unobservable."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        nu2 = _error_var(config.rho_nu, denom, config)
-        mu2 = _error_var(config.rho_mu, denom, config)
-    return ObsNoise(u=u, observable=observable,
-                    sigma_nu2=np.where(observable, nu2, np.inf)[()],
-                    sigma_mu2=np.where(observable, mu2, np.inf)[()])
+        var = _error_var(rho, echo * gain, config)
+    return np.where(observable, var, np.inf)[()]
 
 
-def obs_noise_vars(theta, dist, W: np.ndarray, config: SimConfig,
-                   a=None) -> ObsNoise:
-    """Delay/Doppler error variances for given geometries and transmit beams.
-
-    Row k of W is the beam toward the vehicle at (theta[k], dist[k]); a is
-    steering(theta, N_t) if the caller has it.  Both variances scale as
-    1/(xi * |psi|^2 * |a^H w|^2) with |psi|^2 = N_t*N_r*|beta|^2 (the
-    Doppler phase has unit modulus).
-    """
-    if a is None:
-        a = steering(theta, config.n_tx)
-    return _noise(a, W, echo_gain(dist, config), config)
+def _observable(gain, W: np.ndarray):
+    """Where the beam rows W, of beam gains gain = |a^H w|^2, carry energy
+    toward their vehicles."""
+    return ~(gain <= _GAIN_FLOOR * np.maximum(1.0, np.vecdot(W, W).real))
 
 
 class ObsTerms(NamedTuple):
@@ -123,7 +100,6 @@ class ObsTerms(NamedTuple):
     delay: np.ndarray      # noiseless delay 2 d / c, s
     echo: np.ndarray       # echo_gain: xi |psi|^2
     z: np.ndarray          # standard normals, trailing (delay, Doppler, angle)
-    doppler: np.ndarray    # noiseless Doppler 2 v f_c / c, Hz
     theta_hat: np.ndarray | None  # relative mode: the angle estimates
 
     def at(self, n) -> "ObsTerms":
@@ -132,29 +108,25 @@ class ObsTerms(NamedTuple):
 
 
 def observation_terms(vehicles: VehicleState, config: SimConfig,
-                      z: np.ndarray, mode: str = "relative") -> ObsTerms:
+                      z: np.ndarray) -> ObsTerms:
     """The beam-independent terms of noisy observations of the vehicles.
 
     z is the standard-normal block of the vehicles' shape plus a trailing 3
-    (delay, Doppler, angle).  In mode "relative" the angle estimate
-    theta*(1+e), e ~ N(0, obs_rel_mse), needs no beam; in mode "crlb" it is
+    (delay, Doppler, angle); the Doppler column is drawn but not read.  In
+    config.theta_mode "relative" the angle estimate theta*(1+e),
+    e ~ N(0, obs_rel_mse), needs no beam; in "crlb" it is
     theta + N(0, CRLB(theta, w)), which observe() draws from the beam.
     """
-    if mode not in ("relative", "crlb"):
-        raise ValueError(f"unknown observation mode: {mode!r}")
     theta, dist = vehicles.theta, vehicles.dist
     if z.shape != np.shape(theta) + (3,):
         raise ValueError(f"noise block {z.shape} does not match vehicles "
                          f"{np.shape(theta)} plus a trailing 3")
-    c = config.wave_speed
     theta_hat = None
-    if mode == "relative":
+    if config.theta_mode == "relative":
         theta_hat = theta * (1.0 + math.sqrt(config.obs_rel_mse) * z[..., 2])
     return ObsTerms(
-        theta=theta, dist=dist, delay=2.0 * dist / c,
-        echo=echo_gain(dist, config), z=z,
-        doppler=2.0 * vehicles.radial_v * config.carrier_hz / c,
-        theta_hat=theta_hat)
+        theta=theta, dist=dist, delay=2.0 * dist / config.wave_speed,
+        echo=echo_gain(dist, config), z=z, theta_hat=theta_hat)
 
 
 def observe(terms: ObsTerms, W: np.ndarray, a: np.ndarray,
@@ -164,42 +136,40 @@ def observe(terms: ObsTerms, W: np.ndarray, a: np.ndarray,
     observation that depends on the beam.  A vehicle whose beam carries no
     energy toward it, or whose distance estimate is not positive, is marked
     unusable."""
-    noise = _noise(a, W, terms.echo, config)
-    c = config.wave_speed
-    d_hat = c * (terms.delay + np.sqrt(noise.sigma_nu2) * terms.z[..., 0]) \
-        / 2.0
+    u = np.vecdot(a, W)
+    gain = np.abs(u) ** 2
+    observable = _observable(gain, W)
+    sigma_nu2 = _masked_var(config.rho_nu, terms.echo, gain, observable,
+                            config)
+    d_hat = config.wave_speed \
+        * (terms.delay + np.sqrt(sigma_nu2) * terms.z[..., 0]) / 2.0
     theta_hat = terms.theta_hat
     if theta_hat is None:
-        crlb_theta, _ = _crlbs(terms.theta, terms.dist, W, config, a, noise)
+        crlb_theta, _ = _crlbs(terms.theta, terms.dist, W, config, a, u,
+                               observable)
         theta_hat = terms.theta + np.sqrt(crlb_theta) * terms.z[..., 2]
-    vdot_hat = c * (terms.doppler
-                    + np.sqrt(noise.sigma_mu2) * terms.z[..., 1]) \
-        / (2.0 * config.carrier_hz)
-    return Observations(theta_hat=theta_hat, d_hat=d_hat, vdot_hat=vdot_hat,
-                        usable=noise.observable & (d_hat > 0))
+    return Observations(theta_hat=theta_hat, d_hat=d_hat,
+                        usable=observable & (d_hat > 0))
 
 
 def generate_observation(vehicles: VehicleState, W: np.ndarray,
-                         config: SimConfig, z: np.ndarray,
-                         mode: str = "relative", a=None) -> Observations:
-    """Noisy (delay, Doppler, angle) observations of the K vehicles:
-    observe() over their observation_terms().
+                         config: SimConfig, z: np.ndarray) -> Observations:
+    """Noisy (angle, distance) observations of the K vehicles: observe()
+    over their observation_terms().
 
     The vehicles are [K] arrays with a [K, N_t] W, or [n, K] arrays of n
     slots with an [n, K, N_t] W (as in fisher_information); the estimates
     take the vehicles' shape.  z is the standard-normal block of the
-    vehicles' shape plus a trailing 3 (delay, Doppler, angle), and a is
-    steering(vehicles.theta, N_t) if the caller has it.
-    mode "relative": theta_hat = theta*(1+e), e ~ N(0, obs_rel_mse);
-    mode "crlb":     theta_hat = theta + N(0, CRLB(theta, w)).
+    vehicles' shape plus a trailing 3 (delay, Doppler, angle).  By
+    config.theta_mode:
+    "relative": theta_hat = theta*(1+e), e ~ N(0, obs_rel_mse);
+    "crlb":     theta_hat = theta + N(0, CRLB(theta, w)).
     A caller draws one (K, 3) block for every slot, in slot order, whether
     or not a vehicle is observable, so the stream stays aligned: one
     (n, K, 3) draw equals n successive (K, 3) draws.
     """
-    terms = observation_terms(vehicles, config, z, mode)
-    if a is None:
-        a = steering(vehicles.theta, config.n_tx)
-    return observe(terms, W, a, config)
+    return observe(observation_terms(vehicles, config, z), W,
+                   steering(vehicles.theta, config.n_tx), config)
 
 
 def echo_mean(theta: float, dist: float, w_k: np.ndarray,
@@ -255,21 +225,25 @@ def fisher_information(vehicles: VehicleState, W: np.ndarray,
     theta, dist = vehicles.theta, vehicles.dist
     if a is None:
         a = steering(theta, config.n_tx)
-    noise = obs_noise_vars(theta, dist, W, config, a)
-    crlb_theta, crlb_d = _crlbs(theta, dist, W, config, a, noise)
+    u = np.vecdot(a, W)
+    gain = np.abs(u) ** 2
+    observable = _observable(gain, W)
+    crlb_theta, crlb_d = _crlbs(theta, dist, W, config, a, u, observable)
+    sigma_mu2 = _masked_var(config.rho_mu, echo_gain(dist, config), gain,
+                            observable, config)
     return FisherInfo(
         crlb_theta=crlb_theta, crlb_d=crlb_d,
         f_doppler=(2.0 * config.carrier_hz / config.wave_speed) ** 2
-        / noise.sigma_mu2)
+        / sigma_mu2)
 
 
 def _crlbs(theta, dist, W: np.ndarray, config: SimConfig, a: np.ndarray,
-           noise: ObsNoise):
+           u: np.ndarray, observable: np.ndarray):
     """(CRLB_theta, CRLB_d) of the beams W toward vehicles at (theta, dist),
-    given their steering vectors a and noise model; infinite where a
-    vehicle is unobservable."""
+    given their steering vectors a, u = a^H w and where they are
+    observable; infinite where a vehicle is unobservable."""
     v = np.vecdot(steering_dtheta(theta, config.n_tx, a), W)
-    crlb_theta, crlb_d = crlbs(noise.u, v, echo_constants(theta, dist, config),
+    crlb_theta, crlb_d = crlbs(u, v, echo_constants(theta, dist, config),
                                config.echo_noise_var)
-    return (np.where(noise.observable, crlb_theta, np.inf)[()],
-            np.where(noise.observable, crlb_d, np.inf)[()])
+    return (np.where(observable, crlb_theta, np.inf)[()],
+            np.where(observable, crlb_d, np.inf)[()])

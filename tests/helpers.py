@@ -143,8 +143,7 @@ def shift_history(history, obs, config):
     return np.concatenate((history[1:], latest[None]))
 
 
-def slot_loop_decide(config, method: str, model, rng,
-                     theta_mode: str = "relative", project: bool = False):
+def slot_loop_decide(config, method: str, model, rng, project: bool = False):
     """The applied beams [n_slots, K, N_t] of an hcl or naive_dl episode and
     its observations, one slot at a time: per slot one motion step, one
     random-beam draw, one (K, 3) noise draw and one observation; hcl shifts
@@ -162,8 +161,7 @@ def slot_loop_decide(config, method: str, model, rng,
         if n:
             vehicles = step_motion(vehicles, config, rng_motion)
         obs = generate_observation(vehicles, w[n], config,
-                                   rng_obs.standard_normal((k, 3)),
-                                   theta_mode)
+                                   rng_obs.standard_normal((k, 3)))
         observations.append(obs)
         w.append(random_beamformer(config, rng_beam))
         beams = None
@@ -183,8 +181,7 @@ def slot_loop_decide(config, method: str, model, rng,
     return np.stack(w), observations
 
 
-def slot_loop_dataset(config, n_examples: int, rng,
-                      theta_mode: str = "relative") -> dict:
+def slot_loop_dataset(config, n_examples: int, rng) -> dict:
     """generate_dataset one slot at a time: per-slot draws, a [tau, K, M]
     history shifted by one row each slot in which an unusable vehicle
     repeats its previous entry, and an example at each slot n >= tau whose
@@ -207,7 +204,7 @@ def slot_loop_dataset(config, n_examples: int, rng,
             w = random_beamformer(config, rng_beam)
             obs = generate_observation(
                 vehicles, w, config,
-                rng_obs.standard_normal((config.n_vehicles, 3)), theta_mode)
+                rng_obs.standard_normal((config.n_vehicles, 3)))
             history = shift_history(history, obs, config)
     names = ("x", "h", "thetas", "dists", "est_thetas", "est_dists")
     return {name: np.stack(col) for name, col in

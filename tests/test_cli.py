@@ -6,6 +6,7 @@ import pytest
 from isacbf import harness
 from isacbf.cli import build_parser, main
 from isacbf.harness import Dataset
+from isacbf.io_container import load_container
 from isacbf.nn.model import HCLNet, NaiveNet
 
 SMALL = ["--set", "n_tx=8", "--set", "n_rx=8", "--set", "n_vehicles=2",
@@ -42,6 +43,15 @@ def test_crlb_subcommand(capsys):
                   ["--lr=-1e-3"], ["--lr", "nan"], ["--lr", "inf"],
                   ["--momentum", "1"], ["--momentum", "-0.1"],
                   ["--momentum", "nan"])),
+    ["gen-data", *SMALL, "--seed", "-1", "--out", "data.bin"],
+    ["eval", *SMALL, "--set", "rng_seed=-3", "--methods", "random",
+     "--realizations", "1"],
+    ["gen-data", *SMALL, "--n-examples", "4", "--out", "missing/data.bin"],
+    ["train", *SMALL, "--data", "data.bin", "--out", "missing/m.bin"],
+    ["eval", *SMALL, "--methods", "random", "--realizations", "1", "--out",
+     "missing/r.csv"],
+    ["sweep", *SMALL, "--methods", "random", "--realizations", "1", "--out",
+     "missing/r.csv"],
 ])
 def test_bad_input_is_error(argv, tmp_path, monkeypatch, capsys):
     """Bad input prints one error line and exits 2 before any episode runs,
@@ -193,15 +203,30 @@ def test_two_models_of_one_kind_are_error(small_cfg, tmp_path, monkeypatch,
 
 @pytest.mark.parametrize("cmd", ["eval", "sweep"])
 def test_eval_and_sweep_share_their_options(cmd, capsys):
-    """Both document the six options they share, --project-power as
+    """Both document the five options they share, --project-power as
     rescaling the beams of both predictive methods."""
     with pytest.raises(SystemExit):
         build_parser().parse_args([cmd, "--help"])
     text = " ".join(capsys.readouterr().out.split())
     for option in ("--methods", "--model", "--realizations",
-                   "--project-power", "--theta-mode", "--format"):
+                   "--project-power", "--format"):
         assert option in text
     assert "rescale hcl and naive_dl beams" in text
+
+
+def test_theta_mode_is_recorded(tmp_path, capsys):
+    """The angle-estimate mode is a config key: gen-data under
+    --set theta_mode=crlb saves it with the dataset, and eval echoes it in
+    its CSV."""
+    data = str(tmp_path / "data.bin")
+    assert main(["gen-data", *SMALL, "--set", "theta_mode=crlb",
+                 "--n-examples", "4", "--out", data]) == 0
+    meta, _ = load_container(data)
+    assert meta["config"]["theta_mode"] == "crlb"
+    out = tmp_path / "eval.csv"
+    assert main(["eval", *SMALL, "--set", "theta_mode=crlb", "--methods",
+                 "random", "--realizations", "1", "--out", str(out)]) == 0
+    assert "# theta_mode=crlb" in out.read_text().splitlines()
 
 
 def test_eval_prints_rows_without_out(capsys):

@@ -25,6 +25,7 @@ def test_echo_noise_var_default_and_override(cfg):
     {"n_tx": 0}, {"n_tx": 12}, {"n_vehicles": 0}, {"history_len": 0},
     {"v_min": 9.0, "v_max": 8.0}, {"power_budget": 0.0},
     {"sigma_r2": 0.0}, {"n_slots": 0}, {"obs_rel_mse": -1.0},
+    {"rng_seed": -1}, {"theta_mode": "bogus"},
 ])
 def test_validation_rejects(kwargs):
     with pytest.raises(ValueError):
@@ -72,3 +73,15 @@ def test_load_config_sigma_r2_none():
     assert c.sigma_r2 is None
     c = load_config(overrides=["sigma_r2=2.5e-9"])
     assert c.sigma_r2 == 2.5e-9
+
+
+def test_load_config_theta_mode(tmp_path):
+    assert load_config().theta_mode == "relative"
+    p = tmp_path / "sim.ini"
+    p.write_text("[sim]\ntheta_mode = crlb\n")
+    assert load_config(str(p)).theta_mode == "crlb"
+    assert load_config(str(p), overrides=["theta_mode=relative"]) \
+        .theta_mode == "relative"
+    assert load_config(overrides=["theta_mode=crlb"]).theta_mode == "crlb"
+    with pytest.raises(ValueError, match="theta_mode"):
+        load_config(overrides=["theta_mode=CRLB"])

@@ -158,17 +158,16 @@ def test_causal_episode_matches_slot_loop(small_cfg, cfg, method, theta_mode,
                                                    small_cfg))}
     unusable = {}
     for name, (config, models) in cases.items():
+        config = config.replace(theta_mode=theta_mode)
         model = models[method]
         if project:
             _overshooting(model, config)   # so that projection binds
         unusable[name] = 0
         for seed in range(3):
             trace = run_episode(config, method, np.random.default_rng(seed),
-                                model=model, theta_mode=theta_mode,
-                                project=project)
+                                model=model, project=project)
             w, obs = slot_loop_decide(config, method, model,
-                                      np.random.default_rng(seed),
-                                      theta_mode, project)
+                                      np.random.default_rng(seed), project)
             assert np.array_equal(trace.w_applied.swapaxes(1, 2), w), \
                 (name, seed)
             unusable[name] += sum(not ob.usable.all() for ob in obs)
@@ -284,8 +283,9 @@ def test_dataset_matches_slot_loop(small_cfg):
     previous estimate forward."""
     cfg = _noisy(small_cfg)
     for mode in ("relative", "crlb"):
-        ds = generate_dataset(cfg, 40, np.random.default_rng(6), mode)
-        ref = slot_loop_dataset(cfg, 40, np.random.default_rng(6), mode)
+        cfg = cfg.replace(theta_mode=mode)
+        ds = generate_dataset(cfg, 40, np.random.default_rng(6))
+        ref = slot_loop_dataset(cfg, 40, np.random.default_rng(6))
         assert np.array_equal(ds.thetas, ref["thetas"])
         assert np.array_equal(ds.dists, ref["dists"])
         for name, value in ref.items():
@@ -382,14 +382,14 @@ def test_slot_estimates_match_block_estimates(small_cfg, theta_mode):
     whole episode at once, bit for bit, on a config whose distance
     estimates often go negative and with a zero beam row, so that many rows
     are carried forward."""
-    cfg = _noisy(small_cfg)
+    cfg = _noisy(small_cfg).replace(theta_mode=theta_mode)
     n, k, m = cfg.n_slots, cfg.n_vehicles, cfg.n_tx
     vehicles, rng_obs, rng_beam = harness._exogenous(
         cfg, np.random.default_rng(8))
     w = random_beamformer(cfg, rng_beam, n)
     w[::3, 1] = 0.0
     obs = harness.generate_observation(
-        vehicles, w, cfg, rng_obs.standard_normal((n, k, 3)), theta_mode)
+        vehicles, w, cfg, rng_obs.standard_normal((n, k, 3)))
     est = np.zeros((n + 1, k, m), dtype=complex)
     harness._write_estimates(est, obs, cfg)
     a_hat = steering(obs.theta_hat, m) if theta_mode == "relative" else None

@@ -9,24 +9,22 @@ from isacbf.kinematics import (anchor_points, derive_geometry, init_vehicles,
 
 
 def test_geometry_known_point():
-    theta, dist, radial_v = derive_geometry(15.0, 20.0, 10.0)
+    theta, dist = derive_geometry(15.0, 20.0)
     assert dist == pytest.approx(25.0)
     assert theta == pytest.approx(0.9272952180016122, abs=1e-15)
-    assert radial_v == pytest.approx(10.0 * 15.0 / 25.0)
 
 
 def test_geometry_rejects_origin():
     with pytest.raises(ValueError):
-        derive_geometry(0.0, 0.0, 1.0)
+        derive_geometry(0.0, 0.0)
 
 
-@given(x=st.floats(-200, 200), y=st.floats(0.5, 100), v=st.floats(0, 50))
-def test_geometry_invariants(x, y, v):
-    theta, dist, radial_v = derive_geometry(x, y, v)
+@given(x=st.floats(-200, 200), y=st.floats(0.5, 100))
+def test_geometry_invariants(x, y):
+    theta, dist = derive_geometry(x, y)
     assert dist == pytest.approx(math.hypot(x, y))
     assert 0.0 < theta < math.pi            # y > 0 keeps angles in the open half-plane
     assert dist * math.cos(theta) == pytest.approx(x, abs=1e-9 * max(1, abs(x)))
-    assert radial_v * dist == pytest.approx(v * x, rel=1e-12, abs=1e-9)
 
 
 def test_anchor_points_extension():
@@ -65,7 +63,7 @@ def test_step_motion(cfg):
                              for _ in range(cfg.n_vehicles)]
     # derived quantities are self-consistent
     assert s1.dist == pytest.approx(np.hypot(s1.x, s1.y))
-    assert s1.radial_v == pytest.approx(s1.v * s1.x / s1.dist)
+    assert s1.theta == pytest.approx(np.arctan2(s1.y, s1.x))
 
 
 def test_step_motion_block_matches_slot_steps(cfg):

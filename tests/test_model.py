@@ -306,8 +306,8 @@ def test_hclnet_save_load_roundtrip(cfg, rng, tmp_path):
     net.init_params(rng)
     path = str(tmp_path / "model.bin")
     net.save(path)
-    back = HCLNet.load(path, cfg)
-    assert back.kappa == 42.0
+    back = load_model(path, cfg)
+    assert isinstance(back, HCLNet) and back.kappa == 42.0
     assert np.array_equal(back.params, net.params)
     x = rng.normal(size=(1, cfg.history_len, cfg.n_vehicles, cfg.n_tx, 2))
     assert np.allclose(back.forward(x), net.forward(x))
@@ -346,17 +346,11 @@ def test_load_model_dispatch(cfg, rng, tmp_path):
     naive.save(pn)
     assert isinstance(load_model(ph, cfg), HCLNet)
     assert isinstance(load_model(pn, cfg), NaiveNet)
-    with pytest.raises(ValueError):
-        HCLNet.load(pn, cfg)
-    with pytest.raises(ValueError):
-        NaiveNet.load(ph, cfg)
     # a shape-critical field of the run differs from the saved config
     for field, value in (("n_tx", 16), ("n_vehicles", 2), ("history_len", 3)):
         for path in (ph, pn):
             with pytest.raises(ValueError, match=field):
                 load_model(path, cfg.replace(**{field: value}))
-    with pytest.raises(ValueError, match="n_tx"):
-        HCLNet.load(ph, cfg.replace(n_tx=16))
 
 
 def test_conv_filter_count():

@@ -8,8 +8,8 @@ from isacbf.config import SimConfig
 from isacbf.channel import steering
 from isacbf.kinematics import init_vehicles, make_state
 from isacbf.sensing import (echo_mean, fisher_information,
-                            generate_observation, obs_noise_vars,
-                            observation_terms, observe, reflection_coeff)
+                            generate_observation, observation_terms, observe,
+                            reflection_coeff)
 
 # frozen oracle values at the 25 m geometry (state at x=15, y=20) with an
 # aligned unit-norm beam and default constants
@@ -31,8 +31,17 @@ def _noise(vehicles, seed):
         np.shape(vehicles.theta) + (3,))
 
 
-def _beam_gain(theta, w):
-    return abs(obs_noise_vars(theta, 25.0, w, SimConfig()).u) ** 2
+def _delay_var(vehicles, W, config):
+    """The delay variance sigma_nu^2 of beams W toward the vehicles, read
+    from CRLB_d = (c/2)^2 sigma_nu^2."""
+    crlb_d = fisher_information(vehicles, W, config).crlb_d
+    return crlb_d / (config.wave_speed / 2.0) ** 2
+
+
+def _beam_gain(state, w):
+    """|a^H w|^2 toward the 25 m vehicle: sigma_nu^2 = SIGMA_NU2_25 /
+    |a^H w|^2."""
+    return SIGMA_NU2_25 / _delay_var(state, w, SimConfig())
 
 
 def test_reflection_coeff(cfg):
@@ -44,45 +53,46 @@ def test_reflection_coeff(cfg):
 def test_beam_gain_aligned_and_orthogonal(cfg):
     s = _state_25()
     a = steering(s.theta, cfg.n_tx)
-    assert _beam_gain(s.theta, a) == pytest.approx(1.0, rel=1e-12)
-    assert _beam_gain(s.theta, 3.0 * a) == pytest.approx(9.0, rel=1e-12)
+    assert _beam_gain(s, a) == pytest.approx(1.0, rel=1e-12)
+    assert _beam_gain(s, 3.0 * a) == pytest.approx(9.0, rel=1e-12)
     # a beam aimed elsewhere leaves almost no gain toward the vehicle
-    assert _beam_gain(s.theta, steering(s.theta + 0.5, cfg.n_tx)) < 0.01
+    assert _beam_gain(s, steering(s.theta + 0.5, cfg.n_tx)) < 0.01
 
 
-def test_obs_noise_vars_frozen(cfg):
+def test_delay_variance_frozen(cfg):
     s = _state_25()
     w = steering(s.theta, cfg.n_tx)
-    noise = obs_noise_vars(s.theta, s.dist, w, cfg)
-    assert noise.observable
-    assert abs(noise.u) ** 2 == pytest.approx(1.0, rel=1e-12)
+    info = fisher_information(s, w, cfg)
+    assert math.isfinite(info.crlb_theta)
     assert cfg.echo_noise_var == pytest.approx(1e-10)
-    assert noise.sigma_nu2 == pytest.approx(SIGMA_NU2_25, rel=1e-12)
+    assert _delay_var(s, w, cfg) == pytest.approx(SIGMA_NU2_25, rel=1e-12)
     # rho_mu defaults to rho_nu, so the Doppler variance matches
-    assert noise.sigma_mu2 == pytest.approx(SIGMA_NU2_25, rel=1e-12)
+    assert info.f_doppler == pytest.approx(
+        (2.0 * cfg.carrier_hz / cfg.wave_speed) ** 2 / SIGMA_NU2_25,
+        rel=1e-12)
 
 
-def test_obs_noise_vars_scaling(cfg):
+def test_delay_variance_scaling(cfg):
     s = _state_25()
     w = 2.0 * steering(s.theta, cfg.n_tx)     # 4x gain -> variances / 4
-    noise = obs_noise_vars(s.theta, s.dist, w, cfg)
-    assert noise.sigma_nu2 == pytest.approx(SIGMA_NU2_25 / 4.0, rel=1e-12)
+    assert _delay_var(s, w, cfg) == pytest.approx(SIGMA_NU2_25 / 4.0,
+                                                  rel=1e-12)
     # K vehicles with the rows of one beam matrix: one entry each
     v = _vehicles_25()
     W = np.stack([steering(s.theta, cfg.n_tx) * g for g in (1.0, 2.0, 4.0)])
-    noise = obs_noise_vars(v.theta, v.dist, W, cfg)
-    assert noise.sigma_nu2 == pytest.approx(
+    assert _delay_var(v, W, cfg) == pytest.approx(
         SIGMA_NU2_25 / np.array([1.0, 4.0, 16.0]), rel=1e-12)
 
 
 def test_zero_beam_is_unobservable(cfg):
     s = _state_25()
     w = np.zeros(cfg.n_tx, dtype=complex)
-    noise = obs_noise_vars(s.theta, s.dist, w, cfg)
-    assert not noise.observable
-    assert math.isinf(noise.sigma_nu2)
+    ob = generate_observation(s, w, cfg, _noise(s, 0))
+    assert not ob.usable
+    assert math.isinf(ob.d_hat)               # infinite delay variance
     info = fisher_information(s, w, cfg)
     assert math.isinf(info.crlb_theta) and math.isinf(info.crlb_d)
+    assert info.f_doppler == 0.0              # infinite Doppler variance
     # one zeroed row among aimed ones: only that vehicle is unusable
     v = _vehicles_25()
     W = np.repeat(steering(s.theta, cfg.n_tx)[None], 3, axis=0)
@@ -95,13 +105,12 @@ def test_zero_beam_is_unobservable(cfg):
 
 
 def test_observation_noiseless_recovery():
-    cfg = SimConfig(rho_nu=0.0, rho_mu=0.0, obs_rel_mse=0.0)
+    cfg = SimConfig(rho_nu=0.0, obs_rel_mse=0.0)
     v = init_vehicles(cfg, np.random.default_rng(1))
     W = steering(v.theta, cfg.n_tx)
     ob = generate_observation(v, W, cfg, _noise(v, 0))
     assert ob.usable.all()
     assert ob.d_hat == pytest.approx(v.dist, rel=1e-12)
-    assert ob.vdot_hat == pytest.approx(v.radial_v, rel=1e-12)
     assert ob.theta_hat == pytest.approx(v.theta, rel=1e-12)
 
 
@@ -109,26 +118,25 @@ def test_observation_modes(cfg):
     v = _vehicles_25()
     W = np.repeat(steering(v.theta[0], cfg.n_tx)[None], 3, axis=0)
     rng = np.random.default_rng(0)
-    ob_rel = generate_observation(v, W, cfg, rng.standard_normal((3, 3)),
-                                  mode="relative")
-    ob_crlb = generate_observation(v, W, cfg, rng.standard_normal((3, 3)),
-                                   mode="crlb")
+    ob_rel = generate_observation(v, W, cfg.replace(theta_mode="relative"),
+                                  rng.standard_normal((3, 3)))
+    ob_crlb = generate_observation(v, W, cfg.replace(theta_mode="crlb"),
+                                   rng.standard_normal((3, 3)))
     assert ob_rel.usable.all() and ob_crlb.usable.all()
     # crlb-mode angle noise is tiny at these SNRs; relative mode is ~10% rms
     assert np.all(np.abs(ob_crlb.theta_hat - v.theta) < 1e-4)
-    with pytest.raises(ValueError):
-        generate_observation(v, W, cfg, _noise(v, 0), mode="bogus")
 
 
 def test_crlb_mode_angle_noise_is_the_fisher_crlb(cfg):
     """In crlb mode theta_hat = theta + sqrt(CRLB_theta) * z, with CRLB_theta
     that of fisher_information and z the angle column of the slot's (K, 3)
     draw, for one slot's [K] vehicles and a stack of slots alike."""
+    cfg = cfg.replace(theta_mode="crlb")
     rng = np.random.default_rng(2)
     v = init_vehicles(cfg, rng)
     W = steering(v.theta + rng.normal(0.0, 0.05, 3), cfg.n_tx)
     z = np.random.default_rng(9).standard_normal((cfg.n_vehicles, 3))
-    ob = generate_observation(v, W, cfg, z, "crlb")
+    ob = generate_observation(v, W, cfg, z)
     z = z[:, 2]
     crlb = fisher_information(v, W, cfg).crlb_theta
     np.testing.assert_allclose(ob.theta_hat, v.theta + np.sqrt(crlb) * z,
@@ -138,7 +146,7 @@ def test_crlb_mode_angle_noise_is_the_fisher_crlb(cfg):
     vs = make_state(*(np.stack((f, f)) for f in (v.x, v.y, v.v)))
     Ws = np.stack((W, W[[1, 0, 2]]))
     z = np.random.default_rng(9).standard_normal((2, cfg.n_vehicles, 3))
-    ob = generate_observation(vs, Ws, cfg, z, "crlb")
+    ob = generate_observation(vs, Ws, cfg, z)
     crlb = fisher_information(vs, Ws, cfg).crlb_theta
     np.testing.assert_allclose(ob.theta_hat,
                                vs.theta + np.sqrt(crlb) * z[..., 2],
@@ -152,8 +160,7 @@ def test_observation_statistics(cfg):
     v = _vehicles_25(k=n)
     W = np.repeat(steering(v.theta[0], cfg.n_tx)[None], n, axis=0)
     ob = generate_observation(v, W, cfg, _noise(v, 42))
-    sigma2 = obs_noise_vars(v.theta[0], v.dist[0], W[0], cfg).sigma_nu2 \
-        * cfg.wave_speed ** 2 / 4.0
+    sigma2 = SIGMA_NU2_25 * cfg.wave_speed ** 2 / 4.0
     assert ob.d_hat.mean() == pytest.approx(25.0, abs=4 * math.sqrt(sigma2 / n))
     assert ob.d_hat.var(ddof=1) / sigma2 == pytest.approx(1.0, abs=0.05)
 
@@ -189,10 +196,11 @@ def test_fisher_information_vs_fd_oracle(cfg, rng):
         f_ref = fd_fim(s, w, cfg)
         assert np.allclose(info.f, f_ref, rtol=1e-5)
         assert info.crlb_theta == pytest.approx(1.0 / f_ref[0, 0], rel=1e-5)
-        # distance CRLB equals the delay variance mapped through d = c*nu/2
-        noise = obs_noise_vars(s.theta, s.dist, w, cfg)
-        assert info.crlb_d == pytest.approx(
-            noise.sigma_nu2 * cfg.wave_speed ** 2 / 4.0, rel=1e-12)
+        # distance CRLB equals the delay variance mapped through d = c*nu/2:
+        # a unit delay draw moves the distance estimate by sqrt(CRLB_d)
+        ob = generate_observation(s, w, cfg, np.array([1.0, 0.0, 0.0]))
+        assert ob.d_hat - s.dist == pytest.approx(math.sqrt(info.crlb_d),
+                                                  rel=1e-6)
         # FIM structure: diagonal with non-negative entries
         off = info.f - np.diag(np.diag(info.f))
         assert np.all(off == 0.0) and np.all(np.diag(info.f) >= 0.0)
@@ -232,7 +240,8 @@ def test_sigma_r2_override_feeds_crlb_theta(cfg):
 def test_noise_block_is_the_per_slot_stream(cfg):
     """One (n, K, 3) standard-normal draw equals n successive (K, 3) draws
     from the same generator, and an observation of [n, K] vehicles with the
-    block equals n one-slot observations with its rows, in both modes."""
+    block equals n one-slot observations with its rows, in both modes; a
+    block whose shape is not the vehicles' plus 3 is refused."""
     n, k = 6, cfg.n_vehicles
     block = np.random.default_rng(7).standard_normal((n, k, 3))
     rng = np.random.default_rng(7)
@@ -244,14 +253,18 @@ def test_noise_block_is_the_per_slot_stream(cfg):
     W = steering(v.theta + rng.normal(0.0, 0.05, (n, k)), cfg.n_tx)
     W[2, 1] = 0.0
     for mode in ("relative", "crlb"):
-        ob = generate_observation(v, W, cfg, block, mode)
+        config = cfg.replace(theta_mode=mode)
+        ob = generate_observation(v, W, config, block)
         assert not ob.usable[2, 1]
         for s in range(n):
             one = generate_observation(
-                make_state(v.x[s], v.y[s], v.v[s]), W[s], cfg, block[s], mode)
+                make_state(v.x[s], v.y[s], v.v[s]), W[s], config, block[s])
             for field in ob._fields:
                 assert np.array_equal(getattr(ob, field)[s],
                                       getattr(one, field)), (mode, s, field)
+    for bad in (block[..., :2], block[:, :2], block[None]):
+        with pytest.raises(ValueError, match="noise block"):
+            generate_observation(v, W, cfg, bad)
 
 
 def test_slot_observations_over_episode_terms_match_block(cfg):
@@ -268,31 +281,16 @@ def test_slot_observations_over_episode_terms_match_block(cfg):
     W = steering(v.theta + rng.normal(0.0, 0.05, (n, k)), cfg.n_tx)
     W[3, 1] = 0.0
     z = rng.standard_normal((n, k, 3))
-    for config in (cfg, cfg.replace(rho_nu=2.0)):
+    for noisy in (cfg, cfg.replace(rho_nu=2.0)):
         for mode in ("relative", "crlb"):
-            block = generate_observation(v, W, config, z, mode)
+            config = noisy.replace(theta_mode=mode)
+            block = generate_observation(v, W, config, z)
             assert not block.usable[3, 1]
-            terms = observation_terms(v, config, z, mode)
+            terms = observation_terms(v, config, z)
             for s in range(n):
                 one = observe(terms.at(s), W[s], a[s], config)
                 for field in block._fields:
                     assert np.array_equal(getattr(block, field)[s],
                                           getattr(one, field)), (mode, s)
         negative = (block.d_hat <= 0).any()
-        assert negative == (config.rho_nu == 2.0)
-
-
-def test_observation_takes_callers_steering_and_checks_noise(cfg):
-    """The caller's steering gives the observation of the default one; a
-    noise block whose shape is not the vehicles' plus 3 is refused."""
-    v = _vehicles_25()
-    W = steering(v.theta + np.array([0.0, 0.02, -0.03]), cfg.n_tx)
-    z = _noise(v, 5)
-    for mode in ("relative", "crlb"):
-        ob = generate_observation(v, W, cfg, z, mode)
-        with_a = generate_observation(v, W, cfg, z, mode,
-                                      a=steering(v.theta, cfg.n_tx))
-        assert all(np.array_equal(x, y) for x, y in zip(ob, with_a))
-    for bad in (z[:, :2], z[:2], z[None]):
-        with pytest.raises(ValueError, match="noise block"):
-            generate_observation(v, W, cfg, bad)
+        assert negative == (noisy.rho_nu == 2.0)
