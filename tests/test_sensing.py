@@ -240,8 +240,7 @@ def test_sigma_r2_override_feeds_crlb_theta(cfg):
 def test_noise_block_is_the_per_slot_stream(cfg):
     """One (n, K, 3) standard-normal draw equals n successive (K, 3) draws
     from the same generator, and an observation of [n, K] vehicles with the
-    block equals n one-slot observations with its rows, in both modes; a
-    block whose shape is not the vehicles' plus 3 is refused."""
+    block equals n one-slot observations with its rows, in both modes."""
     n, k = 6, cfg.n_vehicles
     block = np.random.default_rng(7).standard_normal((n, k, 3))
     rng = np.random.default_rng(7)
@@ -262,9 +261,6 @@ def test_noise_block_is_the_per_slot_stream(cfg):
             for field in ob._fields:
                 assert np.array_equal(getattr(ob, field)[s],
                                       getattr(one, field)), (mode, s, field)
-    for bad in (block[..., :2], block[:, :2], block[None]):
-        with pytest.raises(ValueError, match="noise block"):
-            generate_observation(v, W, cfg, bad)
 
 
 def test_slot_observations_over_episode_terms_match_block(cfg):
@@ -294,3 +290,21 @@ def test_slot_observations_over_episode_terms_match_block(cfg):
                                           getattr(one, field)), (mode, s)
         negative = (block.d_hat <= 0).any()
         assert negative == (noisy.rho_nu == 2.0)
+
+
+def test_observation_takes_callers_steering_and_checks_noise(cfg):
+    """observe() under the caller's steering gives the observation of
+    generate_observation's default one; a noise block whose shape is not the
+    vehicles' plus 3 is refused."""
+    v = _vehicles_25()
+    W = steering(v.theta + np.array([0.0, 0.02, -0.03]), cfg.n_tx)
+    z = _noise(v, 5)
+    for mode in ("relative", "crlb"):
+        config = cfg.replace(theta_mode=mode)
+        ob = generate_observation(v, W, config, z)
+        with_a = observe(observation_terms(v, config, z), W,
+                         steering(v.theta, cfg.n_tx), config)
+        assert all(np.array_equal(x, y) for x, y in zip(ob, with_a))
+    for bad in (z[:, :2], z[:2], z[None]):
+        with pytest.raises(ValueError, match="noise block"):
+            generate_observation(v, W, cfg, bad)
