@@ -114,6 +114,18 @@ def _load_models(paths: list[str], config: SimConfig) -> dict:
     return models
 
 
+def _written(path: str, write, *args) -> bool:
+    """Call write(*args), which writes path, printing an OSError (a full
+    disk, a path that became unwritable) as one error line naming path;
+    False when it raised."""
+    try:
+        write(*args)
+    except OSError as exc:
+        print(f"error: failed writing {path}: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -124,6 +136,9 @@ def main(argv=None) -> int:
         config = _config_from(args)
     except (KeyError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if args.out and os.path.isdir(args.out):
+        print(f"error: --out {args.out}: is a directory", file=sys.stderr)
         return 2
     if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
         print(f"error: --out {args.out}: its directory does not exist",
@@ -140,7 +155,8 @@ def main(argv=None) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        ds.save(args.out, config)
+        if not _written(args.out, ds.save, args.out, config):
+            return 2
         print(f"wrote {len(ds)} examples to {args.out} "
               f"(sha256 {ds.sha256()[:16]})")
         return 0
@@ -160,7 +176,8 @@ def main(argv=None) -> int:
             return 2
         trainer = train_hcl if args.arch == "hcl" else train_naive
         net, result = trainer(ds, config, hyper)
-        net.save(args.out)
+        if not _written(args.out, net.save, args.out):
+            return 2
         print(f"trained {args.arch} for {len(result.loss_trace)} iters; "
               f"loss {result.loss_trace[0]:.6g} -> {result.loss_trace[-1]:.6g}; "
               f"model saved to {args.out}")
@@ -195,7 +212,9 @@ def main(argv=None) -> int:
                                models=models, seed=config.rng_seed,
                                project=args.project_power)
         if args.out:
-            export(rows, config, args.out, fmt=args.format)
+            if not _written(args.out, export, rows, config, args.out,
+                            args.format):
+                return 2
             print(f"wrote {len(rows)} rows to {args.out}")
         else:
             for r in rows:

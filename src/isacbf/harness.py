@@ -16,7 +16,6 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .baselines import (genie_beamformer, genie_rate, naive_dl_beamformer,
                         random_beamformer)
@@ -85,26 +84,30 @@ def _exogenous(config: SimConfig, rng: np.random.Generator):
 
 def _write_estimates(est: np.ndarray, obs, config: SimConfig,
                      a_hat=None) -> None:
-    """Write the estimated channels of the slots of obs into est[1:], one
-    [K, M] row per slot, est[0] holding the row before the first.  obs holds
-    one slot's [K] arrays or n slots' [n, K] arrays, and a_hat is
+    """Write the estimated channels of the slots of obs into est[..., 1:, :,
+    :], one [K, M] row per slot, est[..., 0, :, :] holding the row before
+    the first.  est is [n + 1, K, M] for obs of one slot's [K] arrays
+    (n = 1) or of n slots' [n, K] arrays, and [n_ep, n + 1, K, M] for the
+    [n_ep, n, K] arrays of n_ep episodes; a_hat is
     steering(obs.theta_hat, N_t) if the caller has it.  A vehicle without a
     usable estimate carries its previous row forward."""
-    k = est.shape[1]
-    usable = obs.usable.reshape(-1, k)
-    rows = est[1:]
+    k = est.shape[-2]
+    usable = obs.usable.reshape(est.shape[:-3] + (-1, k))
+    rows = est[..., 1:, :, :]
     if usable.all():
         rows[:] = effective_channel(obs.theta_hat, obs.d_hat, config, a_hat)
         return
     if a_hat is not None:
         a_hat = a_hat.reshape(usable.shape + (-1,))[usable]
-    rows[usable] = effective_channel(obs.theta_hat.reshape(-1, k)[usable],
-                                     obs.d_hat.reshape(-1, k)[usable], config,
-                                     a_hat)
+    theta_hat, d_hat = (f.reshape(usable.shape)[usable]
+                        for f in (obs.theta_hat, obs.d_hat))
+    rows[usable] = effective_channel(theta_hat, d_hat, config, a_hat)
     # each row's latest usable row of the vehicle, 0 for the row before
     latest = np.maximum.accumulate(
-        usable * np.arange(1, len(usable) + 1)[:, None], axis=0)
-    rows[:] = est[latest, np.arange(k)]
+        usable * np.arange(1, usable.shape[-2] + 1)[:, None], axis=-2)
+    # plain fancy indexing: np.take_along_axis costs 3x more on one slot
+    episodes = (np.arange(len(est))[:, None, None],) if est.ndim == 4 else ()
+    rows[:] = est[(*episodes, latest, np.arange(k))]
 
 
 def project_power(w: np.ndarray, budget: float) -> np.ndarray:
@@ -242,20 +245,35 @@ class Dataset:
         return digest.hexdigest()
 
 
+# episodes per dataset block: enough to take each call over many episodes,
+# few enough that a block's arrays stay within about 25 MB at the default
+# sizes, whatever n_examples is
+_BLOCK_EPISODES = 64
+
+
 def generate_dataset(config: SimConfig, n_examples: int,
                      rng: np.random.Generator) -> Dataset:
     """Collect examples from fresh random-beam episodes.
 
     Each slot n >= history_len of an episode whose previous slot observed
     every vehicle yields one example: the window of estimated channels from
-    slots [n-tau, n-1] and slot n's true channels/angles/distances.  An
-    episode is one observation call over its [n_slots, K] states and random
-    beams, and no rates or CRLBs, which no example holds.
+    slots [n-tau, n-1] and slot n's true channels/angles/distances.
+
+    Episodes run in blocks of at most _BLOCK_EPISODES, and of no more than
+    the examples still wanted could need (an episode yields at most
+    n_slots - tau), so rng spawns one child per episode exactly as one
+    episode at a time would.  Each episode draws its trajectory, random
+    beams and noise block from its own child; the block then takes one
+    steering evaluation of the true angles, one observation call and one
+    estimate array over its [n_ep, n_slots, K] arrays, and no rates or
+    CRLBs, which no example holds.  No example's window holds the last
+    slot, so no beam or noise is drawn for it and it is not observed.
     """
     if n_examples < 1:
         raise ValueError("n_examples must be >= 1")
-    tau, k, m = config.history_len, config.n_vehicles, config.n_tx
-    if config.n_slots <= tau:
+    n, tau, k, m = (config.n_slots, config.history_len, config.n_vehicles,
+                    config.n_tx)
+    if n <= tau:
         raise ValueError("n_slots must exceed history_len for an episode "
                          "to yield an example")
     x = np.empty((n_examples, tau, k, m, 2))
@@ -263,25 +281,38 @@ def generate_dataset(config: SimConfig, n_examples: int,
     thetas, dists, est_thetas, est_dists = np.empty((4, n_examples, k))
     i = 0
     while i < n_examples:
-        vehicles, rng_obs, rng_beam = _exogenous(config, rng.spawn(1)[0])
-        w = random_beamformer(config, rng_beam, config.n_slots)
+        n_ep = min(_BLOCK_EPISODES, -(-(n_examples - i) // (n - tau)))
+        trajectories, w, z = [], [], []
+        for child in rng.spawn(n_ep):
+            vehicles, rng_obs, rng_beam = _exogenous(config, child)
+            trajectories.append(vehicles)
+            w.append(random_beamformer(config, rng_beam, n - 1))
+            z.append(rng_obs.standard_normal((n - 1, k, 3)))
+        vehicles = VehicleState.stack(trajectories)
+        a = steering(vehicles.theta, m)
         obs = generate_observation(
-            vehicles, w, config,
-            rng_obs.standard_normal(vehicles.theta.shape + (3,)))
-        # row tau + n holds slot n's estimated channels, zeros before slot 0,
-        # so window n (rows n .. n + tau - 1) is slot n's input
-        est = np.zeros((config.n_slots + tau, k, m), dtype=complex)
-        _write_estimates(est[tau - 1:], obs, config)
-        windows = sliding_window_view(
-            est.view(float).reshape(est.shape + (2,)), tau, axis=0)
-        slots = 1 + np.flatnonzero(obs.usable[:-1].all(axis=1))
-        slots = slots[slots >= tau][:n_examples - i]
-        j = i + len(slots)
-        x[i:j] = np.moveaxis(windows[slots], -1, 1)
-        thetas[i:j], dists[i:j] = vehicles.theta[slots], vehicles.dist[slots]
-        h[i:j] = effective_channel(thetas[i:j], dists[i:j], config)
-        est_thetas[i:j] = obs.theta_hat[slots - 1]
-        est_dists[i:j] = obs.d_hat[slots - 1]
+            VehicleState(*(f[:, :-1] for f in vars(vehicles).values())),
+            np.stack(w), config, np.stack(z), a=a[:, :-1])
+        # row tau + s of an episode holds slot s's estimated channels, zeros
+        # before slot 0, so rows s .. s + tau - 1 are slot s's window
+        est = np.zeros((n_ep, n - 1 + tau, k, m), dtype=complex)
+        _write_estimates(est[:, tau - 1:], obs, config)
+        complete = obs.usable.all(axis=-1)
+        complete[:, :tau - 1] = False
+        ep, prev = (idx[:n_examples - i] for idx in np.nonzero(complete))
+        slot = prev + 1
+        j = i + len(slot)
+        rows = (ep * (n - 1 + tau) + slot)[:, None] + np.arange(tau)
+        # every index is in range; mode "clip" writes out in place, where
+        # "raise" would write a buffer and copy it
+        np.take(est.view(float).reshape(-1, k, m, 2), rows, axis=0,
+                out=x[i:j], mode="clip")
+        thetas[i:j] = vehicles.theta[ep, slot]
+        dists[i:j] = vehicles.dist[ep, slot]
+        h[i:j] = effective_channel(thetas[i:j], dists[i:j], config,
+                                   a[ep, slot])
+        est_thetas[i:j] = obs.theta_hat[ep, prev]
+        est_dists[i:j] = obs.d_hat[ep, prev]
         i = j
     return Dataset(x=x, h=h, thetas=thetas, dists=dists,
                    est_thetas=est_thetas, est_dists=est_dists)
@@ -425,23 +456,20 @@ def _fmt(x) -> str:
 def export(rows: list[MethodStats], config: SimConfig, path: str,
            fmt: str = "csv") -> None:
     """Write sweep/eval rows as CSV (config echoed in '#' comments) or JSON."""
-    try:
-        if fmt == "csv":
-            lines = [f"# {k}={v}" for k, v in sorted(config.as_dict().items())]
-            lines.append(CSV_HEADER)
-            for r in rows:
-                lines.append(",".join(_fmt(v) for v in (
-                    r.method, r.power, r.rate_mean, r.rate_ci,
-                    r.crlb_theta_sqrt, r.crlb_d_sqrt, r.n_realizations)))
-            with open(path, "w") as fh:
-                fh.write("\n".join(lines) + "\n")
-        elif fmt == "json":
-            import json
-            with open(path, "w") as fh:
-                json.dump({"config": config.as_dict(),
-                           "rows": [r.as_dict() for r in rows]}, fh, indent=2)
-                fh.write("\n")
-        else:
-            raise ValueError(f"unknown export format {fmt!r}")
-    except OSError as exc:
-        raise OSError(f"failed writing {path}: {exc}") from exc
+    if fmt == "csv":
+        lines = [f"# {k}={v}" for k, v in sorted(config.as_dict().items())]
+        lines.append(CSV_HEADER)
+        for r in rows:
+            lines.append(",".join(_fmt(v) for v in (
+                r.method, r.power, r.rate_mean, r.rate_ci,
+                r.crlb_theta_sqrt, r.crlb_d_sqrt, r.n_realizations)))
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+    elif fmt == "json":
+        import json
+        with open(path, "w") as fh:
+            json.dump({"config": config.as_dict(),
+                       "rows": [r.as_dict() for r in rows]}, fh, indent=2)
+            fh.write("\n")
+    else:
+        raise ValueError(f"unknown export format {fmt!r}")

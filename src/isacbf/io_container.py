@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
 import struct
 
 import numpy as np
@@ -23,8 +24,31 @@ MAGIC = b"ISACBF01"
 _DTYPES = {"float64": "<f8", "complex128": "<c16", "int64": "<i8"}
 
 
+def _unlink_writable(path: str) -> None:
+    """Remove path if it is a regular file that open(path, "wb") could
+    write.  Anything else (no file, a symlink, a directory, a file the
+    caller may not write, a directory it may not change) is left for
+    open() to write through, truncate or refuse, as it would have."""
+    try:
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.close(os.open(path, os.O_WRONLY))
+            os.unlink(path)
+    except OSError:
+        pass
+
+
 def save_container(path: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
-    """Write the arrays' buffers straight to the file, with no payload copy."""
+    """Write the arrays' buffers straight to the file, with no payload copy.
+
+    An existing regular file at path is replaced by a new file, not
+    truncated: ext4 starts writing a file's new data to disk when a file
+    truncated from a non-zero size is closed (its auto_da_alloc
+    heuristic), which made saving a 5 MB dataset over an old one take
+    about twice as long as writing a new file.  So a hard link to the old
+    file keeps the old bytes, and the new file takes the default
+    permissions.  A symlink is written through, and whatever
+    open(path, "wb") refuses is refused.
+    """
     entries, data = [], []
     for name, arr in arrays.items():
         arr = np.ascontiguousarray(arr)
@@ -36,6 +60,7 @@ def save_container(path: str, meta: dict, arrays: dict[str, np.ndarray]) -> None
         data.append(arr)
     header = json.dumps({"meta": meta, "arrays": entries},
                         sort_keys=True).encode("utf-8")
+    _unlink_writable(path)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", len(header)))

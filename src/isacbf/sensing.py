@@ -153,14 +153,17 @@ def observe(terms: ObsTerms, W: np.ndarray, a: np.ndarray,
 
 
 def generate_observation(vehicles: VehicleState, W: np.ndarray,
-                         config: SimConfig, z: np.ndarray) -> Observations:
+                         config: SimConfig, z: np.ndarray,
+                         a=None) -> Observations:
     """Noisy (angle, distance) observations of the K vehicles: observe()
     over their observation_terms().
 
-    The vehicles are [K] arrays with a [K, N_t] W, or [n, K] arrays of n
-    slots with an [n, K, N_t] W (as in fisher_information); the estimates
-    take the vehicles' shape.  z is the standard-normal block of the
-    vehicles' shape plus a trailing 3 (delay, Doppler, angle).  By
+    The vehicles are [K] arrays with a [K, N_t] W, or arrays of any leading
+    shape with W of that shape plus [N_t], such as the [n, K] arrays of n
+    slots or the [n_ep, n, K] arrays of n_ep episodes; the estimates take
+    the vehicles' shape.  z is the standard-normal block of the vehicles'
+    shape plus a trailing 3 (delay, Doppler, angle).  a is
+    steering(vehicles.theta, N_t) if the caller has it.  By
     config.theta_mode:
     "relative": theta_hat = theta*(1+e), e ~ N(0, obs_rel_mse);
     "crlb":     theta_hat = theta + N(0, CRLB(theta, w)).
@@ -168,8 +171,9 @@ def generate_observation(vehicles: VehicleState, W: np.ndarray,
     or not a vehicle is observable, so the stream stays aligned: one
     (n, K, 3) draw equals n successive (K, 3) draws.
     """
-    return observe(observation_terms(vehicles, config, z), W,
-                   steering(vehicles.theta, config.n_tx), config)
+    if a is None:
+        a = steering(vehicles.theta, config.n_tx)
+    return observe(observation_terms(vehicles, config, z), W, a, config)
 
 
 def echo_mean(theta: float, dist: float, w_k: np.ndarray,

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -70,6 +71,54 @@ def test_bad_input_is_error(argv, tmp_path, monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-data", *SMALL, "--n-examples", "4"],
+    ["train", *SMALL, "--data", "data.bin"],
+    ["eval", *SMALL, "--methods", "random", "--realizations", "1"],
+    ["sweep", *SMALL, "--methods", "random", "--realizations", "1"],
+])
+def test_out_naming_a_directory_is_error(argv, tmp_path, monkeypatch,
+                                         capsys):
+    """An --out that names a directory prints one error line naming it and
+    exits 2 before any episode runs or any dataset is loaded, and the
+    directory is left as it was."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(harness, "step_motion", no_work)
+    monkeypatch.setattr(Dataset, "load", no_work)
+    (tmp_path / "d").mkdir()
+    assert main([*argv, "--out", "d"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: --out d: is a directory\n"
+    assert list(tmp_path.iterdir()) == [tmp_path / "d"]
+    assert list((tmp_path / "d").iterdir()) == []
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs a device whose writes fail")
+def test_failed_write_is_error(tmp_path, capsys):
+    """A write that fails after the work (here every write to /dev/full
+    fails with ENOSPC) prints one error line naming the path and exits 2:
+    gen-data's dataset, train's model and eval's and sweep's rows."""
+    data = str(tmp_path / "data.bin")
+    assert main(["gen-data", *SMALL, "--n-examples", "4", "--out",
+                 data]) == 0
+    capsys.readouterr()
+    for argv in (["gen-data", *SMALL, "--n-examples", "4"],
+                 ["train", *SMALL, "--data", data, "--arch", "naive",
+                  "--iters", "1"],
+                 ["eval", *SMALL, "--methods", "random", "--realizations",
+                  "1"],
+                 ["sweep", *SMALL, "--methods", "random", "--realizations",
+                  "1", "--power-grid", "1", "--format", "json"]):
+        assert main([*argv, "--out", "/dev/full"]) == 2, argv[0]
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1, argv[0]
+        assert err.startswith("error: failed writing /dev/full: "), argv[0]
 
 
 def test_help_exits_cleanly():

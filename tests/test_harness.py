@@ -13,6 +13,7 @@ from isacbf.harness import (CSV_HEADER, Dataset, EpisodeTrace, MethodStats,
                             verify_causality)
 from isacbf.baselines import genie_rate, random_beamformer
 from isacbf.channel import effective_channel, steering, sum_rate
+from isacbf.kinematics import VehicleState
 from isacbf.nn.model import HCLNet, NaiveNet
 from isacbf.nn.train import TrainHyper
 from isacbf.sensing import fisher_information
@@ -276,21 +277,41 @@ def test_generate_dataset(small_cfg):
         generate_dataset(small_cfg.replace(n_slots=3), 4, rng)
 
 
-def test_dataset_matches_slot_loop(small_cfg):
+def test_dataset_matches_slot_loop(small_cfg, monkeypatch):
     """generate_dataset, one observation call and one estimate array per
-    episode, picks the examples of the one-slot-at-a-time loop, with values
-    to 1e-13, on a config where many vehicles are unusable and carry their
-    previous estimate forward."""
-    cfg = _noisy(small_cfg)
+    block of episodes, picks the examples of the one-slot-at-a-time loop,
+    with values to 1e-13, and leaves the caller's generator where the loop
+    leaves it: its next draw and its next spawned child's draw are equal.
+    In both theta modes, on the small config and on one where many
+    vehicles are unusable and carry their previous estimate forward, the
+    sizes take one example, one block, two or more blocks, and more
+    episodes than a block holds."""
+    blocks = _record_observations(monkeypatch, "generate_observation")
+    n_blocks = set()
+    cap = harness._BLOCK_EPISODES
     for mode in ("relative", "crlb"):
-        cfg = cfg.replace(theta_mode=mode)
-        ds = generate_dataset(cfg, 40, np.random.default_rng(6))
-        ref = slot_loop_dataset(cfg, 40, np.random.default_rng(6))
-        assert np.array_equal(ds.thetas, ref["thetas"])
-        assert np.array_equal(ds.dists, ref["dists"])
-        for name, value in ref.items():
-            np.testing.assert_allclose(getattr(ds, name), value, rtol=1e-13,
-                                       atol=0)
+        for config in (small_cfg, _noisy(small_cfg)):
+            config = config.replace(theta_mode=mode)
+            per_episode = config.n_slots - config.history_len
+            for n_examples in (1, 20, 3 * per_episode, cap * per_episode + 1):
+                blocks.clear()
+                rng, ref_rng = (np.random.default_rng(6) for _ in range(2))
+                ds = generate_dataset(config, n_examples, rng)
+                ref = slot_loop_dataset(config, n_examples, ref_rng)
+                assert np.array_equal(ds.thetas, ref["thetas"])
+                assert np.array_equal(ds.dists, ref["dists"])
+                for name, value in ref.items():
+                    np.testing.assert_allclose(getattr(ds, name), value,
+                                               rtol=1e-13, atol=0)
+                assert rng.integers(1 << 62) == ref_rng.integers(1 << 62)
+                assert rng.spawn(1)[0].integers(1 << 62) \
+                    == ref_rng.spawn(1)[0].integers(1 << 62)
+                sizes = [ob.usable.shape[0] for ob in blocks]
+                assert max(sizes) <= cap
+                n_blocks.add(min(len(sizes), 3))
+                if n_examples > cap * per_episode:
+                    assert sizes[0] == cap
+    assert n_blocks == {1, 2, 3}
 
 
 def test_dataset_save_load_roundtrip(small_cfg, tmp_path):
@@ -381,17 +402,26 @@ def test_slot_estimates_match_block_estimates(small_cfg, theta_mode):
     relative mode), equal the rows that _write_estimates writes for the
     whole episode at once, bit for bit, on a config whose distance
     estimates often go negative and with a zero beam row, so that many rows
-    are carried forward."""
+    are carried forward.  So do the rows of each episode of an
+    [n_ep, n, K] block, observed and written in one call each."""
     cfg = _noisy(small_cfg).replace(theta_mode=theta_mode)
     n, k, m = cfg.n_slots, cfg.n_vehicles, cfg.n_tx
-    vehicles, rng_obs, rng_beam = harness._exogenous(
-        cfg, np.random.default_rng(8))
-    w = random_beamformer(cfg, rng_beam, n)
-    w[::3, 1] = 0.0
-    obs = harness.generate_observation(
-        vehicles, w, cfg, rng_obs.standard_normal((n, k, 3)))
-    est = np.zeros((n + 1, k, m), dtype=complex)
-    harness._write_estimates(est, obs, cfg)
+
+    def episode(seed):
+        vehicles, rng_obs, rng_beam = harness._exogenous(
+            cfg, np.random.default_rng(seed))
+        w = random_beamformer(cfg, rng_beam, n)
+        w[::3, 1] = 0.0
+        return vehicles, w, rng_obs.standard_normal((n, k, 3))
+
+    def estimates(obs):
+        est = np.zeros(obs.usable.shape[:-2] + (n + 1, k, m), dtype=complex)
+        harness._write_estimates(est, obs, cfg)
+        return est
+
+    vehicles, w, z = episode(8)
+    obs = harness.generate_observation(vehicles, w, cfg, z)
+    est = estimates(obs)
     a_hat = steering(obs.theta_hat, m) if theta_mode == "relative" else None
     slots = np.zeros_like(est)
     for s in range(n):
@@ -400,6 +430,14 @@ def test_slot_estimates_match_block_estimates(small_cfg, theta_mode):
                                  None if a_hat is None else a_hat[s])
         assert np.array_equal(slots[s + 1], est[s + 1]), s
     assert 0 < (~obs.usable).sum() < obs.usable.size
+    seeds = (9, 8, 10)
+    vehicles, w, z = zip(*map(episode, seeds))
+    block = estimates(harness.generate_observation(
+        VehicleState.stack(vehicles), np.stack(w), cfg, np.stack(z)))
+    for e, seed in enumerate(seeds):
+        vehicles, w, z = episode(seed)
+        alone = estimates(harness.generate_observation(vehicles, w, cfg, z))
+        assert np.array_equal(block[e], alone), seed
 
 
 def test_negative_distance_estimate_is_unusable(small_cfg, monkeypatch):

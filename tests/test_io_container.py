@@ -129,3 +129,39 @@ def test_every_truncation_raises_value_error(tmp_path, shape, note):
         cut.write_bytes(raw[:n])
         with pytest.raises(ValueError, match=re.escape(str(cut))):
             load_container(str(cut))
+
+
+def test_saving_over_a_file_writes_a_new_file(tmp_path):
+    """Saving over an existing container replaces the file: the path reads
+    back the new contents, and a hard link to the old file keeps the old
+    bytes."""
+    path, link = tmp_path / "c.bin", tmp_path / "old.bin"
+    save_container(str(path), {"v": 1}, {"a": np.arange(1000.0)})
+    old = path.read_bytes()
+    link.hardlink_to(path)
+    save_container(str(path), {"v": 2}, {"a": np.ones(3)})
+    meta, back = load_container(str(path))
+    assert meta == {"v": 2} and np.array_equal(back["a"], np.ones(3))
+    assert link.read_bytes() == old
+
+
+def test_saving_through_a_symlink_keeps_the_link(tmp_path):
+    """A symlink is written through: it stays a link, and its target holds
+    the new contents."""
+    target, link = tmp_path / "target.bin", tmp_path / "link.bin"
+    save_container(str(target), {"v": 1}, {"a": np.arange(4.0)})
+    link.symlink_to(target)
+    save_container(str(link), {"v": 2}, {"a": np.ones(2)})
+    assert link.is_symlink()
+    meta, back = load_container(str(target))
+    assert meta == {"v": 2} and np.array_equal(back["a"], np.ones(2))
+
+
+def test_saving_to_a_directory_raises(tmp_path):
+    """A directory is neither removed nor written: open() refuses it."""
+    target = tmp_path / "d"
+    target.mkdir()
+    (target / "keep").write_text("x")
+    with pytest.raises(IsADirectoryError):
+        save_container(str(target), {}, {"a": np.ones(2)})
+    assert (target / "keep").read_text() == "x"

@@ -293,18 +293,19 @@ def test_slot_observations_over_episode_terms_match_block(cfg):
 
 
 def test_observation_takes_callers_steering_and_checks_noise(cfg):
-    """observe() under the caller's steering gives the observation of
-    generate_observation's default one; a noise block whose shape is not the
-    vehicles' plus 3 is refused."""
+    """observe() and generate_observation() under the caller's steering
+    give the observation of generate_observation's default one; a noise
+    block whose shape is not the vehicles' plus 3 is refused."""
     v = _vehicles_25()
     W = steering(v.theta + np.array([0.0, 0.02, -0.03]), cfg.n_tx)
     z = _noise(v, 5)
+    a = steering(v.theta, cfg.n_tx)
     for mode in ("relative", "crlb"):
         config = cfg.replace(theta_mode=mode)
         ob = generate_observation(v, W, config, z)
-        with_a = observe(observation_terms(v, config, z), W,
-                         steering(v.theta, cfg.n_tx), config)
-        assert all(np.array_equal(x, y) for x, y in zip(ob, with_a))
+        for with_a in (observe(observation_terms(v, config, z), W, a, config),
+                       generate_observation(v, W, config, z, a=a)):
+            assert all(np.array_equal(x, y) for x, y in zip(ob, with_a))
     for bad in (z[:, :2], z[:2], z[None]):
         with pytest.raises(ValueError, match="noise block"):
             generate_observation(v, W, cfg, bad)
