@@ -2,11 +2,12 @@
 
 All physical constants, optimization weights, and simulation knobs live in a
 single immutable SimConfig.  Defaults reproduce the mmWave roadside-unit
-scenario used throughout the test suite: a 32x32 ULA serving K=3 vehicles at
-30 GHz with -80 dBm noise floors.
+scenario used throughout the test suite: a 32x32 ULA serving K=3 vehicles
+with -80 dBm noise floors.
 """
 from __future__ import annotations
 
+import cmath
 import configparser
 import dataclasses
 from dataclasses import dataclass
@@ -18,8 +19,7 @@ class SimConfig:
     n_tx: int = 32
     n_rx: int = 32
     n_vehicles: int = 3
-    # carrier and propagation
-    carrier_hz: float = 30e9
+    # propagation
     wave_speed: float = 3e8
     # noise powers (W)
     noise_rsu: float = 1e-11
@@ -28,7 +28,6 @@ class SimConfig:
     rcs_coeff: complex = 10 + 10j
     mf_gain: float = 10.0
     rho_nu: float = 2.0e-6
-    rho_mu: float = 2.0e-6
     # post-matched-filter echo noise variance; None -> mf_gain * noise_rsu
     sigma_r2: float | None = None
     # path loss
@@ -60,6 +59,11 @@ class SimConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, (float, complex)) \
+                    and not cmath.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         for name in ("n_tx", "n_rx", "n_vehicles", "history_len"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -69,7 +73,7 @@ class SimConfig:
         if self.v_min > self.v_max:
             raise ValueError("v_min must not exceed v_max")
         positive = (
-            "carrier_hz", "wave_speed", "noise_rsu", "noise_vehicle",
+            "wave_speed", "noise_rsu", "noise_vehicle",
             "mf_gain", "pathloss_ref", "ref_dist", "slot_dur",
             "gamma_theta", "gamma_d", "power_budget",
             "lambda_theta", "lambda_d", "lambda_power",
@@ -77,7 +81,7 @@ class SimConfig:
         for name in positive:
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")
-        for name in ("rho_nu", "rho_mu", "obs_rel_mse"):
+        for name in ("rho_nu", "obs_rel_mse"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         if self.sigma_r2 is not None and not self.sigma_r2 > 0:

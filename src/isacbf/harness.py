@@ -27,7 +27,7 @@ from .nn.loss import BatchGeometry, build_geometry
 from .nn.model import HCLNet, NaiveNet
 from .nn.train import TrainHyper, TrainResult, train
 from .sensing import (fisher_information, generate_observation,
-                      observation_terms, observe)
+                      observation_noise, observation_terms, observe)
 
 METHODS = ("genie", "naive_dl", "random", "hcl")
 
@@ -131,7 +131,7 @@ def _decide(config: SimConfig, method: str, model, vehicles: VehicleState,
     n_slots, k = config.n_slots, config.n_vehicles
     observed = VehicleState(*(f[:-1] for f in vars(vehicles).values()))
     terms = observation_terms(
-        observed, config, rng_obs.standard_normal((n_slots - 1, k, 3)))
+        observed, config, observation_noise(rng_obs, (n_slots - 1, k)))
     if method == "hcl":
         stream = model.stream()
         # row n + 1 holds slot n's estimated channels, zeros before slot 0
@@ -287,7 +287,7 @@ def generate_dataset(config: SimConfig, n_examples: int,
             vehicles, rng_obs, rng_beam = _exogenous(config, child)
             trajectories.append(vehicles)
             w.append(random_beamformer(config, rng_beam, n - 1))
-            z.append(rng_obs.standard_normal((n - 1, k, 3)))
+            z.append(observation_noise(rng_obs, (n - 1, k)))
         vehicles = VehicleState.stack(trajectories)
         a = steering(vehicles.theta, m)
         obs = generate_observation(

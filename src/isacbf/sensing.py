@@ -2,12 +2,12 @@
 
 The echo seen from one vehicle after matched filtering is
 r = G*beta*xi*b(theta)*(a(theta)^H w) + noise, with G = sqrt(N_t*N_r).
-Delay and Doppler estimates carry Gaussian errors whose variances scale
-inversely with the beam gain |a^H w|^2.  A decision reads only the angle and
-distance estimates, so an observation holds those two; the Doppler term
-enters only the Fisher information.  The angle and distance CRLBs have one
-closed form over arrays (crlbs), shared by the loss, the simulator and the
-CLI.
+The measurement model is over (theta, d): a decision reads only the angle
+and distance estimates, and the sensing constraints bound only their CRLBs.
+The delay error variance scales inversely with the beam gain |a^H w|^2, so
+CRLB_d = c_dist / |a^H w|^2.  The angle and distance CRLBs have one closed
+form over arrays (crlbs), shared by the loss, the simulator and the CLI, and
+a distance estimate is the truth plus sqrt(CRLB_d) noise.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ class Observations(NamedTuple):
     """One slot's estimates of the K vehicles; an entry is meaningful only
     where usable is True."""
     theta_hat: np.ndarray  # [K] angle estimates, rad
-    d_hat: np.ndarray      # [K] distance estimates, m (= c*nu_hat/2)
+    d_hat: np.ndarray      # [K] distance estimates, m
     usable: np.ndarray     # [K] bool: observable and d_hat > 0
 
 
@@ -37,14 +37,12 @@ class Observations(NamedTuple):
 class FisherInfo:
     crlb_theta: np.ndarray  # rad^2
     crlb_d: np.ndarray      # m^2
-    f_doppler: np.ndarray   # (2 f_c / c)^2 / sigma_mu^2
 
     @property
     def f(self) -> np.ndarray:
-        """Diagonal information matrices [..., 3, 3] over (theta, d, v_dot)."""
-        diag = np.stack(np.broadcast_arrays(
-            1.0 / self.crlb_theta, 1.0 / self.crlb_d, self.f_doppler), axis=-1)
-        return diag[..., None] * np.eye(3)
+        """Diagonal information matrices [..., 2, 2] over (theta, d)."""
+        diag = np.stack((1.0 / self.crlb_theta, 1.0 / self.crlb_d), axis=-1)
+        return diag[..., None] * np.eye(2)
 
 
 class EchoConstants(NamedTuple):
@@ -66,23 +64,21 @@ def _psi2(dist, config: SimConfig):
     return config.n_tx * config.n_rx * abs(reflection_coeff(dist, config)) ** 2
 
 
-def echo_gain(dist, config: SimConfig):
-    """xi |psi|^2, the matched-filtered echo power of a unit beam gain."""
-    return config.mf_gain * _psi2(dist, config)
+def _c_dist(dist, config: SimConfig):
+    """c_dist of vehicles at dist, the numerator of CRLB_d = c_dist /
+    |a^H w|^2: d = c*nu/2, so CRLB_d = (c/2)^2 sigma_nu^2, and the delay
+    error variance sigma_nu^2 = rho_nu^2 sigma^2 / (xi |psi|^2 |a^H w|^2),
+    xi |psi|^2 being the matched-filtered echo power of a unit beam gain."""
+    echo = config.mf_gain * _psi2(dist, config)
+    return (config.wave_speed / 2.0) ** 2 \
+        * (config.rho_nu ** 2 * config.noise_rsu / echo)
 
 
-def _error_var(rho, denom, config: SimConfig):
-    """rho^2 sigma^2 / denom: the delay (rho_nu) or Doppler (rho_mu) error
-    variance of echo power denom = xi |psi|^2 |a^H w|^2."""
-    return rho ** 2 * config.noise_rsu / denom
-
-
-def _masked_var(rho, echo, gain, observable, config: SimConfig):
-    """The _error_var of beam gains gain = |a^H w|^2 toward vehicles of echo
-    gain echo = xi |psi|^2, infinite where a vehicle is unobservable."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        var = _error_var(rho, echo * gain, config)
-    return np.where(observable, var, np.inf)[()]
+def observation_noise(rng: np.random.Generator, shape) -> np.ndarray:
+    """The standard-normal observation noise of vehicles of the given shape:
+    the shape plus a trailing 2, columns (distance, angle).  One (n, K)
+    draw equals n successive (K,) draws, in slot order."""
+    return rng.standard_normal(tuple(shape) + (2,))
 
 
 def _observable(gain, W: np.ndarray):
@@ -97,10 +93,11 @@ class ObsTerms(NamedTuple):
     blocks, and each slot reads its rows (at)."""
     theta: np.ndarray      # true angles, rad
     dist: np.ndarray       # true distances, m
-    delay: np.ndarray      # noiseless delay 2 d / c, s
-    echo: np.ndarray       # echo_gain: xi |psi|^2
-    z: np.ndarray          # standard normals, trailing (delay, Doppler, angle)
-    theta_hat: np.ndarray | None  # relative mode: the angle estimates
+    z: np.ndarray          # observation_noise: trailing (distance, angle)
+    # relative mode only (None in crlb mode, where observe takes both CRLBs
+    # from the beam): c_dist, and the angle estimates
+    c_dist: np.ndarray | None
+    theta_hat: np.ndarray | None
 
     def at(self, n) -> "ObsTerms":
         """The terms of slot n."""
@@ -111,43 +108,43 @@ def observation_terms(vehicles: VehicleState, config: SimConfig,
                       z: np.ndarray) -> ObsTerms:
     """The beam-independent terms of noisy observations of the vehicles.
 
-    z is the standard-normal block of the vehicles' shape plus a trailing 3
-    (delay, Doppler, angle); the Doppler column is drawn but not read.  In
-    config.theta_mode "relative" the angle estimate theta*(1+e),
-    e ~ N(0, obs_rel_mse), needs no beam; in "crlb" it is
-    theta + N(0, CRLB(theta, w)), which observe() draws from the beam.
+    z is their observation_noise block: the vehicles' shape plus a trailing 2,
+    columns (distance, angle).  In config.theta_mode "relative" the angle
+    estimate theta*(1+e), e ~ N(0, obs_rel_mse), needs no beam, and neither
+    does c_dist; in "crlb" observe() takes both CRLBs from the beam.
     """
     theta, dist = vehicles.theta, vehicles.dist
-    if z.shape != np.shape(theta) + (3,):
+    if z.shape != np.shape(theta) + (2,):
         raise ValueError(f"noise block {z.shape} does not match vehicles "
-                         f"{np.shape(theta)} plus a trailing 3")
-    theta_hat = None
+                         f"{np.shape(theta)} plus a trailing 2")
+    c_dist = theta_hat = None
     if config.theta_mode == "relative":
-        theta_hat = theta * (1.0 + math.sqrt(config.obs_rel_mse) * z[..., 2])
-    return ObsTerms(
-        theta=theta, dist=dist, delay=2.0 * dist / config.wave_speed,
-        echo=echo_gain(dist, config), z=z, theta_hat=theta_hat)
+        c_dist = _c_dist(dist, config)
+        theta_hat = theta * (1.0 + math.sqrt(config.obs_rel_mse) * z[..., 1])
+    return ObsTerms(theta=theta, dist=dist, z=z, c_dist=c_dist,
+                    theta_hat=theta_hat)
 
 
 def observe(terms: ObsTerms, W: np.ndarray, a: np.ndarray,
             config: SimConfig) -> Observations:
     """The observations of the vehicles of terms under the beams W, row k
     toward vehicle k, whose true steering vectors are a: the part of an
-    observation that depends on the beam.  A vehicle whose beam carries no
-    energy toward it, or whose distance estimate is not positive, is marked
-    unusable."""
+    observation that depends on the beam.  d_hat = d + sqrt(CRLB_d) z_d,
+    and in crlb mode theta_hat = theta + sqrt(CRLB_theta) z_theta.  A
+    vehicle whose beam carries no energy toward it (infinite CRLBs), or
+    whose distance estimate is not positive, is marked unusable."""
     u = np.vecdot(a, W)
     gain = np.abs(u) ** 2
     observable = _observable(gain, W)
-    sigma_nu2 = _masked_var(config.rho_nu, terms.echo, gain, observable,
-                            config)
-    d_hat = config.wave_speed \
-        * (terms.delay + np.sqrt(sigma_nu2) * terms.z[..., 0]) / 2.0
     theta_hat = terms.theta_hat
     if theta_hat is None:
-        crlb_theta, _ = _crlbs(terms.theta, terms.dist, W, config, a, u,
-                               observable)
-        theta_hat = terms.theta + np.sqrt(crlb_theta) * terms.z[..., 2]
+        crlb_theta, crlb_d = _crlbs(terms.theta, terms.dist, W, config, a, u,
+                                    observable)
+        theta_hat = terms.theta + np.sqrt(crlb_theta) * terms.z[..., 1]
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            crlb_d = np.where(observable, terms.c_dist / gain, np.inf)[()]
+    d_hat = terms.dist + np.sqrt(crlb_d) * terms.z[..., 0]
     return Observations(theta_hat=theta_hat, d_hat=d_hat,
                         usable=observable & (d_hat > 0))
 
@@ -161,15 +158,13 @@ def generate_observation(vehicles: VehicleState, W: np.ndarray,
     The vehicles are [K] arrays with a [K, N_t] W, or arrays of any leading
     shape with W of that shape plus [N_t], such as the [n, K] arrays of n
     slots or the [n_ep, n, K] arrays of n_ep episodes; the estimates take
-    the vehicles' shape.  z is the standard-normal block of the vehicles'
-    shape plus a trailing 3 (delay, Doppler, angle).  a is
-    steering(vehicles.theta, N_t) if the caller has it.  By
-    config.theta_mode:
+    the vehicles' shape.  z is the vehicles' observation_noise block.  a is
+    steering(vehicles.theta, N_t) if the caller has it.  Always
+    d_hat = d + N(0, CRLB(d, w)), and by config.theta_mode:
     "relative": theta_hat = theta*(1+e), e ~ N(0, obs_rel_mse);
     "crlb":     theta_hat = theta + N(0, CRLB(theta, w)).
-    A caller draws one (K, 3) block for every slot, in slot order, whether
-    or not a vehicle is observable, so the stream stays aligned: one
-    (n, K, 3) draw equals n successive (K, 3) draws.
+    A caller draws noise for every slot, in slot order, whether or not a
+    vehicle is observable, so the stream stays aligned.
     """
     if a is None:
         a = steering(vehicles.theta, config.n_tx)
@@ -194,10 +189,8 @@ def echo_constants(theta, dist, config: SimConfig) -> EchoConstants:
     s_bp = (np.pi * sin_t) ** 2 * ((nr - 1) * nr * (2 * nr - 1) / 6) / nr
     q_bp = -1j * np.pi * sin_t * (nr - 1) / 2.0
     c1sq = _psi2(dist, config) * config.mf_gain ** 2
-    # d = c*nu/2, so CRLB_d = (c/2)^2 sigma_nu^2, and sigma_nu^2 ~ 1/|a^H w|^2
-    c_dist = (config.wave_speed / 2.0) ** 2 \
-        * _error_var(config.rho_nu, echo_gain(dist, config), config)
-    return EchoConstants(s_bp=s_bp, q_bp=q_bp, c1sq=c1sq, c_dist=c_dist)
+    return EchoConstants(s_bp=s_bp, q_bp=q_bp, c1sq=c1sq,
+                         c_dist=_c_dist(dist, config))
 
 
 def crlbs(u, v, echo: EchoConstants, sigma_r2: float):
@@ -216,13 +209,13 @@ def crlbs(u, v, echo: EchoConstants, sigma_r2: float):
 
 def fisher_information(vehicles: VehicleState, W: np.ndarray,
                        config: SimConfig, a=None) -> FisherInfo:
-    """Diagonal FIMs over (theta, d, v_dot) and the angle/distance CRLBs of
-    the vehicles, row k of W being the beam toward vehicle k.  The vehicles
+    """Diagonal FIMs over (theta, d) and the angle/distance CRLBs of the
+    vehicles, row k of W being the beam toward vehicle k.  The vehicles
     are [K] arrays with a [K, N_t] W, or [n, K] arrays of n slots with an
     [n, K, N_t] W; the CRLBs take the vehicles' shape.
 
     f11 = 1/CRLB_theta = ||d(echo)/d(theta)||^2 / sigma_r^2,
-    f22 = 1/CRLB_d = (2/c)^2 / sigma_nu^2, f33 = (2 f_c/c)^2 / sigma_mu^2.
+    f22 = 1/CRLB_d = (2/c)^2 / sigma_nu^2.
     An unobservable vehicle gets infinite CRLBs.  a is
     steering(vehicles.theta, N_t) if the caller has it.
     """
@@ -230,15 +223,9 @@ def fisher_information(vehicles: VehicleState, W: np.ndarray,
     if a is None:
         a = steering(theta, config.n_tx)
     u = np.vecdot(a, W)
-    gain = np.abs(u) ** 2
-    observable = _observable(gain, W)
-    crlb_theta, crlb_d = _crlbs(theta, dist, W, config, a, u, observable)
-    sigma_mu2 = _masked_var(config.rho_mu, echo_gain(dist, config), gain,
-                            observable, config)
-    return FisherInfo(
-        crlb_theta=crlb_theta, crlb_d=crlb_d,
-        f_doppler=(2.0 * config.carrier_hz / config.wave_speed) ** 2
-        / sigma_mu2)
+    crlb_theta, crlb_d = _crlbs(theta, dist, W, config, a, u,
+                                _observable(np.abs(u) ** 2, W))
+    return FisherInfo(crlb_theta=crlb_theta, crlb_d=crlb_d)
 
 
 def _crlbs(theta, dist, W: np.ndarray, config: SimConfig, a: np.ndarray,

@@ -14,19 +14,20 @@ from isacbf.channel import (effective_channel, steering, steering_dtheta,
                             sum_rate)
 from isacbf.kinematics import init_vehicles, step_motion
 from isacbf.sensing import (echo_mean, fisher_information,
-                            generate_observation, reflection_coeff)
+                            generate_observation, observation_noise,
+                            reflection_coeff)
 
 
 def fd_fim(state, w_k, config, eps: float = 1e-7) -> np.ndarray:
-    """Fisher information matrix over (theta, d, v_dot) built independently.
+    """Fisher information matrix over (theta, d) built independently.
 
     The angle block uses a central-difference Jacobian of the noiseless echo
-    (distance, and hence the reflection amplitude, held fixed); the delay and
-    Doppler blocks come straight from the scalar measurement models
-    nu = 2d/c + noise and mu = 2*v_dot*f_c/c + noise, whose variances are
-    rho^2 * sigma_rsu^2 / (xi * N_t*N_r*|beta|^2 * |a^H w|^2).
+    (distance, and hence the reflection amplitude, held fixed); the distance
+    block comes straight from the scalar delay measurement model
+    nu = 2d/c + noise, whose variance is
+    rho_nu^2 * sigma_rsu^2 / (xi * N_t*N_r*|beta|^2 * |a^H w|^2).
     """
-    f = np.zeros((3, 3))
+    f = np.zeros((2, 2))
     gain = abs(np.vdot(steering(state.theta, config.n_tx), w_k)) ** 2
     if gain <= 1e-30 * max(1.0, float(np.vdot(w_k, w_k).real)):
         return f
@@ -37,11 +38,8 @@ def fd_fim(state, w_k, config, eps: float = 1e-7) -> np.ndarray:
     echo_snr = config.mf_gain * config.n_tx * config.n_rx * beta2 * gain \
         / config.noise_rsu
     sigma_nu2 = config.rho_nu ** 2 / echo_snr
-    sigma_mu2 = config.rho_mu ** 2 / echo_snr
-    c = config.wave_speed
     f[0, 0] = float(np.vdot(dr, dr).real) / config.echo_noise_var
-    f[1, 1] = (2.0 / c) ** 2 / sigma_nu2
-    f[2, 2] = (2.0 * config.carrier_hz / c) ** 2 / sigma_mu2
+    f[1, 1] = (2.0 / config.wave_speed) ** 2 / sigma_nu2
     return f
 
 
@@ -146,10 +144,10 @@ def shift_history(history, obs, config):
 def slot_loop_decide(config, method: str, model, rng, project: bool = False):
     """The applied beams [n_slots, K, N_t] of an hcl or naive_dl episode and
     its observations, one slot at a time: per slot one motion step, one
-    random-beam draw, one (K, 3) noise draw and one observation; hcl shifts
-    a [tau, K, M] history by one row and predicts from the whole window,
-    naive_dl maps a complete observation through the FC net.  With project,
-    a decided W with ||W||_F^2 above the budget P is scaled by
+    random-beam draw, one noise draw of the K vehicles and one observation;
+    hcl shifts a [tau, K, M] history by one row and predicts from the whole
+    window, naive_dl maps a complete observation through the FC net.  With
+    project, a decided W with ||W||_F^2 above the budget P is scaled by
     sqrt(P / ||W||_F^2)."""
     rng_motion, rng_obs, rng_beam = rng.spawn(3)
     k, tau = config.n_vehicles, config.history_len
@@ -161,7 +159,7 @@ def slot_loop_decide(config, method: str, model, rng, project: bool = False):
         if n:
             vehicles = step_motion(vehicles, config, rng_motion)
         obs = generate_observation(vehicles, w[n], config,
-                                   rng_obs.standard_normal((k, 3)))
+                                   observation_noise(rng_obs, (k,)))
         observations.append(obs)
         w.append(random_beamformer(config, rng_beam))
         beams = None
@@ -204,7 +202,7 @@ def slot_loop_dataset(config, n_examples: int, rng) -> dict:
             w = random_beamformer(config, rng_beam)
             obs = generate_observation(
                 vehicles, w, config,
-                rng_obs.standard_normal((config.n_vehicles, 3)))
+                observation_noise(rng_obs, (config.n_vehicles,)))
             history = shift_history(history, obs, config)
     names = ("x", "h", "thetas", "dists", "est_thetas", "est_dists")
     return {name: np.stack(col) for name, col in

@@ -47,6 +47,8 @@ def test_crlb_subcommand(capsys):
     ["gen-data", *SMALL, "--seed", "-1", "--out", "data.bin"],
     ["eval", *SMALL, "--set", "rng_seed=-3", "--methods", "random",
      "--realizations", "1"],
+    ["eval", *SMALL, "--set", "pathloss_exp=nan", "--methods",
+     "genie,random", "--realizations", "2"],
     ["gen-data", *SMALL, "--n-examples", "4", "--out", "missing/data.bin"],
     ["train", *SMALL, "--data", "data.bin", "--out", "missing/m.bin"],
     ["eval", *SMALL, "--methods", "random", "--realizations", "1", "--out",
@@ -136,10 +138,14 @@ def test_gen_data_requires_out(capsys):
 
 
 def test_bad_override_is_error(capsys):
-    rc = main(["crlb", "--theta", "0.9", "--dist", "25", "--power", "1",
-               "--set", "nonsense=1"])
-    assert rc == 2
-    assert "error" in capsys.readouterr().err
+    """An unknown key, such as one of the removed Doppler model's, is an
+    error naming it, so an old INI file fails loudly."""
+    for key in ("nonsense", "rho_mu", "carrier_hz"):
+        rc = main(["crlb", "--theta", "0.9", "--dist", "25", "--power", "1",
+                   "--set", f"{key}=1"])
+        assert rc == 2, key
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err, key
 
 
 def test_full_pipeline(tmp_path, capsys):

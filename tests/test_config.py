@@ -7,7 +7,7 @@ from isacbf.config import SimConfig, load_config
 
 def test_defaults(cfg):
     assert cfg.n_tx == 32 and cfg.n_rx == 32 and cfg.n_vehicles == 3
-    assert cfg.carrier_hz == 30e9 and cfg.wave_speed == 3e8
+    assert cfg.wave_speed == 3e8 and cfg.rho_nu == 2.0e-6
     assert cfg.noise_rsu == 1e-11 and cfg.noise_vehicle == 1e-11
     assert cfg.rcs_coeff == 10 + 10j and cfg.mf_gain == 10.0
     assert cfg.pathloss_ref == 1e-7 and cfg.pathloss_exp == 2.55
@@ -26,6 +26,10 @@ def test_echo_noise_var_default_and_override(cfg):
     {"v_min": 9.0, "v_max": 8.0}, {"power_budget": 0.0},
     {"sigma_r2": 0.0}, {"n_slots": 0}, {"obs_rel_mse": -1.0},
     {"rng_seed": -1}, {"theta_mode": "bogus"},
+    {"pathloss_exp": float("nan")}, {"rho_nu": float("nan")},
+    {"power_budget": float("inf")}, {"slot_dur": float("inf")},
+    {"v_min": float("nan")}, {"rcs_coeff": complex("nan+1j")},
+    {"sigma_r2": float("inf")},
 ])
 def test_validation_rejects(kwargs):
     with pytest.raises(ValueError):

@@ -16,7 +16,7 @@ from isacbf.channel import effective_channel, steering, sum_rate
 from isacbf.kinematics import VehicleState
 from isacbf.nn.model import HCLNet, NaiveNet
 from isacbf.nn.train import TrainHyper
-from isacbf.sensing import fisher_information
+from isacbf.sensing import fisher_information, observation_noise
 
 
 def _models(small_cfg):
@@ -412,7 +412,7 @@ def test_slot_estimates_match_block_estimates(small_cfg, theta_mode):
             cfg, np.random.default_rng(seed))
         w = random_beamformer(cfg, rng_beam, n)
         w[::3, 1] = 0.0
-        return vehicles, w, rng_obs.standard_normal((n, k, 3))
+        return vehicles, w, observation_noise(rng_obs, (n, k))
 
     def estimates(obs):
         est = np.zeros(obs.usable.shape[:-2] + (n + 1, k, m), dtype=complex)

@@ -8,8 +8,8 @@ from isacbf.config import SimConfig
 from isacbf.channel import steering
 from isacbf.kinematics import init_vehicles, make_state
 from isacbf.sensing import (echo_mean, fisher_information,
-                            generate_observation, observation_terms, observe,
-                            reflection_coeff)
+                            generate_observation, observation_noise,
+                            observation_terms, observe, reflection_coeff)
 
 # frozen oracle values at the 25 m geometry (state at x=15, y=20) with an
 # aligned unit-norm beam and default constants
@@ -27,8 +27,8 @@ def _vehicles_25(k=3, v=8.0):
 
 def _noise(vehicles, seed):
     """The standard-normal observation block of the vehicles, from seed."""
-    return np.random.default_rng(seed).standard_normal(
-        np.shape(vehicles.theta) + (3,))
+    return observation_noise(np.random.default_rng(seed),
+                             np.shape(vehicles.theta))
 
 
 def _delay_var(vehicles, W, config):
@@ -66,10 +66,6 @@ def test_delay_variance_frozen(cfg):
     assert math.isfinite(info.crlb_theta)
     assert cfg.echo_noise_var == pytest.approx(1e-10)
     assert _delay_var(s, w, cfg) == pytest.approx(SIGMA_NU2_25, rel=1e-12)
-    # rho_mu defaults to rho_nu, so the Doppler variance matches
-    assert info.f_doppler == pytest.approx(
-        (2.0 * cfg.carrier_hz / cfg.wave_speed) ** 2 / SIGMA_NU2_25,
-        rel=1e-12)
 
 
 def test_delay_variance_scaling(cfg):
@@ -89,10 +85,10 @@ def test_zero_beam_is_unobservable(cfg):
     w = np.zeros(cfg.n_tx, dtype=complex)
     ob = generate_observation(s, w, cfg, _noise(s, 0))
     assert not ob.usable
-    assert math.isinf(ob.d_hat)               # infinite delay variance
+    assert math.isinf(ob.d_hat)               # infinite CRLB_d
     info = fisher_information(s, w, cfg)
     assert math.isinf(info.crlb_theta) and math.isinf(info.crlb_d)
-    assert info.f_doppler == 0.0              # infinite Doppler variance
+    assert np.array_equal(info.f, np.zeros((2, 2)))   # no information
     # one zeroed row among aimed ones: only that vehicle is unusable
     v = _vehicles_25()
     W = np.repeat(steering(s.theta, cfg.n_tx)[None], 3, axis=0)
@@ -119,38 +115,40 @@ def test_observation_modes(cfg):
     W = np.repeat(steering(v.theta[0], cfg.n_tx)[None], 3, axis=0)
     rng = np.random.default_rng(0)
     ob_rel = generate_observation(v, W, cfg.replace(theta_mode="relative"),
-                                  rng.standard_normal((3, 3)))
+                                  observation_noise(rng, (3,)))
     ob_crlb = generate_observation(v, W, cfg.replace(theta_mode="crlb"),
-                                   rng.standard_normal((3, 3)))
+                                   observation_noise(rng, (3,)))
     assert ob_rel.usable.all() and ob_crlb.usable.all()
     # crlb-mode angle noise is tiny at these SNRs; relative mode is ~10% rms
     assert np.all(np.abs(ob_crlb.theta_hat - v.theta) < 1e-4)
 
 
 def test_crlb_mode_angle_noise_is_the_fisher_crlb(cfg):
-    """In crlb mode theta_hat = theta + sqrt(CRLB_theta) * z, with CRLB_theta
-    that of fisher_information and z the angle column of the slot's (K, 3)
-    draw, for one slot's [K] vehicles and a stack of slots alike."""
-    cfg = cfg.replace(theta_mode="crlb")
+    """d_hat = d + sqrt(CRLB_d) * z[..., 0] in both theta modes, and in crlb
+    mode theta_hat = theta + sqrt(CRLB_theta) * z[..., 1], with the CRLBs
+    those of fisher_information and z the slot's noise block, for one slot's
+    [K] vehicles and a stack of slots alike."""
     rng = np.random.default_rng(2)
     v = init_vehicles(cfg, rng)
     W = steering(v.theta + rng.normal(0.0, 0.05, 3), cfg.n_tx)
-    z = np.random.default_rng(9).standard_normal((cfg.n_vehicles, 3))
-    ob = generate_observation(v, W, cfg, z)
-    z = z[:, 2]
-    crlb = fisher_information(v, W, cfg).crlb_theta
-    np.testing.assert_allclose(ob.theta_hat, v.theta + np.sqrt(crlb) * z,
-                               rtol=1e-15, atol=0)
     # two slots: the same vehicles, then with the beams of the first two
     # vehicles swapped
     vs = make_state(*(np.stack((f, f)) for f in (v.x, v.y, v.v)))
     Ws = np.stack((W, W[[1, 0, 2]]))
-    z = np.random.default_rng(9).standard_normal((2, cfg.n_vehicles, 3))
-    ob = generate_observation(vs, Ws, cfg, z)
-    crlb = fisher_information(vs, Ws, cfg).crlb_theta
-    np.testing.assert_allclose(ob.theta_hat,
-                               vs.theta + np.sqrt(crlb) * z[..., 2],
-                               rtol=1e-15, atol=0)
+    for mode in ("relative", "crlb"):
+        config = cfg.replace(theta_mode=mode)
+        for vehicles, beams in ((v, W), (vs, Ws)):
+            z = _noise(vehicles, 9)
+            ob = generate_observation(vehicles, beams, config, z)
+            info = fisher_information(vehicles, beams, config)
+            np.testing.assert_allclose(
+                ob.d_hat, vehicles.dist + np.sqrt(info.crlb_d) * z[..., 0],
+                rtol=1e-15, atol=0)
+            if mode == "crlb":
+                np.testing.assert_allclose(
+                    ob.theta_hat,
+                    vehicles.theta + np.sqrt(info.crlb_theta) * z[..., 1],
+                    rtol=1e-15, atol=0)
 
 
 def test_observation_statistics(cfg):
@@ -197,8 +195,8 @@ def test_fisher_information_vs_fd_oracle(cfg, rng):
         assert np.allclose(info.f, f_ref, rtol=1e-5)
         assert info.crlb_theta == pytest.approx(1.0 / f_ref[0, 0], rel=1e-5)
         # distance CRLB equals the delay variance mapped through d = c*nu/2:
-        # a unit delay draw moves the distance estimate by sqrt(CRLB_d)
-        ob = generate_observation(s, w, cfg, np.array([1.0, 0.0, 0.0]))
+        # a unit distance draw moves the distance estimate by sqrt(CRLB_d)
+        ob = generate_observation(s, w, cfg, np.array([1.0, 0.0]))
         assert ob.d_hat - s.dist == pytest.approx(math.sqrt(info.crlb_d),
                                                   rel=1e-6)
         # FIM structure: diagonal with non-negative entries
@@ -215,7 +213,7 @@ def test_fisher_information_takes_callers_steering(cfg):
     W = steering(v.theta + rng.normal(0.0, 0.05, (4, 3)), cfg.n_tx)
     own = fisher_information(v, W, cfg)
     given = fisher_information(v, W, cfg, steering(v.theta, cfg.n_tx))
-    for field in ("crlb_theta", "crlb_d", "f_doppler"):
+    for field in ("crlb_theta", "crlb_d"):
         assert np.array_equal(getattr(own, field), getattr(given, field))
 
 
@@ -238,13 +236,13 @@ def test_sigma_r2_override_feeds_crlb_theta(cfg):
 
 
 def test_noise_block_is_the_per_slot_stream(cfg):
-    """One (n, K, 3) standard-normal draw equals n successive (K, 3) draws
-    from the same generator, and an observation of [n, K] vehicles with the
-    block equals n one-slot observations with its rows, in both modes."""
+    """One (n, K) noise draw equals n successive (K,) draws from the same
+    generator, and an observation of [n, K] vehicles with the block equals
+    n one-slot observations with its rows, in both modes."""
     n, k = 6, cfg.n_vehicles
-    block = np.random.default_rng(7).standard_normal((n, k, 3))
+    block = observation_noise(np.random.default_rng(7), (n, k))
     rng = np.random.default_rng(7)
-    assert np.array_equal(block, [rng.standard_normal((k, 3))
+    assert np.array_equal(block, [observation_noise(rng, (k,))
                                   for _ in range(n)])
     rng = np.random.default_rng(3)
     v = make_state(*(rng.uniform(lo, hi, (n, k))
@@ -276,7 +274,7 @@ def test_slot_observations_over_episode_terms_match_block(cfg):
     a = steering(v.theta, cfg.n_tx)
     W = steering(v.theta + rng.normal(0.0, 0.05, (n, k)), cfg.n_tx)
     W[3, 1] = 0.0
-    z = rng.standard_normal((n, k, 3))
+    z = observation_noise(rng, (n, k))
     for noisy in (cfg, cfg.replace(rho_nu=2.0)):
         for mode in ("relative", "crlb"):
             config = noisy.replace(theta_mode=mode)
@@ -295,7 +293,8 @@ def test_slot_observations_over_episode_terms_match_block(cfg):
 def test_observation_takes_callers_steering_and_checks_noise(cfg):
     """observe() and generate_observation() under the caller's steering
     give the observation of generate_observation's default one; a noise
-    block whose shape is not the vehicles' plus 3 is refused."""
+    block whose shape is not the vehicles' plus 2, such as the old block
+    with a third (Doppler) column, is refused."""
     v = _vehicles_25()
     W = steering(v.theta + np.array([0.0, 0.02, -0.03]), cfg.n_tx)
     z = _noise(v, 5)
@@ -306,6 +305,7 @@ def test_observation_takes_callers_steering_and_checks_noise(cfg):
         for with_a in (observe(observation_terms(v, config, z), W, a, config),
                        generate_observation(v, W, config, z, a=a)):
             assert all(np.array_equal(x, y) for x, y in zip(ob, with_a))
-    for bad in (z[:, :2], z[:2], z[None]):
+    old = np.random.default_rng(5).standard_normal(np.shape(v.theta) + (3,))
+    for bad in (z[:, :1], z[:2], z[None], old):
         with pytest.raises(ValueError, match="noise block"):
             generate_observation(v, W, cfg, bad)
