@@ -63,7 +63,7 @@ def batch_sinr(h: np.ndarray, w: np.ndarray, sigma2: float):
     Returns (phi, s, denom): phi[..., k] is user k's SINR, s[..., k, j] =
     h_k^H w_j, and denom[..., k] is user k's interference plus noise.
     """
-    s = np.einsum("...km,...jm->...kj", h.conj(), w)
+    s = np.vecdot(h[..., :, None, :], w[..., None, :, :])
     g2 = np.abs(s) ** 2
     sig = np.einsum("...kk->...k", g2)
     denom = g2.sum(axis=-1) - sig + sigma2

@@ -135,7 +135,9 @@ def main(argv=None) -> int:
     try:
         config = _config_from(args)
     except (KeyError, ValueError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes and all
+        msg = exc.args[0] if isinstance(exc, KeyError) else exc
+        print(f"error: {msg}", file=sys.stderr)
         return 2
     if args.out and os.path.isdir(args.out):
         print(f"error: --out {args.out}: is a directory", file=sys.stderr)

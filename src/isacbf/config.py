@@ -118,21 +118,22 @@ _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(SimConfig)}
 
 
 def _coerce(name: str, raw: str):
+    """The value of config key name read from the text raw; an unknown key
+    is a KeyError and a malformed value a ValueError, each naming the key."""
     if name not in _FIELD_TYPES:
         raise KeyError(f"unknown config key: {name}")
-    ftype = _FIELD_TYPES[name]
     raw = raw.strip()
+    if name == "sigma_r2" and raw.lower() in ("none", ""):
+        return None
     if name == "rcs_coeff":
-        return complex(raw.replace(" ", ""))
-    if name == "sigma_r2":
-        if raw.lower() in ("none", ""):
-            return None
-        return float(raw)
-    if ftype == "int":
-        return int(raw)
-    if ftype == "str":
-        return raw
-    return float(raw)
+        convert, raw = complex, raw.replace(" ", "")
+    else:
+        convert = {"int": int, "str": str}.get(_FIELD_TYPES[name], float)
+    try:
+        return convert(raw)
+    except ValueError:
+        raise ValueError(f"config key {name}: cannot read {raw!r} as "
+                         f"{convert.__name__}") from None
 
 
 def load_config(path: str | None = None, overrides: list[str] | None = None,

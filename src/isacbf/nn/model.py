@@ -24,8 +24,8 @@ CNN_ROWS = 4  # a length-M antenna vector is reshaped to 4 x (M/4) x 2
 
 def output_to_matrix(o: np.ndarray) -> np.ndarray:
     """Map the real [..., K, M, 2] network output to the complex [..., K, M]
-    beams, row k vehicle k's beam."""
-    return o[..., 0] + 1j * o[..., 1]
+    beams, row k vehicle k's beam: a view of o when o is contiguous."""
+    return np.ascontiguousarray(o).view(complex)[..., 0]
 
 
 def _sigmoid(x):
@@ -233,10 +233,12 @@ class HCLNet(_FlatParams):
                 d_o * go_ * (1.0 - go_),
             ], axis=1)
             g_wx += dgates.T @ cache["seq"][:, t, :]
-            g_wh += dgates.T @ h_prev
             g_lb += dgates.sum(axis=0)
             gseq[:, t, :] = dgates @ v["wx"]
-            gh = dgates @ v["wh"]
+            # at t = 0, h_prev = 0 adds nothing to g_wh and no step reads gh
+            if t:
+                g_wh += dgates.T @ h_prev
+                gh = dgates @ v["wh"]
             gc = gc_prev
         # gradient of the pooled ReLU, in the mask's batch-innermost layout
         mask = cache["mask"]
@@ -355,25 +357,32 @@ class NaiveNet(_FlatParams):
 
     def forward(self, x: np.ndarray, want_cache: bool = False):
         v = self._views
-        z1 = x @ v["w1"] + v["b1"]
-        a1 = np.maximum(z1, 0.0)
-        z2 = a1 @ v["w2"] + v["b2"]
-        a2 = np.maximum(z2, 0.0)
-        o = a2 @ v["w3"] + v["b3"]
+        a1 = x @ v["w1"]
+        a1 += v["b1"]
+        np.maximum(a1, 0.0, out=a1)
+        a2 = a1 @ v["w2"]
+        a2 += v["b2"]
+        np.maximum(a2, 0.0, out=a2)
+        o = a2 @ v["w3"]
+        o += v["b3"]
         out = o.reshape(x.shape[0], self.k, self.m, 2)
         if not want_cache:
             return out
-        return out, {"x": x, "z1": z1, "a1": a1, "z2": z2, "a2": a2}
+        return out, {"x": x, "a1": a1, "a2": a2}
 
     def backward(self, g_out: np.ndarray, cache: dict) -> np.ndarray:
+        # a ReLU output is > 0 exactly where its input is, so the
+        # activations give the backward masks
         v = self._views
         go = g_out.reshape(g_out.shape[0], self.out_dim)
         g_w3 = cache["a2"].T @ go
         g_b3 = go.sum(axis=0)
-        ga2 = (go @ v["w3"].T) * (cache["z2"] > 0)
+        ga2 = go @ v["w3"].T
+        ga2 *= cache["a2"] > 0
         g_w2 = cache["a1"].T @ ga2
         g_b2 = ga2.sum(axis=0)
-        ga1 = (ga2 @ v["w2"].T) * (cache["z1"] > 0)
+        ga1 = ga2 @ v["w2"].T
+        ga1 *= cache["a1"] > 0
         g_w1 = cache["x"].T @ ga1
         g_b1 = ga1.sum(axis=0)
         return self._flat_grad({"w1": g_w1, "b1": g_b1, "w2": g_w2,

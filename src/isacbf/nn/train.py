@@ -11,9 +11,13 @@ from .loss import BatchGeometry, penalty_loss_and_grad
 
 
 class TrainingDiverged(RuntimeError):
-    def __init__(self, trace):
+    """A non-finite loss: trace holds the finite losses before it and parts
+    the loss parts of the step that diverged."""
+
+    def __init__(self, trace, parts):
         super().__init__("training loss became non-finite")
         self.trace = trace
+        self.parts = parts
 
 
 @dataclass
@@ -41,7 +45,12 @@ class TrainHyper:
 
 @dataclass
 class TrainResult:
+    """Per iteration: the loss, its parts (penalty_loss_and_grad's dict), the
+    gradient norm before clipping and whether clipping scaled the step."""
     loss_trace: list = field(default_factory=list)
+    parts: list = field(default_factory=list)
+    grad_norms: list = field(default_factory=list)
+    clipped: list = field(default_factory=list)
 
 
 def _batches(n: int, batch_size: int, rng: np.random.Generator):
@@ -61,7 +70,7 @@ def train(model, inputs, geom: BatchGeometry, config: SimConfig,
     ``model`` is an HCLNet or NaiveNet (already initialized); ``inputs`` is the
     stacked per-example network input (first axis = example) and ``geom`` the
     matching BatchGeometry.  Divergence (non-finite loss) aborts with the
-    trace attached.
+    trace and the diverged step's loss parts attached.
     """
     rng = np.random.default_rng(hyper.seed)
     result = TrainResult()
@@ -72,14 +81,21 @@ def train(model, inputs, geom: BatchGeometry, config: SimConfig,
         x = inputs[idx]
         sub = geom if isinstance(idx, slice) else geom.subset(idx)
         o, cache = model.forward(x, want_cache=True)
-        j, _, g_o = penalty_loss_and_grad(o, sub, config)
+        j, parts, g_o = penalty_loss_and_grad(o, sub, config)
         if not np.isfinite(j):
-            raise TrainingDiverged(result.loss_trace)
+            raise TrainingDiverged(result.loss_trace, parts)
         result.loss_trace.append(float(j))
+        result.parts.append(parts)
         grad = model.backward(g_o, cache)
         gnorm = float(np.linalg.norm(grad))
-        if hyper.max_grad_norm > 0 and gnorm > hyper.max_grad_norm:
-            grad = grad * (hyper.max_grad_norm / gnorm)
-        velocity = hyper.momentum * velocity - hyper.lr * grad
+        clip = 0 < hyper.max_grad_norm < gnorm
+        if clip:
+            grad *= hyper.max_grad_norm / gnorm
+        # v = m v - lr g; p += v, in place and in that association
+        grad *= hyper.lr
+        velocity *= hyper.momentum
+        velocity -= grad
         model.params += velocity
+        result.grad_norms.append(gnorm)
+        result.clipped.append(clip)
     return result

@@ -113,6 +113,21 @@ def test_sinr_with_interference():
                                               rel=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(3, 8), (4, 3, 8)])
+def test_cross_gains_match_vdot_loop(shape):
+    """s[..., k, j] = h_k^H w_j, pair by pair, for one slot and a stack."""
+    rng = np.random.default_rng(2)
+    h = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    w = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    _, s, _ = batch_sinr(h, w, 1e-3)
+    hs, ws = h.reshape((-1,) + shape[-2:]), w.reshape((-1,) + shape[-2:])
+    expect = [[[np.vdot(hi[k], wi[j]) for j in range(shape[-2])]
+               for k in range(shape[-2])] for hi, wi in zip(hs, ws)]
+    assert s.shape == shape[:-1] + shape[-2:-1]
+    assert np.allclose(s.reshape(-1, shape[-2], shape[-2]), expect,
+                       rtol=1e-13, atol=0.0)
+
+
 def test_sum_rate_matches_per_user_sum():
     rng = np.random.default_rng(1)
     n, k, sigma2 = 8, 3, 1e-2

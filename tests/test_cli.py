@@ -137,15 +137,23 @@ def test_gen_data_requires_out(capsys):
     assert "--out is required" in capsys.readouterr().err
 
 
-def test_bad_override_is_error(capsys):
-    """An unknown key, such as one of the removed Doppler model's, is an
-    error naming it, so an old INI file fails loudly."""
+def test_bad_override_is_error(tmp_path, capsys):
+    """An unknown key, such as one of the removed Doppler model's, is one
+    error line naming it, so an old INI file fails loudly; so is a value
+    that does not parse, from --set or from the file."""
+    crlb = ["crlb", "--theta", "0.9", "--dist", "25", "--power", "1"]
     for key in ("nonsense", "rho_mu", "carrier_hz"):
-        rc = main(["crlb", "--theta", "0.9", "--dist", "25", "--power", "1",
-                   "--set", f"{key}=1"])
-        assert rc == 2, key
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and key in err, key
+        assert main([*crlb, "--set", f"{key}=1"]) == 2, key
+        assert capsys.readouterr().err == \
+            f"error: unknown config key: {key}\n"
+    assert main([*crlb, "--set", "n_tx=abc"]) == 2
+    assert capsys.readouterr().err == \
+        "error: config key n_tx: cannot read 'abc' as int\n"
+    ini = tmp_path / "sim.ini"
+    ini.write_text("[sim]\npower_budget = 1..5\n")
+    assert main([*crlb, "--config", str(ini)]) == 2
+    assert capsys.readouterr().err == \
+        "error: config key power_budget: cannot read '1..5' as float\n"
 
 
 def test_full_pipeline(tmp_path, capsys):

@@ -70,6 +70,8 @@ def test_load_config_errors(tmp_path):
         load_config(overrides=["no_such_key=1"])
     with pytest.raises(ValueError):
         load_config(overrides=["malformed"])
+    with pytest.raises(ValueError, match="config key rcs_coeff"):
+        load_config(overrides=["rcs_coeff=1+2k"])
 
 
 def test_load_config_sigma_r2_none():

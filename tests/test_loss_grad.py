@@ -80,8 +80,11 @@ def test_loss_gradient_wrt_output_fd(cfg, rng):
                         lambda_theta=1e3, lambda_d=1e-3, lambda_power=1.0)
     h, th, d, geom = _geometry(tight, rng)
     o = rng.normal(size=(4, tight.n_vehicles, tight.n_tx, 2)) * 0.2
+    o_before = o.copy()
     j, parts, g = penalty_loss_and_grad(o, geom, tight)
     assert parts["pen_theta"] > 0 and parts["pen_d"] > 0 and parts["pen_power"] > 0
+    # the loss reads o through a view and returns dJ/dO in memory of its own
+    assert np.array_equal(o, o_before) and not np.shares_memory(g, o)
     flat = o.ravel()
     eps = 1e-6
     idx = rng.choice(flat.size, size=60, replace=False)

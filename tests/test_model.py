@@ -80,6 +80,11 @@ def test_output_to_matrix():
     w = output_to_matrix(o)
     assert w.shape == (3, 4)
     assert w[2, 1] == o[2, 1, 0] + 1j * o[2, 1, 1]
+    # a contiguous output is viewed, not copied; any other is read as well
+    assert np.shares_memory(w, o)
+    strided = np.arange(5 * 4 * 3, dtype=float).reshape(5, 4, 3)[::2, :, 1:]
+    assert np.array_equal(output_to_matrix(strided),
+                          strided[..., 0] + 1j * strided[..., 1])
 
 
 def test_hclnet_parameter_layout(cfg):

@@ -58,9 +58,57 @@ def test_grad_clipping_bounds_first_step(small_cfg, rng):
     before = net.params.copy()
     hyper = TrainHyper(lr=1e-2, batch_size=100, max_iters=1,
                        max_grad_norm=1e-3, momentum=0.0)
-    train(net, x, geom, small_cfg, hyper)
+    res = train(net, x, geom, small_cfg, hyper)
     step = np.linalg.norm(net.params - before)
     assert step <= hyper.lr * hyper.max_grad_norm * (1 + 1e-9)
+    assert res.clipped == [True] and res.grad_norms[0] > hyper.max_grad_norm
+
+
+def test_telemetry_per_iteration(small_cfg, rng):
+    """Each iteration records its loss parts, its gradient norm before
+    clipping and whether it clipped; a ceiling no norm reaches never clips."""
+    x, geom = _problem(small_cfg, rng)
+    net = _net(small_cfg)
+    res = train(net, x, geom, small_cfg,
+                TrainHyper(lr=1e-5, batch_size=4, max_iters=6,
+                           max_grad_norm=1e300))
+    assert res.clipped == [False] * 6
+    assert len(res.grad_norms) == len(res.parts) == 6
+    assert all(np.isfinite(g) and g > 0 for g in res.grad_norms)
+    for j, parts in zip(res.loss_trace, res.parts):
+        assert j == pytest.approx(-parts["rate"] + parts["pen_theta"]
+                                  + parts["pen_d"] + parts["pen_power"],
+                                  rel=1e-12)
+
+
+class _RecordingNet(HCLNet):
+    """An HCLNet that keeps a copy of every gradient it hands to train()."""
+
+    def backward(self, g_out, cache):
+        grad = super().backward(g_out, cache)
+        self.grads.append(grad.copy())
+        return grad
+
+
+def test_update_is_the_textbook_momentum_step(small_cfg, rng):
+    """train()'s in-place update gives the bits of v = m v - lr g; p += v
+    with the clipped gradient, over several iterations."""
+    x, geom = _problem(small_cfg, rng)
+    net = _RecordingNet(small_cfg)
+    net.init_params(np.random.default_rng(0))
+    net.grads = []
+    params = net.params.copy()
+    hyper = TrainHyper(lr=1e-2, batch_size=4, max_iters=6)
+    res = train(net, x, geom, small_cfg, hyper)
+    assert any(res.clipped) and not all(res.clipped)
+    velocity = np.zeros_like(params)
+    for grad in net.grads:
+        norm = np.linalg.norm(grad)
+        if norm > hyper.max_grad_norm:
+            grad = grad * (hyper.max_grad_norm / norm)
+        velocity = hyper.momentum * velocity - hyper.lr * grad
+        params += velocity
+    assert np.array_equal(net.params, params)
 
 
 def test_divergence_raises_with_trace(small_cfg, rng):
@@ -70,3 +118,4 @@ def test_divergence_raises_with_trace(small_cfg, rng):
     with pytest.raises(TrainingDiverged) as exc:
         train(net, x, geom, small_cfg, TrainHyper(max_iters=5))
     assert exc.value.trace == []
+    assert np.isnan(exc.value.parts["rate"])
