@@ -10,9 +10,8 @@ import numpy as np
 
 from .channel import steering
 from .config import SimConfig, load_config
-from .harness import (DEFAULT_POWER_GRID, Dataset, check_eval_args, export,
-                      generate_dataset, monte_carlo_eval, power_sweep,
-                      train_hcl, train_naive)
+from .harness import (DEFAULT_POWER_GRID, Dataset, export, generate_dataset,
+                      monte_carlo_eval, power_sweep, train_hcl, train_naive)
 from .kinematics import make_state
 from .nn.model import load_model
 from .nn.train import TrainHyper
@@ -197,22 +196,21 @@ def main(argv=None) -> int:
                 print(f"error: model file required for method {m!r} "
                       "(pass --model)", file=sys.stderr)
                 return 2
+        # the eval checks its arguments before any episode runs, and an
+        # episode with non-finite beams is a ValueError too
         try:
-            check_eval_args(methods, args.realizations, models)
-            if args.command == "sweep":
-                grid = _power_grid(args.power_grid)
+            if args.command == "eval":
+                rows = monte_carlo_eval(config, methods, args.realizations,
+                                        models=models, seed=config.rng_seed,
+                                        project=args.project_power).stats
+            else:
+                rows = power_sweep(config, _power_grid(args.power_grid),
+                                   methods, args.realizations, models=models,
+                                   seed=config.rng_seed,
+                                   project=args.project_power)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        if args.command == "eval":
-            report = monte_carlo_eval(config, methods, args.realizations,
-                                      models=models, seed=config.rng_seed,
-                                      project=args.project_power)
-            rows = report.stats
-        else:
-            rows = power_sweep(config, grid, methods, args.realizations,
-                               models=models, seed=config.rng_seed,
-                               project=args.project_power)
         if args.out:
             if not _written(args.out, export, rows, config, args.out,
                             args.format):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .baselines import (genie_beamformer, genie_rate, naive_dl_beamformer,
                         random_beamformer)
-from .channel import effective_channel, steering, sum_rate
+from .channel import effective_channel, steering, steering_direct, sum_rate
 from .config import SimConfig
 from .io_container import load_container, save_container
 from .kinematics import VehicleState, init_vehicles, step_motion
@@ -89,18 +89,27 @@ def _write_estimates(est: np.ndarray, obs, config: SimConfig,
     the first.  est is [n + 1, K, M] for obs of one slot's [K] arrays
     (n = 1) or of n slots' [n, K] arrays, and [n_ep, n + 1, K, M] for the
     [n_ep, n, K] arrays of n_ep episodes; a_hat is
-    steering(obs.theta_hat, N_t) if the caller has it.  A vehicle without a
-    usable estimate carries its previous row forward."""
+    steering_direct(obs.theta_hat, N_t) if the caller has it.  A vehicle
+    without a usable estimate carries its previous row forward.
+
+    An estimated channel takes steering_direct, the bits of the defining
+    formula, not steering's recurrence: a distance estimate near 0 makes its
+    row far larger than any true channel, and isacbench's check_dataset
+    compares the rows with its own direct exponential to 1e-12 of the
+    largest true channel, which the recurrence's 3*N*eps relative error
+    misses on such a row (about 1 dataset of 600 examples in 300)."""
     k = est.shape[-2]
     usable = obs.usable.reshape(est.shape[:-3] + (-1, k))
     rows = est[..., 1:, :, :]
     if usable.all():
+        if a_hat is None:
+            a_hat = steering_direct(obs.theta_hat, config.n_tx)
         rows[:] = effective_channel(obs.theta_hat, obs.d_hat, config, a_hat)
         return
-    if a_hat is not None:
-        a_hat = a_hat.reshape(usable.shape + (-1,))[usable]
     theta_hat, d_hat = (f.reshape(usable.shape)[usable]
                         for f in (obs.theta_hat, obs.d_hat))
+    a_hat = steering_direct(theta_hat, config.n_tx) if a_hat is None \
+        else a_hat.reshape(usable.shape + (-1,))[usable]
     rows[usable] = effective_channel(theta_hat, d_hat, config, a_hat)
     # each row's latest usable row of the vehicle, 0 for the row before
     latest = np.maximum.accumulate(
@@ -137,7 +146,7 @@ def _decide(config: SimConfig, method: str, model, vehicles: VehicleState,
         # row n + 1 holds slot n's estimated channels, zeros before slot 0
         est = np.zeros((n_slots, k, config.n_tx), dtype=complex)
         a_hat = None if terms.theta_hat is None \
-            else steering(terms.theta_hat, config.n_tx)
+            else steering_direct(terms.theta_hat, config.n_tx)
     for n in range(n_slots - 1):
         obs = observe(terms.at(n), w[n], a[n], config)
         beams = None
@@ -164,7 +173,9 @@ def run_episode(config: SimConfig, method: str, rng: np.random.Generator,
     Only hcl and naive_dl observe the vehicles, in a causal slot loop.  One
     pass at the end measures every slot's sum-rate and CRLBs against the
     true state.  The steering vectors of the true angles are evaluated once
-    and shared by the beams, observations and measurements.
+    and shared by the beams, observations and measurements.  A non-finite
+    beam of hcl or naive_dl is a ValueError naming the method and the first
+    slot that applies one, so no NaN reaches a rate or a CRLB.
     """
     _check_method(method, model)
     n = config.n_slots
@@ -177,6 +188,10 @@ def run_episode(config: SimConfig, method: str, rng: np.random.Generator,
         decided_at = np.arange(-1, n - 1)
         if method != "random":
             _decide(config, method, model, vehicles, w, a, rng_obs, project)
+            finite = np.isfinite(w).all(axis=(1, 2))
+            if not finite.all():
+                raise ValueError(f"{method}: the beams applied in slot "
+                                 f"{finite.argmin()} are not finite")
     if method == "genie":
         rates = genie_rate(vehicles, config)
     else:

@@ -398,7 +398,8 @@ _MODEL_KINDS = {HCLNet.KIND: HCLNet, NaiveNet.KIND: NaiveNet}
 
 
 def load_model(path: str, config: SimConfig):
-    """The HCL-Net or naive-FC model saved at path, for a run under config."""
+    """The HCL-Net or naive-FC model saved at path, for a run under config;
+    a ValueError naming path if its parameters or kappa are not finite."""
     meta, arrays = load_container(path)
     kind = meta.get("kind")
     if kind not in _MODEL_KINDS:
@@ -413,5 +414,7 @@ def load_model(path: str, config: SimConfig):
     if arrays["params"].shape != net.params.shape:
         raise ValueError(f"{path}: parameter count mismatch")
     net.kappa = float(meta["kappa"])
+    if not (np.isfinite(arrays["params"]).all() and np.isfinite(net.kappa)):
+        raise ValueError(f"{path}: non-finite model parameters")
     net.params[:] = arrays["params"]
     return net

@@ -1,7 +1,7 @@
-"""Shared test oracles: finite-difference gradients, an independent FIM, a
-loop max-pool, the explicit one-user and one-vector forms behind the
-package's closed forms, and one-slot-at-a-time episode, decision and dataset
-loops."""
+"""Shared test oracles: an extended-precision steering vector,
+finite-difference gradients, an independent FIM, a loop max-pool, the
+explicit one-user and one-vector forms behind the package's closed forms,
+and one-slot-at-a-time episode, decision and dataset loops."""
 from __future__ import annotations
 
 import math
@@ -10,12 +10,23 @@ import numpy as np
 
 from isacbf.baselines import (genie_beamformer, genie_rate,
                               naive_dl_beamformer, random_beamformer)
-from isacbf.channel import (effective_channel, steering, steering_dtheta,
-                            sum_rate)
+from isacbf.channel import (effective_channel, steering, steering_direct,
+                            steering_dtheta, sum_rate)
 from isacbf.kinematics import init_vehicles, step_motion
 from isacbf.sensing import (echo_mean, fisher_information,
                             generate_observation, observation_noise,
                             reflection_coeff)
+
+
+def exact_steering(theta, n_ant: int):
+    """The steering vector exp(-j*pi*m*cos(theta))/sqrt(N) as (real, imag)
+    long-double arrays: the phase -pi*m*cos(theta) of each entry taken
+    directly in np.longdouble, then its cos and sin."""
+    pi = np.arccos(np.longdouble(-1))
+    m = np.arange(n_ant, dtype=np.longdouble)
+    phase = -pi * m * np.cos(np.asarray(theta, dtype=np.longdouble))[..., None]
+    scale = np.sqrt(np.longdouble(n_ant))
+    return np.cos(phase) / scale, np.sin(phase) / scale
 
 
 def fd_fim(state, w_k, config, eps: float = 1e-7) -> np.ndarray:
@@ -132,12 +143,14 @@ def slot_loop_episode(config, method: str, rng):
 def shift_history(history, obs, config):
     """The [tau, K, M] history after one slot's observation: the usable
     vehicles' new rows are the channels from their estimates, from one call
-    over those vehicles' arrays, and an unusable vehicle repeats its
-    previous row."""
+    over those vehicles' arrays with the direct steering vectors, and an
+    unusable vehicle repeats its previous row."""
     latest = history[-1].copy()
     usable = obs.usable
-    latest[usable] = effective_channel(obs.theta_hat[usable],
-                                       obs.d_hat[usable], config)
+    theta_hat = obs.theta_hat[usable]
+    latest[usable] = effective_channel(
+        theta_hat, obs.d_hat[usable], config,
+        steering_direct(theta_hat, config.n_tx))
     return np.concatenate((history[1:], latest[None]))
 
 

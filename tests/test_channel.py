@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import sinr
+from helpers import exact_steering, sinr
 from isacbf.channel import (batch_sinr, effective_channel, path_loss_amp,
-                            steering, steering_dtheta, sum_rate)
+                            steering, steering_direct, steering_dtheta,
+                            sum_rate)
 
 # frozen oracle values (high-precision arithmetic, defaults alpha0=1e-7,
 # zeta=2.55, d0=1): one-way amplitude at d=25 m and the matching channel norm
@@ -17,7 +18,38 @@ def test_steering_unit_norm(theta, n):
     a = steering(theta, n)
     assert np.linalg.norm(a) == pytest.approx(1.0, rel=1e-12)
     assert a[0] == pytest.approx(1.0 / np.sqrt(n))
-    assert np.allclose(np.abs(a), 1.0 / np.sqrt(n))
+    assert np.allclose(np.abs(a), 1.0 / np.sqrt(n), rtol=1e-13)
+
+
+@pytest.mark.parametrize("fn, bound", [(steering, 3), (steering_direct, 4)])
+@pytest.mark.parametrize("n", [1, 2, 7, 32, 256])
+def test_steering_matches_extended_precision(fn, bound, n):
+    """Every entry is within bound*N*eps of the long-double steering vector,
+    scaled by sqrt(N), at the endfire and broadside angles and at uniform
+    draws; the result is a C-contiguous [..., N] array, and N = 1 gives
+    exactly 1."""
+    rng = np.random.default_rng(n)
+    thetas = np.concatenate(([0.0, np.pi / 2, np.pi],
+                             rng.uniform(0.0, np.pi, 500)))
+    a = fn(thetas, n)
+    assert a.shape == (len(thetas), n) and a.flags.c_contiguous
+    re, im = exact_steering(thetas, n)
+    err = np.hypot(a.real - re, a.imag - im).max() * np.sqrt(n)
+    assert err <= bound * n * np.finfo(float).eps
+    if n == 1:
+        assert np.array_equal(a, np.ones((len(thetas), 1)))
+        assert np.array_equal(fn(0.5, 1), [1.0])
+
+
+def test_steering_direct_broadcasts_bit_identically():
+    """As for steering: an array of angles gives the bits of one-angle
+    calls, so one slot's estimated channels equal a block's."""
+    thetas = np.random.default_rng(0).uniform(0.0, np.pi, size=(3, 4))
+    a = steering_direct(thetas, 32)
+    for idx in np.ndindex(thetas.shape):
+        assert np.array_equal(a[idx], steering_direct(float(thetas[idx]), 32))
+    with pytest.raises(ValueError):
+        steering_direct(0.5, 0)
 
 
 def test_steering_phase_progression():

@@ -264,6 +264,28 @@ def test_two_models_of_one_kind_are_error(small_cfg, tmp_path, monkeypatch,
     assert rc == 0 and "hcl" in out and "naive_dl" in out
 
 
+def test_non_finite_model_or_beams_are_error(small_cfg, tmp_path, capsys):
+    """eval refuses a model file with a NaN parameter, naming it, and a
+    model whose finite parameters overflow to non-finite beams, naming the
+    method: each is one error line and exit code 2.  small_cfg is the
+    config of SMALL."""
+    net = NaiveNet(small_cfg)
+    net.init_params(np.random.default_rng(0))
+    nan_path, huge_path = str(tmp_path / "nan.bin"), str(tmp_path / "huge.bin")
+    net.params[0] = np.nan
+    net.save(nan_path)
+    net.params[:] = 1e300
+    net.save(huge_path)
+    for path, named in ((nan_path, nan_path), (huge_path, "naive_dl: ")):
+        with np.errstate(all="ignore"):
+            rc = main(["eval", *SMALL, "--methods", "naive_dl", "--model",
+                       path, "--realizations", "2"])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
+
+
 @pytest.mark.parametrize("cmd", ["eval", "sweep"])
 def test_eval_and_sweep_share_their_options(cmd, capsys):
     """Both document the five options they share, --project-power as

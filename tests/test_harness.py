@@ -12,7 +12,8 @@ from isacbf.harness import (CSV_HEADER, Dataset, EpisodeTrace, MethodStats,
                             power_sweep, run_episode, train_hcl, train_naive,
                             verify_causality)
 from isacbf.baselines import genie_rate, random_beamformer
-from isacbf.channel import effective_channel, steering, sum_rate
+from isacbf.channel import (effective_channel, steering, steering_direct,
+                            sum_rate)
 from isacbf.kinematics import VehicleState
 from isacbf.nn.model import HCLNet, NaiveNet
 from isacbf.nn.train import TrainHyper
@@ -241,6 +242,24 @@ def test_run_episode_validation(small_cfg):
         run_episode(small_cfg, "hcl", np.random.default_rng(0), model=None)
 
 
+@pytest.mark.parametrize("method", ["hcl", "naive_dl"])
+def test_non_finite_beams_are_error(small_cfg, method):
+    """A model with NaN parameters decides NaN beams: run_episode raises a
+    ValueError naming the method and the first slot that applies one, the
+    slot the one-slot-at-a-time loop gives."""
+    model = _models(small_cfg)[method]
+    model.params[:] = np.nan
+    with np.errstate(invalid="ignore"):
+        w, _ = slot_loop_decide(small_cfg, method, model,
+                                np.random.default_rng(3))
+        slot = int(np.isfinite(w).all(axis=(1, 2)).argmin())
+        assert slot > 0
+        with pytest.raises(ValueError,
+                           match=f"^{method}: .* slot {slot} are not finite"):
+            run_episode(small_cfg, method, np.random.default_rng(3),
+                        model=model)
+
+
 def test_common_random_numbers_across_methods(small_cfg):
     """The same seed yields identical vehicle trajectories for every method."""
     t_random = run_episode(small_cfg, "random", np.random.default_rng(5))
@@ -398,8 +417,8 @@ def _record_observations(monkeypatch, seam="observe"):
 @pytest.mark.parametrize("theta_mode", ["relative", "crlb"])
 def test_slot_estimates_match_block_estimates(small_cfg, theta_mode):
     """The slot loop's estimated channels, one _write_estimates per slot
-    into a 2-row buffer (given the steering of the angle estimates in
-    relative mode), equal the rows that _write_estimates writes for the
+    into a 2-row buffer (given the direct steering of the angle estimates
+    in relative mode), equal the rows that _write_estimates writes for the
     whole episode at once, bit for bit, on a config whose distance
     estimates often go negative and with a zero beam row, so that many rows
     are carried forward.  So do the rows of each episode of an
@@ -422,7 +441,8 @@ def test_slot_estimates_match_block_estimates(small_cfg, theta_mode):
     vehicles, w, z = episode(8)
     obs = harness.generate_observation(vehicles, w, cfg, z)
     est = estimates(obs)
-    a_hat = steering(obs.theta_hat, m) if theta_mode == "relative" else None
+    a_hat = steering_direct(obs.theta_hat, m) if theta_mode == "relative" \
+        else None
     slots = np.zeros_like(est)
     for s in range(n):
         one = type(obs)(*(f[s] for f in obs))

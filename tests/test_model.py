@@ -358,5 +358,22 @@ def test_load_model_dispatch(cfg, rng, tmp_path):
                 load_model(path, cfg.replace(**{field: value}))
 
 
+def test_load_model_refuses_non_finite(small_cfg, rng, tmp_path):
+    """A model file whose parameters or kappa are not finite is a
+    ValueError naming the file."""
+    for name, net, bad in (("p.bin", NaiveNet(small_cfg), "param"),
+                           ("k.bin", HCLNet(small_cfg), "kappa")):
+        net.init_params(rng)
+        if bad == "param":
+            net.params[7] = np.nan
+        else:
+            net.kappa = np.inf
+        path = str(tmp_path / name)
+        net.save(path)
+        with pytest.raises(ValueError, match="non-finite") as err:
+            load_model(path, small_cfg)
+        assert path in str(err.value)
+
+
 def test_conv_filter_count():
     assert CONV_FILTERS == 4
