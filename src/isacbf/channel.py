@@ -63,19 +63,24 @@ def check_distance(dist) -> None:
         raise ValueError("distance must be > 0")
 
 
-def path_loss_amp(dist, config: SimConfig):
-    """One-way amplitude path loss sqrt(alpha_0 * (d/d_0)^-zeta)."""
-    check_distance(dist)
+def path_loss_amp(dist, config: SimConfig, check: bool = True):
+    """One-way amplitude path loss sqrt(alpha_0 * (d/d_0)^-zeta); with
+    check, a ValueError unless every distance is > 0."""
+    if check:
+        check_distance(dist)
     return np.sqrt(config.pathloss_ref
                    * (dist / config.ref_dist) ** (-config.pathloss_exp))
 
 
-def effective_channel(theta, dist, config: SimConfig, a=None) -> np.ndarray:
+def effective_channel(theta, dist, config: SimConfig, a=None,
+                      check: bool = True) -> np.ndarray:
     """Downlink channel h = sqrt(N_t) * alpha(d) * a(theta), length N_t;
-    a is steering(theta, N_t) if the caller has it."""
+    a is steering(theta, N_t) if the caller has it.  check as in
+    path_loss_amp; a caller that discards the channels of distances that
+    are not > 0 skips it."""
     if a is None:
         a = steering(theta, config.n_tx)
-    gain = np.sqrt(config.n_tx) * path_loss_amp(dist, config)
+    gain = np.sqrt(config.n_tx) * path_loss_amp(dist, config, check)
     return _per_antenna(gain) * a
 
 
@@ -95,8 +100,8 @@ def batch_sinr(h: np.ndarray, w: np.ndarray, sigma2: float):
 
 def sum_rate(H: np.ndarray, W: np.ndarray, sigma2: float):
     """Sum of log2(1 + SINR_k) over the K users; H and W are [K, N_t] (row k
-    user k's channel and beam), or [n, K, N_t] stacks of n slots that give
-    [n] sum-rates."""
+    user k's channel and beam), or stacks of them such as the [n, K, N_t] of
+    n slots, which give [n] sum-rates."""
     if H.shape != W.shape:
         raise ValueError(f"H {H.shape} and W {W.shape} must have one shape")
     phi, _, _ = batch_sinr(H, W, sigma2)

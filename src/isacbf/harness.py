@@ -7,18 +7,22 @@ up with random beams so predictive methods always see a full window.  Motion,
 random beams and the standard-normal observation noise never depend on an
 observation, so each episode draws them as [n_slots, K] blocks; only the
 causal methods step through the slots.  One pass after the last slot
-measures every slot's sum-rate and CRLBs.
+measures every slot's sum-rate and CRLBs.  A Monte-Carlo evaluation runs
+its realizations in lockstep blocks: one causal step per slot over [R, K]
+arrays and one measurement pass per block; an episode is a block of one.
 """
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
-from .baselines import (genie_beamformer, genie_rate, naive_dl_beamformer,
-                        random_beamformer)
+from .baselines import (aimed_beams, genie_beamformer, genie_rate,
+                        naive_dl_beamformer, random_angles, random_beamformer)
 from .channel import effective_channel, steering, steering_direct, sum_rate
 from .config import SimConfig
 from .io_container import load_container, save_container
@@ -26,7 +30,7 @@ from .kinematics import VehicleState, init_vehicles, step_motion
 from .nn.loss import BatchGeometry, build_geometry
 from .nn.model import HCLNet, NaiveNet
 from .nn.train import TrainHyper, TrainResult, train
-from .sensing import (fisher_information, generate_observation,
+from .sensing import (ObsTerms, fisher_information, generate_observation,
                       observation_noise, observation_terms, observe)
 
 METHODS = ("genie", "naive_dl", "random", "hcl")
@@ -50,11 +54,6 @@ class EpisodeTrace:
     def states(self) -> list:
         """Per slot: the K vehicles as scalar VehicleState records."""
         return [v.records() for v in self.vehicles.records()]
-
-
-def verify_causality(trace: EpisodeTrace) -> bool:
-    """True when every applied W was decided strictly before its slot."""
-    return bool((trace.decided_at < np.arange(len(trace))).all())
 
 
 def _check_method(method: str, model) -> None:
@@ -82,15 +81,13 @@ def _exogenous(config: SimConfig, rng: np.random.Generator):
     return vehicles, rng_obs, rng_beam
 
 
-def _write_estimates(est: np.ndarray, obs, config: SimConfig,
-                     a_hat=None) -> None:
+def _write_estimates(est: np.ndarray, obs, config: SimConfig) -> None:
     """Write the estimated channels of the slots of obs into est[..., 1:, :,
     :], one [K, M] row per slot, est[..., 0, :, :] holding the row before
     the first.  est is [n + 1, K, M] for obs of one slot's [K] arrays
     (n = 1) or of n slots' [n, K] arrays, and [n_ep, n + 1, K, M] for the
-    [n_ep, n, K] arrays of n_ep episodes; a_hat is
-    steering_direct(obs.theta_hat, N_t) if the caller has it.  A vehicle
-    without a usable estimate carries its previous row forward.
+    [n_ep, n, K] arrays of n_ep episodes.  A vehicle without a usable
+    estimate carries its previous row forward.
 
     An estimated channel takes steering_direct, the bits of the defining
     formula, not steering's recurrence: a distance estimate near 0 makes its
@@ -102,15 +99,13 @@ def _write_estimates(est: np.ndarray, obs, config: SimConfig,
     usable = obs.usable.reshape(est.shape[:-3] + (-1, k))
     rows = est[..., 1:, :, :]
     if usable.all():
-        if a_hat is None:
-            a_hat = steering_direct(obs.theta_hat, config.n_tx)
-        rows[:] = effective_channel(obs.theta_hat, obs.d_hat, config, a_hat)
+        rows[:] = effective_channel(obs.theta_hat, obs.d_hat, config,
+                                    steering_direct(obs.theta_hat, config.n_tx))
         return
     theta_hat, d_hat = (f.reshape(usable.shape)[usable]
                         for f in (obs.theta_hat, obs.d_hat))
-    a_hat = steering_direct(theta_hat, config.n_tx) if a_hat is None \
-        else a_hat.reshape(usable.shape + (-1,))[usable]
-    rows[usable] = effective_channel(theta_hat, d_hat, config, a_hat)
+    rows[usable] = effective_channel(theta_hat, d_hat, config,
+                                     steering_direct(theta_hat, config.n_tx))
     # each row's latest usable row of the vehicle, 0 for the row before
     latest = np.maximum.accumulate(
         usable * np.arange(1, usable.shape[-2] + 1)[:, None], axis=-2)
@@ -120,46 +115,164 @@ def _write_estimates(est: np.ndarray, obs, config: SimConfig,
 
 
 def project_power(w: np.ndarray, budget: float) -> np.ndarray:
-    """w scaled onto the budget when ||w||_F^2 exceeds it, else w itself."""
-    pw = float(np.sum(np.abs(w) ** 2))
-    return w * np.sqrt(budget / pw) if pw > budget else w
+    """w with its beams scaled onto the budget where ||W||_F^2 exceeds it:
+    [K, N_t] beams, or the [R, K, N_t] beams of R realizations, each scaled
+    by its own norm.  Beams within the budget keep their bits."""
+    power = (np.abs(w) ** 2).sum(axis=(-2, -1))
+    over = power > budget
+    if not over.any():
+        return w
+    w = w.copy()
+    w[over] *= np.sqrt(budget / power[over])[..., None, None]
+    return w
 
 
 def _decide(config: SimConfig, method: str, model, vehicles: VehicleState,
-            w: np.ndarray, a: np.ndarray, rng_obs: np.random.Generator,
-            project: bool) -> None:
-    """The causal slot loop of hcl and naive_dl: observe slot n under w[n],
-    then decide w[n + 1] in place, projected onto the power budget when
-    project is set.  w holds random beams on entry, which a slot keeps while
-    the method's input is incomplete.  a is the episode's [n_slots, K, N_t]
-    steering.  What the observations need that no beam changes (the noise
-    block, the stream of the per-slot draws, and observation_terms) is
+            angles: np.ndarray, a: np.ndarray, rngs_obs: list,
+            project: bool, first: int | None) -> np.ndarray:
+    """The beams that hcl or naive_dl apply in one episode or in a block of
+    R, decided by one causal slot step over all of them in lockstep:
+    observe slot n of each under its beams, then decide its beams of slot
+    n + 1, projected onto the power budget per episode when project is set.
+    vehicles are the [n_slots, K] arrays of one episode or the
+    [R, n_slots, K] arrays of R, angles their random-beam angles of the
+    same shape, a their steering and rngs_obs their observation streams;
+    the beams take the vehicles' shape plus [N_t].  A slot whose method has
+    no input yet, or an incomplete one, applies the random beams aimed at
+    its angles, computed for those slots only.
+
+    What the observations need that no beam changes (each episode's noise
+    block, in the stream of its per-slot draws, and observation_terms) is
     computed before the loop, and so in config.theta_mode "relative" is the
     steering of the angle estimates; a slot computes only what depends on
-    its beam."""
-    n_slots, k = config.n_slots, config.n_vehicles
-    observed = VehicleState(*(f[:-1] for f in vars(vehicles).values()))
-    terms = observation_terms(
-        observed, config, observation_noise(rng_obs, (n_slots - 1, k)))
+    its beams, on [K] or [R, K] arrays.  An hcl vehicle without a usable
+    estimate keeps its episode's previous row.  Decided beams whose power
+    is not finite are a ValueError naming the method, the slot and, when
+    first is given, the realization (first plus the episode's index),
+    raised before they are observed.  Overflow, division by zero and
+    invalid values raise no warning within the step: the rows of unusable
+    estimates are discarded, and the power check catches what a net
+    overflows to."""
+    *lead, n_slots, k = np.shape(vehicles.theta)
+    lead, m = tuple(lead), config.n_tx
+    observed = VehicleState(*(f[..., :-1, :] for f in vars(vehicles).values()))
+    z = _stack([observation_noise(g, (n_slots - 1, k)) for g in rngs_obs])
+    terms = observation_terms(observed, config, z)
+
+    def by_slot(f):
+        """A view of f, slot first: f_at[n] is slot n of every episode."""
+        return repeat(None) if f is None else f.swapaxes(0, len(lead))
+
+    w = np.empty(np.shape(angles) + (m,), dtype=complex)
+    w_at, a_at, angles_at = by_slot(w), by_slot(a), by_slot(angles)
+    # the slots no decision reaches: slot 0, and hcl's until its window is
+    # full (its stream decides from the tau-th pushed slot on)
+    warm = config.history_len if method == "hcl" else 1
+    w_at[:warm] = aimed_beams(angles_at[:warm], config)
     if method == "hcl":
-        stream = model.stream()
-        # row n + 1 holds slot n's estimated channels, zeros before slot 0
-        est = np.zeros((n_slots, k, config.n_tx), dtype=complex)
-        a_hat = None if terms.theta_hat is None \
-            else steering_direct(terms.theta_hat, config.n_tx)
-    for n in range(n_slots - 1):
-        obs = observe(terms.at(n), w[n], a[n], config)
-        beams = None
-        if method == "hcl":
-            _write_estimates(est[n:n + 2], obs, config,
-                             None if a_hat is None else a_hat[n])
-            beams = stream.push(est[n + 1])
-        elif obs.usable.all():
-            beams = naive_dl_beamformer(obs.theta_hat, obs.d_hat, model,
-                                        config)
-        if beams is not None:
-            w[n + 1] = project_power(beams, config.power_budget) if project \
-                else beams
+        stream = model.stream(lead)
+        # each episode's latest estimated channels, zeros before slot 0
+        est = np.zeros(lead + (k, m), dtype=complex)
+        if terms.theta_hat is not None:
+            a_hat = by_slot(steering_direct(terms.theta_hat, m))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for n, slot in enumerate(zip(*map(by_slot, terms))):
+            obs = observe(ObsTerms(*slot), w_at[n], a_at[n], config)
+            deciding = slice(None)
+            if method == "hcl":
+                rows = effective_channel(
+                    obs.theta_hat, obs.d_hat, config,
+                    steering_direct(obs.theta_hat, m)
+                    if terms.theta_hat is None else a_hat[n], check=False)
+                np.copyto(est, rows, where=obs.usable[..., None])
+                beams = stream.push(est)
+                if beams is None:
+                    continue
+            # count_nonzero: a third of the cost of .all() on a few bools
+            elif np.count_nonzero(obs.usable) == obs.usable.size:
+                beams = naive_dl_beamformer(obs.theta_hat, obs.d_hat, model,
+                                            config)
+            else:
+                # the episodes whose every vehicle is usable decide, and
+                # the others apply their random beams
+                complete = obs.usable.reshape(-1, k).all(axis=-1)
+                rest = np.flatnonzero(~complete)
+                w_at[n + 1].reshape(-1, k, m)[rest] = aimed_beams(
+                    angles_at[n + 1].reshape(-1, k)[rest], config)
+                if not complete.any():
+                    continue
+                deciding = np.flatnonzero(complete)   # only in a block
+                beams = naive_dl_beamformer(obs.theta_hat[deciding],
+                                            obs.d_hat[deciding], model, config)
+            # one inner product over all the decided beams: finite exactly
+            # when every episode's power is, short of a sum of finite
+            # powers near 1e308
+            if not math.isfinite(np.vdot(beams, beams).real):
+                _refuse(method, beams, n + 1, first, deciding, lead)
+            w_at[n + 1, deciding] = project_power(beams, config.power_budget) \
+                if project else beams
+    return w
+
+
+def _refuse(method: str, beams: np.ndarray, slot: int, first: int | None,
+            deciding, lead: tuple) -> None:
+    """Raise the ValueError for the beams decided for slot, [K, N_t] of one
+    episode or [R', K, N_t] of the episodes deciding of a block of lead
+    (R,), if the power of any is not finite.  It names the method, the slot
+    and, when first is given, the realization first + r of the first such
+    episode r."""
+    flat = beams.reshape(-1, beams.shape[-2] * beams.shape[-1])
+    finite = np.isfinite(np.vecdot(flat, flat).real)
+    if finite.all():
+        return
+    r = int(finite.argmin())
+    what = "are not finite" if not np.isfinite(flat[r]).all() \
+        else "have a power that overflows"
+    if first is not None:
+        r = first + int(np.arange(math.prod(lead))[deciding][r])
+        what = f"of realization {r} {what}"
+    raise ValueError(f"{method}: the beams applied in slot {slot} {what}")
+
+
+def _stack(arrays) -> np.ndarray:
+    """np.stack(arrays), or the one array of a block of one as it is."""
+    return arrays[0] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _run_block(config: SimConfig, method: str, rngs: list, model,
+               project: bool, first: int | None = None) -> list:
+    """One episode per generator of rngs, all in lockstep: their
+    EpisodeTraces.  A block of one runs on the episode's own [n_slots, K]
+    arrays, a larger one on [R, n_slots, K] arrays.  first is the eval's
+    index of the first realization, for errors."""
+    n = config.n_slots
+    draws = [_exogenous(config, rng) for rng in rngs]
+    one = len(draws) == 1
+    vehicles = draws[0][0] if one else VehicleState(*map(np.stack, zip(
+        *(vars(d[0]).values() for d in draws))))
+    a = steering(vehicles.theta, config.n_tx)
+    if method == "genie":
+        w, decided_at = genie_beamformer(vehicles, config, a), np.arange(n)
+        rates = genie_rate(vehicles, config)
+    else:
+        decided_at = np.arange(-1, n - 1)
+        if method == "random":
+            w = _stack([random_beamformer(config, d[2], n) for d in draws])
+        else:
+            w = _decide(config, method, model, vehicles,
+                        _stack([random_angles(config, d[2], n)
+                                for d in draws]),
+                        a, [d[1] for d in draws], project, first)
+        h = effective_channel(vehicles.theta, vehicles.dist, config, a)
+        rates = sum_rate(h, w, config.noise_vehicle)
+    info = fisher_information(vehicles, w, config, a)
+    per_episode = (vehicles, w.swapaxes(-1, -2), rates, info.crlb_theta,
+                   info.crlb_d)
+    per_episode = [per_episode] if one \
+        else zip(vehicles.records(), *per_episode[1:])
+    return [EpisodeTrace(vehicles=v, w_applied=wa, decided_at=decided_at,
+                         rates=r, crlb_theta=ct, crlb_d=cd)
+            for v, wa, r, ct, cd in per_episode]
 
 
 def run_episode(config: SimConfig, method: str, rng: np.random.Generator,
@@ -170,37 +283,17 @@ def run_episode(config: SimConfig, method: str, rng: np.random.Generator,
     child streams so trajectories are comparable across methods at a fixed
     seed; each is drawn as one [n_slots, K] block.  The genie aims at the
     current truth each slot and is exempt from the causality invariant.
-    Only hcl and naive_dl observe the vehicles, in a causal slot loop.  One
+    Only hcl and naive_dl observe the vehicles, in a causal slot step.  One
     pass at the end measures every slot's sum-rate and CRLBs against the
     true state.  The steering vectors of the true angles are evaluated once
-    and shared by the beams, observations and measurements.  A non-finite
-    beam of hcl or naive_dl is a ValueError naming the method and the first
-    slot that applies one, so no NaN reaches a rate or a CRLB.
+    and shared by the beams, observations and measurements.  Beams of hcl
+    or naive_dl whose power is not finite are a ValueError naming the
+    method and the slot that would apply them, so no NaN reaches a rate or
+    a CRLB.  The episode is the one-realization case of monte_carlo_eval's
+    lockstep block.
     """
     _check_method(method, model)
-    n = config.n_slots
-    vehicles, rng_obs, rng_beam = _exogenous(config, rng)
-    a = steering(vehicles.theta, config.n_tx)
-    if method == "genie":
-        w, decided_at = genie_beamformer(vehicles, config, a), np.arange(n)
-    else:
-        w = random_beamformer(config, rng_beam, n)
-        decided_at = np.arange(-1, n - 1)
-        if method != "random":
-            _decide(config, method, model, vehicles, w, a, rng_obs, project)
-            finite = np.isfinite(w).all(axis=(1, 2))
-            if not finite.all():
-                raise ValueError(f"{method}: the beams applied in slot "
-                                 f"{finite.argmin()} are not finite")
-    if method == "genie":
-        rates = genie_rate(vehicles, config)
-    else:
-        h = effective_channel(vehicles.theta, vehicles.dist, config, a)
-        rates = sum_rate(h, w, config.noise_vehicle)
-    info = fisher_information(vehicles, w, config, a)
-    return EpisodeTrace(vehicles=vehicles, w_applied=w.swapaxes(1, 2),
-                        decided_at=decided_at, rates=rates,
-                        crlb_theta=info.crlb_theta, crlb_d=info.crlb_d)
+    return _run_block(config, method, [rng], model, project)[0]
 
 
 # ---- datasets --------------------------------------------------------------
@@ -260,9 +353,10 @@ class Dataset:
         return digest.hexdigest()
 
 
-# episodes per dataset block: enough to take each call over many episodes,
-# few enough that a block's arrays stay within about 25 MB at the default
-# sizes, whatever n_examples is
+# episodes per dataset or eval block: enough to take each call over many
+# episodes, few enough that a block's arrays stay within about 25 MB at the
+# default sizes, whatever n_examples is, and that an eval step's [R, K]
+# arrays stay in cache (its cost per realization-slot rises again at 500)
 _BLOCK_EPISODES = 64
 
 
@@ -391,8 +485,11 @@ class EvalReport:
 
 
 def _episode_summary(trace: EpisodeTrace, tau: int):
+    """The mean rate, CRLBs and beam power of an episode's slots from tau
+    on.  The mean CRLBs leave out the infinite ones of unobservable
+    vehicles (inf when all are), and nothing else."""
     ct, cd = trace.crlb_theta[tau:], trace.crlb_d[tau:]
-    ct, cd = ct[np.isfinite(ct)], cd[np.isfinite(cd)]
+    ct, cd = ct[ct != np.inf], cd[cd != np.inf]
     return (float(trace.rates[tau:].mean()),
             float(ct.mean()) if ct.size else np.inf,
             float(cd.mean()) if cd.size else np.inf,
@@ -406,8 +503,14 @@ def monte_carlo_eval(config: SimConfig, methods: list[str],
 
     The same realization seeds drive every method, so motion trajectories are
     common random numbers across methods.  Each method gets fresh children:
-    ``run_episode`` spawns from its generator, which advances the sequence.
-    The arguments are checked before any episode runs.
+    an episode spawns from its generator, which advances the sequence.
+    The realizations run in lockstep blocks of up to _BLOCK_EPISODES, each
+    with its own child and streams, so realization r has the trajectory,
+    noise and random beams of run_episode on child r; one realization's
+    summary has the bits of run_episode's.  Across a larger block the
+    networks' GEMMs take other shapes, so hcl and naive_dl beams may move
+    in the last bits.  The arguments are checked before any episode runs,
+    and a NaN rate or CRLB is a ValueError naming the method.
     """
     models = models or {}
     check_eval_args(methods, n_realizations, models)
@@ -415,23 +518,28 @@ def monte_carlo_eval(config: SimConfig, methods: list[str],
     tau = config.history_len
     for method in methods:
         children = np.random.SeedSequence(seed).spawn(n_realizations)
-        per = np.array([
-            _episode_summary(
-                run_episode(config, method, np.random.default_rng(children[r]),
-                            model=models.get(method), project=project),
-                tau)
-            for r in range(n_realizations)])
-        rates = per[:, 0]
+        per = []
+        for first in range(0, n_realizations, _BLOCK_EPISODES):
+            rngs = [np.random.default_rng(c)
+                    for c in children[first:first + _BLOCK_EPISODES]]
+            per += [_episode_summary(trace, tau) for trace in _run_block(
+                config, method, rngs, models.get(method), project,
+                first if n_realizations > 1 else None)]
+        per = np.array(per)
+        # each column's mean, with the bits of per[:, j].mean(), in one call
+        means = np.ascontiguousarray(per.T).mean(axis=1).tolist()
+        # a NaN of any realization makes its column's mean NaN
+        if any(map(math.isnan, means)):
+            r = int(np.isnan(per).any(axis=1).argmax())
+            raise ValueError(f"{method}: realization {r} measured a NaN rate "
+                             "or CRLB")
         ci = 0.0
         if n_realizations > 1:
-            ci = 1.96 * float(rates.std(ddof=1)) / np.sqrt(n_realizations)
+            ci = 1.96 * float(per[:, 0].std(ddof=1)) / np.sqrt(n_realizations)
         stats.append(MethodStats(
-            method=method, power=config.power_budget,
-            rate_mean=float(rates.mean()), rate_ci=ci,
-            crlb_theta_mean=float(per[:, 1].mean()),
-            crlb_d_mean=float(per[:, 2].mean()),
-            n_realizations=n_realizations,
-            w_power_mean=float(per[:, 3].mean())))
+            method=method, power=config.power_budget, rate_mean=means[0],
+            rate_ci=ci, crlb_theta_mean=means[1], crlb_d_mean=means[2],
+            n_realizations=n_realizations, w_power_mean=means[3]))
     return EvalReport(stats=stats, config=config)
 
 

@@ -93,12 +93,6 @@ def _corners(x: np.ndarray):
     return [win[:, :, q // 2, :, q % 2] for q in range(4)]
 
 
-def maxpool2x2(x: np.ndarray) -> np.ndarray:
-    """Window maxima alone, the values of maxpool2x2_fwd without the index."""
-    a, b, c, d = _corners(x)
-    return np.maximum(np.maximum(a, b), np.maximum(c, d))
-
-
 def maxpool2x2_fwd(x: np.ndarray):
     """Window maxima and the index 2*dy + dx of each window's first maximum."""
     a, b, c, d = _corners(x)

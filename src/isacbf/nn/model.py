@@ -11,6 +11,8 @@ NaiveNet: the fully-connected baseline mapping the last slot's estimated
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..config import SimConfig
@@ -117,38 +119,39 @@ class HCLNet(_FlatParams):
         flattened and concatenated along the axis before M.  [..., K, M, 2]
         rows give [..., K*M]; one M x 2 slice gives M.
 
-        conv is the kernels.conv_matrix of the current filters, built here
-        when None; a given cache dict receives what backward() needs."""
+        A given cache dict receives what backward() needs, from the traced
+        kernels.  Without one (inference) the conv is the product with conv,
+        the kernels.conv_matrix of the current filters (built here when
+        None), in the batch-innermost [H, W, F, B] layout of
+        kernels.conv_by_matrix, and the pool maxima are one reduction over
+        that layout, with the same bits."""
         if rows.shape[-2:] != (self.m, 2):
             raise ValueError(f"expected (..., {self.m}, 2) slices, "
                              f"got {rows.shape}")
         v = self._views
+        hgt, wd = CNN_ROWS, self.m // CNN_ROWS
         xs = self.kappa * np.asarray(rows, dtype=np.float64)
-        x4 = np.ascontiguousarray(
-            xs.reshape(-1, CNN_ROWS, self.m // CNN_ROWS, 2))
-        if conv is None:
-            z = kernels.conv2d3x3_same_fwd(x4, v["conv_w"], v["conv_b"])
-        else:
-            z = kernels.conv_by_matrix(x4, conv, v["conv_b"])
         # ReLU is monotone, so it commutes with the max: pooling first
-        # leaves 4x fewer entries to rectify, with the same outputs.  Only
-        # backward() reads the pool's argmax, so inference takes the maxima.
+        # leaves 4x fewer entries to rectify, with the same outputs.
         if cache is None:
-            p = kernels.maxpool2x2(z)
-        else:
-            p, idx = kernels.maxpool2x2_fwd(z)
+            if conv is None:
+                conv = kernels.conv_matrix(v["conv_w"], hgt, wd)
+            bsz = xs.size // (2 * self.m)
+            z = conv.T @ xs.reshape(bsz, -1).T
+            z = z.reshape(-1, CONV_FILTERS, bsz)
+            z += v["conv_b"][:, None]
+            p = z.reshape(hgt // 2, 2, wd // 2, 2, CONV_FILTERS, bsz).max(
+                axis=(1, 3))
+            p *= p > 0
+            return p.reshape(-1, bsz).T.reshape(rows.shape[:-3] + (-1,))
+        x4 = np.ascontiguousarray(xs.reshape(-1, hgt, wd, 2))
+        z = kernels.conv2d3x3_same_fwd(x4, v["conv_w"], v["conv_b"])
+        p, idx = kernels.maxpool2x2_fwd(z)
         mask = p > 0
         feat = p.reshape(rows.shape[:-3] + (-1,))
         feat *= mask.reshape(feat.shape)
-        if cache is not None:
-            cache.update(x4=x4, mask=mask, idx=idx, pshape=z.shape)
+        cache.update(x4=x4, mask=mask, idx=idx, pshape=z.shape)
         return feat
-
-    def cnn_forward(self, slice_m2: np.ndarray) -> np.ndarray:
-        """Feature vector (length M) for one M x 2 per-vehicle channel slice."""
-        if slice_m2.shape != (self.m, 2):
-            raise ValueError(f"expected ({self.m}, 2) slice, got {slice_m2.shape}")
-        return self.features(slice_m2)
 
     # ---- forward / backward ------------------------------------------------
 
@@ -182,23 +185,26 @@ class HCLNet(_FlatParams):
         tanh c) for backward()."""
         wh_t, b = self._views["wh"].T, self._views["lstm_b"]
         h = c = np.zeros((nb, self.hidden))
-        for t, xwt in enumerate(xw):
-            gi, gf, gg, go, tc, c_new = self._cell(
-                xwt + h @ wh_t + b if t else xwt + b, c if t else None)
-            if steps is not None:
-                steps.append((h, c, gi, gf, gg, go, tc))
-            h, c = go * tc, c_new
+        with np.errstate(over="ignore"):   # see _cell
+            for t, xwt in enumerate(xw):
+                gi, gf, gg, go, tc, c_new = self._cell(
+                    xwt + h @ wh_t + b if t else xwt + b, c if t else None)
+                if steps is not None:
+                    steps.append((h, c, gi, gf, gg, go, tc))
+                h, c = go * tc, c_new
         return h
 
     def _cell(self, gates: np.ndarray, c: np.ndarray | None):
         """One LSTM cell update of the [..., 4H] gate pre-activations and
         the cell state c (None for c = 0): the gates i, f, g, o, tanh of the
-        new cell state, and that state.  One sigmoid covers all four gates."""
+        new cell state, and that state.  One sigmoid covers all four gates.
+
+        exp(-x) overflows to inf for a gate below -709, whose sigmoid is
+        then exactly 0, so the caller holds np.errstate(over="ignore"),
+        once around its loop of cell steps; the cell-input gate's sigmoid
+        is never read."""
         hh = self.hidden
-        # exp(-x) overflows to inf for a gate below -709, whose sigmoid is
-        # then exactly 0; the cell-input gate's sigmoid is never read
-        with np.errstate(over="ignore"):
-            s = _sigmoid(gates)
+        s = _sigmoid(gates)
         gi, gf, go = s[..., :hh], s[..., hh:2 * hh], s[..., 3 * hh:]
         gg = np.tanh(gates[..., 2 * hh:3 * hh])
         c_new = gi * gg if c is None else gf * c + gi * gg
@@ -253,9 +259,10 @@ class HCLNet(_FlatParams):
 
     # ---- inference ---------------------------------------------------------
 
-    def stream(self) -> "HCLStream":
-        """Decisions over one episode, one slot at a time (see HCLStream)."""
-        return HCLStream(self)
+    def stream(self, lead: tuple = ()) -> "HCLStream":
+        """Decisions over one episode, or over the episodes of the leading
+        shape lead in lockstep, one slot at a time (see HCLStream)."""
+        return HCLStream(self, lead)
 
     def predict(self, history: np.ndarray) -> np.ndarray:
         """[K, N_t] beams, row k vehicle k's, for one [tau, K, M] complex
@@ -264,57 +271,68 @@ class HCLNet(_FlatParams):
             raise ValueError(f"expected a ({self.tau}, {self.k}, {self.m}) "
                              f"history, got {history.shape}")
         stream = self.stream()
-        for rows in history:
-            w = stream.push(rows)
+        with np.errstate(over="ignore"):   # see _cell
+            for rows in history:
+                w = stream.push(rows)
         return w
 
 
 class HCLStream:
-    """HCL-Net decisions over one episode, one slot at a time.
+    """HCL-Net decisions over one episode, or R episodes in lockstep, one
+    slot at a time.
 
-    push() runs the CNN on the new slot's K rows only and takes that slot's
-    LSTM input product x_t W_x^T, as the [1, 4H] product of the batched
-    forward.  The tau windows in flight, the one starting at this slot and
-    the tau - 1 started before it, keep their (h, c) states in a [tau, 1, H]
-    ring, and every push advances all of them by one cell step on the
-    slot's product; the window started tau - 1 slots ago then has its tau
-    steps and feeds the FC layer.  Each ring row is multiplied by W_h^T as
-    a [1, H] row, with the bits of forward() on the same window.  The conv
-    matrix is built once, from the weights at creation, so a stream must
-    not outlive a change of the weights.
+    push() runs the CNN on the new slot's K rows of each episode only and
+    takes that slot's LSTM input product x_t W_x^T, as the [R, 4H] product
+    of the batched forward() on the R episodes' windows (R = 1 for one
+    episode).  The tau windows in flight per episode, the one starting at
+    this slot and the tau - 1 started before it, keep their (h, c) states
+    in a [tau, R, H] ring, and every push advances all of them by one cell
+    step on the slot's product; the windows started tau - 1 slots ago then
+    have their tau steps and feed the FC layer.  Each ring row is
+    multiplied by W_h^T as an [R, H] block, so the beams have the bits of
+    forward() on the same R windows.  The conv matrix is built and the
+    weights are bound once, at creation, so a stream must not outlive a
+    change of the weights.
     """
 
-    def __init__(self, net: HCLNet):
+    def __init__(self, net: HCLNet, lead: tuple = ()):
+        v = net._views
         self.net = net
-        self._conv = kernels.conv_matrix(net.view("conv_w"), CNN_ROWS,
+        self._shape = tuple(lead) + (net.k, net.m)   # of the pushed rows
+        self._conv = kernels.conv_matrix(v["conv_w"], CNN_ROWS,
                                          net.m // CNN_ROWS)
-        self._h = np.zeros((net.tau, 1, net.hidden))
+        self._wx_t, self._wh_t = v["wx"].T, v["wh"].T
+        self._lstm_b, self._fc_w, self._fc_b = v["lstm_b"], v["fc_w"], v["fc_b"]
+        self._h = np.zeros((net.tau, math.prod(lead), net.hidden))
         self._c = np.zeros_like(self._h)
         self._n = 0   # slots pushed so far
 
     def push(self, rows: np.ndarray) -> np.ndarray | None:
-        """Take the next slot's [K, M] complex estimated channels; return the
-        [K, N_t] beams for the window of the last tau slots, or None while
-        fewer than tau slots are in."""
+        """Take the next slot's complex estimated channels, [K, M] for one
+        episode or the stream's leading shape plus [K, M]; return the beams
+        of that shape for the windows of the last tau slots, or None while
+        fewer than tau slots are in.  The caller holds
+        np.errstate(over="ignore") (see HCLNet._cell)."""
         net = self.net
-        if rows.shape != (net.k, net.m):
-            raise ValueError(f"expected ({net.k}, {net.m}) rows, "
+        if rows.shape != self._shape:
+            raise ValueError(f"expected {self._shape} rows, "
                              f"got {rows.shape}")
         pairs = np.ascontiguousarray(rows, dtype=complex).view(float)
         x = net.features(pairs.reshape(rows.shape + (2,)), self._conv)
         # ring row n % tau starts a window at slot n, from h = c = 0
-        tau, h, c = net.tau, self._h, self._c
+        h, c, tau = self._h, self._c, net.tau
         h[self._n % tau] = c[self._n % tau] = 0.0
         self._n += 1
-        gates = x[None] @ net.view("wx").T + h @ net.view("wh").T \
-            + net.view("lstm_b")
+        gates = h @ self._wh_t
+        gates += x.reshape(-1, net.feat) @ self._wx_t
+        gates += self._lstm_b
         *_, go, tc, c_new = net._cell(gates, c)
         c[:] = c_new
-        h[:] = go * tc
+        np.multiply(go, tc, out=h)
         if self._n < tau:
             return None
-        o = h[self._n % tau] @ net.view("fc_w") + net.view("fc_b")
-        return output_to_matrix(o.reshape(net.k, net.m, 2))
+        o = h[self._n % tau] @ self._fc_w + self._fc_b
+        return output_to_matrix(o.reshape(rows.shape + (2,)))
 
 
 class NaiveNet(_FlatParams):

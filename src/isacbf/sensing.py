@@ -26,11 +26,12 @@ _GAIN_FLOOR = 1e-30
 
 
 class Observations(NamedTuple):
-    """One slot's estimates of the K vehicles; an entry is meaningful only
-    where usable is True."""
-    theta_hat: np.ndarray  # [K] angle estimates, rad
-    d_hat: np.ndarray      # [K] distance estimates, m
-    usable: np.ndarray     # [K] bool: observable and d_hat > 0
+    """Estimates of vehicles, in their shape: [K] for one slot, [R, K] for
+    one slot of R episodes; an entry is meaningful only where usable is
+    True."""
+    theta_hat: np.ndarray  # angle estimates, rad
+    d_hat: np.ndarray      # distance estimates, m
+    usable: np.ndarray     # bool: observable and d_hat > 0
 
 
 @dataclass(frozen=True)
@@ -90,7 +91,7 @@ def _observable(gain, W: np.ndarray):
 class ObsTerms(NamedTuple):
     """What observations of vehicles need that no beam changes, as arrays of
     the vehicles' shape: an episode takes them once, as [n_slots, K]
-    blocks, and each slot reads its rows (at)."""
+    blocks, and observes each slot under views of its rows."""
     theta: np.ndarray      # true angles, rad
     dist: np.ndarray       # true distances, m
     z: np.ndarray          # observation_noise: trailing (distance, angle)
@@ -98,10 +99,6 @@ class ObsTerms(NamedTuple):
     # from the beam): c_dist, and the angle estimates
     c_dist: np.ndarray | None
     theta_hat: np.ndarray | None
-
-    def at(self, n) -> "ObsTerms":
-        """The terms of slot n."""
-        return ObsTerms._make(None if f is None else f[n] for f in self)
 
 
 def observation_terms(vehicles: VehicleState, config: SimConfig,
@@ -142,8 +139,9 @@ def observe(terms: ObsTerms, W: np.ndarray, a: np.ndarray,
                                     observable)
         theta_hat = terms.theta + np.sqrt(crlb_theta) * terms.z[..., 1]
     else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            crlb_d = np.where(observable, terms.c_dist / gain, np.inf)[()]
+        # inf / gain is inf for any finite gain >= 0, zero included, and
+        # raises no floating-point exception, so no errstate is needed
+        crlb_d = (np.where(observable, terms.c_dist, np.inf) / gain)[()]
     d_hat = terms.dist + np.sqrt(crlb_d) * terms.z[..., 0]
     return Observations(theta_hat=theta_hat, d_hat=d_hat,
                         usable=observable & (d_hat > 0))
@@ -211,8 +209,9 @@ def fisher_information(vehicles: VehicleState, W: np.ndarray,
                        config: SimConfig, a=None) -> FisherInfo:
     """Diagonal FIMs over (theta, d) and the angle/distance CRLBs of the
     vehicles, row k of W being the beam toward vehicle k.  The vehicles
-    are [K] arrays with a [K, N_t] W, or [n, K] arrays of n slots with an
-    [n, K, N_t] W; the CRLBs take the vehicles' shape.
+    are [K] arrays with a [K, N_t] W, or arrays of any leading shape, such
+    as the [n, K] of n slots or the [R, n, K] of R episodes, with W of that
+    shape plus [N_t]; the CRLBs take the vehicles' shape.
 
     f11 = 1/CRLB_theta = ||d(echo)/d(theta)||^2 / sigma_r^2,
     f22 = 1/CRLB_d = (2/c)^2 / sigma_nu^2.

@@ -209,7 +209,7 @@ def test_criterion_7_determinism(cfg, capfd, tmp_path):
 def test_criterion_8_shape_contract(cfg, capfd):
     net = HCLNet(cfg)
     net.init_params(np.random.default_rng(0))
-    per_vehicle = net.cnn_forward(np.random.default_rng(1).normal(
+    per_vehicle = net.features(np.random.default_rng(1).normal(
         size=(cfg.n_tx, 2)))
     x = np.random.default_rng(2).normal(
         size=(1, cfg.history_len, cfg.n_vehicles, cfg.n_tx, 2))

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -249,7 +250,7 @@ def test_two_models_of_one_kind_are_error(small_cfg, tmp_path, monkeypatch,
     def no_episode(*args, **kwargs):
         raise AssertionError("an episode ran")
 
-    monkeypatch.setattr(harness, "run_episode", no_episode)
+    monkeypatch.setattr(harness, "step_motion", no_episode)
     for cmd in ("eval", "sweep"):
         rc = main([cmd, *SMALL, "--methods", "naive_dl", "--model",
                    paths["a"], "--model", paths["b"], "--realizations", "1"])
@@ -266,24 +267,34 @@ def test_two_models_of_one_kind_are_error(small_cfg, tmp_path, monkeypatch,
 
 def test_non_finite_model_or_beams_are_error(small_cfg, tmp_path, capsys):
     """eval refuses a model file with a NaN parameter, naming it, and a
-    model whose finite parameters overflow to non-finite beams, naming the
-    method: each is one error line and exit code 2.  small_cfg is the
-    config of SMALL."""
-    net = NaiveNet(small_cfg)
-    net.init_params(np.random.default_rng(0))
-    nan_path, huge_path = str(tmp_path / "nan.bin"), str(tmp_path / "huge.bin")
-    net.params[0] = np.nan
-    net.save(nan_path)
-    net.params[:] = 1e300
-    net.save(huge_path)
-    for path, named in ((nan_path, nan_path), (huge_path, "naive_dl: ")):
-        with np.errstate(all="ignore"):
-            rc = main(["eval", *SMALL, "--methods", "naive_dl", "--model",
-                       path, "--realizations", "2"])
+    model whose finite parameters overflow to non-finite beams (naive_dl)
+    or to finite beams whose power overflows (hcl), naming the method and
+    the realization: each is one error line and exit code 2, and no
+    RuntimeWarning is issued on the way.  small_cfg is the config of
+    SMALL."""
+    naive, hcl = NaiveNet(small_cfg), HCLNet(small_cfg)
+    naive.init_params(np.random.default_rng(0))
+    paths = {name: str(tmp_path / f"{name}.bin")
+             for name in ("nan", "naive_dl", "hcl")}
+    naive.params[0] = np.nan
+    naive.save(paths["nan"])
+    naive.params[:] = 1e300
+    naive.save(paths["naive_dl"])
+    hcl.params[:] = 1e300
+    hcl.save(paths["hcl"])
+    for name, path in paths.items():
+        method = "naive_dl" if name == "nan" else name
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["eval", *SMALL, "--methods", method, "--model", path,
+                       "--realizations", "2"])
         out, err = capsys.readouterr()
         assert rc == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert named in err
+        assert (path if name == "nan" else f"{name}: ") in err
+        assert name == "nan" or "realization 0 " in err
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)], name
 
 
 @pytest.mark.parametrize("cmd", ["eval", "sweep"])

@@ -9,11 +9,9 @@ from helpers import (shift_history, slot_loop_dataset, slot_loop_decide,
 from isacbf import baselines, channel, harness, sensing
 from isacbf.harness import (CSV_HEADER, Dataset, EpisodeTrace, MethodStats,
                             export, generate_dataset, monte_carlo_eval,
-                            power_sweep, run_episode, train_hcl, train_naive,
-                            verify_causality)
+                            power_sweep, run_episode, train_hcl, train_naive)
 from isacbf.baselines import genie_rate, random_beamformer
-from isacbf.channel import (effective_channel, steering, steering_direct,
-                            sum_rate)
+from isacbf.channel import effective_channel, steering, sum_rate
 from isacbf.kinematics import VehicleState
 from isacbf.nn.model import HCLNet, NaiveNet
 from isacbf.nn.train import TrainHyper
@@ -34,7 +32,8 @@ def test_run_episode_shapes_and_causality(small_cfg):
         trace = run_episode(small_cfg, method, np.random.default_rng(1),
                             model=models.get(method))
         assert len(trace) == small_cfg.n_slots
-        assert verify_causality(trace)
+        # every applied W was decided strictly before its slot
+        assert (trace.decided_at < np.arange(len(trace))).all()
         # after the first slot every beam was decided exactly one slot earlier
         assert trace.decided_at[0] == -1
         assert all(trace.decided_at[n] == n - 1
@@ -231,7 +230,7 @@ def test_naive_dl_falls_back_to_its_slots_random_row(small_cfg, monkeypatch):
 
 def test_genie_is_exempt_from_causality(small_cfg):
     trace = run_episode(small_cfg, "genie", np.random.default_rng(1))
-    assert not verify_causality(trace)
+    assert not (trace.decided_at < np.arange(len(trace))).all()
     assert all(dec == n for n, dec in enumerate(trace.decided_at))
 
 
@@ -258,6 +257,200 @@ def test_non_finite_beams_are_error(small_cfg, method):
                            match=f"^{method}: .* slot {slot} are not finite"):
             run_episode(small_cfg, method, np.random.default_rng(3),
                         model=model)
+
+
+def test_overflowing_beams_are_error(small_cfg):
+    """An HCL-Net with every parameter 1e300 decides finite beams whose
+    power overflows: the first decision is a ValueError naming the method,
+    the slot and, in an eval of several realizations, the realization, and
+    no RuntimeWarning (an error under the test settings) comes before it."""
+    net = HCLNet(small_cfg)
+    net.params[:] = 1e300
+    tau = small_cfg.history_len
+    with np.errstate(over="ignore"):
+        beams = net.predict(np.ones((tau, small_cfg.n_vehicles,
+                                     small_cfg.n_tx), dtype=complex))
+    assert np.isfinite(beams).all() and np.abs(beams).max() > 1e300
+    with pytest.raises(ValueError, match=f"^hcl: the beams applied in slot "
+                       f"{tau} have a power that overflows$"):
+        run_episode(small_cfg, "hcl", np.random.default_rng(0), model=net)
+    with pytest.raises(ValueError, match=f"^hcl: .* slot {tau} of "
+                       f"realization 0 have a power"):
+        monte_carlo_eval(small_cfg, ["hcl"], 3, models={"hcl": net})
+
+
+def test_only_infinite_crlbs_are_left_out(small_cfg, monkeypatch):
+    """An episode's mean CRLBs leave out the infinite ones of unobservable
+    vehicles, never a NaN; a NaN rate or CRLB in any realization is a
+    ValueError naming the method and the realization, not a NaN mean."""
+    n, k, tau = small_cfg.n_slots, small_cfg.n_vehicles, 2
+    crlb = np.full((n, k), 4.0)
+    crlb[tau, 0] = np.inf
+    trace = EpisodeTrace(vehicles=None, w_applied=np.ones((n, 1, k)),
+                         decided_at=np.arange(n), rates=np.ones(n),
+                         crlb_theta=crlb, crlb_d=np.full((n, k), np.inf))
+    assert harness._episode_summary(trace, tau) == (1.0, 4.0, np.inf, k)
+    crlb[tau, 1] = np.nan
+    assert np.isnan(harness._episode_summary(trace, tau)[1])
+    real_fisher = harness.fisher_information
+
+    def fisher(vehicles, w, config, a=None):
+        info = real_fisher(vehicles, w, config, a)
+        info.crlb_d[..., -1, 0] = np.nan
+        return info
+
+    monkeypatch.setattr(harness, "fisher_information", fisher)
+    with pytest.raises(ValueError,
+                       match="^random: realization 0 measured a NaN"):
+        monte_carlo_eval(small_cfg, ["random"], 70)
+
+
+def _recording_summaries(monkeypatch):
+    """The list that receives every episode trace that monte_carlo_eval
+    summarizes, in realization order."""
+    real_summary = harness._episode_summary
+    traces = []
+
+    def summary(trace, tau):
+        traces.append(trace)
+        return real_summary(trace, tau)
+
+    monkeypatch.setattr(harness, "_episode_summary", summary)
+    return traces
+
+
+@pytest.mark.parametrize("theta_mode", ["relative", "crlb"])
+@pytest.mark.parametrize("project", [False, True])
+def test_one_realization_eval_is_run_episode(small_cfg, theta_mode, project):
+    """monte_carlo_eval of one realization reports, bit for bit, the
+    summary of run_episode on the realization's child seed, for every
+    method."""
+    cfg = _noisy(small_cfg).replace(theta_mode=theta_mode)
+    models = {m: _overshooting(net, cfg) if project else net
+              for m, net in _models(cfg).items()}
+    for method in harness.METHODS:
+        for seed in range(3):
+            row = monte_carlo_eval(cfg, [method], 1, models=models,
+                                   seed=seed, project=project).stats[0]
+            child = np.random.SeedSequence(seed).spawn(1)[0]
+            trace = run_episode(cfg, method, np.random.default_rng(child),
+                                model=models.get(method), project=project)
+            rate, crlb_theta, crlb_d, power = harness._episode_summary(
+                trace, cfg.history_len)
+            assert row == MethodStats(
+                method=method, power=cfg.power_budget, rate_mean=rate,
+                rate_ci=0.0, crlb_theta_mean=crlb_theta,
+                crlb_d_mean=crlb_d, n_realizations=1,
+                w_power_mean=power), (method, seed)
+
+
+@pytest.mark.parametrize("theta_mode", ["relative", "crlb"])
+@pytest.mark.parametrize("project", [False, True])
+def test_lockstep_blocks_match_run_episode(small_cfg, monkeypatch,
+                                           theta_mode, project):
+    """70 realizations run as a 64-realization block and a 6-realization
+    block.  Each realization's trajectory equals its run_episode's on its
+    child seed, the same for every method; genie and random traces equal
+    it bit for bit, and hcl and naive_dl rates and CRLBs to rtol 1e-9 (the
+    networks' GEMMs take other shapes).  Distance estimates go negative,
+    so naive_dl decides in only some episodes of a slot."""
+    cfg = _noisy(small_cfg).replace(theta_mode=theta_mode)
+    models = {m: _overshooting(net, cfg) if project else net
+              for m, net in _models(cfg).items()}
+    n_real = 70
+    assert n_real > harness._BLOCK_EPISODES
+    traces = _recording_summaries(monkeypatch)
+    seen = _record_observations(monkeypatch)
+    trajectories = None
+    for method in harness.METHODS:
+        # fresh children: an episode spawns from its child, advancing it
+        children = np.random.SeedSequence(5).spawn(n_real)
+        traces.clear()
+        monte_carlo_eval(cfg, [method], n_real, models=models, seed=5,
+                         project=project)
+        assert len(traces) == n_real
+        if trajectories is None:
+            trajectories = [t.vehicles for t in traces]
+        for r, (trace, child) in enumerate(zip(traces, children)):
+            assert vars(trace.vehicles).keys() == vars(trajectories[r]).keys()
+            for f, g in zip(vars(trace.vehicles).values(),
+                            vars(trajectories[r]).values()):
+                assert np.array_equal(f, g)
+            alone = run_episode(cfg, method, np.random.default_rng(child),
+                                model=models.get(method), project=project)
+            assert trace.states == alone.states
+            if method in ("genie", "random"):
+                for name in ("w_applied", "rates", "crlb_theta", "crlb_d"):
+                    assert getattr(trace, name).tobytes() \
+                        == getattr(alone, name).tobytes(), (method, r, name)
+                continue
+            np.testing.assert_allclose(trace.rates, alone.rates, rtol=1e-9)
+            np.testing.assert_allclose(trace.crlb_theta, alone.crlb_theta,
+                                       rtol=1e-9)
+            np.testing.assert_allclose(trace.crlb_d, alone.crlb_d,
+                                       rtol=1e-9)
+            np.testing.assert_allclose(trace.w_applied, alone.w_applied,
+                                       rtol=1e-9, atol=1e-12)
+    # among the block's slot observations, some episodes were complete and
+    # some not, so naive_dl decided for only a subset
+    complete = [ob.usable.all(axis=-1) for ob in seen if ob.usable.ndim == 2]
+    assert any(c.any() and not c.all() for c in complete)
+
+
+class _BlockBeams:
+    """A stand-in HCL model for blocks of episodes: its stream records the
+    [R, K, M] rows pushed into it and returns the same beams for every
+    episode, except that episode `episode`'s row toward vehicle 1 is zero
+    for the slots from zero_from on."""
+
+    def __init__(self, config, episode=None, zero_from=None):
+        self.w = random_beamformer(config, np.random.default_rng(11))
+        self.tau = config.history_len
+        self.episode, self.zero_from = episode, zero_from
+        self.rows = []
+
+    def stream(self, lead=()):
+        assert len(lead) == 1
+        slot = self.tau   # the slot the next decision is for
+
+        def push(rows):
+            nonlocal slot
+            self.rows.append(rows.copy())
+            if len(self.rows) < self.tau:
+                return None
+            w = np.repeat(self.w[None], lead[0], axis=0)
+            if self.zero_from is not None and slot >= self.zero_from:
+                w[self.episode, 1] = 0.0
+            slot += 1
+            return w
+
+        return SimpleNamespace(push=push)
+
+
+def test_unusable_vehicle_carries_its_own_row(small_cfg):
+    """In a block of 4 episodes, vehicle 1 of episode 2 gets no beam energy
+    from slot 6 on: its row is then held at its slot-5 estimate, while every
+    other row of every episode equals that of a block whose beams all aim
+    at every vehicle."""
+    zero_from, episode, n_real = 6, 2, 4
+    aimed, zeroed = (_BlockBeams(small_cfg),
+                     _BlockBeams(small_cfg, episode, zero_from))
+    for model in (aimed, zeroed):
+        monte_carlo_eval(small_cfg, ["hcl"], n_real, models={"hcl": model},
+                         seed=4)
+    # row s of a stream holds slot s's estimates, pushed after slot s
+    a, z = np.stack(aimed.rows), np.stack(zeroed.rows)
+    assert a.shape == (small_cfg.n_slots - 1, n_real, small_cfg.n_vehicles,
+                       small_cfg.n_tx)
+    held = z[zero_from - 1, episode, 1]
+    assert np.any(held != 0) and np.array_equal(held, a[zero_from - 1,
+                                                        episode, 1])
+    for s in range(zero_from, len(z)):
+        assert np.array_equal(z[s, episode, 1], held), s
+        assert not np.array_equal(a[s, episode, 1], held), s
+    other = np.ones(z.shape[1:3], dtype=bool)
+    other[episode, 1] = False
+    assert np.array_equal(z[:, other], a[:, other])
 
 
 def test_common_random_numbers_across_methods(small_cfg):
@@ -371,11 +564,11 @@ def test_monte_carlo_eval_ordering(small_cfg):
 
 def test_monte_carlo_eval_checks_inputs_first(small_cfg, monkeypatch):
     """An unknown method, a missing model or a realization count < 1 is
-    refused before any episode runs."""
+    refused before any episode runs (every episode draws its motion)."""
     def no_episode(*args, **kwargs):
         raise AssertionError("an episode ran")
 
-    monkeypatch.setattr(harness, "run_episode", no_episode)
+    monkeypatch.setattr(harness, "step_motion", no_episode)
     for methods, n in ((["random", "bogus"], 2), (["random", "hcl"], 2),
                        (["random"], 0), (["random"], -3)):
         with pytest.raises(ValueError):
@@ -401,8 +594,8 @@ def _noisy(cfg):
 
 def _record_observations(monkeypatch, seam="observe"):
     """The list that receives every observation made through the harness's
-    seam: one slot's under the beam (observe), or a dataset episode's
-    (generate_observation)."""
+    seam: one slot's under the beam (observe), of one episode or of a
+    block's, or a dataset episode's (generate_observation)."""
     real_observe = getattr(harness, seam)
     seen = []
 
@@ -416,10 +609,9 @@ def _record_observations(monkeypatch, seam="observe"):
 
 @pytest.mark.parametrize("theta_mode", ["relative", "crlb"])
 def test_slot_estimates_match_block_estimates(small_cfg, theta_mode):
-    """The slot loop's estimated channels, one _write_estimates per slot
-    into a 2-row buffer (given the direct steering of the angle estimates
-    in relative mode), equal the rows that _write_estimates writes for the
-    whole episode at once, bit for bit, on a config whose distance
+    """The estimated channels of one _write_estimates per slot into a 2-row
+    buffer equal the rows that _write_estimates writes for the whole
+    episode at once, bit for bit, on a config whose distance
     estimates often go negative and with a zero beam row, so that many rows
     are carried forward.  So do the rows of each episode of an
     [n_ep, n, K] block, observed and written in one call each."""
@@ -441,13 +633,10 @@ def test_slot_estimates_match_block_estimates(small_cfg, theta_mode):
     vehicles, w, z = episode(8)
     obs = harness.generate_observation(vehicles, w, cfg, z)
     est = estimates(obs)
-    a_hat = steering_direct(obs.theta_hat, m) if theta_mode == "relative" \
-        else None
     slots = np.zeros_like(est)
     for s in range(n):
         one = type(obs)(*(f[s] for f in obs))
-        harness._write_estimates(slots[s:s + 2], one, cfg,
-                                 None if a_hat is None else a_hat[s])
+        harness._write_estimates(slots[s:s + 2], one, cfg)
         assert np.array_equal(slots[s + 1], est[s + 1]), s
     assert 0 < (~obs.usable).sum() < obs.usable.size
     seeds = (9, 8, 10)
@@ -545,10 +734,10 @@ def test_method_stats_sqrt_properties():
 
 
 class _FixedBeams:
-    """A stand-in HCL model: its episode stream records each [tau, K, M]
-    window of the rows pushed into it and returns the same beams whatever
-    the window, with the row toward vehicle 1 zero for the slots from
-    zero_from on."""
+    """A stand-in HCL model for one episode: its stream records each
+    [tau, K, M] window of the rows pushed into it and returns the same
+    beams whatever the window, with the row toward vehicle 1 zero for the
+    slots from zero_from on."""
 
     def __init__(self, config, zero_from=None):
         self.w = random_beamformer(config, np.random.default_rng(11))
@@ -557,7 +746,8 @@ class _FixedBeams:
         self.zero_from = zero_from
         self.histories = []
 
-    def stream(self):
+    def stream(self, lead=()):
+        assert lead == ()
         rows = []
 
         def push(row):

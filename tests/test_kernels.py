@@ -110,8 +110,7 @@ def test_conv_fwd_is_batch_innermost(backend, rng):
 
 def test_pool_is_layout_independent(backend, rng):
     """Values, int64 indices and routed gradients do not depend on the
-    memory layout of the input or of the incoming gradient, and the maxima
-    alone (the inference pool) are the reference values.  Small integers
+    memory layout of the input or of the incoming gradient.  Small integers
     make ties common."""
     x = rng.integers(-2, 3, size=(5, 4, 8, 4)).astype(float)
     ref, ref_idx = loop_maxpool2x2(x)
@@ -121,7 +120,6 @@ def test_pool_is_layout_independent(backend, rng):
         p, idx = backend.maxpool2x2_fwd(xl)
         assert idx.dtype == np.int64, name
         assert np.array_equal(p, ref) and np.array_equal(idx, ref_idx), name
-        assert np.array_equal(backend.maxpool2x2(xl), ref), name
         for gname, gl in _layouts(g).items():
             gr = backend.maxpool2x2_bwd(idx, gl, xl.shape)
             assert np.array_equal(gr, ref_gr), (name, gname)

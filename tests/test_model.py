@@ -129,7 +129,7 @@ def test_forward_shapes_and_kappa(cfg, rng):
 
 
 def test_forward_composes_single_slice_blocks(cfg, rng):
-    """The batched forward equals cnn_forward per slice (kappa applied
+    """The batched forward equals features() per slice (kappa applied
     there) + an LSTM step + FC."""
     net = HCLNet(cfg, kappa=1.7)
     net.init_params(rng)
@@ -139,7 +139,7 @@ def test_forward_composes_single_slice_blocks(cfg, rng):
     c = np.zeros(net.hidden)
     for t in range(cfg.history_len):
         feats = np.concatenate([
-            net.cnn_forward(x[0, t, k])
+            net.features(x[0, t, k])
             for k in range(cfg.n_vehicles)])
         assert feats.shape == (net.feat,)
         h, c = _lstm_step(net, feats, h, c)
@@ -150,10 +150,11 @@ def test_forward_composes_single_slice_blocks(cfg, rng):
 
 def test_pool_then_relu_matches_relu_then_pool(cfg, rng, monkeypatch):
     """HCLNet.forward pools the raw conv output and rectifies the maxima.
-    A reference that rectifies first, as cnn_forward does, pools with plain
+    A reference that rectifies first, pools with plain
     loops and routes the gradient through ReLU'(z) after the pool gives the
     same output bit for bit and the same gradient to 1e-14, on a batch with
-    all-negative windows, windows of exact zeros and ties."""
+    all-negative windows, windows of exact zeros and ties.  So does the
+    inference forward, whose pool takes the window maxima alone."""
     net = HCLNet(cfg)
     net.init_params(rng)
     # filter 0 is negative everywhere; on the zeroed vehicle, filter 1 is
@@ -164,6 +165,7 @@ def test_pool_then_relu_matches_relu_then_pool(cfg, rng, monkeypatch):
     g = rng.normal(size=(3, cfg.n_vehicles, cfg.n_tx, 2))
     o, cache = net.forward(x, want_cache=True)
     grad = net.backward(g, cache)
+    assert net.forward(x).tobytes() == o.tobytes()
 
     seen = {}
 
@@ -199,7 +201,7 @@ def test_single_slice_validation(cfg, rng):
     net = HCLNet(cfg)
     net.init_params(rng)
     with pytest.raises(ValueError):
-        net.cnn_forward(np.zeros((cfg.n_tx, 3)))
+        net.features(np.zeros((cfg.n_tx, 3)))
 
 
 def test_hclnet_backward_matches_fd(small_cfg, rng):
@@ -291,6 +293,37 @@ def test_stream_windows_in_flight(cfg, rng, tau):
         want = _forward_beams(net, window)
         assert np.array_equal(w, want), s
         assert np.array_equal(net.predict(window), want), s
+
+
+@pytest.mark.parametrize("n_real", [1, 3, 64])
+def test_lockstep_stream_matches_forward(cfg, rng, n_real):
+    """A stream of R episodes in lockstep, pushed [R, K, M] rows, returns
+    at every slot from the tau-th on exactly the [R, K, N_t] beams of the
+    batched forward() on the R episodes' windows, bit for bit.  The rows
+    open with zero pre-history rows and hold carried rows, in one episode
+    only; rows of another shape are refused."""
+    net = HCLNet(cfg, kappa=1.3)
+    net.init_params(rng)
+    net.view("conv_b")[:] = [0.2, -0.1, 0.05, 0.3]
+    tau, k, m = cfg.history_len, cfg.n_vehicles, cfg.n_tx
+    n = tau + 6
+    rows = rng.normal(size=(n, n_real, k, m)) \
+        + 1j * rng.normal(size=(n, n_real, k, m))
+    rows[:tau - 2] = 0.0
+    rows[tau + 1:, n_real // 2, 1] = rows[tau, n_real // 2, 1]
+    stream = net.stream((n_real,))
+    with np.errstate(over="ignore"):
+        for s, row in enumerate(rows):
+            w = stream.push(row)
+            if s < tau - 1:
+                assert w is None
+                continue
+            window = rows[s - tau + 1:s + 1].swapaxes(0, 1)
+            x = np.stack((window.real, window.imag), axis=-1)
+            assert np.array_equal(w, output_to_matrix(net.forward(x))), s
+    for bad in (rows[0, 0], rows[0, :, :-1], rows[:2, 0]):
+        with pytest.raises(ValueError):
+            net.stream((n_real,)).push(bad)
 
 
 def test_predict_sees_weights_changed_in_place(cfg, rng):

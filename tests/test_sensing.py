@@ -282,7 +282,9 @@ def test_slot_observations_over_episode_terms_match_block(cfg):
             assert not block.usable[3, 1]
             terms = observation_terms(v, config, z)
             for s in range(n):
-                one = observe(terms.at(s), W[s], a[s], config)
+                one = observe(type(terms)(*(None if f is None else f[s]
+                                            for f in terms)),
+                              W[s], a[s], config)
                 for field in block._fields:
                     assert np.array_equal(getattr(block, field)[s],
                                           getattr(one, field)), (mode, s)
