@@ -5,11 +5,13 @@ previous slot, receives noisy observations, refreshes the estimated-channel
 history, and decides the next slot's beams.  The first history_len slots warm
 up with random beams so predictive methods always see a full window.  Motion,
 random beams and the standard-normal observation noise never depend on an
-observation, so each episode draws them as [n_slots, K] blocks; only the
-causal methods step through the slots.  One pass after the last slot
-measures every slot's sum-rate and CRLBs.  A Monte-Carlo evaluation runs
-its realizations in lockstep blocks: one causal step per slot over [R, K]
-arrays and one measurement pass per block; an episode is a block of one.
+observation, so each episode draws them as [n_slots, K] blocks, and a block
+of episodes is one scenario (_scenario), drawn once and shared by a dataset
+or by every method of an evaluation; only the causal methods step through
+the slots.  One pass after the last slot measures every slot's sum-rate and
+CRLBs.  A Monte-Carlo evaluation runs its realizations in lockstep blocks:
+one causal step per slot over [R, K] arrays and one measurement pass per
+block and method; an episode is a block of one.
 """
 from __future__ import annotations
 
@@ -18,10 +20,12 @@ import math
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
-from .baselines import (aimed_beams, genie_beamformer, genie_rate,
+# random_beamformer is not called here: isacbench's trace points look it up
+from .baselines import (aimed_beams, genie_beamformer, genie_rate,  # noqa: F401
                         naive_dl_beamformer, random_angles, random_beamformer)
 from .channel import effective_channel, steering, steering_direct, sum_rate
 from .config import SimConfig
@@ -72,22 +76,53 @@ def check_eval_args(methods, n_realizations: int, models: dict) -> None:
         raise ValueError("n_realizations must be >= 1")
 
 
-def _exogenous(config: SimConfig, rng: np.random.Generator):
-    """The draws of one episode that no decision depends on: the [n_slots, K]
-    trajectory, and the observation and random-beam streams."""
-    rng_motion, rng_obs, rng_beam = rng.spawn(3)
-    vehicles = step_motion(init_vehicles(config, rng_motion), config,
-                           rng_motion, config.n_slots - 1)
-    return vehicles, rng_obs, rng_beam
+class _Scenario(NamedTuple):
+    """The draws of a block of R episodes that no decision depends on."""
+    vehicles: VehicleState     # [R, n_slots, K] trajectories
+    a: np.ndarray              # [R, n_slots, K, N_t] steering of the angles
+    angles: np.ndarray | None  # [R, n_slots, K] random-beam angles
+    z: np.ndarray | None       # [R, n_slots - 1, K, 2] observation noise
+
+
+def _scenario(config: SimConfig, rngs: list, methods=METHODS) -> _Scenario:
+    """One episode per generator of rngs, as one block: each spawns its
+    motion, observation and beam streams, in that order, and draws its
+    trajectory, its random-beam angles and its observation noise from them
+    as blocks over its slots, the per-slot draws in slot order.  One
+    steering evaluation of the block's true angles follows.  The angles are
+    drawn only when a method of methods other than genie runs, and the
+    noise only when hcl or naive_dl does: every method, the default, is the
+    draw of a dataset.  No noise is drawn for the last slot, which is not
+    observed.  A block of one holds views of its episode's arrays."""
+    n, k = config.n_slots, config.n_vehicles
+    streams = [rng.spawn(3) for rng in rngs]
+
+    def block(arrays):
+        return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+    vehicles = VehicleState(*map(block, zip(*(vars(step_motion(
+        init_vehicles(config, g), config, g, n - 1)).values()
+        for g, _, _ in streams))))
+    angles = z = None
+    if any(method != "genie" for method in methods):
+        angles = block([random_angles(config, g, n) for *_, g in streams])
+    if "hcl" in methods or "naive_dl" in methods:
+        z = block([observation_noise(g, (n - 1, k)) for _, g, _ in streams])
+    return _Scenario(vehicles, steering(vehicles.theta, config.n_tx), angles,
+                     z)
+
+
+def _observed(vehicles: VehicleState) -> VehicleState:
+    """The [R, n_slots - 1, K] states of the slots that are observed: every
+    one but the last."""
+    return VehicleState(*(f[:, :-1] for f in vars(vehicles).values()))
 
 
 def _write_estimates(est: np.ndarray, obs, config: SimConfig) -> None:
-    """Write the estimated channels of the slots of obs into est[..., 1:, :,
-    :], one [K, M] row per slot, est[..., 0, :, :] holding the row before
-    the first.  est is [n + 1, K, M] for obs of one slot's [K] arrays
-    (n = 1) or of n slots' [n, K] arrays, and [n_ep, n + 1, K, M] for the
-    [n_ep, n, K] arrays of n_ep episodes.  A vehicle without a usable
-    estimate carries its previous row forward.
+    """Write the estimated channels of the [n_ep, n, K] observations obs of
+    n_ep episodes into est[:, 1:] of the [n_ep, n + 1, K, M] est, one
+    [K, M] row per slot, est[:, 0] holding the row before the first.  A
+    vehicle without a usable estimate carries its previous row forward.
 
     An estimated channel takes steering_direct, the bits of the defining
     formula, not steering's recurrence: a distance estimate near 0 makes its
@@ -95,23 +130,20 @@ def _write_estimates(est: np.ndarray, obs, config: SimConfig) -> None:
     compares the rows with its own direct exponential to 1e-12 of the
     largest true channel, which the recurrence's 3*N*eps relative error
     misses on such a row (about 1 dataset of 600 examples in 300)."""
-    k = est.shape[-2]
-    usable = obs.usable.reshape(est.shape[:-3] + (-1, k))
-    rows = est[..., 1:, :, :]
+    usable, rows = obs.usable, est[:, 1:]
     if usable.all():
         rows[:] = effective_channel(obs.theta_hat, obs.d_hat, config,
                                     steering_direct(obs.theta_hat, config.n_tx))
         return
-    theta_hat, d_hat = (f.reshape(usable.shape)[usable]
-                        for f in (obs.theta_hat, obs.d_hat))
+    theta_hat, d_hat = obs.theta_hat[usable], obs.d_hat[usable]
     rows[usable] = effective_channel(theta_hat, d_hat, config,
                                      steering_direct(theta_hat, config.n_tx))
     # each row's latest usable row of the vehicle, 0 for the row before
     latest = np.maximum.accumulate(
-        usable * np.arange(1, usable.shape[-2] + 1)[:, None], axis=-2)
+        usable * np.arange(1, usable.shape[1] + 1)[:, None], axis=1)
     # plain fancy indexing: np.take_along_axis costs 3x more on one slot
-    episodes = (np.arange(len(est))[:, None, None],) if est.ndim == 4 else ()
-    rows[:] = est[(*episodes, latest, np.arange(k))]
+    rows[:] = est[np.arange(len(est))[:, None, None], latest,
+                  np.arange(usable.shape[2])]
 
 
 def project_power(w: np.ndarray, budget: float) -> np.ndarray:
@@ -127,52 +159,45 @@ def project_power(w: np.ndarray, budget: float) -> np.ndarray:
     return w
 
 
-def _decide(config: SimConfig, method: str, model, vehicles: VehicleState,
-            angles: np.ndarray, a: np.ndarray, rngs_obs: list,
+def _decide(config: SimConfig, method: str, model, scenario: _Scenario,
             project: bool, first: int | None) -> np.ndarray:
-    """The beams that hcl or naive_dl apply in one episode or in a block of
-    R, decided by one causal slot step over all of them in lockstep:
-    observe slot n of each under its beams, then decide its beams of slot
-    n + 1, projected onto the power budget per episode when project is set.
-    vehicles are the [n_slots, K] arrays of one episode or the
-    [R, n_slots, K] arrays of R, angles their random-beam angles of the
-    same shape, a their steering and rngs_obs their observation streams;
-    the beams take the vehicles' shape plus [N_t].  A slot whose method has
-    no input yet, or an incomplete one, applies the random beams aimed at
-    its angles, computed for those slots only.
+    """The [R, n_slots, K, N_t] beams that hcl or naive_dl apply in the R
+    episodes of scenario, decided by one causal slot step over all of them
+    in lockstep: observe slot n of each under its beams, then decide its
+    beams of slot n + 1, projected onto the power budget per episode when
+    project is set.  A slot whose method has no input yet, or an incomplete
+    one, applies the random beams aimed at its angles, computed for those
+    slots only.
 
-    What the observations need that no beam changes (each episode's noise
-    block, in the stream of its per-slot draws, and observation_terms) is
-    computed before the loop, and so in config.theta_mode "relative" is the
-    steering of the angle estimates; a slot computes only what depends on
-    its beams, on [K] or [R, K] arrays.  An hcl vehicle without a usable
-    estimate keeps its episode's previous row.  Decided beams whose power
-    is not finite are a ValueError naming the method, the slot and, when
-    first is given, the realization (first plus the episode's index),
-    raised before they are observed.  Overflow, division by zero and
-    invalid values raise no warning within the step: the rows of unusable
-    estimates are discarded, and the power check catches what a net
-    overflows to."""
-    *lead, n_slots, k = np.shape(vehicles.theta)
-    lead, m = tuple(lead), config.n_tx
-    observed = VehicleState(*(f[..., :-1, :] for f in vars(vehicles).values()))
-    z = _stack([observation_noise(g, (n_slots - 1, k)) for g in rngs_obs])
-    terms = observation_terms(observed, config, z)
+    What the observations need that no beam changes (observation_terms of
+    the scenario's noise) is computed before the loop, and so in
+    config.theta_mode "relative" is the steering of the angle estimates; a
+    slot computes only what depends on its beams, on [R, K] arrays.  An hcl
+    vehicle without a usable estimate keeps its episode's previous row.
+    Decided beams whose power is not finite are a ValueError naming the
+    method, the slot and, when first is given, the realization (first plus
+    the episode's index), raised before they are observed.  Overflow,
+    division by zero and invalid values raise no warning within the step:
+    the rows of unusable estimates are discarded, and the power check
+    catches what a net overflows to."""
+    r, _, k = scenario.vehicles.theta.shape
+    m = config.n_tx
+    terms = observation_terms(_observed(scenario.vehicles), config, scenario.z)
 
     def by_slot(f):
         """A view of f, slot first: f_at[n] is slot n of every episode."""
-        return repeat(None) if f is None else f.swapaxes(0, len(lead))
+        return repeat(None) if f is None else f.swapaxes(0, 1)
 
-    w = np.empty(np.shape(angles) + (m,), dtype=complex)
-    w_at, a_at, angles_at = by_slot(w), by_slot(a), by_slot(angles)
+    w = np.empty(scenario.angles.shape + (m,), dtype=complex)
+    w_at, a_at, angles_at = map(by_slot, (w, scenario.a, scenario.angles))
     # the slots no decision reaches: slot 0, and hcl's until its window is
     # full (its stream decides from the tau-th pushed slot on)
     warm = config.history_len if method == "hcl" else 1
     w_at[:warm] = aimed_beams(angles_at[:warm], config)
     if method == "hcl":
-        stream = model.stream(lead)
+        stream = model.stream((r,))
         # each episode's latest estimated channels, zeros before slot 0
-        est = np.zeros(lead + (k, m), dtype=complex)
+        est = np.zeros((r, k, m), dtype=complex)
         if terms.theta_hat is not None:
             a_hat = by_slot(steering_direct(terms.theta_hat, m))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -195,84 +220,61 @@ def _decide(config: SimConfig, method: str, model, vehicles: VehicleState,
             else:
                 # the episodes whose every vehicle is usable decide, and
                 # the others apply their random beams
-                complete = obs.usable.reshape(-1, k).all(axis=-1)
+                complete = obs.usable.all(axis=-1)
                 rest = np.flatnonzero(~complete)
-                w_at[n + 1].reshape(-1, k, m)[rest] = aimed_beams(
-                    angles_at[n + 1].reshape(-1, k)[rest], config)
+                w_at[n + 1, rest] = aimed_beams(angles_at[n + 1, rest], config)
                 if not complete.any():
                     continue
-                deciding = np.flatnonzero(complete)   # only in a block
+                deciding = np.flatnonzero(complete)
                 beams = naive_dl_beamformer(obs.theta_hat[deciding],
                                             obs.d_hat[deciding], model, config)
             # one inner product over all the decided beams: finite exactly
             # when every episode's power is, short of a sum of finite
             # powers near 1e308
             if not math.isfinite(np.vdot(beams, beams).real):
-                _refuse(method, beams, n + 1, first, deciding, lead)
+                _refuse(method, beams, n + 1, first, deciding, r)
             w_at[n + 1, deciding] = project_power(beams, config.power_budget) \
                 if project else beams
     return w
 
 
 def _refuse(method: str, beams: np.ndarray, slot: int, first: int | None,
-            deciding, lead: tuple) -> None:
-    """Raise the ValueError for the beams decided for slot, [K, N_t] of one
-    episode or [R', K, N_t] of the episodes deciding of a block of lead
-    (R,), if the power of any is not finite.  It names the method, the slot
-    and, when first is given, the realization first + r of the first such
-    episode r."""
-    flat = beams.reshape(-1, beams.shape[-2] * beams.shape[-1])
+            deciding, r: int) -> None:
+    """Raise the ValueError for the [R', K, N_t] beams decided for slot by
+    the episodes deciding of a block of r, if the power of any is not
+    finite.  It names the method, the slot and, when first is given, the
+    realization first + e of the first such episode e."""
+    flat = beams.reshape(len(beams), -1)
     finite = np.isfinite(np.vecdot(flat, flat).real)
     if finite.all():
         return
-    r = int(finite.argmin())
-    what = "are not finite" if not np.isfinite(flat[r]).all() \
+    e = int(finite.argmin())
+    what = "are not finite" if not np.isfinite(flat[e]).all() \
         else "have a power that overflows"
     if first is not None:
-        r = first + int(np.arange(math.prod(lead))[deciding][r])
-        what = f"of realization {r} {what}"
+        what = f"of realization {first + int(np.arange(r)[deciding][e])} " \
+            f"{what}"
     raise ValueError(f"{method}: the beams applied in slot {slot} {what}")
 
 
-def _stack(arrays) -> np.ndarray:
-    """np.stack(arrays), or the one array of a block of one as it is."""
-    return arrays[0] if len(arrays) == 1 else np.stack(arrays)
-
-
-def _run_block(config: SimConfig, method: str, rngs: list, model,
-               project: bool, first: int | None = None) -> list:
-    """One episode per generator of rngs, all in lockstep: their
-    EpisodeTraces.  A block of one runs on the episode's own [n_slots, K]
-    arrays, a larger one on [R, n_slots, K] arrays.  first is the eval's
-    index of the first realization, for errors."""
-    n = config.n_slots
-    draws = [_exogenous(config, rng) for rng in rngs]
-    one = len(draws) == 1
-    vehicles = draws[0][0] if one else VehicleState(*map(np.stack, zip(
-        *(vars(d[0]).values() for d in draws))))
-    a = steering(vehicles.theta, config.n_tx)
+def _run_block(config: SimConfig, method: str, scenario: _Scenario, model,
+               project: bool, first: int | None = None):
+    """The [R, n_slots, K, N_t] beams, [R, n_slots] sum-rates and
+    [R, n_slots, K] FisherInfo of one method over the R episodes of
+    scenario, in lockstep.  first is the eval's index of the first
+    realization, for errors."""
+    vehicles, a = scenario.vehicles, scenario.a
     if method == "genie":
-        w, decided_at = genie_beamformer(vehicles, config, a), np.arange(n)
+        w = genie_beamformer(vehicles, config, a)
         rates = genie_rate(vehicles, config)
     else:
-        decided_at = np.arange(-1, n - 1)
         if method == "random":
-            w = _stack([random_beamformer(config, d[2], n) for d in draws])
+            w = aimed_beams(scenario.angles, config)
         else:
-            w = _decide(config, method, model, vehicles,
-                        _stack([random_angles(config, d[2], n)
-                                for d in draws]),
-                        a, [d[1] for d in draws], project, first)
+            w = _decide(config, method, model, scenario, project, first)
         h = effective_channel(vehicles.theta, vehicles.dist, config, a)
         rates = sum_rate(h, w, config.noise_vehicle)
-    info = fisher_information(vehicles, w, config, a)
-    per_episode = (vehicles, w.swapaxes(-1, -2), rates, info.crlb_theta,
-                   info.crlb_d)
-    per_episode = [per_episode] if one \
-        else zip(vehicles.records(), *per_episode[1:])
-    return [EpisodeTrace(vehicles=v, w_applied=wa, decided_at=decided_at,
-                         rates=r, crlb_theta=ct, crlb_d=cd)
-            for v, wa, r, ct, cd in per_episode]
+    return w, rates, fisher_information(vehicles, w, config, a)
 
 
 def run_episode(config: SimConfig, method: str, rng: np.random.Generator,
@@ -293,7 +295,14 @@ def run_episode(config: SimConfig, method: str, rng: np.random.Generator,
     lockstep block.
     """
     _check_method(method, model)
-    return _run_block(config, method, [rng], model, project)[0]
+    scenario = _scenario(config, [rng], (method,))
+    w, rates, info = _run_block(config, method, scenario, model, project)
+    n = config.n_slots
+    return EpisodeTrace(
+        vehicles=VehicleState(*(f[0] for f in vars(scenario.vehicles).values())),
+        w_applied=w[0].swapaxes(-1, -2),
+        decided_at=np.arange(n) if method == "genie" else np.arange(-1, n - 1),
+        rates=rates[0], crlb_theta=info.crlb_theta[0], crlb_d=info.crlb_d[0])
 
 
 # ---- datasets --------------------------------------------------------------
@@ -371,12 +380,12 @@ def generate_dataset(config: SimConfig, n_examples: int,
     Episodes run in blocks of at most _BLOCK_EPISODES, and of no more than
     the examples still wanted could need (an episode yields at most
     n_slots - tau), so rng spawns one child per episode exactly as one
-    episode at a time would.  Each episode draws its trajectory, random
-    beams and noise block from its own child; the block then takes one
-    steering evaluation of the true angles, one observation call and one
-    estimate array over its [n_ep, n_slots, K] arrays, and no rates or
-    CRLBs, which no example holds.  No example's window holds the last
-    slot, so no beam or noise is drawn for it and it is not observed.
+    episode at a time would.  Each block is one _scenario, the draw that
+    monte_carlo_eval shares among its methods, observed under its random
+    beams in one observation call into one estimate array; no rates or
+    CRLBs are measured, which no example holds.  No example's window holds
+    the last slot, so it is not observed and its random beams are not
+    computed.
     """
     if n_examples < 1:
         raise ValueError("n_examples must be >= 1")
@@ -391,17 +400,10 @@ def generate_dataset(config: SimConfig, n_examples: int,
     i = 0
     while i < n_examples:
         n_ep = min(_BLOCK_EPISODES, -(-(n_examples - i) // (n - tau)))
-        trajectories, w, z = [], [], []
-        for child in rng.spawn(n_ep):
-            vehicles, rng_obs, rng_beam = _exogenous(config, child)
-            trajectories.append(vehicles)
-            w.append(random_beamformer(config, rng_beam, n - 1))
-            z.append(observation_noise(rng_obs, (n - 1, k)))
-        vehicles = VehicleState.stack(trajectories)
-        a = steering(vehicles.theta, m)
-        obs = generate_observation(
-            VehicleState(*(f[:, :-1] for f in vars(vehicles).values())),
-            np.stack(w), config, np.stack(z), a=a[:, :-1])
+        vehicles, a, angles, z = _scenario(config, rng.spawn(n_ep))
+        obs = generate_observation(_observed(vehicles),
+                                   aimed_beams(angles[:, :-1], config),
+                                   config, z, a=a[:, :-1])
         # row tau + s of an episode holds slot s's estimated channels, zeros
         # before slot 0, so rows s .. s + tau - 1 are slot s's window
         est = np.zeros((n_ep, n - 1 + tau, k, m), dtype=complex)
@@ -484,16 +486,24 @@ class EvalReport:
     config: SimConfig
 
 
-def _episode_summary(trace: EpisodeTrace, tau: int):
-    """The mean rate, CRLBs and beam power of an episode's slots from tau
-    on.  The mean CRLBs leave out the infinite ones of unobservable
-    vehicles (inf when all are), and nothing else."""
-    ct, cd = trace.crlb_theta[tau:], trace.crlb_d[tau:]
-    ct, cd = ct[ct != np.inf], cd[cd != np.inf]
-    return (float(trace.rates[tau:].mean()),
-            float(ct.mean()) if ct.size else np.inf,
-            float(cd.mean()) if cd.size else np.inf,
-            float((np.abs(trace.w_applied[tau:]) ** 2).sum(axis=(1, 2)).mean()))
+def _summaries(w: np.ndarray, rates: np.ndarray, info, tau: int):
+    """[4, R]: the mean rate, CRLBs and beam power of the slots from tau on
+    of each of the R episodes of _run_block's arrays, each the bits of a
+    1-D mean over the episode's values.  The mean CRLBs leave out the
+    infinite ones of unobservable vehicles (inf when all are), and nothing
+    else."""
+    crlbs = [c[:, tau:].reshape(len(c), -1)
+             for c in (info.crlb_theta, info.crlb_d)]
+    power = (np.abs(w[:, tau:]) ** 2).sum(axis=(-2, -1))
+    # sum over count: the bits of mean(axis=1), at about half its cost on a
+    # block of one
+    per = np.array([f.sum(axis=1) / f.shape[1]
+                    for f in (rates[:, tau:], *crlbs, power)])
+    # an episode with an infinite CRLB, or a NaN: the mean of the rest
+    for i, e in zip(*np.nonzero(~np.isfinite(per[1:3]))):
+        kept = crlbs[i][e][crlbs[i][e] != np.inf]
+        per[1 + i, e] = kept.mean() if kept.size else np.inf
+    return per
 
 
 def monte_carlo_eval(config: SimConfig, methods: list[str],
@@ -501,41 +511,42 @@ def monte_carlo_eval(config: SimConfig, methods: list[str],
                      seed: int = 0, project: bool = False) -> EvalReport:
     """Independent episodes per realization; per-method means and 95% CIs.
 
-    The same realization seeds drive every method, so motion trajectories are
-    common random numbers across methods.  Each method gets fresh children:
-    an episode spawns from its generator, which advances the sequence.
-    The realizations run in lockstep blocks of up to _BLOCK_EPISODES, each
-    with its own child and streams, so realization r has the trajectory,
-    noise and random beams of run_episode on child r; one realization's
-    summary has the bits of run_episode's.  Across a larger block the
-    networks' GEMMs take other shapes, so hcl and naive_dl beams may move
-    in the last bits.  The arguments are checked before any episode runs,
-    and a NaN rate or CRLB is a ValueError naming the method.
+    Realization r is the episode of child r of SeedSequence(seed), the one
+    run_episode on that child runs, and every method runs on the same
+    realizations: the trajectories are common random numbers across
+    methods.  The realizations run in lockstep blocks of up to
+    _BLOCK_EPISODES; each block is drawn once, as one _scenario, and every
+    method then runs on it, so a method's row is the same whichever
+    methods run with it.  An eval of one realization has the bits of the
+    means of run_episode's trace.  Across a larger block the networks' GEMMs
+    take other shapes, so hcl and naive_dl beams may move in the last bits.
+    The arguments are checked before any episode runs, and a NaN rate or
+    CRLB is a ValueError naming the method.
     """
     models = models or {}
     check_eval_args(methods, n_realizations, models)
+    children = np.random.SeedSequence(seed).spawn(n_realizations)
+    per = [[] for _ in methods]
+    for first in range(0, n_realizations, _BLOCK_EPISODES):
+        scenario = _scenario(config, [
+            np.random.default_rng(c)
+            for c in children[first:first + _BLOCK_EPISODES]], methods)
+        for method, blocks in zip(methods, per):
+            blocks.append(_summaries(*_run_block(
+                config, method, scenario, models.get(method), project,
+                first if n_realizations > 1 else None), config.history_len))
     stats = []
-    tau = config.history_len
-    for method in methods:
-        children = np.random.SeedSequence(seed).spawn(n_realizations)
-        per = []
-        for first in range(0, n_realizations, _BLOCK_EPISODES):
-            rngs = [np.random.default_rng(c)
-                    for c in children[first:first + _BLOCK_EPISODES]]
-            per += [_episode_summary(trace, tau) for trace in _run_block(
-                config, method, rngs, models.get(method), project,
-                first if n_realizations > 1 else None)]
-        per = np.array(per)
-        # each column's mean, with the bits of per[:, j].mean(), in one call
-        means = np.ascontiguousarray(per.T).mean(axis=1).tolist()
-        # a NaN of any realization makes its column's mean NaN
+    for method, blocks in zip(methods, per):
+        per_r = np.concatenate(blocks, axis=1)
+        means = per_r.mean(axis=1).tolist()
+        # a NaN of any realization makes its row's mean NaN
         if any(map(math.isnan, means)):
-            r = int(np.isnan(per).any(axis=1).argmax())
+            r = int(np.isnan(per_r).any(axis=0).argmax())
             raise ValueError(f"{method}: realization {r} measured a NaN rate "
                              "or CRLB")
         ci = 0.0
         if n_realizations > 1:
-            ci = 1.96 * float(per[:, 0].std(ddof=1)) / np.sqrt(n_realizations)
+            ci = 1.96 * float(per_r[0].std(ddof=1)) / np.sqrt(n_realizations)
         stats.append(MethodStats(
             method=method, power=config.power_budget, rate_mean=means[0],
             rate_ci=ci, crlb_theta_mean=means[1], crlb_d_mean=means[2],

@@ -33,13 +33,6 @@ class VehicleState:
         return [VehicleState(*f) for f in zip(
             self.x, self.y, self.v, self.theta, self.dist)]
 
-    @staticmethod
-    def stack(states) -> "VehicleState":
-        """The states of one shape stacked along a new first axis: the
-        inverse of records()."""
-        return VehicleState(*map(np.stack, zip(
-            *((s.x, s.y, s.v, s.theta, s.dist) for s in states))))
-
 
 def derive_geometry(x, y):
     """Angle/range pair of vehicles at (x, y)."""

@@ -96,15 +96,13 @@ def penalty_loss_and_grad(o: np.ndarray, geom: BatchGeometry,
     pw = np.vecdot(flat, flat)
     viol_p = np.maximum(pw - config.power_budget, 0.0)
 
-    j = (-rate
-         + config.lambda_theta * viol_t ** 2
-         + config.lambda_d * viol_d ** 2
-         + config.lambda_power * float((viol_p ** 2).mean()))
+    pen_theta = config.lambda_theta * viol_t ** 2
+    pen_d = config.lambda_d * viol_d ** 2
+    pen_power = config.lambda_power * float((viol_p ** 2).mean())
+    j = -rate + pen_theta + pen_d + pen_power
     parts = {"rate": rate, "crlb_theta_mean": mean_t, "crlb_d_mean": mean_d,
-             "power_mean": float(pw.mean()),
-             "pen_theta": config.lambda_theta * viol_t ** 2,
-             "pen_d": config.lambda_d * viol_d ** 2,
-             "pen_power": config.lambda_power * float((viol_p ** 2).mean())}
+             "power_mean": float(pw.mean()), "pen_theta": pen_theta,
+             "pen_d": pen_d, "pen_power": pen_power}
     if not want_grad:
         return j, parts
 

@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from isacbf import sensing
-from isacbf.harness import METHODS, generate_dataset, run_episode
+from isacbf.harness import (METHODS, Dataset, generate_dataset,
+                            monte_carlo_eval, run_episode)
 from isacbf.nn import kernels
 from isacbf.nn.model import HCLNet, NaiveNet
 
@@ -48,9 +49,10 @@ def test_benchmark_entry_points():
     assert isinstance(kernels.get_backend(), str)
 
 
-def test_benchmark_checks_accept_outputs(small_cfg):
-    """The benchmark's episode and dataset checks pass on the simulator's
-    outputs, as ``isacbench/workloads.py`` calls them."""
+def test_benchmark_checks_accept_outputs(small_cfg, tmp_path):
+    """The benchmark's episode, stats, dataset and round-trip checks pass on
+    the simulator's outputs: as ``isacbench/workloads.py`` calls them, and
+    on an eval of every method, whose methods share each block's draws."""
     checks = _load("checks")
     hcl, naive = HCLNet(small_cfg), NaiveNet(small_cfg)
     hcl.init_params(np.random.default_rng(0))
@@ -65,11 +67,18 @@ def test_benchmark_checks_accept_outputs(small_cfg):
         checks.check_episode(traces[method], method, small_cfg,
                              sensing.echo_mean)
     checks.check_common_trajectories(traces)
+    report = monte_carlo_eval(small_cfg, list(METHODS), 3, models=models,
+                              seed=7)
+    assert [s.method for s in report.stats] == list(METHODS)
+    checks.check_stats_finite(report.stats)
     # rho_nu = 2 drives many distance estimates below zero, so the windows
     # hold carried-forward rows
     for cfg in (small_cfg, small_cfg.replace(rho_nu=2.0)):
-        checks.check_dataset(generate_dataset(cfg, 20,
-                                              np.random.default_rng(3)), cfg)
+        ds = generate_dataset(cfg, 20, np.random.default_rng(3))
+        checks.check_dataset(ds, cfg)
+        path = str(tmp_path / "data.bin")
+        ds.save(path, cfg)
+        checks.check_roundtrip(ds, Dataset.load(path))
 
 
 def test_training_forward_calls_the_captured_kernels(small_cfg, monkeypatch):

@@ -10,12 +10,12 @@ from isacbf import baselines, channel, harness, sensing
 from isacbf.harness import (CSV_HEADER, Dataset, EpisodeTrace, MethodStats,
                             export, generate_dataset, monte_carlo_eval,
                             power_sweep, run_episode, train_hcl, train_naive)
-from isacbf.baselines import genie_rate, random_beamformer
+from isacbf.baselines import aimed_beams, genie_rate, random_beamformer
 from isacbf.channel import effective_channel, steering, sum_rate
 from isacbf.kinematics import VehicleState
 from isacbf.nn.model import HCLNet, NaiveNet
 from isacbf.nn.train import TrainHyper
-from isacbf.sensing import fisher_information, observation_noise
+from isacbf.sensing import FisherInfo, fisher_information
 
 
 def _models(small_cfg):
@@ -47,14 +47,15 @@ def test_episode_measurement_matches_per_slot_calls(small_cfg, monkeypatch):
     that slot's own genie_rate or sum_rate bit for bit, and its CRLBs that
     slot's fisher_information.  Every other random beam has a zero row
     toward vehicle 1, so infinite CRLBs occur."""
-    real_random = harness.random_beamformer
+    real_aimed = harness.aimed_beams
 
-    def beams(config, rng, n_slots):
-        w = real_random(config, rng, n_slots)
-        w[1::2, 1] = 0.0
+    def beams(angles, config):
+        w = real_aimed(angles, config)
+        if w.shape[:2] == (1, config.n_slots):   # a random episode's beams
+            w[:, 1::2, 1] = 0.0
         return w
 
-    monkeypatch.setattr(harness, "random_beamformer", beams)
+    monkeypatch.setattr(harness, "aimed_beams", beams)
     cfg, models = small_cfg, _models(small_cfg)
     n, k = cfg.n_slots, cfg.n_vehicles
     n_inf = 0
@@ -177,8 +178,8 @@ def test_causal_episode_matches_slot_loop(small_cfg, cfg, method, theta_mode,
 
 def test_episode_evaluates_true_steering_once(small_cfg, monkeypatch):
     """Every episode evaluates the steering vectors of its true angles once,
-    as one [n_slots, K] block that the beams, the observations, the rates
-    and the CRLBs share; no call takes one slot's true angles."""
+    as one [1, n_slots, K] block that the beams, the observations, the
+    rates and the CRLBs share; no call takes one slot's true angles."""
     real_steering = channel.steering
     angles = []
 
@@ -194,8 +195,9 @@ def test_episode_evaluates_true_steering_once(small_cfg, monkeypatch):
         trace = run_episode(small_cfg, method, np.random.default_rng(0),
                             model=models.get(method))
         true = trace.vehicles.theta
-        assert sum(np.array_equal(t, true) for t in angles) == 1, method
-        assert not any(np.array_equal(t, row) for t in angles for row in true)
+        assert sum(np.array_equal(t, true[None]) for t in angles) == 1, method
+        assert not any(np.array_equal(np.reshape(t, -1), row)
+                       for t in angles for row in true)
 
 
 def test_exogenous_methods_observe_nothing(small_cfg, monkeypatch):
@@ -281,17 +283,23 @@ def test_overflowing_beams_are_error(small_cfg):
 
 def test_only_infinite_crlbs_are_left_out(small_cfg, monkeypatch):
     """An episode's mean CRLBs leave out the infinite ones of unobservable
-    vehicles, never a NaN; a NaN rate or CRLB in any realization is a
-    ValueError naming the method and the realization, not a NaN mean."""
+    vehicles, never a NaN, and leave another episode of its block as it is;
+    a NaN rate or CRLB in any realization is a ValueError naming the method
+    and the realization, not a NaN mean."""
     n, k, tau = small_cfg.n_slots, small_cfg.n_vehicles, 2
-    crlb = np.full((n, k), 4.0)
-    crlb[tau, 0] = np.inf
-    trace = EpisodeTrace(vehicles=None, w_applied=np.ones((n, 1, k)),
-                         decided_at=np.arange(n), rates=np.ones(n),
-                         crlb_theta=crlb, crlb_d=np.full((n, k), np.inf))
-    assert harness._episode_summary(trace, tau) == (1.0, 4.0, np.inf, k)
-    crlb[tau, 1] = np.nan
-    assert np.isnan(harness._episode_summary(trace, tau)[1])
+    crlb = np.full((2, n, k), 4.0)
+    crlb[0, tau, 0] = np.inf
+
+    def summaries():
+        return harness._summaries(
+            np.ones((2, n, k, 1)), np.ones((2, n)),
+            FisherInfo(crlb_theta=crlb, crlb_d=np.full((2, n, k), np.inf)),
+            tau).T.tolist()
+
+    assert summaries() == [[1.0, 4.0, np.inf, k]] * 2
+    crlb[0, tau, 1] = np.nan
+    first, second = summaries()
+    assert np.isnan(first[1]) and second == [1.0, 4.0, np.inf, k]
     real_fisher = harness.fisher_information
 
     def fisher(vehicles, w, config, a=None):
@@ -305,25 +313,44 @@ def test_only_infinite_crlbs_are_left_out(small_cfg, monkeypatch):
         monte_carlo_eval(small_cfg, ["random"], 70)
 
 
-def _recording_summaries(monkeypatch):
-    """The list that receives every episode trace that monte_carlo_eval
-    summarizes, in realization order."""
-    real_summary = harness._episode_summary
+def _recording_blocks(monkeypatch):
+    """The list that receives, as one EpisodeTrace per realization in
+    realization order, every block that monte_carlo_eval runs: its
+    scenario's trajectories and the method's beams, rates and CRLBs."""
+    real_run_block = harness._run_block
     traces = []
 
-    def summary(trace, tau):
-        traces.append(trace)
-        return real_summary(trace, tau)
+    def run_block(config, method, scenario, *args):
+        w, rates, info = out = real_run_block(config, method, scenario, *args)
+        for e in range(len(rates)):
+            traces.append(EpisodeTrace(
+                vehicles=VehicleState(*(f[e] for f in vars(
+                    scenario.vehicles).values())),
+                w_applied=w[e].swapaxes(-1, -2), decided_at=None,
+                rates=rates[e], crlb_theta=info.crlb_theta[e],
+                crlb_d=info.crlb_d[e]))
+        return out
 
-    monkeypatch.setattr(harness, "_episode_summary", summary)
+    monkeypatch.setattr(harness, "_run_block", run_block)
     return traces
+
+
+def _episode_means(trace, tau):
+    """The mean rate, CRLBs and beam power of an episode's slots from tau
+    on, one 1-D mean each, the CRLB means without the infinite ones."""
+    ct, cd = trace.crlb_theta[tau:], trace.crlb_d[tau:]
+    ct, cd = ct[ct != np.inf], cd[cd != np.inf]
+    return (float(trace.rates[tau:].mean()),
+            float(ct.mean()) if ct.size else np.inf,
+            float(cd.mean()) if cd.size else np.inf,
+            float((np.abs(trace.w_applied[tau:]) ** 2).sum(axis=(1, 2)).mean()))
 
 
 @pytest.mark.parametrize("theta_mode", ["relative", "crlb"])
 @pytest.mark.parametrize("project", [False, True])
 def test_one_realization_eval_is_run_episode(small_cfg, theta_mode, project):
-    """monte_carlo_eval of one realization reports, bit for bit, the
-    summary of run_episode on the realization's child seed, for every
+    """monte_carlo_eval of one realization reports, bit for bit, the 1-D
+    means of run_episode on the realization's child seed, for every
     method."""
     cfg = _noisy(small_cfg).replace(theta_mode=theta_mode)
     models = {m: _overshooting(net, cfg) if project else net
@@ -335,7 +362,7 @@ def test_one_realization_eval_is_run_episode(small_cfg, theta_mode, project):
             child = np.random.SeedSequence(seed).spawn(1)[0]
             trace = run_episode(cfg, method, np.random.default_rng(child),
                                 model=models.get(method), project=project)
-            rate, crlb_theta, crlb_d, power = harness._episode_summary(
+            rate, crlb_theta, crlb_d, power = _episode_means(
                 trace, cfg.history_len)
             assert row == MethodStats(
                 method=method, power=cfg.power_budget, rate_mean=rate,
@@ -359,7 +386,7 @@ def test_lockstep_blocks_match_run_episode(small_cfg, monkeypatch,
               for m, net in _models(cfg).items()}
     n_real = 70
     assert n_real > harness._BLOCK_EPISODES
-    traces = _recording_summaries(monkeypatch)
+    traces = _recording_blocks(monkeypatch)
     seen = _record_observations(monkeypatch)
     trajectories = None
     for method in harness.METHODS:
@@ -368,10 +395,12 @@ def test_lockstep_blocks_match_run_episode(small_cfg, monkeypatch,
         traces.clear()
         monte_carlo_eval(cfg, [method], n_real, models=models, seed=5,
                          project=project)
-        assert len(traces) == n_real
+        # the run_episode calls below record their blocks of one too
+        evaluated = list(traces)
+        assert len(evaluated) == n_real
         if trajectories is None:
-            trajectories = [t.vehicles for t in traces]
-        for r, (trace, child) in enumerate(zip(traces, children)):
+            trajectories = [t.vehicles for t in evaluated]
+        for r, (trace, child) in enumerate(zip(evaluated, children)):
             assert vars(trace.vehicles).keys() == vars(trajectories[r]).keys()
             for f, g in zip(vars(trace.vehicles).values(),
                             vars(trajectories[r]).values()):
@@ -575,15 +604,27 @@ def test_monte_carlo_eval_checks_inputs_first(small_cfg, monkeypatch):
             monte_carlo_eval(small_cfg, methods, n)
 
 
-def test_method_stats_independent_of_method_order(small_cfg):
-    """Each method's result is the same alone or listed after others."""
-    models = _models(small_cfg)
+def _bits(stats):
+    """The rows of stats with every float as its hex string."""
+    return [{key: v.hex() if isinstance(v, float) else v
+             for key, v in s.as_dict().items()} for s in stats]
+
+
+@pytest.mark.parametrize("n_real", [1, 2, 70])
+def test_method_stats_independent_of_method_order(small_cfg, n_real):
+    """Each method's row in a 4-method eval, whose methods share every
+    block's draws, has the bytes of its one-method eval, in one block, two
+    realizations and blocks of 64 and 6.  On the noisy config naive_dl
+    decides for only some realizations of a block."""
+    cfg = _noisy(small_cfg)
+    models = _models(cfg)
     methods = ["random", "naive_dl", "hcl", "genie"]
-    together = monte_carlo_eval(small_cfg, methods, 2, models=models, seed=3)
+    together = monte_carlo_eval(cfg, methods, n_real, models=models, seed=3)
+    assert [s.method for s in together.stats] == methods
     for stats in together.stats:
-        alone = monte_carlo_eval(small_cfg, [stats.method], 2, models=models,
+        alone = monte_carlo_eval(cfg, [stats.method], n_real, models=models,
                                  seed=3)
-        assert alone.stats == [stats]
+        assert _bits(alone.stats) == _bits([stats]), stats.method
 
 
 def _noisy(cfg):
@@ -609,44 +650,41 @@ def _record_observations(monkeypatch, seam="observe"):
 
 @pytest.mark.parametrize("theta_mode", ["relative", "crlb"])
 def test_slot_estimates_match_block_estimates(small_cfg, theta_mode):
-    """The estimated channels of one _write_estimates per slot into a 2-row
-    buffer equal the rows that _write_estimates writes for the whole
-    episode at once, bit for bit, on a config whose distance
-    estimates often go negative and with a zero beam row, so that many rows
-    are carried forward.  So do the rows of each episode of an
-    [n_ep, n, K] block, observed and written in one call each."""
+    """The rows that _write_estimates writes for a whole episode at once
+    equal, bit for bit, the latest row of a history shifted one slot at a
+    time (shift_history), on a config whose distance estimates often go
+    negative and with a zero beam row, so that many rows are carried
+    forward.  Each episode of a scenario of three, observed and written in
+    one call, has the rows of its scenario of one."""
     cfg = _noisy(small_cfg).replace(theta_mode=theta_mode)
-    n, k, m = cfg.n_slots, cfg.n_vehicles, cfg.n_tx
+    n, k, m = cfg.n_slots - 1, cfg.n_vehicles, cfg.n_tx
 
-    def episode(seed):
-        vehicles, rng_obs, rng_beam = harness._exogenous(
-            cfg, np.random.default_rng(seed))
-        w = random_beamformer(cfg, rng_beam, n)
-        w[::3, 1] = 0.0
-        return vehicles, w, observation_noise(rng_obs, (n, k))
+    def observations(*seeds):
+        vehicles, a, angles, z = harness._scenario(
+            cfg, [np.random.default_rng(s) for s in seeds])
+        w = aimed_beams(angles[:, :-1], cfg)
+        w[:, ::3, 1] = 0.0
+        return harness.generate_observation(harness._observed(vehicles), w,
+                                            cfg, z)
 
     def estimates(obs):
-        est = np.zeros(obs.usable.shape[:-2] + (n + 1, k, m), dtype=complex)
+        est = np.zeros((len(obs.usable), n + 1, k, m), dtype=complex)
         harness._write_estimates(est, obs, cfg)
         return est
 
-    vehicles, w, z = episode(8)
-    obs = harness.generate_observation(vehicles, w, cfg, z)
+    obs = observations(8)
     est = estimates(obs)
-    slots = np.zeros_like(est)
+    history = np.zeros((1, k, m), dtype=complex)
     for s in range(n):
-        one = type(obs)(*(f[s] for f in obs))
-        harness._write_estimates(slots[s:s + 2], one, cfg)
-        assert np.array_equal(slots[s + 1], est[s + 1]), s
+        history = shift_history(history, type(obs)(*(f[0, s] for f in obs)),
+                                cfg)
+        assert np.array_equal(history[0], est[0, s + 1]), s
     assert 0 < (~obs.usable).sum() < obs.usable.size
     seeds = (9, 8, 10)
-    vehicles, w, z = zip(*map(episode, seeds))
-    block = estimates(harness.generate_observation(
-        VehicleState.stack(vehicles), np.stack(w), cfg, np.stack(z)))
+    block = estimates(observations(*seeds))
     for e, seed in enumerate(seeds):
-        vehicles, w, z = episode(seed)
-        alone = estimates(harness.generate_observation(vehicles, w, cfg, z))
-        assert np.array_equal(block[e], alone), seed
+        assert np.array_equal(block[e], estimates(observations(seed))[0]), \
+            seed
 
 
 def test_negative_distance_estimate_is_unusable(small_cfg, monkeypatch):
@@ -734,10 +772,10 @@ def test_method_stats_sqrt_properties():
 
 
 class _FixedBeams:
-    """A stand-in HCL model for one episode: its stream records each
-    [tau, K, M] window of the rows pushed into it and returns the same
-    beams whatever the window, with the row toward vehicle 1 zero for the
-    slots from zero_from on."""
+    """A stand-in HCL model for one episode, a block of one: its stream
+    records each [tau, K, M] window of the rows pushed into it and returns
+    the same beams whatever the window, with the row toward vehicle 1 zero
+    for the slots from zero_from on."""
 
     def __init__(self, config, zero_from=None):
         self.w = random_beamformer(config, np.random.default_rng(11))
@@ -747,11 +785,11 @@ class _FixedBeams:
         self.histories = []
 
     def stream(self, lead=()):
-        assert lead == ()
+        assert lead == (1,)
         rows = []
 
         def push(row):
-            rows.append(row.copy())
+            rows.append(row[0].copy())
             if len(rows) < self.tau:
                 return None
             self.histories.append(np.stack(rows[-self.tau:]))
@@ -759,19 +797,21 @@ class _FixedBeams:
             if self.zero_from is not None and self.slot >= self.zero_from:
                 w[1] = 0.0
             self.slot += 1
-            return w
+            return w[None]
 
         return SimpleNamespace(push=push)
 
 
 def _expected_histories(config, observations):
     """Each slot's history, built one row at a time from the slot's
-    observation (zeros before the first slot)."""
+    observation of an episode, a block of one (zeros before the first
+    slot)."""
     history = np.zeros((config.history_len, config.n_vehicles, config.n_tx),
                        dtype=complex)
     out = []
     for ob in observations:
-        history = shift_history(history, ob, config)
+        history = shift_history(history, type(ob)(*(f[0] for f in ob)),
+                                config)
         out.append(history)
     return out
 
@@ -815,9 +855,9 @@ def test_zero_beam_keeps_streams_aligned(small_cfg, monkeypatch):
     assert trace.states == run_episode(small_cfg, "genie",
                                        np.random.default_rng(4)).states
     for n, (oa, oz) in enumerate(zip(obs_a, obs_z)):
-        assert oa.theta_hat[0] == oz.theta_hat[0]
-        assert oa.d_hat[0] == oz.d_hat[0]
-        assert oz.usable[1] != (n >= zero_from)
+        assert oa.theta_hat[0, 0] == oz.theta_hat[0, 0]
+        assert oa.d_hat[0, 0] == oz.d_hat[0, 0]
+        assert oz.usable[0, 1] != (n >= zero_from)
     for n in range(small_cfg.n_slots):
         unusable = n >= zero_from
         assert np.isinf(trace.crlb_theta[n][1]) == unusable

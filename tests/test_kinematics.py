@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from isacbf.kinematics import (VehicleState, anchor_points, derive_geometry,
-                               init_vehicles, make_state, step_motion)
+from isacbf.kinematics import (anchor_points, derive_geometry, init_vehicles,
+                               make_state, step_motion)
 
 
 def test_geometry_known_point():
@@ -68,8 +68,7 @@ def test_step_motion(cfg):
 
 def test_step_motion_block_matches_slot_steps(cfg):
     """n_steps slots from one [n_steps, K] speed draw give the bits of
-    n_steps one-slot steps, the start state first; VehicleState.stack of
-    its records gives the trajectory back."""
+    n_steps one-slot steps, the start state first."""
     s0 = init_vehicles(cfg, np.random.default_rng(0))
     traj = step_motion(s0, cfg, np.random.default_rng(3), 49)
     assert traj.x.shape == traj.y.shape == (50, cfg.n_vehicles)
@@ -78,9 +77,6 @@ def test_step_motion_block_matches_slot_steps(cfg):
         s = step_motion(s, cfg, rng)
         states.append(s.records())
     assert [v.records() for v in traj.records()] == states
-    stacked = VehicleState.stack(traj.records())
-    assert all(np.array_equal(vars(stacked)[f], value)
-               for f, value in vars(traj).items())
     one = step_motion(s0, cfg, np.random.default_rng(3), 0)
     assert [v.records() for v in one.records()] == [s0.records()]
 
