@@ -309,8 +309,12 @@ def run_episode(config: SimConfig, method: str, rng: np.random.Generator,
 
 @dataclass
 class Dataset:
-    """Training examples: history windows plus the next slot's ground truth."""
-    x: np.ndarray           # [Ne, tau, K, M, 2] estimated-channel windows
+    """Training examples: history windows of estimated channels plus the
+    next slot's ground truth.  Consecutive examples of an episode share
+    tau - 1 slots, so the windows are stored as the rows they read, each
+    slot's once, and a [Ne, tau] index into them."""
+    rows: np.ndarray        # [N_rows, K, M, 2] estimated channels of a slot
+    windows: np.ndarray     # [Ne, tau] int64 rows of each window, oldest first
     h: np.ndarray           # [Ne, K, M] complex true next-slot channels (rows h_k)
     thetas: np.ndarray      # [Ne, K] true angles
     dists: np.ndarray       # [Ne, K] true distances
@@ -318,20 +322,32 @@ class Dataset:
     est_dists: np.ndarray   # [Ne, K] last-slot estimated distances
 
     def __len__(self):
-        return self.x.shape[0]
+        return len(self.windows)
+
+    @cached_property
+    def x(self) -> np.ndarray:
+        """[Ne, tau, K, M, 2] estimated-channel windows, rows[windows]: built
+        on first read and kept, so an edit to it reaches later readers.  It
+        is not a field, so save and sha256 never see it."""
+        return self.rows[self.windows]
+
+    def _arrays(self) -> dict:
+        """The stored arrays by field name, in field order."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def kappa(self) -> float:
         """Input normalization 1 / median norm of the estimated-channel rows
-        h_k (each slot's and vehicle's length-M vector)."""
-        norms = np.sqrt((self.x ** 2).sum(axis=(3, 4)))
-        med = float(np.median(norms))
+        h_k (each slot's and vehicle's length-M vector) of the windows, a
+        row counted once per window slot that holds it."""
+        norms = np.sqrt((self.rows ** 2).sum(axis=(2, 3)))
+        med = float(np.median(norms[self.windows]))
         return 1.0 / med if med > 0 else 1.0
 
     def check(self, config: SimConfig) -> None:
         """Raise ValueError naming the field when the windows were made
         under another history_len, n_vehicles or n_tx than config's."""
         for field, made in zip(("history_len", "n_vehicles", "n_tx"),
-                               self.x.shape[1:4]):
+                               (self.windows.shape[1], *self.rows.shape[1:3])):
             if made != getattr(config, field):
                 raise ValueError(
                     f"dataset made with {field}={made}, the run has "
@@ -345,19 +361,52 @@ class Dataset:
 
     def save(self, path: str, config: SimConfig) -> None:
         meta = {"kind": "dataset", "config": config.as_dict()}
-        save_container(path, meta, vars(self))
+        save_container(path, meta, self._arrays())
 
     @classmethod
     def load(cls, path: str) -> "Dataset":
+        """The dataset of a file that save wrote; a ValueError naming path
+        when it is not one, or when its arrays do not fit together: a
+        windows that is not a 2-D integer array or indexes outside rows
+        (numpy would wrap a negative index into another episode's rows),
+        per-example arrays of different lengths, or rows whose [K, M, 2]
+        is not the [K, M] of h."""
         meta, arrays = load_container(path)
-        if (meta.get("kind") != "dataset"
-                or list(arrays) != [f.name for f in fields(cls)]):
+        names = [f.name for f in fields(cls)]
+        if meta.get("kind") != "dataset":
             raise ValueError(f"{path}: not a dataset file")
-        return cls(**arrays)
+        if list(arrays) != names:
+            older = ("; it is a dataset of the older format, which packed "
+                     "every window in x: regenerate it with isacbf gen-data"
+                     if "x" in arrays else "")
+            raise ValueError(f"{path}: a dataset file holds the arrays "
+                             f"{', '.join(names)}, this one holds "
+                             f"{', '.join(arrays) or 'none'}{older}")
+        ds = cls(**arrays)
+        windows, rows = ds.windows, ds.rows
+        if windows.ndim != 2 or windows.dtype.kind != "i":
+            raise ValueError(f"{path}: windows is {windows.dtype} "
+                             f"{list(windows.shape)}, not a 2-D integer array")
+        lengths = {name: arr.shape[:1] for name, arr in ds._arrays().items()
+                   if name != "rows"}
+        if len(set(lengths.values())) > 1:
+            raise ValueError(f"{path}: the per-example arrays differ in "
+                             f"length: " + ", ".join(
+                                 f"{name} {list(n)}"
+                                 for name, n in lengths.items()))
+        if rows.shape[1:] != ds.h.shape[1:] + (2,):
+            raise ValueError(f"{path}: rows {list(rows.shape)} do not hold "
+                             f"the [K, M] channels of h {list(ds.h.shape)}")
+        out = (windows < 0) | (windows >= len(rows))
+        if out.any():
+            e, t = (int(v) for v in np.argwhere(out)[0])
+            raise ValueError(f"{path}: example {e} window slot {t} reads row "
+                             f"{windows[e, t]}, outside the {len(rows)} rows")
+        return ds
 
     def sha256(self) -> str:
         digest = hashlib.sha256()
-        for arr in vars(self).values():
+        for arr in self._arrays().values():
             digest.update(np.ascontiguousarray(arr).tobytes())
         return digest.hexdigest()
 
@@ -385,7 +434,8 @@ def generate_dataset(config: SimConfig, n_examples: int,
     beams in one observation call into one estimate array; no rates or
     CRLBs are measured, which no example holds.  No example's window holds
     the last slot, so it is not observed and its random beams are not
-    computed.
+    computed.  The estimate arrays are the dataset's rows, and each window
+    is the index of its tau rows in them.
     """
     if n_examples < 1:
         raise ValueError("n_examples must be >= 1")
@@ -394,39 +444,42 @@ def generate_dataset(config: SimConfig, n_examples: int,
     if n <= tau:
         raise ValueError("n_slots must exceed history_len for an episode "
                          "to yield an example")
-    x = np.empty((n_examples, tau, k, m, 2))
+    windows = np.empty((n_examples, tau), dtype=np.int64)
     h = np.empty((n_examples, k, m), dtype=complex)
     thetas, dists, est_thetas, est_dists = np.empty((4, n_examples, k))
-    i = 0
+    blocks = []
+    i = n_rows = 0
     while i < n_examples:
         n_ep = min(_BLOCK_EPISODES, -(-(n_examples - i) // (n - tau)))
         vehicles, a, angles, z = _scenario(config, rng.spawn(n_ep))
         obs = generate_observation(_observed(vehicles),
                                    aimed_beams(angles[:, :-1], config),
                                    config, z, a=a[:, :-1])
-        # row tau + s of an episode holds slot s's estimated channels, zeros
-        # before slot 0, so rows s .. s + tau - 1 are slot s's window
-        est = np.zeros((n_ep, n - 1 + tau, k, m), dtype=complex)
-        _write_estimates(est[:, tau - 1:], obs, config)
+        # row 1 + s of an episode holds slot s's estimated channels, row 0
+        # the zeros before slot 0, so rows s - tau + 1 .. s are the window
+        # of slot s
+        est = np.zeros((n_ep, n, k, m), dtype=complex)
+        _write_estimates(est, obs, config)
         complete = obs.usable.all(axis=-1)
         complete[:, :tau - 1] = False
         ep, prev = (idx[:n_examples - i] for idx in np.nonzero(complete))
         slot = prev + 1
         j = i + len(slot)
-        rows = (ep * (n - 1 + tau) + slot)[:, None] + np.arange(tau)
-        # every index is in range; mode "clip" writes out in place, where
-        # "raise" would write a buffer and copy it
-        np.take(est.view(float).reshape(-1, k, m, 2), rows, axis=0,
-                out=x[i:j], mode="clip")
+        windows[i:j] = (n_rows + ep * n + slot - tau + 1)[:, None] \
+            + np.arange(tau)
         thetas[i:j] = vehicles.theta[ep, slot]
         dists[i:j] = vehicles.dist[ep, slot]
         h[i:j] = effective_channel(thetas[i:j], dists[i:j], config,
                                    a[ep, slot])
         est_thetas[i:j] = obs.theta_hat[ep, prev]
         est_dists[i:j] = obs.d_hat[ep, prev]
+        blocks.append(est)
+        n_rows += n_ep * n
         i = j
-    return Dataset(x=x, h=h, thetas=thetas, dists=dists,
-                   est_thetas=est_thetas, est_dists=est_dists)
+    est = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    return Dataset(rows=est.view(float).reshape(-1, k, m, 2), windows=windows,
+                   h=h, thetas=thetas, dists=dists, est_thetas=est_thetas,
+                   est_dists=est_dists)
 
 
 # ---- training entry points -------------------------------------------------

@@ -565,6 +565,50 @@ def test_dataset_save_load_roundtrip(small_cfg, tmp_path):
     assert len(geom) == 6
 
 
+@pytest.mark.parametrize("n_examples", [12, 600, 3000])
+def test_dataset_stores_each_row_once(cfg, tmp_path, monkeypatch, n_examples):
+    """A dataset holds each slot's estimated channels once, as rows, and its
+    windows as indices into them; x, built on read, survives a save and a
+    load, and reading it changes neither sha256 nor the saved bytes.  3000
+    examples take two blocks of episodes at the default config."""
+    blocks = _record_observations(monkeypatch, "generate_observation")
+    rng = np.random.default_rng(n_examples)
+    ds = generate_dataset(cfg, n_examples, rng)
+    n, tau = cfg.n_slots, cfg.history_len
+    episodes = rng.bit_generator.seed_seq.n_children_spawned
+    assert len(blocks) == (2 if n_examples == 3000 else 1)
+    assert ds.windows.shape == (n_examples, tau)
+    assert ds.windows.dtype == np.int64
+    assert ds.rows.shape[1:] == (cfg.n_vehicles, cfg.n_tx, 2)
+    # no more rows than the episodes observed, with tau leading rows each
+    assert len(ds.rows) <= episodes * (n - 1 + tau)
+    # every vehicle is usable at the default config, so each episode yields
+    # its n - tau examples in slot order
+    assert all(ob.usable.all() for ob in blocks)
+    per_episode = n - tau
+    for i in range(n_examples - 1):
+        if (i + 1) % per_episode:
+            assert np.array_equal(ds.windows[i, 1:], ds.windows[i + 1, :-1])
+
+    first, second = tmp_path / "first.bin", tmp_path / "second.bin"
+    digest = ds.sha256()
+    ds.save(str(first), cfg)
+    x = ds.x
+    assert x.shape == (n_examples, tau, cfg.n_vehicles, cfg.n_tx, 2)
+    assert ds.x is x                    # built once
+    assert ds.sha256() == digest
+    ds.save(str(second), cfg)
+    assert first.read_bytes() == second.read_bytes()
+    back = Dataset.load(str(first))
+    assert back.sha256() == digest
+    assert back.x.tobytes() == x.tobytes()
+
+    # the median of the rows' norms, each counted once per window slot that
+    # holds it, has the bits of the median over the packed windows
+    packed = np.median(np.sqrt((ds.x ** 2).sum(axis=(3, 4))))
+    assert ds.kappa().hex() == (1.0 / packed).hex()
+
+
 def test_train_entry_points(small_cfg):
     ds = generate_dataset(small_cfg, 10, np.random.default_rng(2))
     hyper = TrainHyper(lr=1e-4, batch_size=100, max_iters=5)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from isacbf.harness import Dataset
 from isacbf.io_container import MAGIC, load_container, save_container
 
 
@@ -165,3 +166,72 @@ def test_saving_to_a_directory_raises(tmp_path):
     with pytest.raises(IsADirectoryError):
         save_container(str(target), {}, {"a": np.ones(2)})
     assert (target / "keep").read_text() == "x"
+
+
+def _dataset_arrays() -> dict:
+    """The arrays of a well-formed two-example dataset with tau = 2, K = 1
+    and M = 8, over three rows."""
+    return {"rows": np.zeros((3, 1, 8, 2)),
+            "windows": np.array([[0, 1], [1, 2]]),
+            "h": np.ones((2, 1, 8), dtype=complex),
+            "thetas": np.ones((2, 1)), "dists": np.ones((2, 1)),
+            "est_thetas": np.ones((2, 1)), "est_dists": np.ones((2, 1))}
+
+
+def test_dataset_load_refuses_arrays_that_do_not_fit(tmp_path):
+    """Dataset.load refuses, with a ValueError naming the file, a windows
+    that is not a 2-D integer array or reads a row outside rows (a negative
+    index would wrap to another episode's row), per-example arrays of
+    different lengths, and rows whose [K, M] is not h's."""
+    path = tmp_path / "ok.bin"
+    save_container(str(path), {"kind": "dataset"}, _dataset_arrays())
+    ds = Dataset.load(str(path))
+    assert len(ds) == 2 and ds.x.shape == (2, 2, 1, 8, 2)
+    cases = {
+        "float_windows": ({"windows": np.array([[0.0, 1.0], [1.0, 2.0]])},
+                          "not a 2-D integer array"),
+        "flat_windows": ({"windows": np.array([0, 1, 1, 2])},
+                         "not a 2-D integer array"),
+        "negative": ({"windows": np.array([[0, 1], [-1, 2]])},
+                     "example 1 window slot 0 reads row -1"),
+        "past_the_end": ({"windows": np.array([[0, 1], [1, 3]])},
+                         "example 1 window slot 1 reads row 3"),
+        "short_h": ({"h": np.ones((1, 1, 8), dtype=complex)},
+                    "differ in length"),
+        "long_est_dists": ({"est_dists": np.ones((3, 1))},
+                           "differ in length"),
+        "rows_k": ({"rows": np.zeros((3, 2, 8, 2))}, "rows"),
+        "rows_m": ({"rows": np.zeros((3, 1, 16, 2))}, "rows"),
+        "rows_complex": ({"rows": np.zeros((3, 1, 8), dtype=complex)}, "rows"),
+    }
+    for name, (change, why) in cases.items():
+        path = tmp_path / f"{name}.bin"
+        save_container(str(path), {"kind": "dataset"},
+                       {**_dataset_arrays(), **change})
+        with pytest.raises(ValueError, match=re.escape(str(path))) as err:
+            Dataset.load(str(path))
+        assert why in str(err.value), name
+
+
+def test_dataset_load_refuses_other_files(tmp_path):
+    """A file of another kind, a dataset missing a field, and a dataset of
+    the older format that packed every window in x are refused; the
+    message for the older format names the expected fields and says to
+    regenerate the file."""
+    arrays = _dataset_arrays()
+    old = {"x": np.zeros((2, 2, 1, 8, 2)),
+           **{k: v for k, v in arrays.items() if k not in ("rows", "windows")}}
+    cases = {
+        "model": ({"kind": "hcl"}, arrays, "not a dataset file"),
+        "missing": ({"kind": "dataset"},
+                    {k: v for k, v in arrays.items() if k != "h"},
+                    "rows, windows, h, thetas, dists, est_thetas, est_dists"),
+        "old_format": ({"kind": "dataset"}, old, "regenerate"),
+    }
+    for name, (meta, data, why) in cases.items():
+        path = tmp_path / f"{name}.bin"
+        save_container(str(path), meta, data)
+        with pytest.raises(ValueError, match=re.escape(str(path))) as err:
+            Dataset.load(str(path))
+        assert why in str(err.value), name
+    assert "rows, windows, h" in str(err.value)
