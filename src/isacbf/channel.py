@@ -3,6 +3,8 @@
 Angles and distances broadcast; the antenna axis is appended last."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .config import SimConfig
@@ -80,7 +82,7 @@ def effective_channel(theta, dist, config: SimConfig, a=None,
     are not > 0 skips it."""
     if a is None:
         a = steering(theta, config.n_tx)
-    gain = np.sqrt(config.n_tx) * path_loss_amp(dist, config, check)
+    gain = math.sqrt(config.n_tx) * path_loss_amp(dist, config, check)
     return _per_antenna(gain) * a
 
 

@@ -14,7 +14,7 @@ from .harness import (DEFAULT_POWER_GRID, Dataset, export, generate_dataset,
                       monte_carlo_eval, power_sweep, train_hcl, train_naive)
 from .kinematics import make_state
 from .nn.model import load_model
-from .nn.train import TrainHyper
+from .nn.train import TrainHyper, TrainingDiverged
 from .sensing import fisher_information
 
 
@@ -176,7 +176,14 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         trainer = train_hcl if args.arch == "hcl" else train_naive
-        net, result = trainer(ds, config, hyper)
+        try:
+            # a diverging run overflows on its way to the non-finite loss
+            # that train() reports, so the overflow is not warned about too
+            with np.errstate(over="ignore", invalid="ignore"):
+                net, result = trainer(ds, config, hyper)
+        except TrainingDiverged as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         if not _written(args.out, net.save, args.out):
             return 2
         print(f"trained {args.arch} for {len(result.loss_trace)} iters; "

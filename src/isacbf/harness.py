@@ -27,14 +27,16 @@ import numpy as np
 # random_beamformer is not called here: isacbench's trace points look it up
 from .baselines import (aimed_beams, genie_beamformer, genie_rate,  # noqa: F401
                         naive_dl_beamformer, random_angles, random_beamformer)
-from .channel import effective_channel, steering, steering_direct, sum_rate
+from .channel import (effective_channel, steering, steering_direct,
+                      steering_dtheta, sum_rate)
 from .config import SimConfig
 from .io_container import load_container, save_container
 from .kinematics import VehicleState, init_vehicles, step_motion
 from .nn.loss import BatchGeometry, build_geometry
 from .nn.model import HCLNet, NaiveNet
 from .nn.train import TrainHyper, TrainResult, train
-from .sensing import (ObsTerms, fisher_information, generate_observation,
+from .sensing import (EchoConstants, ObsTerms, echo_constants,
+                      fisher_information, generate_observation,
                       observation_noise, observation_terms, observe)
 
 METHODS = ("genie", "naive_dl", "random", "hcl")
@@ -68,8 +70,10 @@ def _check_method(method: str, model) -> None:
 
 
 def check_eval_args(methods, n_realizations: int, models: dict) -> None:
-    """Raise ValueError for an unknown method, a predictive method without
-    a model, or fewer than one realization."""
+    """Raise ValueError for no method, an unknown method, a predictive
+    method without a model, or fewer than one realization."""
+    if not methods:
+        raise ValueError("no method to evaluate")
     for method in methods:
         _check_method(method, models.get(method))
     if n_realizations < 1:
@@ -77,24 +81,36 @@ def check_eval_args(methods, n_realizations: int, models: dict) -> None:
 
 
 class _Scenario(NamedTuple):
-    """The draws of a block of R episodes that no decision depends on."""
+    """The draws of a block of R episodes that no decision depends on, and
+    what the measurement pass reads of them that no beam changes (None in a
+    dataset's block, which measures nothing)."""
     vehicles: VehicleState     # [R, n_slots, K] trajectories
     a: np.ndarray              # [R, n_slots, K, N_t] steering of the angles
     angles: np.ndarray | None  # [R, n_slots, K] random-beam angles
     z: np.ndarray | None       # [R, n_slots - 1, K, 2] observation noise
+    h: np.ndarray | None       # [R, n_slots, K, N_t] true channels
+    ap: np.ndarray | None      # [R, n_slots, K, N_t] steering_dtheta
+    echo: EchoConstants | None  # [R, n_slots, K] CRLB constants
 
 
-def _scenario(config: SimConfig, rngs: list, methods=METHODS) -> _Scenario:
+def _scenario(config: SimConfig, rngs: list, methods=None) -> _Scenario:
     """One episode per generator of rngs, as one block: each spawns its
     motion, observation and beam streams, in that order, and draws its
     trajectory, its random-beam angles and its observation noise from them
     as blocks over its slots, the per-slot draws in slot order.  One
-    steering evaluation of the block's true angles follows.  The angles are
-    drawn only when a method of methods other than genie runs, and the
-    noise only when hcl or naive_dl does: every method, the default, is the
-    draw of a dataset.  No noise is drawn for the last slot, which is not
-    observed.  A block of one holds views of its episode's arrays."""
+    steering evaluation of the block's true angles follows.
+
+    methods are those that run on the block, or None for a dataset's
+    block, which draws everything and measures nothing.  The angles are
+    drawn only when a method other than genie runs, and the noise only when
+    hcl or naive_dl does.  No noise is drawn for the last slot, which is not
+    observed.  For an evaluation's block the beam-independent terms of the
+    measurement pass are computed here, once for every method: the true
+    channels only when a method other than genie runs, and the steering
+    derivatives and echo constants of the CRLBs always.  A block of one
+    holds views of its episode's arrays."""
     n, k = config.n_slots, config.n_vehicles
+    draws = METHODS if methods is None else methods
     streams = [rng.spawn(3) for rng in rngs]
 
     def block(arrays):
@@ -104,12 +120,20 @@ def _scenario(config: SimConfig, rngs: list, methods=METHODS) -> _Scenario:
         init_vehicles(config, g), config, g, n - 1)).values()
         for g, _, _ in streams))))
     angles = z = None
-    if any(method != "genie" for method in methods):
+    aimed = any(method != "genie" for method in draws)
+    if aimed:
         angles = block([random_angles(config, g, n) for *_, g in streams])
-    if "hcl" in methods or "naive_dl" in methods:
+    if "hcl" in draws or "naive_dl" in draws:
         z = block([observation_noise(g, (n - 1, k)) for _, g, _ in streams])
-    return _Scenario(vehicles, steering(vehicles.theta, config.n_tx), angles,
-                     z)
+    theta, dist = vehicles.theta, vehicles.dist
+    a = steering(theta, config.n_tx)
+    h = ap = echo = None
+    if methods is not None:
+        if aimed:
+            h = effective_channel(theta, dist, config, a)
+        ap = steering_dtheta(theta, config.n_tx, a)
+        echo = echo_constants(theta, dist, config)
+    return _Scenario(vehicles, a, angles, z, h, ap, echo)
 
 
 def _observed(vehicles: VehicleState) -> VehicleState:
@@ -171,15 +195,16 @@ def _decide(config: SimConfig, method: str, model, scenario: _Scenario,
 
     What the observations need that no beam changes (observation_terms of
     the scenario's noise) is computed before the loop, and so in
-    config.theta_mode "relative" is the steering of the angle estimates; a
-    slot computes only what depends on its beams, on [R, K] arrays.  An hcl
-    vehicle without a usable estimate keeps its episode's previous row.
-    Decided beams whose power is not finite are a ValueError naming the
-    method, the slot and, when first is given, the realization (first plus
-    the episode's index), raised before they are observed.  Overflow,
-    division by zero and invalid values raise no warning within the step:
-    the rows of unusable estimates are discarded, and the power check
-    catches what a net overflows to."""
+    config.theta_mode "relative" is the steering of the angle estimates;
+    each slot's views of them, and of the beams and true steering, are taken
+    once, and a slot computes only what depends on its beams, on [R, K]
+    arrays.  An hcl vehicle without a usable estimate keeps its episode's
+    previous row.  Decided beams whose power is not finite are a ValueError
+    naming the method, the slot and, when first is given, the realization
+    (first plus the episode's index), raised before they are observed.
+    Overflow, division by zero and invalid values raise no warning within
+    the step: the rows of unusable estimates are discarded, and the power
+    check catches what a net overflows to."""
     r, _, k = scenario.vehicles.theta.shape
     m = config.n_tx
     terms = observation_terms(_observed(scenario.vehicles), config, scenario.z)
@@ -189,26 +214,31 @@ def _decide(config: SimConfig, method: str, model, scenario: _Scenario,
         return repeat(None) if f is None else f.swapaxes(0, 1)
 
     w = np.empty(scenario.angles.shape + (m,), dtype=complex)
-    w_at, a_at, angles_at = map(by_slot, (w, scenario.a, scenario.angles))
+    w_at, angles_at = by_slot(w), by_slot(scenario.angles)
     # the slots no decision reaches: slot 0, and hcl's until its window is
     # full (its stream decides from the tau-th pushed slot on)
     warm = config.history_len if method == "hcl" else 1
     w_at[:warm] = aimed_beams(angles_at[:warm], config)
+    a_hat = repeat(None)
     if method == "hcl":
         stream = model.stream((r,))
         # each episode's latest estimated channels, zeros before slot 0
         est = np.zeros((r, k, m), dtype=complex)
         if terms.theta_hat is not None:
             a_hat = by_slot(steering_direct(terms.theta_hat, m))
+    # per observed slot: its terms, beams, true steering and, for hcl in
+    # relative mode, the steering of its angle estimates
+    slots = zip(map(ObsTerms._make, zip(*map(by_slot, terms))), w_at,
+                by_slot(scenario.a), a_hat)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for n, slot in enumerate(zip(*map(by_slot, terms))):
-            obs = observe(ObsTerms(*slot), w_at[n], a_at[n], config)
+        for n, (slot, w_n, a_n, a_hat_n) in enumerate(slots):
+            obs = observe(slot, w_n, a_n, config)
             deciding = slice(None)
             if method == "hcl":
                 rows = effective_channel(
                     obs.theta_hat, obs.d_hat, config,
                     steering_direct(obs.theta_hat, m)
-                    if terms.theta_hat is None else a_hat[n], check=False)
+                    if a_hat_n is None else a_hat_n, check=False)
                 np.copyto(est, rows, where=obs.usable[..., None])
                 beams = stream.push(est)
                 if beams is None:
@@ -272,9 +302,9 @@ def _run_block(config: SimConfig, method: str, scenario: _Scenario, model,
             w = aimed_beams(scenario.angles, config)
         else:
             w = _decide(config, method, model, scenario, project, first)
-        h = effective_channel(vehicles.theta, vehicles.dist, config, a)
-        rates = sum_rate(h, w, config.noise_vehicle)
-    return w, rates, fisher_information(vehicles, w, config, a)
+        rates = sum_rate(scenario.h, w, config.noise_vehicle)
+    return w, rates, fisher_information(vehicles, w, config, a, scenario.ap,
+                                        scenario.echo)
 
 
 def run_episode(config: SimConfig, method: str, rng: np.random.Generator,
@@ -451,7 +481,7 @@ def generate_dataset(config: SimConfig, n_examples: int,
     i = n_rows = 0
     while i < n_examples:
         n_ep = min(_BLOCK_EPISODES, -(-(n_examples - i) // (n - tau)))
-        vehicles, a, angles, z = _scenario(config, rng.spawn(n_ep))
+        vehicles, a, angles, z, *_ = _scenario(config, rng.spawn(n_ep))
         obs = generate_observation(_observed(vehicles),
                                    aimed_beams(angles[:, :-1], config),
                                    config, z, a=a[:, :-1])

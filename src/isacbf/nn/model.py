@@ -12,6 +12,7 @@ NaiveNet: the fully-connected baseline mapping the last slot's estimated
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -277,6 +278,35 @@ class HCLNet(_FlatParams):
         return w
 
 
+class _Step(NamedTuple):
+    """The buffer views of one HCLStream push: the [live, R, 4H] gate
+    buffer (first, the new window's row; carried, the others') and its gate
+    columns, the previous ring's states of the carried windows, the new
+    ring's live rows, and its oldest row, which feeds the FC layer."""
+    gates: np.ndarray
+    first: np.ndarray
+    carried: np.ndarray
+    h_old: np.ndarray
+    c_old: np.ndarray
+    i: np.ndarray
+    f: np.ndarray        # of the carried windows only
+    g: np.ndarray
+    o: np.ndarray
+    c: np.ndarray
+    h: np.ndarray
+    c_carried: np.ndarray
+    h_carried: np.ndarray
+    out: np.ndarray
+
+
+def _sigmoid_(x: np.ndarray) -> None:
+    """_sigmoid in place, in its order of operations and so with its bits."""
+    np.negative(x, out=x)
+    np.exp(x, out=x)
+    x += 1.0
+    np.divide(1.0, x, out=x)
+
+
 class HCLStream:
     """HCL-Net decisions over one episode, or R episodes in lockstep, one
     slot at a time.
@@ -284,15 +314,18 @@ class HCLStream:
     push() runs the CNN on the new slot's K rows of each episode only and
     takes that slot's LSTM input product x_t W_x^T, as the [R, 4H] product
     of the batched forward() on the R episodes' windows (R = 1 for one
-    episode).  The tau windows in flight per episode, the one starting at
-    this slot and the tau - 1 started before it, keep their (h, c) states
-    in a [tau, R, H] ring, and every push advances all of them by one cell
-    step on the slot's product; the windows started tau - 1 slots ago then
-    have their tau steps and feed the FC layer.  Each ring row is
-    multiplied by W_h^T as an [R, H] block, so the beams have the bits of
-    forward() on the same R windows.  The conv matrix is built and the
-    weights are bound once, at creation, so a stream must not outlive a
-    change of the weights.
+    episode).  Up to tau windows are in flight per episode: the one
+    starting at this slot and the tau - 1 started before it.  Their (h, c)
+    states live in an age-ordered [tau, R, H] ring, row j the window that
+    started j slots ago, and two ring pairs alternate: a push reads one and
+    writes the other a row older.  Only the carried windows, rows
+    1 .. tau - 1 of the new ring, take h W_h^T, each as an [R, H] block; row
+    0 is x W_x^T + b, as forward() at t = 0.  The cell update runs in place
+    in a preallocated gate buffer, in _cell's order of operations, so the
+    beams have the bits of forward() on the same R windows.  Row tau - 1,
+    the window started tau - 1 slots ago, then has its tau steps and feeds
+    the FC layer.  The conv matrix is built and the weights are bound once,
+    at creation, so a stream must not outlive a change of the weights.
     """
 
     def __init__(self, net: HCLNet, lead: tuple = ()):
@@ -303,36 +336,62 @@ class HCLStream:
                                          net.m // CNN_ROWS)
         self._wx_t, self._wh_t = v["wx"].T, v["wh"].T
         self._lstm_b, self._fc_w, self._fc_b = v["lstm_b"], v["fc_w"], v["fc_b"]
-        self._h = np.zeros((net.tau, math.prod(lead), net.hidden))
-        self._c = np.zeros_like(self._h)
+        r, hh = math.prod(lead), net.hidden
+        # [pair, h or c, age, R, H]: pair n % 2 holds the states after slot n
+        self._rings = np.zeros((2, 2, net.tau, r, hh))
+        self._gates = np.empty((net.tau, r, 4 * hh))
+        # the views of a push once tau windows are in flight, by slot parity
+        self._full = [self._step(n, net.tau) for n in (0, 1)]
         self._n = 0   # slots pushed so far
+
+    def _step(self, n: int, live: int) -> _Step:
+        """The views that the push of slot n works on, with live windows
+        in flight after it."""
+        hh, g = self.net.hidden, self._gates[:live]
+        (h_old, c_old), (h, c) = self._rings[(n + 1) % 2], self._rings[n % 2]
+        return _Step(
+            gates=g, first=g[0], carried=g[1:], h_old=h_old[:live - 1],
+            c_old=c_old[:live - 1], i=g[..., :hh], f=g[1:, :, hh:2 * hh],
+            g=g[..., 2 * hh:3 * hh], o=g[..., 3 * hh:], c=c[:live],
+            h=h[:live], c_carried=c[1:live], h_carried=h[1:live], out=h[-1])
 
     def push(self, rows: np.ndarray) -> np.ndarray | None:
         """Take the next slot's complex estimated channels, [K, M] for one
         episode or the stream's leading shape plus [K, M]; return the beams
         of that shape for the windows of the last tau slots, or None while
-        fewer than tau slots are in.  The caller holds
-        np.errstate(over="ignore") (see HCLNet._cell)."""
-        net = self.net
+        fewer than tau slots are in.  The beams are a new array each push.
+        The caller holds np.errstate(over="ignore") (see HCLNet._cell)."""
+        net, n = self.net, self._n
         if rows.shape != self._shape:
             raise ValueError(f"expected {self._shape} rows, "
                              f"got {rows.shape}")
         pairs = np.ascontiguousarray(rows, dtype=complex).view(float)
         x = net.features(pairs.reshape(rows.shape + (2,)), self._conv)
-        # ring row n % tau starts a window at slot n, from h = c = 0
-        h, c, tau = self._h, self._c, net.tau
-        h[self._n % tau] = c[self._n % tau] = 0.0
         self._n += 1
-        gates = h @ self._wh_t
-        gates += x.reshape(-1, net.feat) @ self._wx_t
-        gates += self._lstm_b
-        *_, go, tc, c_new = net._cell(gates, c)
-        c[:] = c_new
-        np.multiply(go, tc, out=h)
-        if self._n < tau:
+        # live windows after this push: the new one and the carried ones
+        s = self._full[n % 2] if n >= net.tau - 1 else self._step(n, n + 1)
+        # row 0 x W_x^T + b, the carried rows (h W_h^T + x W_x^T) + b
+        np.matmul(x.reshape(-1, net.feat), self._wx_t, out=s.first)
+        carried = len(s.h_old) > 0
+        if carried:
+            np.matmul(s.h_old, self._wh_t, out=s.carried)
+            np.add(s.carried, s.first, out=s.carried)
+        np.add(s.gates, self._lstm_b, out=s.gates)
+        # _cell in place, every output contiguous: c = f * c + i * g (the
+        # carried h rows hold f * c until h is written), then h = o * tanh(c)
+        np.tanh(s.g, out=s.c)
+        _sigmoid_(s.gates)
+        np.multiply(s.c, s.i, out=s.c)
+        if carried:
+            np.multiply(s.f, s.c_old, out=s.h_carried)
+            np.add(s.c_carried, s.h_carried, out=s.c_carried)
+        np.tanh(s.c, out=s.h)
+        np.multiply(s.h, s.o, out=s.h)
+        if n < net.tau - 1:
             return None
-        o = h[self._n % tau] @ self._fc_w + self._fc_b
-        return output_to_matrix(o.reshape(rows.shape + (2,)))
+        o = s.out @ self._fc_w
+        o += self._fc_b
+        return o.view(complex).reshape(rows.shape)
 
 
 class NaiveNet(_FlatParams):

@@ -12,10 +12,13 @@ from .loss import BatchGeometry, penalty_loss_and_grad
 
 class TrainingDiverged(RuntimeError):
     """A non-finite loss: trace holds the finite losses before it and parts
-    the loss parts of the step that diverged."""
+    the loss parts of the step that diverged.  The message names that
+    iteration, counting the first as 1."""
 
     def __init__(self, trace, parts):
-        super().__init__("training loss became non-finite")
+        super().__init__(f"training loss became non-finite at iteration "
+                         f"{len(trace) + 1}; every iteration before it was "
+                         "finite")
         self.trace = trace
         self.parts = parts
 

@@ -206,7 +206,8 @@ def crlbs(u, v, echo: EchoConstants, sigma_r2: float):
 
 
 def fisher_information(vehicles: VehicleState, W: np.ndarray,
-                       config: SimConfig, a=None) -> FisherInfo:
+                       config: SimConfig, a=None, ap=None,
+                       echo=None) -> FisherInfo:
     """Diagonal FIMs over (theta, d) and the angle/distance CRLBs of the
     vehicles, row k of W being the beam toward vehicle k.  The vehicles
     are [K] arrays with a [K, N_t] W, or arrays of any leading shape, such
@@ -216,24 +217,29 @@ def fisher_information(vehicles: VehicleState, W: np.ndarray,
     f11 = 1/CRLB_theta = ||d(echo)/d(theta)||^2 / sigma_r^2,
     f22 = 1/CRLB_d = (2/c)^2 / sigma_nu^2.
     An unobservable vehicle gets infinite CRLBs.  a is
-    steering(vehicles.theta, N_t) if the caller has it.
+    steering(vehicles.theta, N_t), ap its steering_dtheta and echo the
+    vehicles' echo_constants, each if the caller has it.
     """
     theta, dist = vehicles.theta, vehicles.dist
     if a is None:
         a = steering(theta, config.n_tx)
     u = np.vecdot(a, W)
     crlb_theta, crlb_d = _crlbs(theta, dist, W, config, a, u,
-                                _observable(np.abs(u) ** 2, W))
+                                _observable(np.abs(u) ** 2, W), ap, echo)
     return FisherInfo(crlb_theta=crlb_theta, crlb_d=crlb_d)
 
 
 def _crlbs(theta, dist, W: np.ndarray, config: SimConfig, a: np.ndarray,
-           u: np.ndarray, observable: np.ndarray):
+           u: np.ndarray, observable: np.ndarray, ap=None, echo=None):
     """(CRLB_theta, CRLB_d) of the beams W toward vehicles at (theta, dist),
     given their steering vectors a, u = a^H w and where they are
-    observable; infinite where a vehicle is unobservable."""
-    v = np.vecdot(steering_dtheta(theta, config.n_tx, a), W)
-    crlb_theta, crlb_d = crlbs(u, v, echo_constants(theta, dist, config),
+    observable; infinite where a vehicle is unobservable.  ap and echo are
+    as in fisher_information."""
+    if ap is None:
+        ap = steering_dtheta(theta, config.n_tx, a)
+    if echo is None:
+        echo = echo_constants(theta, dist, config)
+    crlb_theta, crlb_d = crlbs(u, np.vecdot(ap, W), echo,
                                config.echo_noise_var)
     return (np.where(observable, crlb_theta, np.inf)[()],
             np.where(observable, crlb_d, np.inf)[()])

@@ -56,6 +56,9 @@ def test_crlb_subcommand(capsys):
      "missing/r.csv"],
     ["sweep", *SMALL, "--methods", "random", "--realizations", "1", "--out",
      "missing/r.csv"],
+    *([cmd, *SMALL, "--methods", methods, "--realizations", "1"]
+      for cmd, methods in (("eval", ""), ("eval", ","), ("sweep", ""),
+                           ("sweep", " , "))),
 ])
 def test_bad_input_is_error(argv, tmp_path, monkeypatch, capsys):
     """Bad input prints one error line and exits 2 before any episode runs,
@@ -295,6 +298,27 @@ def test_non_finite_model_or_beams_are_error(small_cfg, tmp_path, capsys):
         assert name == "nan" or "realization 0 " in err
         assert not [w for w in caught
                     if issubclass(w.category, RuntimeWarning)], name
+
+
+@pytest.mark.parametrize("arch", ["hcl", "naive"])
+def test_diverging_training_is_error(arch, tmp_path, capsys):
+    """train whose loss diverges (here at the second iteration, after a
+    step of lr 1e300) prints one error line naming that iteration, exits 2
+    and writes no model; no RuntimeWarning is issued on the way."""
+    data = str(tmp_path / "data.bin")
+    assert main(["gen-data", *SMALL, "--n-examples", "6", "--out", data]) == 0
+    capsys.readouterr()
+    model = tmp_path / "m.bin"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["train", *SMALL, "--data", data, "--arch", arch,
+                   "--iters", "5", "--lr", "1e300", "--out", str(model)])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err == ("error: training loss became non-finite at iteration 2; "
+                   "every iteration before it was finite\n")
+    assert not model.exists()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("cmd", ["eval", "sweep"])

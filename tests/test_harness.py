@@ -302,8 +302,8 @@ def test_only_infinite_crlbs_are_left_out(small_cfg, monkeypatch):
     assert np.isnan(first[1]) and second == [1.0, 4.0, np.inf, k]
     real_fisher = harness.fisher_information
 
-    def fisher(vehicles, w, config, a=None):
-        info = real_fisher(vehicles, w, config, a)
+    def fisher(vehicles, w, config, *terms):
+        info = real_fisher(vehicles, w, config, *terms)
         info.crlb_d[..., -1, 0] = np.nan
         return info
 
@@ -636,14 +636,16 @@ def test_monte_carlo_eval_ordering(small_cfg):
 
 
 def test_monte_carlo_eval_checks_inputs_first(small_cfg, monkeypatch):
-    """An unknown method, a missing model or a realization count < 1 is
-    refused before any episode runs (every episode draws its motion)."""
+    """No method, an unknown method, a missing model or a realization
+    count < 1 is refused before any episode runs (every episode draws its
+    motion)."""
     def no_episode(*args, **kwargs):
         raise AssertionError("an episode ran")
 
     monkeypatch.setattr(harness, "step_motion", no_episode)
-    for methods, n in ((["random", "bogus"], 2), (["random", "hcl"], 2),
-                       (["random"], 0), (["random"], -3)):
+    for methods, n in (([], 2), (["random", "bogus"], 2),
+                       (["random", "hcl"], 2), (["random"], 0),
+                       (["random"], -3)):
         with pytest.raises(ValueError):
             monte_carlo_eval(small_cfg, methods, n)
 
@@ -704,7 +706,7 @@ def test_slot_estimates_match_block_estimates(small_cfg, theta_mode):
     n, k, m = cfg.n_slots - 1, cfg.n_vehicles, cfg.n_tx
 
     def observations(*seeds):
-        vehicles, a, angles, z = harness._scenario(
+        vehicles, a, angles, z, *_ = harness._scenario(
             cfg, [np.random.default_rng(s) for s in seeds])
         w = aimed_beams(angles[:, :-1], cfg)
         w[:, ::3, 1] = 0.0

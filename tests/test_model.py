@@ -326,6 +326,57 @@ def test_lockstep_stream_matches_forward(cfg, rng, n_real):
             net.stream((n_real,)).push(bad)
 
 
+@pytest.mark.parametrize("tau", [1, 2])
+def test_lockstep_stream_short_windows(cfg, rng, tau):
+    """At R = 2 and tau = 1 or 2 the age-ordered ring holds fewer than tau
+    live windows only at the first push (tau = 2), or never carries a
+    window (tau = 1).  From the tau-th slot on, push() returns exactly the
+    [2, K, N_t] beams of the batched forward() on the two episodes'
+    windows, a carried row in one episode included."""
+    cfg = cfg.replace(history_len=tau)
+    net = HCLNet(cfg, kappa=1.3)
+    net.init_params(rng)
+    net.view("conv_b")[:] = [0.2, -0.1, 0.05, 0.3]
+    k, m, n = cfg.n_vehicles, cfg.n_tx, 3 * tau + 3
+    rows = rng.normal(size=(n, 2, k, m)) + 1j * rng.normal(size=(n, 2, k, m))
+    rows[tau, 1, 0] = rows[tau - 1, 1, 0]
+    stream = net.stream((2,))
+    with np.errstate(over="ignore"):
+        for s, row in enumerate(rows):
+            w = stream.push(row)
+            if s < tau - 1:
+                assert w is None
+                continue
+            window = rows[s - tau + 1:s + 1].swapaxes(0, 1)
+            x = np.stack((window.real, window.imag), axis=-1)
+            assert np.array_equal(w, output_to_matrix(net.forward(x))), s
+
+
+def test_stream_beams_are_not_aliased(cfg, rng):
+    """The beams one push() returns are the caller's: later pushes leave
+    them as they were, and writing into them changes no later beams."""
+    net = HCLNet(cfg, kappa=1.3)
+    net.init_params(rng)
+    tau, k, m = cfg.history_len, cfg.n_vehicles, cfg.n_tx
+    n = tau + 4
+    rows = rng.normal(size=(n, 2, k, m)) + 1j * rng.normal(size=(n, 2, k, m))
+    kept, overwritten = [], []
+    untouched, written = net.stream((2,)), net.stream((2,))
+    with np.errstate(over="ignore"):
+        for row in rows:
+            w = untouched.push(row)
+            if w is not None:
+                kept.append((w, w.copy()))
+            w = written.push(row)
+            if w is not None:
+                overwritten.append(w.copy())
+                w[...] = np.nan
+    assert len(kept) == n - tau + 1
+    for (w, copy), other in zip(kept, overwritten):
+        assert np.array_equal(w, copy)
+        assert np.array_equal(other, copy)
+
+
 def test_predict_sees_weights_changed_in_place(cfg, rng):
     """Each predict builds its conv matrix from the current filters, so an
     in-place weight update, as training makes, reaches the next call."""
