@@ -125,6 +125,20 @@ def _written(path: str, write, *args) -> bool:
     return True
 
 
+def _warn_if_not_improved(result) -> None:
+    """Print one warning line when the mean loss of the last tenth of the
+    iterations (at least one) is not below that of the first tenth: a run
+    whose loss grew while staying finite.  One iteration shows no trend."""
+    loss = result.loss_trace
+    tenth = max(1, len(loss) // 10)
+    first, last = np.mean(loss[:tenth]), np.mean(loss[-tenth:])
+    if len(loss) > 1 and not last < first:
+        print(f"warning: mean loss of the last {tenth} iterations {last:.6g} "
+              f"is not below that of the first {tenth} {first:.6g}; "
+              f"{sum(result.clipped)} of {len(loss)} steps were clipped",
+              file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -156,7 +170,7 @@ def main(argv=None) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        if not _written(args.out, ds.save, args.out, config):
+        if not _written(args.out, ds.save, args.out):
             return 2
         print(f"wrote {len(ds)} examples to {args.out} "
               f"(sha256 {ds.sha256()[:16]})")
@@ -189,6 +203,7 @@ def main(argv=None) -> int:
         print(f"trained {args.arch} for {len(result.loss_trace)} iters; "
               f"loss {result.loss_trace[0]:.6g} -> {result.loss_trace[-1]:.6g}; "
               f"model saved to {args.out}")
+        _warn_if_not_improved(result)
         return 0
 
     if args.command in ("eval", "sweep"):

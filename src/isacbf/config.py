@@ -113,8 +113,40 @@ class SimConfig:
             out[f.name] = v
         return out
 
+    @classmethod
+    def from_dict(cls, values) -> "SimConfig":
+        """The inverse of as_dict: the SimConfig whose as_dict() is values.
+        A key that is unknown or missing, or a value of another type, is a
+        ValueError naming the key; a value out of range is SimConfig's own
+        ValueError."""
+        if not isinstance(values, dict):
+            raise ValueError(f"config is not a JSON object: {values!r}")
+        for name in _FIELD_TYPES:
+            if name not in values:
+                raise ValueError(f"config lacks the key {name}")
+        return cls(**{name: _from_json(name, v) for name, v in values.items()})
+
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(SimConfig)}
+# the JSON value types that as_dict writes for each field type, but complex
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "complex": (),
+               "float | None": (int, float, type(None))}
+
+
+def _from_json(name: str, value):
+    """The field value that as_dict wrote as value: a complex as its repr,
+    every other value as itself."""
+    if name not in _FIELD_TYPES:
+        raise ValueError(f"unknown config key: {name}")
+    kind = _FIELD_TYPES[name]
+    if kind == "complex" and isinstance(value, str):
+        try:
+            return complex(value)
+        except ValueError:
+            pass
+    elif isinstance(value, _JSON_TYPES[kind]) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"config key {name}: cannot read {value!r} as {kind}")
 
 
 def _coerce(name: str, raw: str):

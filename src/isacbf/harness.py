@@ -40,6 +40,10 @@ from .sensing import (EchoConstants, ObsTerms, echo_constants,
                       observation_noise, observation_terms, observe)
 
 METHODS = ("genie", "naive_dl", "random", "hcl")
+# the SimConfig fields that no dataset example depends on: Dataset.check
+# lets a run differ from its dataset in these
+UNCHECKED_FIELDS = ("rng_seed", "gamma_theta", "gamma_d", "lambda_theta",
+                    "lambda_d", "lambda_power")
 
 
 @dataclass
@@ -340,16 +344,20 @@ def run_episode(config: SimConfig, method: str, rng: np.random.Generator,
 @dataclass
 class Dataset:
     """Training examples: history windows of estimated channels plus the
-    next slot's ground truth.  Consecutive examples of an episode share
-    tau - 1 slots, so the windows are stored as the rows they read, each
-    slot's once, and a [Ne, tau] index into them."""
+    next slot's ground truth, and the config they were made under.
+    Consecutive examples of an episode share tau - 1 slots, so the windows
+    are stored as the rows they read, each slot's once, and a [Ne, tau]
+    index into them.  The true channels are not stored: h is a function of
+    the stored angles and distances under config."""
     rows: np.ndarray        # [N_rows, K, M, 2] estimated channels of a slot
     windows: np.ndarray     # [Ne, tau] int64 rows of each window, oldest first
-    h: np.ndarray           # [Ne, K, M] complex true next-slot channels (rows h_k)
     thetas: np.ndarray      # [Ne, K] true angles
     dists: np.ndarray       # [Ne, K] true distances
     est_thetas: np.ndarray  # [Ne, K] last-slot estimated angles (naive DL input)
     est_dists: np.ndarray   # [Ne, K] last-slot estimated distances
+    config: SimConfig
+
+    ARRAYS = ("rows", "windows", "thetas", "dists", "est_thetas", "est_dists")
 
     def __len__(self):
         return len(self.windows)
@@ -358,12 +366,19 @@ class Dataset:
     def x(self) -> np.ndarray:
         """[Ne, tau, K, M, 2] estimated-channel windows, rows[windows]: built
         on first read and kept, so an edit to it reaches later readers.  It
-        is not a field, so save and sha256 never see it."""
+        is not stored, so save and sha256 never see it."""
         return self.rows[self.windows]
 
+    @cached_property
+    def h(self) -> np.ndarray:
+        """[Ne, K, M] complex true next-slot channels (rows h_k),
+        effective_channel of the true angles and distances under config:
+        built on first read and kept, like x.  geometry() does not read it."""
+        return effective_channel(self.thetas, self.dists, self.config)
+
     def _arrays(self) -> dict:
-        """The stored arrays by field name, in field order."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        """The stored arrays by name, in ARRAYS order."""
+        return {name: getattr(self, name) for name in self.ARRAYS}
 
     def kappa(self) -> float:
         """Input normalization 1 / median norm of the estimated-channel rows
@@ -374,65 +389,86 @@ class Dataset:
         return 1.0 / med if med > 0 else 1.0
 
     def check(self, config: SimConfig) -> None:
-        """Raise ValueError naming the field when the windows were made
-        under another history_len, n_vehicles or n_tx than config's."""
-        for field, made in zip(("history_len", "n_vehicles", "n_tx"),
-                               (self.windows.shape[1], *self.rows.shape[1:3])):
-            if made != getattr(config, field):
-                raise ValueError(
-                    f"dataset made with {field}={made}, the run has "
-                    f"{field}={getattr(config, field)}")
+        """Raise a ValueError naming every field in which config differs
+        from the dataset's config, except those that shape no example:
+        rng_seed and the loss weights (UNCHECKED_FIELDS)."""
+        differ = [f.name for f in fields(SimConfig)
+                  if f.name not in UNCHECKED_FIELDS
+                  and getattr(self.config, f.name) != getattr(config, f.name)]
+        if differ:
+            def values(cfg):
+                return ", ".join(f"{name}={getattr(cfg, name)}"
+                                 for name in differ)
+            raise ValueError(f"dataset made with {values(self.config)}; the "
+                             f"run has {values(config)}")
 
     def geometry(self, config: SimConfig) -> BatchGeometry:
         """The examples' loss geometry under config, which check() must
-        accept."""
+        accept; its true channels come from build_geometry's steering of
+        the angles."""
         self.check(config)
-        return build_geometry(self.h, self.thetas, self.dists, config)
+        return build_geometry(None, self.thetas, self.dists, config)
 
-    def save(self, path: str, config: SimConfig) -> None:
-        meta = {"kind": "dataset", "config": config.as_dict()}
+    def save(self, path: str, config: SimConfig | None = None) -> None:
+        """Write the arrays and the dataset's config to path; a config
+        given here is the run's, which check() must accept."""
+        if config is not None:
+            self.check(config)
+        meta = {"kind": "dataset", "config": self.config.as_dict()}
         save_container(path, meta, self._arrays())
 
     @classmethod
     def load(cls, path: str) -> "Dataset":
         """The dataset of a file that save wrote; a ValueError naming path
-        when it is not one, or when its arrays do not fit together: a
-        windows that is not a 2-D integer array or indexes outside rows
-        (numpy would wrap a negative index into another episode's rows),
-        per-example arrays of different lengths, or rows whose [K, M, 2]
-        is not the [K, M] of h."""
+        when it is not one: another kind, other arrays (a file of an older
+        format among them), a config that SimConfig.from_dict refuses, or
+        arrays that do not fit together and the config: a windows that is
+        not a 2-D integer array of history_len columns or indexes outside
+        rows (numpy would wrap a negative index into another episode's
+        rows), per-example arrays of different lengths or not [Ne, K], or
+        rows that are not [N_rows, K, M, 2]."""
         meta, arrays = load_container(path)
-        names = [f.name for f in fields(cls)]
         if meta.get("kind") != "dataset":
             raise ValueError(f"{path}: not a dataset file")
-        if list(arrays) != names:
-            older = ("; it is a dataset of the older format, which packed "
-                     "every window in x: regenerate it with isacbf gen-data"
-                     if "x" in arrays else "")
+        if tuple(arrays) != cls.ARRAYS:
+            older = ("; it is a dataset of an older format, which stored "
+                     "the packed windows x or the true channels h: "
+                     "regenerate it with isacbf gen-data"
+                     if {"x", "h"} & set(arrays) else "")
             raise ValueError(f"{path}: a dataset file holds the arrays "
-                             f"{', '.join(names)}, this one holds "
+                             f"{', '.join(cls.ARRAYS)}, this one holds "
                              f"{', '.join(arrays) or 'none'}{older}")
-        ds = cls(**arrays)
-        windows, rows = ds.windows, ds.rows
+        try:
+            config = SimConfig.from_dict(meta.get("config"))
+        except ValueError as exc:
+            raise ValueError(f"{path}: bad recorded config: {exc}") from None
+        windows, rows = arrays["windows"], arrays["rows"]
+        k, m, tau = config.n_vehicles, config.n_tx, config.history_len
         if windows.ndim != 2 or windows.dtype.kind != "i":
             raise ValueError(f"{path}: windows is {windows.dtype} "
                              f"{list(windows.shape)}, not a 2-D integer array")
-        lengths = {name: arr.shape[:1] for name, arr in ds._arrays().items()
+        lengths = {name: arr.shape[:1] for name, arr in arrays.items()
                    if name != "rows"}
         if len(set(lengths.values())) > 1:
             raise ValueError(f"{path}: the per-example arrays differ in "
                              f"length: " + ", ".join(
                                  f"{name} {list(n)}"
                                  for name, n in lengths.items()))
-        if rows.shape[1:] != ds.h.shape[1:] + (2,):
-            raise ValueError(f"{path}: rows {list(rows.shape)} do not hold "
-                             f"the [K, M] channels of h {list(ds.h.shape)}")
+        n_ex = len(windows)
+        shapes = {"rows": (len(rows), k, m, 2), "windows": (n_ex, tau),
+                  **dict.fromkeys(cls.ARRAYS[2:], (n_ex, k))}
+        for name, shape in shapes.items():
+            if arrays[name].shape != shape:
+                raise ValueError(
+                    f"{path}: {name} is {list(arrays[name].shape)}, not the "
+                    f"{list(shape)} of its config's n_vehicles={k}, "
+                    f"n_tx={m} and history_len={tau}")
         out = (windows < 0) | (windows >= len(rows))
         if out.any():
             e, t = (int(v) for v in np.argwhere(out)[0])
             raise ValueError(f"{path}: example {e} window slot {t} reads row "
                              f"{windows[e, t]}, outside the {len(rows)} rows")
-        return ds
+        return cls(**arrays, config=config)
 
     def sha256(self) -> str:
         digest = hashlib.sha256()
@@ -454,7 +490,7 @@ def generate_dataset(config: SimConfig, n_examples: int,
 
     Each slot n >= history_len of an episode whose previous slot observed
     every vehicle yields one example: the window of estimated channels from
-    slots [n-tau, n-1] and slot n's true channels/angles/distances.
+    slots [n-tau, n-1] and slot n's true angles and distances.
 
     Episodes run in blocks of at most _BLOCK_EPISODES, and of no more than
     the examples still wanted could need (an episode yields at most
@@ -475,7 +511,6 @@ def generate_dataset(config: SimConfig, n_examples: int,
         raise ValueError("n_slots must exceed history_len for an episode "
                          "to yield an example")
     windows = np.empty((n_examples, tau), dtype=np.int64)
-    h = np.empty((n_examples, k, m), dtype=complex)
     thetas, dists, est_thetas, est_dists = np.empty((4, n_examples, k))
     blocks = []
     i = n_rows = 0
@@ -499,8 +534,6 @@ def generate_dataset(config: SimConfig, n_examples: int,
             + np.arange(tau)
         thetas[i:j] = vehicles.theta[ep, slot]
         dists[i:j] = vehicles.dist[ep, slot]
-        h[i:j] = effective_channel(thetas[i:j], dists[i:j], config,
-                                   a[ep, slot])
         est_thetas[i:j] = obs.theta_hat[ep, prev]
         est_dists[i:j] = obs.d_hat[ep, prev]
         blocks.append(est)
@@ -508,8 +541,8 @@ def generate_dataset(config: SimConfig, n_examples: int,
         i = j
     est = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
     return Dataset(rows=est.view(float).reshape(-1, k, m, 2), windows=windows,
-                   h=h, thetas=thetas, dists=dists, est_thetas=est_thetas,
-                   est_dists=est_dists)
+                   thetas=thetas, dists=dists, est_thetas=est_thetas,
+                   est_dists=est_dists, config=config)
 
 
 # ---- training entry points -------------------------------------------------

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..channel import batch_sinr, steering, steering_dtheta
+from ..channel import (batch_sinr, effective_channel, steering,
+                       steering_dtheta)
 from ..config import SimConfig
 from ..sensing import EchoConstants, crlbs, echo_constants
 from .model import output_to_matrix
@@ -50,13 +51,17 @@ class BatchGeometry:
                              EchoConstants(*(c[idx] for c in self.echo)))
 
 
-def build_geometry(h: np.ndarray, thetas: np.ndarray, dists: np.ndarray,
-                   config: SimConfig) -> BatchGeometry:
+def build_geometry(h: np.ndarray | None, thetas: np.ndarray,
+                   dists: np.ndarray, config: SimConfig) -> BatchGeometry:
     """Precompute loss constants from true channels/angles/distances.
 
-    h: [Ne, K, M] complex; thetas, dists: [Ne, K].
+    h: [Ne, K, M] complex, or None for the effective_channel of the angles
+    and distances, formed from the one steering evaluation made here;
+    thetas, dists: [Ne, K].
     """
     a = steering(thetas, config.n_tx)
+    if h is None:
+        h = effective_channel(thetas, dists, config, a)
     return BatchGeometry(h=h, a=a, ap=steering_dtheta(thetas, config.n_tx, a),
                          echo=echo_constants(thetas, dists, config))
 

@@ -23,6 +23,7 @@ from . import kernels
 LSTM_HIDDEN = 64
 CONV_FILTERS = 4
 CNN_ROWS = 4  # a length-M antenna vector is reshaped to 4 x (M/4) x 2
+_ALIGN = 64   # bytes: the boundary the flat parameter vector starts on
 
 
 def output_to_matrix(o: np.ndarray) -> np.ndarray:
@@ -51,7 +52,11 @@ class _FlatParams:
     def _layout(self, shapes: list[tuple[str, tuple]]) -> None:
         self._shapes = shapes
         self.n_params = sum(int(np.prod(s)) for _, s in shapes)
-        self.params = np.zeros(self.n_params)
+        # the vector starts on a 64-byte boundary, so where the allocator
+        # puts a net does not move its speed
+        buf = np.zeros(self.n_params + _ALIGN // 8 - 1)
+        first = -buf.ctypes.data % _ALIGN // 8
+        self.params = buf[first:first + self.n_params]
         self._views = {}
         off = 0
         for name, shape in shapes:

@@ -6,12 +6,18 @@ read ``run_episode``'s trace and ``generate_dataset``'s arrays, record
 ``kernels.get_backend()``, and capture the first training conv and pool
 calls through ``kernels``.  A refactor that moves or renames one of them
 breaks ``isacbench/run.py`` or its checks; these tests catch that without
-running the benchmark.
+running the benchmark.  One short run of each workload, and one traced
+run, then check that the benchmark runs end to end on a copy of the tree.
 """
 import importlib.util
+import json
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from isacbf import sensing
 from isacbf.harness import (METHODS, Dataset, generate_dataset,
@@ -19,7 +25,8 @@ from isacbf.harness import (METHODS, Dataset, generate_dataset,
 from isacbf.nn import kernels
 from isacbf.nn.model import HCLNet, NaiveNet
 
-BENCH = Path(__file__).resolve().parents[1] / "isacbench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "isacbench"
 
 
 def _load(name):
@@ -129,3 +136,32 @@ def test_train_calls_the_loss_through_its_module(small_cfg, monkeypatch):
                   build_geometry(h, thetas, dists, small_cfg), small_cfg,
                   nntrain.TrainHyper(batch_size=4, max_iters=3))
     assert calls == [(4, k, m, 2)] * 3
+
+
+@pytest.fixture(scope="module")
+def bench_copy(tmp_path_factory):
+    """A checkout of src/ and isacbench/ alone, as the benchmark runs."""
+    root = tmp_path_factory.mktemp("bench")
+    for name in ("src", "isacbench"):
+        shutil.copytree(ROOT / name, root / name,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    return root
+
+
+@pytest.mark.parametrize("workload, trace", [
+    ("train", 0), ("eval", 0), ("gen-data", 0), ("eval", 1)])
+def test_benchmark_runs(bench_copy, workload, trace):
+    """One short run of isacbench/run.py per workload, and one traced run,
+    exits 0 with correct outputs and no failed operation; a plain run
+    reports every end-to-end metric that BENCHMARK.json names."""
+    proc = subprocess.run(
+        [sys.executable, "isacbench/run.py", "--workload", workload,
+         "--seed", "3", "--seconds", "1", "--trace", str(trace)],
+        cwd=bench_copy, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, proc.stderr
+    if not trace:
+        names = {m["name"] for m in json.loads(
+            (ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+        assert names <= set(result["metrics"])

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import warnings
 
 import numpy as np
@@ -319,6 +320,57 @@ def test_diverging_training_is_error(arch, tmp_path, capsys):
                    "every iteration before it was finite\n")
     assert not model.exists()
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_finite_divergence_is_warned(tmp_path, capsys):
+    """train whose loss grows but stays finite (here hcl at lr 1e30) saves
+    its model, exits 0 and prints one warning line naming the first and
+    last tenths' mean losses and the clipped steps; an ordinary 5-iteration
+    run of either net prints nothing to stderr."""
+    data = str(tmp_path / "data.bin")
+    assert main(["gen-data", *SMALL, "--n-examples", "6", "--out", data]) == 0
+    capsys.readouterr()
+    model = tmp_path / "m.bin"
+    rc = main(["train", *SMALL, "--data", data, "--arch", "hcl", "--iters",
+               "5", "--lr", "1e30", "--out", str(model)])
+    out, err = capsys.readouterr()
+    assert rc == 0 and model.exists()
+    first, last = re.search(r"; loss (\S+) -> (\S+);", out).groups()
+    assert float(last) > 1e100
+    warned = re.fullmatch(
+        r"warning: mean loss of the last 1 iterations (\S+) is not below "
+        r"that of the first 1 (\S+); (\d) of 5 steps were clipped\n", err)
+    assert warned and warned.groups()[:2] == (last, first)
+    assert int(warned[3]) >= 1
+    for arch in ("hcl", "naive"):
+        model.unlink()
+        assert main(["train", *SMALL, "--data", data, "--arch", arch,
+                     "--iters", "5", "--out", str(model)]) == 0
+        assert capsys.readouterr().err == "" and model.exists()
+
+
+def test_dataset_config_is_checked(tmp_path, capsys):
+    """train refuses a dataset made under another pathloss_exp, naming the
+    field, and trains on one that differs from the run only in rng_seed or
+    gamma_theta, which shape no example."""
+    model = tmp_path / "m.bin"
+    for extra, ok in ((["--set", "pathloss_exp=2"], False),
+                      (["--seed", "5"], True),
+                      (["--set", "gamma_theta=0.5"], True)):
+        data = str(tmp_path / "data.bin")
+        assert main(["gen-data", *SMALL, *extra, "--n-examples", "4",
+                     "--out", data]) == 0
+        capsys.readouterr()
+        rc = main(["train", *SMALL, "--data", data, "--arch", "naive",
+                   "--iters", "1", "--out", str(model)])
+        out, err = capsys.readouterr()
+        if ok:
+            assert rc == 0 and err == "" and model.exists(), extra
+            model.unlink()
+        else:
+            assert rc == 2 and out == "" and not model.exists()
+            assert err == ("error: dataset made with pathloss_exp=2.0; the "
+                           "run has pathloss_exp=2.55\n")
 
 
 @pytest.mark.parametrize("cmd", ["eval", "sweep"])

@@ -504,7 +504,7 @@ def test_generate_dataset(small_cfg):
     tau, k, m = small_cfg.history_len, small_cfg.n_vehicles, small_cfg.n_tx
     assert len(ds) == 20
     assert ds.x.shape == (20, tau, k, m, 2)
-    assert ds.h.shape == (20, k, m)
+    assert ds.h.shape == (20, k, m) and ds.config == small_cfg
     assert ds.thetas.shape == ds.dists.shape == (20, k)
     assert np.all(ds.dists > 0) and np.all((ds.thetas > 0) & (ds.thetas < np.pi))
     assert ds.kappa() > 0
@@ -607,6 +607,74 @@ def test_dataset_stores_each_row_once(cfg, tmp_path, monkeypatch, n_examples):
     # holds it, has the bits of the median over the packed windows
     packed = np.median(np.sqrt((ds.x ** 2).sum(axis=(3, 4))))
     assert ds.kappa().hex() == (1.0 / packed).hex()
+
+
+@pytest.mark.parametrize("theta_mode", ["relative", "crlb"])
+@pytest.mark.parametrize("n_examples", [12, 600, 3000])
+def test_dataset_channels_are_derived(cfg, tmp_path, monkeypatch, n_examples,
+                                      theta_mode):
+    """A dataset stores no true channels.  h, built on first read, and the
+    h, a, ap and echo constants of geometry() have the bytes of the
+    formulas that made the stored h: effective_channel of each example's
+    slot with that slot's steering from its block's one steering
+    evaluation, then build_geometry of that h.  A saved file holds no h,
+    and load restores an equal config.  3000 examples take two blocks."""
+    config = cfg.replace(theta_mode=theta_mode)
+    scenarios = []
+    real_scenario = harness._scenario
+
+    def recorded(*args, **kwargs):
+        scenarios.append(real_scenario(*args, **kwargs))
+        return scenarios[-1]
+
+    monkeypatch.setattr(harness, "_scenario", recorded)
+    ds = generate_dataset(config, n_examples, np.random.default_rng(n_examples))
+    assert ds.config == config and "h" not in vars(ds)
+    assert len(scenarios) == (2 if n_examples == 3000 else 1)
+    # an example's last window row is row 1 + (slot - 1) of its episode,
+    # and every episode of every block holds n_slots rows
+    ep, slot = np.divmod(ds.windows[:, -1], config.n_slots)
+    theta, dist, a = (np.concatenate(f)[ep, slot] for f in zip(*(
+        (sc.vehicles.theta, sc.vehicles.dist, sc.a) for sc in scenarios)))
+    assert ds.thetas.tobytes() == theta.tobytes()
+    assert ds.dists.tobytes() == dist.tobytes()
+    h = effective_channel(theta, dist, config, a)
+    ref = harness.build_geometry(h, ds.thetas, ds.dists, config)
+    geom = ds.geometry(config)
+    for name in ("h", "a", "ap"):
+        assert getattr(geom, name).tobytes() == getattr(ref, name).tobytes()
+    for got, want in zip(geom.echo, ref.echo):
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    assert ds.h.tobytes() == h.tobytes()
+
+    path = str(tmp_path / "data.bin")
+    ds.save(path)
+    _, arrays = harness.load_container(path)
+    assert list(arrays) == list(Dataset.ARRAYS)
+    back = Dataset.load(path)
+    assert back.config == config and back.sha256() == ds.sha256()
+    assert back.h.tobytes() == h.tobytes()
+
+
+def test_dataset_refuses_a_foreign_config(small_cfg, tmp_path):
+    """check() names every field in which the run's config differs from the
+    dataset's, and accepts one that differs only in rng_seed and the loss
+    weights, which shape no example; save() refuses a foreign config too."""
+    ds = generate_dataset(small_cfg, 4, np.random.default_rng(0))
+    ds.check(small_cfg)
+    ds.check(small_cfg.replace(rng_seed=9, gamma_theta=0.5, gamma_d=0.5,
+                               lambda_theta=1.0, lambda_d=1.0,
+                               lambda_power=1.0))
+    other = small_cfg.replace(pathloss_exp=2.0, theta_mode="crlb", rng_seed=9)
+    with pytest.raises(ValueError) as err:
+        ds.check(other)
+    assert str(err.value) == ("dataset made with pathloss_exp=2.55, "
+                              "theta_mode=relative; the run has "
+                              "pathloss_exp=2.0, theta_mode=crlb")
+    for use in (ds.geometry, lambda c: ds.save(str(tmp_path / "d.bin"), c)):
+        with pytest.raises(ValueError, match="pathloss_exp=2.55"):
+            use(other)
+    assert not (tmp_path / "d.bin").exists()
 
 
 def test_train_entry_points(small_cfg):

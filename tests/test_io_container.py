@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from isacbf.config import SimConfig
 from isacbf.harness import Dataset
 from isacbf.io_container import MAGIC, load_container, save_container
 
@@ -168,12 +169,16 @@ def test_saving_to_a_directory_raises(tmp_path):
     assert (target / "keep").read_text() == "x"
 
 
+# the config of _dataset_arrays' dataset, as a dataset file records it
+_DATASET_META = {"kind": "dataset", "config": SimConfig(
+    n_tx=8, n_rx=8, n_vehicles=1, history_len=2).as_dict()}
+
+
 def _dataset_arrays() -> dict:
     """The arrays of a well-formed two-example dataset with tau = 2, K = 1
     and M = 8, over three rows."""
     return {"rows": np.zeros((3, 1, 8, 2)),
             "windows": np.array([[0, 1], [1, 2]]),
-            "h": np.ones((2, 1, 8), dtype=complex),
             "thetas": np.ones((2, 1)), "dists": np.ones((2, 1)),
             "est_thetas": np.ones((2, 1)), "est_dists": np.ones((2, 1))}
 
@@ -182,11 +187,12 @@ def test_dataset_load_refuses_arrays_that_do_not_fit(tmp_path):
     """Dataset.load refuses, with a ValueError naming the file, a windows
     that is not a 2-D integer array or reads a row outside rows (a negative
     index would wrap to another episode's row), per-example arrays of
-    different lengths, and rows whose [K, M] is not h's."""
+    different lengths, and rows whose [K, M] is not its config's."""
     path = tmp_path / "ok.bin"
-    save_container(str(path), {"kind": "dataset"}, _dataset_arrays())
+    save_container(str(path), _DATASET_META, _dataset_arrays())
     ds = Dataset.load(str(path))
     assert len(ds) == 2 and ds.x.shape == (2, 2, 1, 8, 2)
+    assert ds.config == SimConfig.from_dict(_DATASET_META["config"])
     cases = {
         "float_windows": ({"windows": np.array([[0.0, 1.0], [1.0, 2.0]])},
                           "not a 2-D integer array"),
@@ -196,17 +202,19 @@ def test_dataset_load_refuses_arrays_that_do_not_fit(tmp_path):
                      "example 1 window slot 0 reads row -1"),
         "past_the_end": ({"windows": np.array([[0, 1], [1, 3]])},
                          "example 1 window slot 1 reads row 3"),
-        "short_h": ({"h": np.ones((1, 1, 8), dtype=complex)},
-                    "differ in length"),
+        "short_thetas": ({"thetas": np.ones((1, 1))}, "differ in length"),
         "long_est_dists": ({"est_dists": np.ones((3, 1))},
                            "differ in length"),
         "rows_k": ({"rows": np.zeros((3, 2, 8, 2))}, "rows"),
         "rows_m": ({"rows": np.zeros((3, 1, 16, 2))}, "rows"),
         "rows_complex": ({"rows": np.zeros((3, 1, 8), dtype=complex)}, "rows"),
+        "windows_tau": ({"windows": np.array([[0, 1, 2], [0, 1, 2]])},
+                        "history_len=2"),
+        "dists_k": ({"dists": np.ones((2, 2))}, "dists"),
     }
     for name, (change, why) in cases.items():
         path = tmp_path / f"{name}.bin"
-        save_container(str(path), {"kind": "dataset"},
+        save_container(str(path), _DATASET_META,
                        {**_dataset_arrays(), **change})
         with pytest.raises(ValueError, match=re.escape(str(path))) as err:
             Dataset.load(str(path))
@@ -214,19 +222,39 @@ def test_dataset_load_refuses_arrays_that_do_not_fit(tmp_path):
 
 
 def test_dataset_load_refuses_other_files(tmp_path):
-    """A file of another kind, a dataset missing a field, and a dataset of
-    the older format that packed every window in x are refused; the
-    message for the older format names the expected fields and says to
-    regenerate the file."""
+    """A file of another kind, a dataset missing a field, the older formats
+    that packed every window in x or stored the true channels h, and a
+    dataset whose recorded config lacks a key, has an unknown key or a
+    value that does not parse are refused; the message for an older format
+    names the expected fields and says to regenerate the file."""
     arrays = _dataset_arrays()
-    old = {"x": np.zeros((2, 2, 1, 8, 2)),
-           **{k: v for k, v in arrays.items() if k not in ("rows", "windows")}}
+    with_h = {"rows": arrays["rows"], "windows": arrays["windows"],
+              "h": np.ones((2, 1, 8), dtype=complex),
+              **{k: v for k, v in arrays.items() if k not in ("rows", "windows")}}
+    packed = {"x": np.zeros((2, 2, 1, 8, 2)),
+              **{k: v for k, v in with_h.items() if k not in ("rows", "windows")}}
+    config = _DATASET_META["config"]
     cases = {
         "model": ({"kind": "hcl"}, arrays, "not a dataset file"),
-        "missing": ({"kind": "dataset"},
-                    {k: v for k, v in arrays.items() if k != "h"},
-                    "rows, windows, h, thetas, dists, est_thetas, est_dists"),
-        "old_format": ({"kind": "dataset"}, old, "regenerate"),
+        "missing": (_DATASET_META,
+                    {k: v for k, v in arrays.items() if k != "dists"},
+                    "rows, windows, thetas, dists, est_thetas, est_dists"),
+        "packed_format": (_DATASET_META, packed, "regenerate"),
+        "h_format": (_DATASET_META, with_h, "regenerate"),
+        "no_config": ({"kind": "dataset"}, arrays, "config is not"),
+        "lacks_key": ({"kind": "dataset", "config": {
+            k: v for k, v in config.items() if k != "n_slots"}}, arrays,
+            "lacks the key n_slots"),
+        "unknown_key": ({"kind": "dataset", "config": {**config, "rho_mu": 1}},
+                        arrays, "unknown config key: rho_mu"),
+        "bad_int": ({"kind": "dataset", "config": {**config, "n_tx": "8x"}},
+                    arrays, "config key n_tx: cannot read '8x'"),
+        "bad_complex": ({"kind": "dataset",
+                         "config": {**config, "rcs_coeff": "10+j10"}},
+                        arrays, "config key rcs_coeff"),
+        "out_of_range": ({"kind": "dataset",
+                          "config": {**config, "n_tx": 12}},
+                         arrays, "n_tx must be divisible by 8"),
     }
     for name, (meta, data, why) in cases.items():
         path = tmp_path / f"{name}.bin"
@@ -234,4 +262,5 @@ def test_dataset_load_refuses_other_files(tmp_path):
         with pytest.raises(ValueError, match=re.escape(str(path))) as err:
             Dataset.load(str(path))
         assert why in str(err.value), name
-    assert "rows, windows, h" in str(err.value)
+        if name.endswith("_format"):
+            assert "rows, windows, thetas" in str(err.value)

@@ -442,6 +442,23 @@ def test_load_model_dispatch(cfg, rng, tmp_path):
                 load_model(path, cfg.replace(**{field: value}))
 
 
+def test_params_are_aligned(small_cfg, rng, tmp_path):
+    """A fresh and a loaded net's flat parameter vector is contiguous and
+    starts on a 64-byte boundary, and every named weight is a view of it."""
+    for cls in (HCLNet, NaiveNet):
+        for _ in range(4):
+            net = cls(small_cfg)
+            net.init_params(rng)
+            path = str(tmp_path / "m.bin")
+            net.save(path)
+            for got in (net, load_model(path, small_cfg)):
+                assert got.params.flags.c_contiguous
+                assert got.params.ctypes.data % 64 == 0
+                assert all(np.shares_memory(got.view(name), got.params)
+                           for name, _ in got._shapes)
+            assert np.array_equal(got.params, net.params)
+
+
 def test_load_model_refuses_non_finite(small_cfg, rng, tmp_path):
     """A model file whose parameters or kappa are not finite is a
     ValueError naming the file."""
