@@ -41,8 +41,8 @@ def steering_direct(theta, n_ant: int) -> np.ndarray:
     per angle: the phase (-j*pi*m)*cos(theta) in this order, then exp and
     the 1/sqrt(N) scale.  Its bits are those of the defining formula, which
     steering() matches only to within 3*N*eps; the channels of estimates
-    take it (see harness._write_estimates).  An array of angles gives, row
-    by row, the bits of one-angle calls."""
+    take it (see harness.Dataset.rows).  An array of angles gives, row by
+    row, the bits of one-angle calls."""
     if n_ant < 1:
         raise ValueError("n_ant must be >= 1")
     phase = (-1j * np.pi * np.arange(n_ant)) * _per_antenna(np.cos(theta))

@@ -146,32 +146,26 @@ def _observed(vehicles: VehicleState) -> VehicleState:
     return VehicleState(*(f[:, :-1] for f in vars(vehicles).values()))
 
 
-def _write_estimates(est: np.ndarray, obs, config: SimConfig) -> None:
-    """Write the estimated channels of the [n_ep, n, K] observations obs of
-    n_ep episodes into est[:, 1:] of the [n_ep, n + 1, K, M] est, one
-    [K, M] row per slot, est[:, 0] holding the row before the first.  A
-    vehicle without a usable estimate carries its previous row forward.
-
-    An estimated channel takes steering_direct, the bits of the defining
-    formula, not steering's recurrence: a distance estimate near 0 makes its
-    row far larger than any true channel, and isacbench's check_dataset
-    compares the rows with its own direct exponential to 1e-12 of the
-    largest true channel, which the recurrence's 3*N*eps relative error
-    misses on such a row (about 1 dataset of 600 examples in 300)."""
-    usable, rows = obs.usable, est[:, 1:]
-    if usable.all():
-        rows[:] = effective_channel(obs.theta_hat, obs.d_hat, config,
-                                    steering_direct(obs.theta_hat, config.n_tx))
-        return
-    theta_hat, d_hat = obs.theta_hat[usable], obs.d_hat[usable]
-    rows[usable] = effective_channel(theta_hat, d_hat, config,
-                                     steering_direct(theta_hat, config.n_tx))
-    # each row's latest usable row of the vehicle, 0 for the row before
-    latest = np.maximum.accumulate(
-        usable * np.arange(1, usable.shape[1] + 1)[:, None], axis=1)
-    # plain fancy indexing: np.take_along_axis costs 3x more on one slot
-    rows[:] = est[np.arange(len(est))[:, None, None], latest,
-                  np.arange(usable.shape[2])]
+def _row_estimates(obs) -> np.ndarray:
+    """[2, n_ep, n + 1, K]: the angle and the distance estimate of each row
+    of the [n_ep, n, K] observations obs of n_ep episodes.  Row 1 + s holds
+    each vehicle's estimate of slot s, or, without a usable one, its latest
+    earlier one carried forward; row 0 holds zeros, the row before the
+    first.  A usable estimate has a distance > 0, so a distance of 0 marks
+    a vehicle without one yet."""
+    usable = obs.usable
+    n_ep, n, k = usable.shape
+    est = np.zeros((2, n_ep, n + 1, k))
+    est[0, :, 1:] = obs.theta_hat
+    est[1, :, 1:] = obs.d_hat
+    if not usable.all():
+        # each row's latest usable row of the vehicle, 0 for the row before
+        latest = np.maximum.accumulate(
+            usable * np.arange(1, n + 1)[:, None], axis=1)
+        # plain fancy indexing: np.take_along_axis costs 3x more on one slot
+        est[:, :, 1:] = est[:, np.arange(n_ep)[:, None, None], latest,
+                            np.arange(k)]
+    return est
 
 
 def project_power(w: np.ndarray, budget: float) -> np.ndarray:
@@ -346,35 +340,73 @@ class Dataset:
     """Training examples: history windows of estimated channels plus the
     next slot's ground truth, and the config they were made under.
     Consecutive examples of an episode share tau - 1 slots, so the windows
-    are stored as the rows they read, each slot's once, and a [Ne, tau]
-    index into them.  The true channels are not stored: h is a function of
-    the stored angles and distances under config."""
-    rows: np.ndarray        # [N_rows, K, M, 2] estimated channels of a slot
+    are a [Ne, tau] index into rows, each slot's once.  A row's estimated
+    channels are a function of the estimates they were built from, so a
+    dataset stores those, carry-forward applied, and the true channels h
+    are a function of the true angles and distances: rows, x, the naive-DL
+    inputs est_thetas and est_dists, h and the loss geometry are built
+    under config on first read and kept, so an edit to one reaches later
+    readers.  save and sha256 see only the stored arrays."""
     windows: np.ndarray     # [Ne, tau] int64 rows of each window, oldest first
     thetas: np.ndarray      # [Ne, K] true angles
     dists: np.ndarray       # [Ne, K] true distances
-    est_thetas: np.ndarray  # [Ne, K] last-slot estimated angles (naive DL input)
-    est_dists: np.ndarray   # [Ne, K] last-slot estimated distances
+    row_thetas: np.ndarray  # [N_rows, K] angle estimate of each row
+    row_dists: np.ndarray   # [N_rows, K] its distance estimate, 0: a zero row
     config: SimConfig
 
-    ARRAYS = ("rows", "windows", "thetas", "dists", "est_thetas", "est_dists")
+    ARRAYS = ("windows", "thetas", "dists", "row_thetas", "row_dists")
 
     def __len__(self):
         return len(self.windows)
 
     @cached_property
+    def rows(self) -> np.ndarray:
+        """[N_rows, K, M, 2] estimated channels of a slot: effective_channel
+        of each row's estimates, zeros where its distance is 0.  They take
+        steering_direct, the bits of the defining formula, not steering's
+        recurrence: a distance estimate near 0 makes its row far larger
+        than any true channel, and isacbench's check_dataset compares the
+        last window row with its own direct exponential to 1e-12 of the
+        largest true channel, which the recurrence's 3*N*eps relative error
+        misses on such a row (about 1 dataset of 600 examples in 300)."""
+        m = self.config.n_tx
+        seen = self.row_dists > 0
+        theta = self.row_thetas[seen]
+        rows = np.zeros(seen.shape + (m,), dtype=complex)
+        rows[seen] = effective_channel(theta, self.row_dists[seen],
+                                       self.config, steering_direct(theta, m))
+        return rows.view(float).reshape(seen.shape + (m, 2))
+
+    @cached_property
     def x(self) -> np.ndarray:
-        """[Ne, tau, K, M, 2] estimated-channel windows, rows[windows]: built
-        on first read and kept, so an edit to it reaches later readers.  It
-        is not stored, so save and sha256 never see it."""
+        """[Ne, tau, K, M, 2] estimated-channel windows, rows[windows]."""
         return self.rows[self.windows]
+
+    @cached_property
+    def est_thetas(self) -> np.ndarray:
+        """[Ne, K] last-slot estimated angles (naive DL input)."""
+        return self.row_thetas[self.windows[:, -1]]
+
+    @cached_property
+    def est_dists(self) -> np.ndarray:
+        """[Ne, K] last-slot estimated distances."""
+        return self.row_dists[self.windows[:, -1]]
 
     @cached_property
     def h(self) -> np.ndarray:
         """[Ne, K, M] complex true next-slot channels (rows h_k),
-        effective_channel of the true angles and distances under config:
-        built on first read and kept, like x.  geometry() does not read it."""
+        effective_channel of the true angles and distances under config.
+        geometry() does not read it."""
         return effective_channel(self.thetas, self.dists, self.config)
+
+    @cached_property
+    def _geometry(self) -> BatchGeometry:
+        """The examples' loss geometry under config, its arrays read-only:
+        every training run on the dataset shares it."""
+        geom = build_geometry(None, self.thetas, self.dists, self.config)
+        for arr in (geom.h, geom.a, geom.ap, *geom.echo):
+            arr.flags.writeable = False
+        return geom
 
     def _arrays(self) -> dict:
         """The stored arrays by name, in ARRAYS order."""
@@ -403,11 +435,12 @@ class Dataset:
                              f"run has {values(config)}")
 
     def geometry(self, config: SimConfig) -> BatchGeometry:
-        """The examples' loss geometry under config, which check() must
-        accept; its true channels come from build_geometry's steering of
-        the angles."""
+        """The examples' loss geometry, once config passes check(): built
+        under the dataset's own config on the first call and shared by
+        every later one, which check() makes the same geometry as config's
+        (build_geometry reads no field that check() lets differ)."""
         self.check(config)
-        return build_geometry(None, self.thetas, self.dists, config)
+        return self._geometry
 
     def save(self, path: str, config: SimConfig | None = None) -> None:
         """Write the arrays and the dataset's config to path; a config
@@ -424,17 +457,22 @@ class Dataset:
         format among them), a config that SimConfig.from_dict refuses, or
         arrays that do not fit together and the config: a windows that is
         not a 2-D integer array of history_len columns or indexes outside
-        rows (numpy would wrap a negative index into another episode's
-        rows), per-example arrays of different lengths or not [Ne, K], or
-        rows that are not [N_rows, K, M, 2]."""
+        the rows (numpy would wrap a negative index into another episode's
+        rows), per-example arrays of different lengths or not [Ne, K], row
+        estimates that are not [N_rows, K] of one length, or arrays of
+        angles and distances that are not float.  Row estimates that
+        generate_dataset never writes are refused too, naming the first
+        such row: a non-finite angle or distance, a negative distance, and
+        a distance of 0 (no estimate) in an example's last window row,
+        which holds its naive-DL input."""
         meta, arrays = load_container(path)
         if meta.get("kind") != "dataset":
             raise ValueError(f"{path}: not a dataset file")
         if tuple(arrays) != cls.ARRAYS:
             older = ("; it is a dataset of an older format, which stored "
-                     "the packed windows x or the true channels h: "
-                     "regenerate it with isacbf gen-data"
-                     if {"x", "h"} & set(arrays) else "")
+                     "the estimated channels rows or x or the true "
+                     "channels h: regenerate it with isacbf gen-data"
+                     if {"rows", "x", "h"} & set(arrays) else "")
             raise ValueError(f"{path}: a dataset file holds the arrays "
                              f"{', '.join(cls.ARRAYS)}, this one holds "
                              f"{', '.join(arrays) or 'none'}{older}")
@@ -442,32 +480,54 @@ class Dataset:
             config = SimConfig.from_dict(meta.get("config"))
         except ValueError as exc:
             raise ValueError(f"{path}: bad recorded config: {exc}") from None
-        windows, rows = arrays["windows"], arrays["rows"]
-        k, m, tau = config.n_vehicles, config.n_tx, config.history_len
+        windows = arrays["windows"]
+        k, tau = config.n_vehicles, config.history_len
         if windows.ndim != 2 or windows.dtype.kind != "i":
             raise ValueError(f"{path}: windows is {windows.dtype} "
                              f"{list(windows.shape)}, not a 2-D integer array")
-        lengths = {name: arr.shape[:1] for name, arr in arrays.items()
-                   if name != "rows"}
-        if len(set(lengths.values())) > 1:
-            raise ValueError(f"{path}: the per-example arrays differ in "
-                             f"length: " + ", ".join(
-                                 f"{name} {list(n)}"
-                                 for name, n in lengths.items()))
-        n_ex = len(windows)
-        shapes = {"rows": (len(rows), k, m, 2), "windows": (n_ex, tau),
-                  **dict.fromkeys(cls.ARRAYS[2:], (n_ex, k))}
+        for kind, group in (("per-example", cls.ARRAYS[:3]),
+                            ("row-estimate", cls.ARRAYS[3:])):
+            lengths = {name: arrays[name].shape[:1] for name in group}
+            if len(set(lengths.values())) > 1:
+                raise ValueError(f"{path}: the {kind} arrays differ in "
+                                 "length: " + ", ".join(
+                                     f"{name} {list(n)}"
+                                     for name, n in lengths.items()))
+        n_ex, n_rows = len(windows), len(arrays["row_dists"])
+        shapes = {"windows": (n_ex, tau), "thetas": (n_ex, k),
+                  "dists": (n_ex, k), "row_thetas": (n_rows, k),
+                  "row_dists": (n_rows, k)}
         for name, shape in shapes.items():
-            if arrays[name].shape != shape:
+            arr = arrays[name]
+            if arr.shape != shape:
                 raise ValueError(
-                    f"{path}: {name} is {list(arrays[name].shape)}, not the "
-                    f"{list(shape)} of its config's n_vehicles={k}, "
-                    f"n_tx={m} and history_len={tau}")
-        out = (windows < 0) | (windows >= len(rows))
+                    f"{path}: {name} is {list(arr.shape)}, not the "
+                    f"{list(shape)} of its config's n_vehicles={k} and "
+                    f"history_len={tau}")
+            if name != "windows" and arr.dtype.kind != "f":
+                raise ValueError(f"{path}: {name} is {arr.dtype}, not float")
+        out = (windows < 0) | (windows >= n_rows)
         if out.any():
             e, t = (int(v) for v in np.argwhere(out)[0])
             raise ValueError(f"{path}: example {e} window slot {t} reads row "
-                             f"{windows[e, t]}, outside the {len(rows)} rows")
+                             f"{windows[e, t]}, outside the {n_rows} rows")
+        row_thetas, row_dists = arrays["row_thetas"], arrays["row_dists"]
+        for what, bad in (
+                ("an angle estimate that is not finite",
+                 ~np.isfinite(row_thetas)),
+                ("a distance estimate that is not finite",
+                 ~np.isfinite(row_dists)),
+                ("a negative distance estimate", row_dists < 0)):
+            if bad.any():
+                r, v = (int(i) for i in np.argwhere(bad)[0])
+                raise ValueError(f"{path}: row {r} holds {what} for vehicle "
+                                 f"{v}")
+        bad = row_dists[windows[:, -1]] == 0
+        if bad.any():
+            e, v = (int(i) for i in np.argwhere(bad)[0])
+            raise ValueError(f"{path}: example {e} has no estimate of vehicle "
+                             f"{v} (distance 0) in its last window row, row "
+                             f"{windows[e, -1]}")
         return cls(**arrays, config=config)
 
     def sha256(self) -> str:
@@ -497,21 +557,20 @@ def generate_dataset(config: SimConfig, n_examples: int,
     n_slots - tau), so rng spawns one child per episode exactly as one
     episode at a time would.  Each block is one _scenario, the draw that
     monte_carlo_eval shares among its methods, observed under its random
-    beams in one observation call into one estimate array; no rates or
-    CRLBs are measured, which no example holds.  No example's window holds
-    the last slot, so it is not observed and its random beams are not
-    computed.  The estimate arrays are the dataset's rows, and each window
-    is the index of its tau rows in them.
+    beams in one observation call; no rates or CRLBs are measured, which
+    no example holds.  No example's window holds the last slot, so it is
+    not observed and its random beams are not computed.  The rows are each
+    slot's estimates (_row_estimates), and each window is the index of its
+    tau rows; no channel is formed here (Dataset.rows builds them on read).
     """
     if n_examples < 1:
         raise ValueError("n_examples must be >= 1")
-    n, tau, k, m = (config.n_slots, config.history_len, config.n_vehicles,
-                    config.n_tx)
+    n, tau, k = config.n_slots, config.history_len, config.n_vehicles
     if n <= tau:
         raise ValueError("n_slots must exceed history_len for an episode "
                          "to yield an example")
     windows = np.empty((n_examples, tau), dtype=np.int64)
-    thetas, dists, est_thetas, est_dists = np.empty((4, n_examples, k))
+    thetas, dists = np.empty((2, n_examples, k))
     blocks = []
     i = n_rows = 0
     while i < n_examples:
@@ -520,11 +579,9 @@ def generate_dataset(config: SimConfig, n_examples: int,
         obs = generate_observation(_observed(vehicles),
                                    aimed_beams(angles[:, :-1], config),
                                    config, z, a=a[:, :-1])
-        # row 1 + s of an episode holds slot s's estimated channels, row 0
-        # the zeros before slot 0, so rows s - tau + 1 .. s are the window
-        # of slot s
-        est = np.zeros((n_ep, n, k, m), dtype=complex)
-        _write_estimates(est, obs, config)
+        # row 1 + s of an episode holds slot s's estimates, row 0 the zeros
+        # before slot 0, so rows s - tau + 1 .. s are the window of slot s
+        blocks.append(_row_estimates(obs))
         complete = obs.usable.all(axis=-1)
         complete[:, :tau - 1] = False
         ep, prev = (idx[:n_examples - i] for idx in np.nonzero(complete))
@@ -534,15 +591,12 @@ def generate_dataset(config: SimConfig, n_examples: int,
             + np.arange(tau)
         thetas[i:j] = vehicles.theta[ep, slot]
         dists[i:j] = vehicles.dist[ep, slot]
-        est_thetas[i:j] = obs.theta_hat[ep, prev]
-        est_dists[i:j] = obs.d_hat[ep, prev]
-        blocks.append(est)
         n_rows += n_ep * n
         i = j
-    est = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-    return Dataset(rows=est.view(float).reshape(-1, k, m, 2), windows=windows,
-                   thetas=thetas, dists=dists, est_thetas=est_thetas,
-                   est_dists=est_dists, config=config)
+    est = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
+    return Dataset(windows=windows, thetas=thetas, dists=dists,
+                   row_thetas=est[0].reshape(-1, k),
+                   row_dists=est[1].reshape(-1, k), config=config)
 
 
 # ---- training entry points -------------------------------------------------

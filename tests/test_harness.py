@@ -656,6 +656,71 @@ def test_dataset_channels_are_derived(cfg, tmp_path, monkeypatch, n_examples,
     assert back.h.tobytes() == h.tobytes()
 
 
+@pytest.mark.parametrize("theta_mode", ["relative", "crlb"])
+def test_dataset_inputs_match_slot_loop_bits(small_cfg, theta_mode):
+    """x, est_thetas, est_dists and kappa(), built on read from the stored
+    row estimates, have the bytes of the windows and estimates of the loop
+    that shifts a history one slot at a time, on a config where many rows
+    are carried forward."""
+    cfg = _noisy(small_cfg).replace(theta_mode=theta_mode)
+    n_examples = 3 * (cfg.n_slots - cfg.history_len)
+    ds = generate_dataset(cfg, n_examples, np.random.default_rng(6))
+    ref = slot_loop_dataset(cfg, n_examples, np.random.default_rng(6))
+    d = ds.row_dists
+    assert ((d[1:] == d[:-1]) & (d[1:] > 0)).any()     # a carried row
+    for name in ("x", "est_thetas", "est_dists"):
+        assert getattr(ds, name).tobytes() == ref[name].tobytes(), name
+    packed = np.median(np.sqrt((ref["x"] ** 2).sum(axis=(3, 4))))
+    assert ds.kappa().hex() == (1.0 / packed).hex()
+
+
+def test_dataset_stores_no_channel(cfg, tmp_path):
+    """Every stored array is [Ne, tau] or [N, K], with no antenna axis:
+    the channels, windows and naive-DL inputs are built on read, and a
+    saved file holds only the stored arrays."""
+    ds = generate_dataset(cfg, 50, np.random.default_rng(0))
+    k, tau = cfg.n_vehicles, cfg.history_len
+    assert not {"rows", "x", "est_thetas", "est_dists", "h"} & set(vars(ds))
+    path = str(tmp_path / "data.bin")
+    ds.save(path)
+    _, arrays = harness.load_container(path)
+    assert list(arrays) == list(Dataset.ARRAYS)
+    for name, arr in arrays.items():
+        assert arr.shape[1:] == ((tau,) if name == "windows" else (k,)), name
+        assert arr.tobytes() == getattr(ds, name).tobytes(), name
+
+
+def test_geometry_is_built_once(small_cfg, monkeypatch):
+    """geometry() builds one read-only BatchGeometry per dataset, under the
+    dataset's own config, and hands it to every run that check() accepts,
+    the training entry points among them: a run differing only in rng_seed
+    or gamma_theta gets the same bits; a foreign config is refused."""
+    ds = generate_dataset(small_cfg, 10, np.random.default_rng(2))
+    built = []
+    real_build = harness.build_geometry
+
+    def build(*args):
+        built.append(real_build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(harness, "build_geometry", build)
+    ref = real_build(None, ds.thetas, ds.dists, small_cfg)
+    geom = ds.geometry(small_cfg.replace(rng_seed=9))
+    hyper = TrainHyper(lr=1e-4, batch_size=4, max_iters=2)
+    train_hcl(ds, small_cfg.replace(gamma_theta=0.5), hyper)
+    train_naive(ds, small_cfg, hyper)
+    assert ds.geometry(small_cfg.replace(gamma_theta=0.5)) is geom
+    assert len(built) == 1
+    arrays = (geom.h, geom.a, geom.ap, *geom.echo)
+    for got, want in zip(arrays, (ref.h, ref.a, ref.ap, *ref.echo)):
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        geom.h[0, 0, 0] = 0.0
+    with pytest.raises(ValueError, match="pathloss_exp"):
+        ds.geometry(small_cfg.replace(pathloss_exp=2.0))
+
+
 def test_dataset_refuses_a_foreign_config(small_cfg, tmp_path):
     """check() names every field in which the run's config differs from the
     dataset's, and accepts one that differs only in rng_seed and the loss
@@ -764,12 +829,12 @@ def _record_observations(monkeypatch, seam="observe"):
 
 @pytest.mark.parametrize("theta_mode", ["relative", "crlb"])
 def test_slot_estimates_match_block_estimates(small_cfg, theta_mode):
-    """The rows that _write_estimates writes for a whole episode at once
-    equal, bit for bit, the latest row of a history shifted one slot at a
-    time (shift_history), on a config whose distance estimates often go
-    negative and with a zero beam row, so that many rows are carried
-    forward.  Each episode of a scenario of three, observed and written in
-    one call, has the rows of its scenario of one."""
+    """The rows that Dataset.rows builds from a whole episode's row
+    estimates (_row_estimates) equal, bit for bit, the latest row of a
+    history shifted one slot at a time (shift_history), on a config whose
+    distance estimates often go negative and with a zero beam row, so that
+    many rows are carried forward.  Each episode of a scenario of three,
+    observed in one call, has the rows of its scenario of one."""
     cfg = _noisy(small_cfg).replace(theta_mode=theta_mode)
     n, k, m = cfg.n_slots - 1, cfg.n_vehicles, cfg.n_tx
 
@@ -782,13 +847,16 @@ def test_slot_estimates_match_block_estimates(small_cfg, theta_mode):
                                             cfg, z)
 
     def estimates(obs):
-        est = np.zeros((len(obs.usable), n + 1, k, m), dtype=complex)
-        harness._write_estimates(est, obs, cfg)
-        return est
+        est = harness._row_estimates(obs)
+        rows = Dataset(np.empty((0, cfg.history_len), dtype=np.int64),
+                       np.empty((0, k)), np.empty((0, k)),
+                       est[0].reshape(-1, k), est[1].reshape(-1, k), cfg).rows
+        return (rows[..., 0] + 1j * rows[..., 1]).reshape(-1, n + 1, k, m)
 
     obs = observations(8)
     est = estimates(obs)
     history = np.zeros((1, k, m), dtype=complex)
+    assert not est[0, 0].any()
     for s in range(n):
         history = shift_history(history, type(obs)(*(f[0, s] for f in obs)),
                                 cfg)

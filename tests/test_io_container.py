@@ -175,23 +175,28 @@ _DATASET_META = {"kind": "dataset", "config": SimConfig(
 
 
 def _dataset_arrays() -> dict:
-    """The arrays of a well-formed two-example dataset with tau = 2, K = 1
-    and M = 8, over three rows."""
-    return {"rows": np.zeros((3, 1, 8, 2)),
-            "windows": np.array([[0, 1], [1, 2]]),
+    """The arrays of a well-formed two-example dataset with tau = 2 and
+    K = 1, over three rows, the first a zero row."""
+    return {"windows": np.array([[0, 1], [1, 2]]),
             "thetas": np.ones((2, 1)), "dists": np.ones((2, 1)),
-            "est_thetas": np.ones((2, 1)), "est_dists": np.ones((2, 1))}
+            "row_thetas": np.array([[0.0], [1.0], [1.5]]),
+            "row_dists": np.array([[0.0], [20.0], [30.0]])}
 
 
 def test_dataset_load_refuses_arrays_that_do_not_fit(tmp_path):
     """Dataset.load refuses, with a ValueError naming the file, a windows
-    that is not a 2-D integer array or reads a row outside rows (a negative
-    index would wrap to another episode's row), per-example arrays of
-    different lengths, and rows whose [K, M] is not its config's."""
+    that is not a 2-D integer array or reads a row outside the rows (a
+    negative index would wrap to another episode's row), per-example arrays
+    of different lengths, row estimates that are not [N_rows, K] of one
+    length or not float, and, naming the first such row, an estimate that
+    is not finite, a negative distance, and a last window row without an
+    estimate (distance 0)."""
     path = tmp_path / "ok.bin"
     save_container(str(path), _DATASET_META, _dataset_arrays())
     ds = Dataset.load(str(path))
     assert len(ds) == 2 and ds.x.shape == (2, 2, 1, 8, 2)
+    assert not ds.x[0, 0].any() and ds.x[0, 1].any()
+    assert ds.est_dists.tolist() == [[20.0], [30.0]]
     assert ds.config == SimConfig.from_dict(_DATASET_META["config"])
     cases = {
         "float_windows": ({"windows": np.array([[0.0, 1.0], [1.0, 2.0]])},
@@ -203,14 +208,25 @@ def test_dataset_load_refuses_arrays_that_do_not_fit(tmp_path):
         "past_the_end": ({"windows": np.array([[0, 1], [1, 3]])},
                          "example 1 window slot 1 reads row 3"),
         "short_thetas": ({"thetas": np.ones((1, 1))}, "differ in length"),
-        "long_est_dists": ({"est_dists": np.ones((3, 1))},
-                           "differ in length"),
-        "rows_k": ({"rows": np.zeros((3, 2, 8, 2))}, "rows"),
-        "rows_m": ({"rows": np.zeros((3, 1, 16, 2))}, "rows"),
-        "rows_complex": ({"rows": np.zeros((3, 1, 8), dtype=complex)}, "rows"),
+        "long_dists": ({"dists": np.ones((3, 1))}, "differ in length"),
+        "short_row_thetas": ({"row_thetas": np.ones((2, 1))},
+                             "row-estimate arrays differ in length"),
+        "row_dists_k": ({"row_dists": np.ones((3, 2))}, "row_dists"),
+        "row_thetas_flat": ({"row_thetas": np.ones(3)}, "row_thetas"),
+        "row_thetas_complex": ({"row_thetas": np.ones((3, 1), dtype=complex)},
+                               "row_thetas is complex128, not float"),
         "windows_tau": ({"windows": np.array([[0, 1, 2], [0, 1, 2]])},
                         "history_len=2"),
         "dists_k": ({"dists": np.ones((2, 2))}, "dists"),
+        "nan_theta": ({"row_thetas": np.array([[0.0], [np.nan], [np.inf]])},
+                      "row 1 holds an angle estimate that is not finite"),
+        "inf_dist": ({"row_dists": np.array([[0.0], [20.0], [np.inf]])},
+                     "row 2 holds a distance estimate that is not finite"),
+        "negative_dist": ({"row_dists": np.array([[-1.0], [20.0], [-2.0]])},
+                          "row 0 holds a negative distance estimate"),
+        "no_last_estimate": ({"row_dists": np.array([[0.0], [20.0], [0.0]])},
+                             "example 1 has no estimate of vehicle 0 "
+                             "(distance 0) in its last window row, row 2"),
     }
     for name, (change, why) in cases.items():
         path = tmp_path / f"{name}.bin"
@@ -223,24 +239,29 @@ def test_dataset_load_refuses_arrays_that_do_not_fit(tmp_path):
 
 def test_dataset_load_refuses_other_files(tmp_path):
     """A file of another kind, a dataset missing a field, the older formats
-    that packed every window in x or stored the true channels h, and a
-    dataset whose recorded config lacks a key, has an unknown key or a
-    value that does not parse are refused; the message for an older format
-    names the expected fields and says to regenerate the file."""
+    that stored the estimated channels (as packed windows x, or as rows
+    with or without the true channels h), and a dataset whose recorded
+    config lacks a key, has an unknown key or a value that does not parse
+    are refused; the message for an older format names the expected fields
+    and says to regenerate the file."""
     arrays = _dataset_arrays()
-    with_h = {"rows": arrays["rows"], "windows": arrays["windows"],
-              "h": np.ones((2, 1, 8), dtype=complex),
-              **{k: v for k, v in arrays.items() if k not in ("rows", "windows")}}
+    examples = {k: arrays[k] for k in ("thetas", "dists")}
+    estimates = {"est_thetas": np.ones((2, 1)), "est_dists": np.ones((2, 1))}
+    rows = {"rows": np.zeros((3, 1, 8, 2)), "windows": arrays["windows"],
+            **examples, **estimates}
+    with_h = {"rows": rows["rows"], "windows": arrays["windows"],
+              "h": np.ones((2, 1, 8), dtype=complex), **examples, **estimates}
     packed = {"x": np.zeros((2, 2, 1, 8, 2)),
-              **{k: v for k, v in with_h.items() if k not in ("rows", "windows")}}
+              "h": with_h["h"], **examples, **estimates}
     config = _DATASET_META["config"]
     cases = {
         "model": ({"kind": "hcl"}, arrays, "not a dataset file"),
         "missing": (_DATASET_META,
                     {k: v for k, v in arrays.items() if k != "dists"},
-                    "rows, windows, thetas, dists, est_thetas, est_dists"),
+                    "windows, thetas, dists, row_thetas, row_dists"),
         "packed_format": (_DATASET_META, packed, "regenerate"),
         "h_format": (_DATASET_META, with_h, "regenerate"),
+        "rows_format": (_DATASET_META, rows, "regenerate"),
         "no_config": ({"kind": "dataset"}, arrays, "config is not"),
         "lacks_key": ({"kind": "dataset", "config": {
             k: v for k, v in config.items() if k != "n_slots"}}, arrays,
@@ -263,4 +284,4 @@ def test_dataset_load_refuses_other_files(tmp_path):
             Dataset.load(str(path))
         assert why in str(err.value), name
         if name.endswith("_format"):
-            assert "rows, windows, thetas" in str(err.value)
+            assert "windows, thetas, dists, row_thetas" in str(err.value)
