@@ -4,7 +4,9 @@ HCLNet: per-vehicle CNN feature extraction on each history slot, temporal
 LSTM over the window, and a linear output layer producing the real/imaginary
 parts of the beamforming matrix.  All parameters live in one flat float64
 vector; the structured weights are views into it, and gradients come from an
-explicit reverse pass checked against finite differences in the tests.
+explicit reverse pass checked against finite differences in the tests.  One
+in-place LSTM cell update, _lstm_cell, serves both the batched training
+forward and the slot-by-slot inference stream, HCLStream.
 
 NaiveNet: the fully-connected baseline mapping the last slot's estimated
 (angle, distance) pairs straight to a beamforming matrix.
@@ -30,10 +32,6 @@ def output_to_matrix(o: np.ndarray) -> np.ndarray:
     """Map the real [..., K, M, 2] network output to the complex [..., K, M]
     beams, row k vehicle k's beam: a view of o when o is contiguous."""
     return np.ascontiguousarray(o).view(complex)[..., 0]
-
-
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
 
 
 def _glorot(rng, shape, fan_in, fan_out):
@@ -166,6 +164,8 @@ class HCLNet(_FlatParams):
 
         x: [Nb, tau, K, M, 2] raw input tensor (kappa applied here).
         Returns O [Nb, K, M, 2] and, optionally, the cache for backward().
+        The LSTM runs from h = c = 0, one _lstm_cell per slot; the first
+        skips h W_h^T and f * c, which add exact zeros.
         """
         nb = x.shape[0]
         if x.shape[1:] != (self.tau, self.k, self.m, 2):
@@ -173,56 +173,32 @@ class HCLNet(_FlatParams):
         v = self._views
         cache = {} if want_cache else None
         seq = self.features(x, cache=cache)
-        steps = [] if want_cache else None
-        h = self._lstm((seq[:, t, :] @ v["wx"].T for t in range(self.tau)),
-                       nb, steps)
-        o = h @ v["fc_w"] + v["fc_b"]
+        gates = np.empty((self.tau, nb, 4 * self.hidden))
+        tg, c, h = np.empty((3, self.tau, nb, self.hidden))
+        with np.errstate(over="ignore"):   # see _lstm_cell
+            for t in range(self.tau):
+                np.matmul(seq[:, t, :], v["wx"].T, out=gates[t])
+                if t:
+                    gates[t] += h[t - 1] @ v["wh"].T
+                gates[t] += v["lstm_b"]
+                _lstm_cell(_cell_views(gates[t], tg[t], c[t], h[t],
+                                       c[t - 1] if t else None))
+        o = h[-1] @ v["fc_w"] + v["fc_b"]
         out = o.reshape(nb, self.k, self.m, 2)
         if not want_cache:
             return out
-        cache.update(seq=seq, steps=steps, h_final=h, nb=nb)
+        cache.update(seq=seq, gates=gates, tg=tg, c=c, h=h, nb=nb)
         return out, cache
-
-    def _lstm(self, xw, nb: int, steps: list | None = None) -> np.ndarray:
-        """The [nb, hidden] last hidden state of the LSTM run from h = c = 0
-        over the per-slot input products x_t W_x^T in xw, each [nb, 4H].
-        The first step skips h W_h^T and f * c, which add exact zeros.  A
-        given steps list receives each step's (h_prev, c_prev, i, f, g, o,
-        tanh c) for backward()."""
-        wh_t, b = self._views["wh"].T, self._views["lstm_b"]
-        h = c = np.zeros((nb, self.hidden))
-        with np.errstate(over="ignore"):   # see _cell
-            for t, xwt in enumerate(xw):
-                gi, gf, gg, go, tc, c_new = self._cell(
-                    xwt + h @ wh_t + b if t else xwt + b, c if t else None)
-                if steps is not None:
-                    steps.append((h, c, gi, gf, gg, go, tc))
-                h, c = go * tc, c_new
-        return h
-
-    def _cell(self, gates: np.ndarray, c: np.ndarray | None):
-        """One LSTM cell update of the [..., 4H] gate pre-activations and
-        the cell state c (None for c = 0): the gates i, f, g, o, tanh of the
-        new cell state, and that state.  One sigmoid covers all four gates.
-
-        exp(-x) overflows to inf for a gate below -709, whose sigmoid is
-        then exactly 0, so the caller holds np.errstate(over="ignore"),
-        once around its loop of cell steps; the cell-input gate's sigmoid
-        is never read."""
-        hh = self.hidden
-        s = _sigmoid(gates)
-        gi, gf, go = s[..., :hh], s[..., hh:2 * hh], s[..., 3 * hh:]
-        gg = np.tanh(gates[..., 2 * hh:3 * hh])
-        c_new = gi * gg if c is None else gf * c + gi * gg
-        return gi, gf, gg, go, np.tanh(c_new), c_new
 
     def backward(self, g_out: np.ndarray, cache: dict) -> np.ndarray:
         """Gradient of a scalar loss w.r.t. the flat parameter vector, given
-        the loss gradient w.r.t. the network output [Nb, K, M, 2]."""
+        the loss gradient w.r.t. the network output [Nb, K, M, 2].  The
+        cache's buffers are read, never written."""
         v = self._views
-        nb = cache["nb"]
+        nb, hh = cache["nb"], self.hidden
+        gates, tg, c, h = cache["gates"], cache["tg"], cache["c"], cache["h"]
         go = g_out.reshape(nb, self.out_dim)
-        g_fc_w = cache["h_final"].T @ go
+        g_fc_w = h[-1].T @ go
         g_fc_b = go.sum(axis=0)
         gh = go @ v["fc_w"].T
         gc = np.zeros_like(gh)
@@ -230,28 +206,27 @@ class HCLNet(_FlatParams):
         g_wh = np.zeros_like(v["wh"])
         g_lb = np.zeros_like(v["lstm_b"])
         gseq = np.empty((nb, self.tau, self.feat))
+        dgates = np.empty((nb, 4 * hh))
+        d_i, d_f, d_g, d_o = (dgates[:, j * hh:(j + 1) * hh] for j in range(4))
         for t in range(self.tau - 1, -1, -1):
-            h_prev, c_prev, gi, gf, gg, go_, tc = cache["steps"][t]
-            d_o = gh * tc
+            gi, gf, go_ = (gates[t, :, j * hh:(j + 1) * hh] for j in (0, 1, 3))
+            gg, tc = tg[t], np.tanh(c[t])
+            np.multiply(gh * tc * go_, 1.0 - go_, out=d_o)
             gc = gc + gh * go_ * (1.0 - tc * tc)
-            d_i = gc * gg
-            d_g = gc * gi
-            d_f = gc * c_prev
-            gc_prev = gc * gf
-            dgates = np.concatenate([
-                d_i * gi * (1.0 - gi),
-                d_f * gf * (1.0 - gf),
-                d_g * (1.0 - gg * gg),
-                d_o * go_ * (1.0 - go_),
-            ], axis=1)
+            np.multiply(gc * gg * gi, 1.0 - gi, out=d_i)
+            np.multiply(gc * gi, 1.0 - gg * gg, out=d_g)
+            # at t = 0, c_old = h_old = 0: no forget-gate gradient, nothing
+            # added to g_wh and no step reads gh or gc
+            if t:
+                np.multiply(gc * c[t - 1] * gf, 1.0 - gf, out=d_f)
+                g_wh += dgates.T @ h[t - 1]
+                gh = dgates @ v["wh"]
+                gc = gc * gf
+            else:
+                d_f.fill(0.0)
             g_wx += dgates.T @ cache["seq"][:, t, :]
             g_lb += dgates.sum(axis=0)
             gseq[:, t, :] = dgates @ v["wx"]
-            # at t = 0, h_prev = 0 adds nothing to g_wh and no step reads gh
-            if t:
-                g_wh += dgates.T @ h_prev
-                gh = dgates @ v["wh"]
-            gc = gc_prev
         # gradient of the pooled ReLU, in the mask's batch-innermost layout
         mask = cache["mask"]
         gp = np.empty_like(mask, dtype=np.float64)
@@ -277,39 +252,68 @@ class HCLNet(_FlatParams):
             raise ValueError(f"expected a ({self.tau}, {self.k}, {self.m}) "
                              f"history, got {history.shape}")
         stream = self.stream()
-        with np.errstate(over="ignore"):   # see _cell
+        with np.errstate(over="ignore"):   # see _lstm_cell
             for rows in history:
                 w = stream.push(rows)
         return w
 
 
-class _Step(NamedTuple):
-    """The buffer views of one HCLStream push: the [live, R, 4H] gate
-    buffer (first, the new window's row; carried, the others') and its gate
-    columns, the previous ring's states of the carried windows, the new
-    ring's live rows, and its oldest row, which feeds the FC layer."""
-    gates: np.ndarray
-    first: np.ndarray
-    carried: np.ndarray
-    h_old: np.ndarray
-    c_old: np.ndarray
-    i: np.ndarray
-    f: np.ndarray        # of the carried windows only
-    g: np.ndarray
-    o: np.ndarray
-    c: np.ndarray
-    h: np.ndarray
-    c_carried: np.ndarray
-    h_carried: np.ndarray
-    out: np.ndarray
-
-
 def _sigmoid_(x: np.ndarray) -> None:
-    """_sigmoid in place, in its order of operations and so with its bits."""
+    """The logistic sigmoid 1 / (1 + exp(-x)), in place."""
     np.negative(x, out=x)
     np.exp(x, out=x)
     x += 1.0
     np.divide(1.0, x, out=x)
+
+
+class _Cell(NamedTuple):
+    """The buffer views one _lstm_cell update works on: the [..., 4H] gate
+    buffer and its i, g and o columns, the tg, c and h outputs, and for the
+    rows that carry a state, their forget gates, old cell state and rows of
+    c and h (the last four None where no row carries one)."""
+    gates: np.ndarray
+    i: np.ndarray
+    g: np.ndarray
+    o: np.ndarray
+    tg: np.ndarray
+    c: np.ndarray
+    h: np.ndarray
+    f: np.ndarray | None
+    c_old: np.ndarray | None
+    c_carried: np.ndarray | None
+    h_carried: np.ndarray | None
+
+
+def _cell_views(gates, tg, c, h, c_old=None, skip=0) -> _Cell:
+    """The _Cell of a [..., 4H] gate buffer and [..., H] tg, c and h
+    buffers whose rows from skip on carry the cell state c_old (None for
+    c_old = 0)."""
+    hh = c.shape[-1]
+    carry = c_old is not None
+    return _Cell(gates, gates[..., :hh], gates[..., 2 * hh:3 * hh],
+                 gates[..., 3 * hh:], tg, c, h,
+                 gates[skip:, ..., hh:2 * hh] if carry else None, c_old,
+                 c[skip:] if carry else None, h[skip:] if carry else None)
+
+
+def _lstm_cell(s: _Cell) -> None:
+    """The LSTM cell update that HCLNet.forward and HCLStream.push share,
+    in place in the buffers of s, from the gate pre-activations: tg =
+    tanh(g) (tg may be c itself), one sigmoid over the whole contiguous
+    gate buffer, c = i * tg, plus f * c_old on the carried rows (their h
+    rows hold that product until h is written), then h = o * tanh(c).
+
+    exp(-x) overflows to inf for a gate below -709, whose sigmoid is then
+    exactly 0, so the caller holds np.errstate(over="ignore") around its
+    loop of updates; the sigmoid of the g columns is never read."""
+    np.tanh(s.g, out=s.tg)
+    _sigmoid_(s.gates)
+    np.multiply(s.tg, s.i, out=s.c)
+    if s.c_old is not None:
+        np.multiply(s.f, s.c_old, out=s.h_carried)
+        np.add(s.c_carried, s.h_carried, out=s.c_carried)
+    np.tanh(s.c, out=s.h)
+    np.multiply(s.h, s.o, out=s.h)
 
 
 class HCLStream:
@@ -325,12 +329,13 @@ class HCLStream:
     started j slots ago, and two ring pairs alternate: a push reads one and
     writes the other a row older.  Only the carried windows, rows
     1 .. tau - 1 of the new ring, take h W_h^T, each as an [R, H] block; row
-    0 is x W_x^T + b, as forward() at t = 0.  The cell update runs in place
-    in a preallocated gate buffer, in _cell's order of operations, so the
-    beams have the bits of forward() on the same R windows.  Row tau - 1,
-    the window started tau - 1 slots ago, then has its tau steps and feeds
-    the FC layer.  The conv matrix is built and the weights are bound once,
-    at creation, so a stream must not outlive a change of the weights.
+    0 is x W_x^T + b, as forward() at t = 0.  forward()'s _lstm_cell then
+    updates all live rows at once in a preallocated gate buffer, with c
+    itself as tg, so the beams have the bits of forward() on the same R
+    windows.  Row tau - 1, the window started tau - 1 slots ago, then has
+    its tau steps and feeds the FC layer.  The conv matrix is built and the
+    weights are bound once, at creation, so a stream must not outlive a
+    change of the weights.
     """
 
     def __init__(self, net: HCLNet, lead: tuple = ()):
@@ -349,23 +354,21 @@ class HCLStream:
         self._full = [self._step(n, net.tau) for n in (0, 1)]
         self._n = 0   # slots pushed so far
 
-    def _step(self, n: int, live: int) -> _Step:
-        """The views that the push of slot n works on, with live windows
-        in flight after it."""
-        hh, g = self.net.hidden, self._gates[:live]
+    def _step(self, n: int, live: int) -> tuple[_Cell, np.ndarray]:
+        """The cell views that the push of slot n works on, with live
+        windows in flight after it, and the previous ring's h rows of the
+        carried windows."""
         (h_old, c_old), (h, c) = self._rings[(n + 1) % 2], self._rings[n % 2]
-        return _Step(
-            gates=g, first=g[0], carried=g[1:], h_old=h_old[:live - 1],
-            c_old=c_old[:live - 1], i=g[..., :hh], f=g[1:, :, hh:2 * hh],
-            g=g[..., 2 * hh:3 * hh], o=g[..., 3 * hh:], c=c[:live],
-            h=h[:live], c_carried=c[1:live], h_carried=h[1:live], out=h[-1])
+        cell = _cell_views(self._gates[:live], c[:live], c[:live], h[:live],
+                           c_old[:live - 1] if live > 1 else None, skip=1)
+        return cell, h_old[:live - 1]
 
     def push(self, rows: np.ndarray) -> np.ndarray | None:
         """Take the next slot's complex estimated channels, [K, M] for one
         episode or the stream's leading shape plus [K, M]; return the beams
         of that shape for the windows of the last tau slots, or None while
         fewer than tau slots are in.  The beams are a new array each push.
-        The caller holds np.errstate(over="ignore") (see HCLNet._cell)."""
+        The caller holds np.errstate(over="ignore") (see _lstm_cell)."""
         net, n = self.net, self._n
         if rows.shape != self._shape:
             raise ValueError(f"expected {self._shape} rows, "
@@ -374,27 +377,19 @@ class HCLStream:
         x = net.features(pairs.reshape(rows.shape + (2,)), self._conv)
         self._n += 1
         # live windows after this push: the new one and the carried ones
-        s = self._full[n % 2] if n >= net.tau - 1 else self._step(n, n + 1)
+        s, h_old = (self._full[n % 2] if n >= net.tau - 1
+                    else self._step(n, n + 1))
         # row 0 x W_x^T + b, the carried rows (h W_h^T + x W_x^T) + b
-        np.matmul(x.reshape(-1, net.feat), self._wx_t, out=s.first)
-        carried = len(s.h_old) > 0
-        if carried:
-            np.matmul(s.h_old, self._wh_t, out=s.carried)
-            np.add(s.carried, s.first, out=s.carried)
+        first, carried = s.gates[0], s.gates[1:]
+        np.matmul(x.reshape(-1, net.feat), self._wx_t, out=first)
+        if s.c_old is not None:
+            np.matmul(h_old, self._wh_t, out=carried)
+            np.add(carried, first, out=carried)
         np.add(s.gates, self._lstm_b, out=s.gates)
-        # _cell in place, every output contiguous: c = f * c + i * g (the
-        # carried h rows hold f * c until h is written), then h = o * tanh(c)
-        np.tanh(s.g, out=s.c)
-        _sigmoid_(s.gates)
-        np.multiply(s.c, s.i, out=s.c)
-        if carried:
-            np.multiply(s.f, s.c_old, out=s.h_carried)
-            np.add(s.c_carried, s.h_carried, out=s.c_carried)
-        np.tanh(s.c, out=s.h)
-        np.multiply(s.h, s.o, out=s.h)
+        _lstm_cell(s)
         if n < net.tau - 1:
             return None
-        o = s.out @ self._fc_w
+        o = s.h[-1] @ self._fc_w
         o += self._fc_b
         return o.view(complex).reshape(rows.shape)
 

@@ -204,7 +204,11 @@ def test_single_slice_validation(cfg, rng):
         net.features(np.zeros((cfg.n_tx, 3)))
 
 
-def test_hclnet_backward_matches_fd(small_cfg, rng):
+@pytest.mark.parametrize("tau", [1, 3])
+def test_hclnet_backward_matches_fd(small_cfg, rng, tau):
+    """The reverse pass matches central differences, at tau = 1 (only the
+    step with no carried state) as at tau = 3."""
+    small_cfg = small_cfg.replace(history_len=tau)
     net = HCLNet(small_cfg)
     net.init_params(rng)
     x = rng.normal(size=(3, small_cfg.history_len, small_cfg.n_vehicles,
@@ -222,6 +226,45 @@ def test_hclnet_backward_matches_fd(small_cfg, rng):
     fd = fd_grad(loss, net.params.copy(), idx, eps=1e-6)
     err = np.abs(grad[idx] - fd) / np.maximum(np.abs(fd), 1e-8)
     assert err.max() < 1e-4
+
+
+def test_backward_leaves_its_cache_as_it_was(cfg, rng):
+    """forward(want_cache=True) gives the bytes of forward(), and two
+    backward() calls on one cache give the same gradient bytes: the
+    cache's buffers are read, not written."""
+    net = HCLNet(cfg, kappa=1.3)
+    net.init_params(rng)
+    x = rng.normal(size=(4, cfg.history_len, cfg.n_vehicles, cfg.n_tx, 2))
+    g = rng.normal(size=(4, cfg.n_vehicles, cfg.n_tx, 2))
+    o, cache = net.forward(x, want_cache=True)
+    assert o.tobytes() == net.forward(x).tobytes()
+    first = net.backward(g, cache)
+    assert first.tobytes() == net.backward(g, cache).tobytes()
+
+
+def test_saturated_gates(cfg, rng):
+    """Gate pre-activations of -800 and +800, where exp(-x) overflows, give
+    finite outputs and gradients with no RuntimeWarning and no errstate
+    held by the caller: forward, backward and predict hold their own.  A
+    gate below -709 has a sigmoid of exactly 0."""
+    net = HCLNet(cfg, kappa=1.3)
+    net.init_params(rng)
+    hh = net.hidden
+    b = net.view("lstm_b")
+    b[:hh], b[hh:2 * hh], b[2 * hh:3 * hh], b[3 * hh:] = -800, 800, -800, 800
+    x = rng.normal(size=(3, cfg.history_len, cfg.n_vehicles, cfg.n_tx, 2))
+    g = rng.normal(size=(3, cfg.n_vehicles, cfg.n_tx, 2))
+    o, cache = net.forward(x, want_cache=True)
+    grad = net.backward(g, cache)
+    assert np.isfinite(o).all() and np.isfinite(grad).all()
+    assert np.isfinite(net.predict(_window(cfg, rng))).all()
+    # i = 0 gives c = h = 0, so each step's pre-activations are x W_x^T + b
+    assert np.all(cache["c"] == 0.0) and np.all(cache["h"] == 0.0)
+    pre = (cache["seq"] @ net.view("wx").T + b).swapaxes(0, 1)
+    low = pre < -709
+    assert low[..., :hh].all() and low[..., 2 * hh:3 * hh].all()
+    assert np.all(cache["gates"][low] == 0.0)
+    assert np.all(cache["gates"][..., 3 * hh:] == 1.0)
 
 
 def test_predict_and_projection(cfg, rng):
