@@ -18,12 +18,15 @@ from .nn.train import TrainHyper, TrainingDiverged
 from .sensing import fisher_information
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, out: bool = True) -> None:
+    """The options every command takes, and --out for those that write a
+    file (all but crlb, which only prints)."""
     p.add_argument("--config", help="INI config file with a [sim] section")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                    help="override a config key (repeatable)")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", help="output path")
+    if out:
+        p.add_argument("--out", help="output path")
 
 
 def _add_eval_options(p: argparse.ArgumentParser) -> None:
@@ -70,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=",".join(str(v) for v in DEFAULT_POWER_GRID))
 
     c = sub.add_parser("crlb", help="closed-form CRLBs for one geometry")
-    _add_common(c)
+    _add_common(c, out=False)
     c.add_argument("--theta", type=float, required=True, help="angle, rad")
     c.add_argument("--dist", type=float, required=True, help="distance, m")
     c.add_argument("--power", type=float, required=True,
@@ -152,11 +155,12 @@ def main(argv=None) -> int:
         msg = exc.args[0] if isinstance(exc, KeyError) else exc
         print(f"error: {msg}", file=sys.stderr)
         return 2
-    if args.out and os.path.isdir(args.out):
-        print(f"error: --out {args.out}: is a directory", file=sys.stderr)
+    out = getattr(args, "out", None)  # crlb has no --out
+    if out and os.path.isdir(out):
+        print(f"error: --out {out}: is a directory", file=sys.stderr)
         return 2
-    if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
-        print(f"error: --out {args.out}: its directory does not exist",
+    if out and not os.path.isdir(os.path.dirname(out) or "."):
+        print(f"error: --out {out}: its directory does not exist",
               file=sys.stderr)
         return 2
 

@@ -27,15 +27,13 @@ import numpy as np
 # random_beamformer is not called here: isacbench's trace points look it up
 from .baselines import (aimed_beams, genie_beamformer, genie_rate,  # noqa: F401
                         naive_dl_beamformer, random_angles, random_beamformer)
-from .channel import (effective_channel, steering, steering_direct,
-                      steering_dtheta, sum_rate)
+from .channel import effective_channel, steering_direct, sum_rate
 from .config import SimConfig
 from .io_container import load_container, save_container
 from .kinematics import VehicleState, init_vehicles, step_motion
-from .nn.loss import BatchGeometry, build_geometry
 from .nn.model import HCLNet, NaiveNet
 from .nn.train import TrainHyper, TrainResult, train
-from .sensing import (EchoConstants, ObsTerms, echo_constants,
+from .sensing import (BatchGeometry, ObsTerms, build_geometry,
                       fisher_information, generate_observation,
                       observation_noise, observation_terms, observe)
 
@@ -86,33 +84,27 @@ def check_eval_args(methods, n_realizations: int, models: dict) -> None:
 
 class _Scenario(NamedTuple):
     """The draws of a block of R episodes that no decision depends on, and
-    what the measurement pass reads of them that no beam changes (None in a
-    dataset's block, which measures nothing)."""
+    their true geometry, which the observations and the measurement pass
+    read and no beam changes."""
     vehicles: VehicleState     # [R, n_slots, K] trajectories
-    a: np.ndarray              # [R, n_slots, K, N_t] steering of the angles
     angles: np.ndarray | None  # [R, n_slots, K] random-beam angles
     z: np.ndarray | None       # [R, n_slots - 1, K, 2] observation noise
-    h: np.ndarray | None       # [R, n_slots, K, N_t] true channels
-    ap: np.ndarray | None      # [R, n_slots, K, N_t] steering_dtheta
-    echo: EchoConstants | None  # [R, n_slots, K] CRLB constants
+    geom: BatchGeometry        # [R, n_slots, K] build_geometry of vehicles
 
 
 def _scenario(config: SimConfig, rngs: list, methods=None) -> _Scenario:
     """One episode per generator of rngs, as one block: each spawns its
     motion, observation and beam streams, in that order, and draws its
     trajectory, its random-beam angles and its observation noise from them
-    as blocks over its slots, the per-slot draws in slot order.  One
-    steering evaluation of the block's true angles follows.
+    as blocks over its slots, the per-slot draws in slot order.  The
+    block's one geometry (build_geometry of the true angles and distances)
+    follows, shared by the observations and by every method's measurement.
 
     methods are those that run on the block, or None for a dataset's
-    block, which draws everything and measures nothing.  The angles are
-    drawn only when a method other than genie runs, and the noise only when
-    hcl or naive_dl does.  No noise is drawn for the last slot, which is not
-    observed.  For an evaluation's block the beam-independent terms of the
-    measurement pass are computed here, once for every method: the true
-    channels only when a method other than genie runs, and the steering
-    derivatives and echo constants of the CRLBs always.  A block of one
-    holds views of its episode's arrays."""
+    block, which draws everything.  The angles are drawn only when a method
+    other than genie runs, and the noise only when hcl or naive_dl does.
+    No noise is drawn for the last slot, which is not observed.  A block
+    of one holds views of its episode's arrays."""
     n, k = config.n_slots, config.n_vehicles
     draws = METHODS if methods is None else methods
     streams = [rng.spawn(3) for rng in rngs]
@@ -124,26 +116,16 @@ def _scenario(config: SimConfig, rngs: list, methods=None) -> _Scenario:
         init_vehicles(config, g), config, g, n - 1)).values()
         for g, _, _ in streams))))
     angles = z = None
-    aimed = any(method != "genie" for method in draws)
-    if aimed:
+    if any(method != "genie" for method in draws):
         angles = block([random_angles(config, g, n) for *_, g in streams])
     if "hcl" in draws or "naive_dl" in draws:
         z = block([observation_noise(g, (n - 1, k)) for _, g, _ in streams])
-    theta, dist = vehicles.theta, vehicles.dist
-    a = steering(theta, config.n_tx)
-    h = ap = echo = None
-    if methods is not None:
-        if aimed:
-            h = effective_channel(theta, dist, config, a)
-        ap = steering_dtheta(theta, config.n_tx, a)
-        echo = echo_constants(theta, dist, config)
-    return _Scenario(vehicles, a, angles, z, h, ap, echo)
+    return _Scenario(vehicles, angles, z,
+                     build_geometry(vehicles.theta, vehicles.dist, config))
 
 
-def _observed(vehicles: VehicleState) -> VehicleState:
-    """The [R, n_slots - 1, K] states of the slots that are observed: every
-    one but the last."""
-    return VehicleState(*(f[:, :-1] for f in vars(vehicles).values()))
+# the slots of a block that are observed: every one but the last
+_OBSERVED = np.s_[:, :-1]
 
 
 def _row_estimates(obs) -> np.ndarray:
@@ -205,7 +187,8 @@ def _decide(config: SimConfig, method: str, model, scenario: _Scenario,
     check catches what a net overflows to."""
     r, _, k = scenario.vehicles.theta.shape
     m = config.n_tx
-    terms = observation_terms(_observed(scenario.vehicles), config, scenario.z)
+    geom = scenario.geom
+    terms = observation_terms(geom.subset(_OBSERVED), config, scenario.z)
 
     def by_slot(f):
         """A view of f, slot first: f_at[n] is slot n of every episode."""
@@ -227,7 +210,7 @@ def _decide(config: SimConfig, method: str, model, scenario: _Scenario,
     # per observed slot: its terms, beams, true steering and, for hcl in
     # relative mode, the steering of its angle estimates
     slots = zip(map(ObsTerms._make, zip(*map(by_slot, terms))), w_at,
-                by_slot(scenario.a), a_hat)
+                by_slot(geom.a), a_hat)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for n, (slot, w_n, a_n, a_hat_n) in enumerate(slots):
             obs = observe(slot, w_n, a_n, config)
@@ -291,18 +274,18 @@ def _run_block(config: SimConfig, method: str, scenario: _Scenario, model,
     [R, n_slots, K] FisherInfo of one method over the R episodes of
     scenario, in lockstep.  first is the eval's index of the first
     realization, for errors."""
-    vehicles, a = scenario.vehicles, scenario.a
+    vehicles, geom = scenario.vehicles, scenario.geom
     if method == "genie":
-        w = genie_beamformer(vehicles, config, a)
+        w = genie_beamformer(vehicles, config, geom.a)
         rates = genie_rate(vehicles, config)
     else:
         if method == "random":
             w = aimed_beams(scenario.angles, config)
         else:
             w = _decide(config, method, model, scenario, project, first)
-        rates = sum_rate(scenario.h, w, config.noise_vehicle)
-    return w, rates, fisher_information(vehicles, w, config, a, scenario.ap,
-                                        scenario.echo)
+        rates = sum_rate(effective_channel(geom.theta, geom.dist, config,
+                                           geom.a), w, config.noise_vehicle)
+    return w, rates, fisher_information(vehicles, w, config, geom)
 
 
 def run_episode(config: SimConfig, method: str, rng: np.random.Generator,
@@ -315,8 +298,8 @@ def run_episode(config: SimConfig, method: str, rng: np.random.Generator,
     current truth each slot and is exempt from the causality invariant.
     Only hcl and naive_dl observe the vehicles, in a causal slot step.  One
     pass at the end measures every slot's sum-rate and CRLBs against the
-    true state.  The steering vectors of the true angles are evaluated once
-    and shared by the beams, observations and measurements.  Beams of hcl
+    true state.  The true geometry (build_geometry) is built once and
+    shared by the beams, observations and measurements.  Beams of hcl
     or naive_dl whose power is not finite are a ValueError naming the
     method and the slot that would apply them, so no NaN reaches a rate or
     a CRLB.  The episode is the one-realization case of monte_carlo_eval's
@@ -402,9 +385,12 @@ class Dataset:
     @cached_property
     def _geometry(self) -> BatchGeometry:
         """The examples' loss geometry under config, its arrays read-only:
-        every training run on the dataset shares it."""
-        geom = build_geometry(None, self.thetas, self.dists, self.config)
-        for arr in (geom.h, geom.a, geom.ap, *geom.echo):
+        every training run on the dataset shares it.  Its angles and
+        distances are read-only views of thetas and dists, which stay
+        writable."""
+        geom = build_geometry(self.thetas.view(), self.dists.view(),
+                              self.config)
+        for arr in (geom.theta, geom.dist, geom.a, *geom.echo):
             arr.flags.writeable = False
         return geom
 
@@ -575,10 +561,10 @@ def generate_dataset(config: SimConfig, n_examples: int,
     i = n_rows = 0
     while i < n_examples:
         n_ep = min(_BLOCK_EPISODES, -(-(n_examples - i) // (n - tau)))
-        vehicles, a, angles, z, *_ = _scenario(config, rng.spawn(n_ep))
-        obs = generate_observation(_observed(vehicles),
+        vehicles, angles, z, geom = _scenario(config, rng.spawn(n_ep))
+        obs = generate_observation(geom.subset(_OBSERVED),
                                    aimed_beams(angles[:, :-1], config),
-                                   config, z, a=a[:, :-1])
+                                   config, z)
         # row 1 + s of an episode holds slot s's estimates, row 0 the zeros
         # before slot 0, so rows s - tau + 1 .. s are the window of slot s
         blocks.append(_row_estimates(obs))

@@ -21,49 +21,16 @@ gradient.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ..channel import (batch_sinr, effective_channel, steering,
-                       steering_dtheta)
+from ..channel import batch_sinr, effective_channel, steering_dtheta
 from ..config import SimConfig
-from ..sensing import EchoConstants, crlbs, echo_constants
+# build_geometry is not called here: callers of the loss import it from here
+from ..sensing import BatchGeometry, build_geometry, crlbs  # noqa: F401
 from .model import output_to_matrix
 
 CAP_FACTOR = 1e6
 _LN2 = float(np.log(2.0))
-
-
-@dataclass
-class BatchGeometry:
-    """Per-example constants needed to evaluate the loss for a dataset."""
-    h: np.ndarray        # [Ne, K, M] complex true channels (rows are h_k)
-    a: np.ndarray        # [Ne, K, M] steering at true angles
-    ap: np.ndarray       # [Ne, K, M] d(steering)/d(theta)
-    echo: EchoConstants  # [Ne, K] each: the CRLB constants at the true geometry
-
-    def __len__(self):
-        return self.h.shape[0]
-
-    def subset(self, idx) -> "BatchGeometry":
-        return BatchGeometry(self.h[idx], self.a[idx], self.ap[idx],
-                             EchoConstants(*(c[idx] for c in self.echo)))
-
-
-def build_geometry(h: np.ndarray | None, thetas: np.ndarray,
-                   dists: np.ndarray, config: SimConfig) -> BatchGeometry:
-    """Precompute loss constants from true channels/angles/distances.
-
-    h: [Ne, K, M] complex, or None for the effective_channel of the angles
-    and distances, formed from the one steering evaluation made here;
-    thetas, dists: [Ne, K].
-    """
-    a = steering(thetas, config.n_tx)
-    if h is None:
-        h = effective_channel(thetas, dists, config, a)
-    return BatchGeometry(h=h, a=a, ap=steering_dtheta(thetas, config.n_tx, a),
-                         echo=echo_constants(thetas, dists, config))
 
 
 def _relu(x):
@@ -82,12 +49,15 @@ def penalty_loss_and_grad(o: np.ndarray, geom: BatchGeometry,
     cap_t = CAP_FACTOR * config.gamma_theta
     cap_d = CAP_FACTOR * config.gamma_d
 
-    phi, s, denom = batch_sinr(geom.h, w, config.noise_vehicle)
+    # the true channels and steering derivatives of the batch's geometry
+    h = effective_channel(geom.theta, geom.dist, config, geom.a)
+    ap = steering_dtheta(geom.theta, config.n_tx, geom.a)
+    phi, s, denom = batch_sinr(h, w, config.noise_vehicle)
     rate = np.log2(1.0 + phi).sum() / nb
 
     # CRLB terms at the true geometry; an infinite or undefined one is capped
     u = np.vecdot(geom.a, w)
-    v = np.vecdot(geom.ap, w)
+    v = np.vecdot(ap, w)
     crlb_t, crlb_d = crlbs(u, v, geom.echo, config.echo_noise_var)
     crlb_t = np.where(crlb_t < cap_t, crlb_t, cap_t)
     crlb_d = np.where(crlb_d < cap_d, crlb_d, cap_d)
@@ -118,7 +88,7 @@ def penalty_loss_and_grad(o: np.ndarray, geom: BatchGeometry,
     t_kj = -(coef * phi)[:, :, None] * s                 # k != j part
     kk = np.arange(k)
     t_kj[:, kk, kk] = coef * s[:, kk, kk]
-    gw = np.matmul(t_kj.swapaxes(1, 2), geom.h)
+    gw = np.matmul(t_kj.swapaxes(1, 2), h)
     g_o = gw.view(np.float64).reshape(o.shape)
 
     # CRLB penalties (clamped terms are flat); CRLB_theta = sigma_r^2 / D with
@@ -131,7 +101,7 @@ def penalty_loss_and_grad(o: np.ndarray, geom: BatchGeometry,
                           -dj_dcrlb * crlb_t ** 2 / config.echo_noise_var, 0.0)
         du = echo.c1sq * (echo.s_bp * u + echo.q_bp * v)
         dv = echo.c1sq * (v + np.conj(echo.q_bp) * u)
-        gw += (coef_t * du)[..., None] * geom.a + (coef_t * dv)[..., None] * geom.ap
+        gw += (coef_t * du)[..., None] * geom.a + (coef_t * dv)[..., None] * ap
 
     if viol_d > 0.0:
         dj_dcrlb = 4.0 * config.lambda_d * viol_d / crlb_d.size

@@ -7,7 +7,8 @@ and distance estimates, and the sensing constraints bound only their CRLBs.
 The delay error variance scales inversely with the beam gain |a^H w|^2, so
 CRLB_d = c_dist / |a^H w|^2.  The angle and distance CRLBs have one closed
 form over arrays (crlbs), shared by the loss, the simulator and the CLI, and
-a distance estimate is the truth plus sqrt(CRLB_d) noise.
+a distance estimate is the truth plus sqrt(CRLB_d) noise.  All of them read
+the vehicles' true geometry from one record (BatchGeometry, build_geometry).
 """
 from __future__ import annotations
 
@@ -88,6 +89,36 @@ def _observable(gain, W: np.ndarray):
     return ~(gain <= _GAIN_FLOOR * np.maximum(1.0, np.vecdot(W, W).real))
 
 
+@dataclass
+class BatchGeometry:
+    """The true geometry of vehicles, in their shape plus the antenna axis
+    for a: what the loss, the observations and the CRLBs read of the
+    vehicles that no beam changes.  The channels h and the steering
+    derivatives a' are formed where they are read, from theta, dist and a
+    (effective_channel, steering_dtheta); both are elementwise, so a subset
+    has the bits of the whole."""
+    theta: np.ndarray     # [..., K] true angles, rad
+    dist: np.ndarray      # [..., K] true distances, m
+    a: np.ndarray         # [..., K, N_t] steering(theta, N_t)
+    echo: EchoConstants   # [..., K] each: the CRLB constants
+
+    def __len__(self):
+        return len(self.theta)
+
+    def subset(self, idx) -> BatchGeometry:
+        """The geometry of theta[idx]: idx indexes the leading axes, such
+        as examples of a dataset or the slots np.s_[:, :-1] of a block."""
+        return BatchGeometry(self.theta[idx], self.dist[idx], self.a[idx],
+                             EchoConstants(*(c[idx] for c in self.echo)))
+
+
+def build_geometry(theta, dist, config: SimConfig) -> BatchGeometry:
+    """The BatchGeometry of vehicles at the angles theta and distances dist,
+    arrays of one shape: one steering evaluation and their echo_constants."""
+    return BatchGeometry(theta, dist, steering(theta, config.n_tx),
+                         echo_constants(theta, dist, config))
+
+
 class ObsTerms(NamedTuple):
     """What observations of vehicles need that no beam changes, as arrays of
     the vehicles' shape: an episode takes them once, as [n_slots, K]
@@ -101,24 +132,25 @@ class ObsTerms(NamedTuple):
     theta_hat: np.ndarray | None
 
 
-def observation_terms(vehicles: VehicleState, config: SimConfig,
+def observation_terms(geom: BatchGeometry, config: SimConfig,
                       z: np.ndarray) -> ObsTerms:
-    """The beam-independent terms of noisy observations of the vehicles.
+    """The beam-independent terms of noisy observations of the vehicles of
+    the geometry geom.
 
     z is their observation_noise block: the vehicles' shape plus a trailing 2,
     columns (distance, angle).  In config.theta_mode "relative" the angle
-    estimate theta*(1+e), e ~ N(0, obs_rel_mse), needs no beam, and neither
-    does c_dist; in "crlb" observe() takes both CRLBs from the beam.
+    estimate theta*(1+e), e ~ N(0, obs_rel_mse), needs no beam, and c_dist
+    is geom's; in "crlb" observe() takes both CRLBs from the beam.
     """
-    theta, dist = vehicles.theta, vehicles.dist
+    theta = geom.theta
     if z.shape != np.shape(theta) + (2,):
         raise ValueError(f"noise block {z.shape} does not match vehicles "
                          f"{np.shape(theta)} plus a trailing 2")
     c_dist = theta_hat = None
     if config.theta_mode == "relative":
-        c_dist = _c_dist(dist, config)
+        c_dist = geom.echo.c_dist
         theta_hat = theta * (1.0 + math.sqrt(config.obs_rel_mse) * z[..., 1])
-    return ObsTerms(theta=theta, dist=dist, z=z, c_dist=c_dist,
+    return ObsTerms(theta=theta, dist=geom.dist, z=z, c_dist=c_dist,
                     theta_hat=theta_hat)
 
 
@@ -147,26 +179,25 @@ def observe(terms: ObsTerms, W: np.ndarray, a: np.ndarray,
                         usable=observable & (d_hat > 0))
 
 
-def generate_observation(vehicles: VehicleState, W: np.ndarray,
-                         config: SimConfig, z: np.ndarray,
-                         a=None) -> Observations:
+def generate_observation(vehicles, W: np.ndarray, config: SimConfig,
+                         z: np.ndarray) -> Observations:
     """Noisy (angle, distance) observations of the K vehicles: observe()
     over their observation_terms().
 
-    The vehicles are [K] arrays with a [K, N_t] W, or arrays of any leading
-    shape with W of that shape plus [N_t], such as the [n, K] arrays of n
-    slots or the [n_ep, n, K] arrays of n_ep episodes; the estimates take
-    the vehicles' shape.  z is the vehicles' observation_noise block.  a is
-    steering(vehicles.theta, N_t) if the caller has it.  Always
+    vehicles is a VehicleState, or its BatchGeometry if the caller has it:
+    [K] arrays with a [K, N_t] W, or arrays of any leading shape with W of
+    that shape plus [N_t], such as the [n, K] arrays of n slots or the
+    [n_ep, n, K] arrays of n_ep episodes; the estimates take the vehicles'
+    shape.  z is the vehicles' observation_noise block.  Always
     d_hat = d + N(0, CRLB(d, w)), and by config.theta_mode:
     "relative": theta_hat = theta*(1+e), e ~ N(0, obs_rel_mse);
     "crlb":     theta_hat = theta + N(0, CRLB(theta, w)).
     A caller draws noise for every slot, in slot order, whether or not a
     vehicle is observable, so the stream stays aligned.
     """
-    if a is None:
-        a = steering(vehicles.theta, config.n_tx)
-    return observe(observation_terms(vehicles, config, z), W, a, config)
+    geom = vehicles if isinstance(vehicles, BatchGeometry) \
+        else build_geometry(vehicles.theta, vehicles.dist, config)
+    return observe(observation_terms(geom, config, z), W, geom.a, config)
 
 
 def echo_mean(theta: float, dist: float, w_k: np.ndarray,
@@ -206,8 +237,8 @@ def crlbs(u, v, echo: EchoConstants, sigma_r2: float):
 
 
 def fisher_information(vehicles: VehicleState, W: np.ndarray,
-                       config: SimConfig, a=None, ap=None,
-                       echo=None) -> FisherInfo:
+                       config: SimConfig,
+                       geom: BatchGeometry | None = None) -> FisherInfo:
     """Diagonal FIMs over (theta, d) and the angle/distance CRLBs of the
     vehicles, row k of W being the beam toward vehicle k.  The vehicles
     are [K] arrays with a [K, N_t] W, or arrays of any leading shape, such
@@ -216,30 +247,26 @@ def fisher_information(vehicles: VehicleState, W: np.ndarray,
 
     f11 = 1/CRLB_theta = ||d(echo)/d(theta)||^2 / sigma_r^2,
     f22 = 1/CRLB_d = (2/c)^2 / sigma_nu^2.
-    An unobservable vehicle gets infinite CRLBs.  a is
-    steering(vehicles.theta, N_t), ap its steering_dtheta and echo the
-    vehicles' echo_constants, each if the caller has it.
+    An unobservable vehicle gets infinite CRLBs.  geom is the vehicles'
+    build_geometry if the caller has it.
     """
-    theta, dist = vehicles.theta, vehicles.dist
-    if a is None:
-        a = steering(theta, config.n_tx)
-    u = np.vecdot(a, W)
-    crlb_theta, crlb_d = _crlbs(theta, dist, W, config, a, u,
-                                _observable(np.abs(u) ** 2, W), ap, echo)
+    if geom is None:
+        geom = build_geometry(vehicles.theta, vehicles.dist, config)
+    u = np.vecdot(geom.a, W)
+    crlb_theta, crlb_d = _crlbs(geom.theta, geom.dist, W, config, geom.a, u,
+                                _observable(np.abs(u) ** 2, W), geom.echo)
     return FisherInfo(crlb_theta=crlb_theta, crlb_d=crlb_d)
 
 
 def _crlbs(theta, dist, W: np.ndarray, config: SimConfig, a: np.ndarray,
-           u: np.ndarray, observable: np.ndarray, ap=None, echo=None):
+           u: np.ndarray, observable: np.ndarray, echo=None):
     """(CRLB_theta, CRLB_d) of the beams W toward vehicles at (theta, dist),
     given their steering vectors a, u = a^H w and where they are
-    observable; infinite where a vehicle is unobservable.  ap and echo are
-    as in fisher_information."""
-    if ap is None:
-        ap = steering_dtheta(theta, config.n_tx, a)
+    observable; infinite where a vehicle is unobservable.  echo is the
+    vehicles' echo_constants if the caller has them."""
     if echo is None:
         echo = echo_constants(theta, dist, config)
-    crlb_theta, crlb_d = crlbs(u, np.vecdot(ap, W), echo,
-                               config.echo_noise_var)
+    crlb_theta, crlb_d = crlbs(u, np.vecdot(steering_dtheta(
+        theta, config.n_tx, a), W), echo, config.echo_noise_var)
     return (np.where(observable, crlb_theta, np.inf)[()],
             np.where(observable, crlb_d, np.inf)[()])

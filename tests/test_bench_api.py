@@ -129,11 +129,10 @@ def test_train_calls_the_loss_through_its_module(small_cfg, monkeypatch):
     k, m = small_cfg.n_vehicles, small_cfg.n_tx
     rng = np.random.default_rng(0)
     thetas, dists = rng.uniform(0.4, 1.2, (6, k)), rng.uniform(15, 60, (6, k))
-    h = rng.normal(size=(6, k, m)) + 1j * rng.normal(size=(6, k, m))
     net = NaiveNet(small_cfg)
     net.init_params(rng)
     nntrain.train(net, net.features(thetas, dists),
-                  build_geometry(h, thetas, dists, small_cfg), small_cfg,
+                  build_geometry(thetas, dists, small_cfg), small_cfg,
                   nntrain.TrainHyper(batch_size=4, max_iters=3))
     assert calls == [(4, k, m, 2)] * 3
 

@@ -24,6 +24,17 @@ def test_crlb_subcommand(capsys):
     assert "crlb_theta" in out and "crlb_d" in out and "rad^2" in out
 
 
+def test_crlb_refuses_out(tmp_path, capsys):
+    """crlb only prints: it has no --out, so one is a usage error (exit 2)
+    naming the option, and nothing is written."""
+    out = tmp_path / "x"
+    rc = main(["crlb", "--theta", "0.9", "--dist", "25", "--power", "1",
+               "--out", str(out)])
+    assert rc == 2
+    assert "--out" in capsys.readouterr().err
+    assert not out.exists() and not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("argv", [
     ["crlb", "--theta", "0.9", "--dist", "-25", "--power", "1"],
     ["crlb", "--theta", "0.9", "--dist", "0", "--power", "1"],

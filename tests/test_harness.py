@@ -187,7 +187,8 @@ def test_episode_evaluates_true_steering_once(small_cfg, monkeypatch):
         angles.append(np.array(theta))
         return real_steering(theta, n_ant)
 
-    for module in (harness, channel, sensing, baselines):
+    # harness evaluates no steering itself: build_geometry in sensing does
+    for module in (channel, sensing, baselines):
         monkeypatch.setattr(module, "steering", steering)
     models = _models(small_cfg)
     for method in harness.METHODS:
@@ -302,8 +303,8 @@ def test_only_infinite_crlbs_are_left_out(small_cfg, monkeypatch):
     assert np.isnan(first[1]) and second == [1.0, 4.0, np.inf, k]
     real_fisher = harness.fisher_information
 
-    def fisher(vehicles, w, config, *terms):
-        info = real_fisher(vehicles, w, config, *terms)
+    def fisher(vehicles, w, config, geom):
+        info = real_fisher(vehicles, w, config, geom)
         info.crlb_d[..., -1, 0] = np.nan
         return info
 
@@ -613,11 +614,11 @@ def test_dataset_stores_each_row_once(cfg, tmp_path, monkeypatch, n_examples):
 @pytest.mark.parametrize("n_examples", [12, 600, 3000])
 def test_dataset_channels_are_derived(cfg, tmp_path, monkeypatch, n_examples,
                                       theta_mode):
-    """A dataset stores no true channels.  h, built on first read, and the
-    h, a, ap and echo constants of geometry() have the bytes of the
-    formulas that made the stored h: effective_channel of each example's
-    slot with that slot's steering from its block's one steering
-    evaluation, then build_geometry of that h.  A saved file holds no h,
+    """A dataset stores no true channels.  h, built on first read, has the
+    bytes of effective_channel of each example's slot with that slot's
+    steering from its block's one geometry, and the angles, distances,
+    steering and echo constants of geometry() have those of build_geometry
+    of the examples, whose steering is the block's.  A saved file holds no h,
     and load restores an equal config.  3000 examples take two blocks."""
     config = cfg.replace(theta_mode=theta_mode)
     scenarios = []
@@ -635,14 +636,15 @@ def test_dataset_channels_are_derived(cfg, tmp_path, monkeypatch, n_examples,
     # and every episode of every block holds n_slots rows
     ep, slot = np.divmod(ds.windows[:, -1], config.n_slots)
     theta, dist, a = (np.concatenate(f)[ep, slot] for f in zip(*(
-        (sc.vehicles.theta, sc.vehicles.dist, sc.a) for sc in scenarios)))
+        (sc.vehicles.theta, sc.vehicles.dist, sc.geom.a) for sc in scenarios)))
     assert ds.thetas.tobytes() == theta.tobytes()
     assert ds.dists.tobytes() == dist.tobytes()
     h = effective_channel(theta, dist, config, a)
-    ref = harness.build_geometry(h, ds.thetas, ds.dists, config)
+    ref = harness.build_geometry(ds.thetas, ds.dists, config)
     geom = ds.geometry(config)
-    for name in ("h", "a", "ap"):
+    for name in ("theta", "dist", "a"):
         assert getattr(geom, name).tobytes() == getattr(ref, name).tobytes()
+    assert geom.a.tobytes() == a.tobytes()
     for got, want in zip(geom.echo, ref.echo):
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
     assert ds.h.tobytes() == h.tobytes()
@@ -694,7 +696,9 @@ def test_geometry_is_built_once(small_cfg, monkeypatch):
     """geometry() builds one read-only BatchGeometry per dataset, under the
     dataset's own config, and hands it to every run that check() accepts,
     the training entry points among them: a run differing only in rng_seed
-    or gamma_theta gets the same bits; a foreign config is refused."""
+    or gamma_theta gets the same bits; a foreign config is refused.  Its
+    angles and distances are read-only views of the dataset's thetas and
+    dists, which stay writable."""
     ds = generate_dataset(small_cfg, 10, np.random.default_rng(2))
     built = []
     real_build = harness.build_geometry
@@ -704,19 +708,23 @@ def test_geometry_is_built_once(small_cfg, monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(harness, "build_geometry", build)
-    ref = real_build(None, ds.thetas, ds.dists, small_cfg)
+    ref = real_build(ds.thetas.copy(), ds.dists.copy(), small_cfg)
     geom = ds.geometry(small_cfg.replace(rng_seed=9))
     hyper = TrainHyper(lr=1e-4, batch_size=4, max_iters=2)
     train_hcl(ds, small_cfg.replace(gamma_theta=0.5), hyper)
     train_naive(ds, small_cfg, hyper)
     assert ds.geometry(small_cfg.replace(gamma_theta=0.5)) is geom
     assert len(built) == 1
-    arrays = (geom.h, geom.a, geom.ap, *geom.echo)
-    for got, want in zip(arrays, (ref.h, ref.a, ref.ap, *ref.echo)):
+    arrays = (geom.theta, geom.dist, geom.a, *geom.echo)
+    for got, want in zip(arrays, (ref.theta, ref.dist, ref.a, *ref.echo)):
         assert got.tobytes() == want.tobytes()
         assert not got.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        geom.h[0, 0, 0] = 0.0
+    for name in ("theta", "dist", "a"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(geom, name)[0, 0] = 0.0
+    assert np.shares_memory(geom.theta, ds.thetas)
+    assert np.shares_memory(geom.dist, ds.dists)
+    assert ds.thetas.flags.writeable and ds.dists.flags.writeable
     with pytest.raises(ValueError, match="pathloss_exp"):
         ds.geometry(small_cfg.replace(pathloss_exp=2.0))
 
@@ -839,11 +847,11 @@ def test_slot_estimates_match_block_estimates(small_cfg, theta_mode):
     n, k, m = cfg.n_slots - 1, cfg.n_vehicles, cfg.n_tx
 
     def observations(*seeds):
-        vehicles, a, angles, z, *_ = harness._scenario(
+        _, angles, z, geom = harness._scenario(
             cfg, [np.random.default_rng(s) for s in seeds])
         w = aimed_beams(angles[:, :-1], cfg)
         w[:, ::3, 1] = 0.0
-        return harness.generate_observation(harness._observed(vehicles), w,
+        return harness.generate_observation(geom.subset(np.s_[:, :-1]), w,
                                             cfg, z)
 
     def estimates(obs):

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from helpers import echo_dtheta, fd_fim, sinr
-from isacbf.channel import effective_channel
+from isacbf.channel import effective_channel, steering_dtheta
 from isacbf.kinematics import make_state
+from isacbf.nn import loss
 from isacbf.nn.loss import (CAP_FACTOR, build_geometry, gradient, penalty_loss,
                             penalty_loss_and_grad)
 from isacbf.nn.model import HCLNet, output_to_matrix
@@ -11,12 +12,22 @@ from isacbf.sensing import EchoConstants, crlbs
 
 
 def _geometry(cfg, rng, ne=4):
+    """Random true (theta, d) of ne examples, their channels built one
+    vehicle at a time, and their build_geometry."""
     k = cfg.n_vehicles
     th = rng.uniform(0.4, 1.2, size=(ne, k))
     d = rng.uniform(15, 60, size=(ne, k))
     h = np.stack([[effective_channel(th[i, j], d[i, j], cfg) for j in range(k)]
                   for i in range(ne)])
-    return h, th, d, build_geometry(h, th, d, cfg)
+    return h, th, d, build_geometry(th, d, cfg)
+
+
+def _tight(cfg):
+    """cfg with inflated noise, tight thresholds and a low budget, so every
+    penalty fires with magnitude comparable to the rate term."""
+    return cfg.replace(gamma_theta=1e-6, gamma_d=1e-3, power_budget=0.05,
+                       sigma_r2=1e4, rho_nu=0.1,
+                       lambda_theta=1e3, lambda_d=1e-3, lambda_power=1.0)
 
 
 def _state(theta, dist):
@@ -30,7 +41,8 @@ def test_build_geometry_constants(cfg, rng):
     i, j = 1, 2
     w = rng.normal(size=cfg.n_tx) + 1j * rng.normal(size=cfg.n_tx)
     echo = EchoConstants(*(c[i, j] for c in geom.echo))
-    ct, cd = crlbs(np.vdot(geom.a[i, j], w), np.vdot(geom.ap[i, j], w), echo,
+    ap = steering_dtheta(th[i, j], cfg.n_tx)
+    ct, cd = crlbs(np.vdot(geom.a[i, j], w), np.vdot(ap, w), echo,
                    cfg.echo_noise_var)
     dr = echo_dtheta(th[i, j], d[i, j], w, cfg)
     assert ct == pytest.approx(cfg.echo_noise_var / np.vdot(dr, dr).real,
@@ -73,11 +85,7 @@ def test_loss_crlbs_match_fisher_information(cfg, rng):
 
 def test_loss_gradient_wrt_output_fd(cfg, rng):
     """dJ/dO against finite differences with every penalty term active."""
-    # inflated noise + tight thresholds + low budget so every penalty fires
-    # with magnitude comparable to the rate term
-    tight = cfg.replace(gamma_theta=1e-6, gamma_d=1e-3, power_budget=0.05,
-                        sigma_r2=1e4, rho_nu=0.1,
-                        lambda_theta=1e3, lambda_d=1e-3, lambda_power=1.0)
+    tight = _tight(cfg)
     h, th, d, geom = _geometry(tight, rng)
     o = rng.normal(size=(4, tight.n_vehicles, tight.n_tx, 2)) * 0.2
     o_before = o.copy()
@@ -100,10 +108,9 @@ def test_loss_gradient_wrt_output_fd(cfg, rng):
 
 
 def test_zero_beams_hit_cap_finite_loss(cfg):
-    h = np.zeros((2, cfg.n_vehicles, cfg.n_tx), dtype=complex)
     th = np.full((2, cfg.n_vehicles), 0.9)
     d = np.full((2, cfg.n_vehicles), 25.0)
-    geom = build_geometry(h, th, d, cfg)
+    geom = build_geometry(th, d, cfg)
     o = np.zeros((2, cfg.n_vehicles, cfg.n_tx, 2))
     j, parts, g = penalty_loss_and_grad(o, geom, cfg)
     assert np.isfinite(j)
@@ -131,9 +138,7 @@ def test_model_gradient_wrapper(small_cfg, rng):
     k, m, tau = small_cfg.n_vehicles, small_cfg.n_tx, small_cfg.history_len
     th = rng.uniform(0.4, 1.2, size=(3, k))
     d = rng.uniform(15, 60, size=(3, k))
-    h = np.stack([[effective_channel(th[i, j], d[i, j], small_cfg)
-                   for j in range(k)] for i in range(3)])
-    geom = build_geometry(h, th, d, small_cfg)
+    geom = build_geometry(th, d, small_cfg)
     x = rng.normal(size=(3, tau, k, m, 2))
     j0, parts = penalty_loss(net, x, geom, small_cfg)
     j1, _, grad = gradient(net, x, geom, small_cfg)
@@ -149,5 +154,32 @@ def test_geometry_subset(cfg, rng):
     h, th, d, geom = _geometry(cfg, rng, ne=5)
     sub = geom.subset(np.array([0, 3]))
     assert len(sub) == 2
-    assert np.allclose(sub.h[1], geom.h[3])
-    assert np.allclose(sub.echo.c_dist[1], geom.echo.c_dist[3])
+    for name in ("theta", "dist", "a"):
+        assert np.array_equal(getattr(sub, name)[1], getattr(geom, name)[3])
+    assert np.array_equal(sub.echo.c_dist[1], geom.echo.c_dist[3])
+
+
+def test_loss_forms_channels_elementwise(cfg, rng, monkeypatch):
+    """penalty_loss_and_grad on build_geometry(theta, d), and on a subset
+    of it, gives byte for byte the loss, parts and gradient it gives when
+    the channels h and the steering derivatives a' are built example by
+    example by effective_channel and steering_dtheta, each from its own
+    steering: h and a' formed from a geometry, or from any subset of it,
+    carry the bits of per-example channels.  Every penalty fires."""
+    tight = _tight(cfg)
+    _, th, d, geom = _geometry(tight, rng, ne=6)
+    h = np.stack([effective_channel(th[i], d[i], tight) for i in range(6)])
+    ap = np.stack([steering_dtheta(th[i], tight.n_tx) for i in range(6)])
+    o = rng.normal(size=(6, tight.n_vehicles, tight.n_tx, 2)) * 0.2
+    idx = np.array([4, 1, 1, 5])
+    cases = ((geom, np.arange(6)), (geom.subset(idx), idx))
+    want = [penalty_loss_and_grad(o[i], g, tight) for g, i in cases]
+    assert want[0][1]["pen_theta"] > 0 and want[0][1]["pen_d"] > 0
+    for (g, i), (j, parts, g_o) in zip(cases, want):
+        monkeypatch.setattr(loss, "effective_channel", lambda *_: h[i])
+        monkeypatch.setattr(loss, "steering_dtheta", lambda *_: ap[i])
+        j_ref, parts_ref, g_ref = penalty_loss_and_grad(o[i], g, tight)
+        assert j.hex() == j_ref.hex()
+        assert {k: v.hex() for k, v in parts.items()} == \
+            {k: v.hex() for k, v in parts_ref.items()}
+        assert g_o.tobytes() == g_ref.tobytes()

@@ -7,7 +7,7 @@ from helpers import echo_dtheta, fd_fim
 from isacbf.config import SimConfig
 from isacbf.channel import steering
 from isacbf.kinematics import init_vehicles, make_state
-from isacbf.sensing import (echo_mean, fisher_information,
+from isacbf.sensing import (build_geometry, echo_mean, fisher_information,
                             generate_observation, observation_noise,
                             observation_terms, observe, reflection_coeff)
 
@@ -205,16 +205,26 @@ def test_fisher_information_vs_fd_oracle(cfg, rng):
 
 
 def test_fisher_information_takes_callers_steering(cfg):
-    """fisher_information with the caller's steering vectors gives the bits
-    of its own evaluation, for [n, K] vehicles."""
+    """fisher_information with the caller's geometry (build_geometry of the
+    vehicles, which holds their steering vectors) gives the bits of its own
+    evaluation, for [n, K] vehicles, and so does a geometry's subset for
+    the vehicles it covers."""
     rng = np.random.default_rng(4)
     v = make_state(rng.uniform(5, 80, (4, 3)), rng.uniform(5, 40, (4, 3)),
                    np.full((4, 3), 8.0))
     W = steering(v.theta + rng.normal(0.0, 0.05, (4, 3)), cfg.n_tx)
+    W[1, 2] = 0.0
     own = fisher_information(v, W, cfg)
-    given = fisher_information(v, W, cfg, steering(v.theta, cfg.n_tx))
+    geom = build_geometry(v.theta, v.dist, cfg)
+    given = fisher_information(v, W, cfg, geom)
+    assert np.isinf(own.crlb_theta[1, 2])
+    sub = fisher_information(make_state(v.x[1:3], v.y[1:3], v.v[1:3]),
+                             W[1:3], cfg, geom.subset(np.s_[1:3]))
     for field in ("crlb_theta", "crlb_d"):
-        assert np.array_equal(getattr(own, field), getattr(given, field))
+        assert getattr(own, field).tobytes() == \
+            getattr(given, field).tobytes()
+        assert getattr(own, field)[1:3].tobytes() == \
+            getattr(sub, field).tobytes()
 
 
 def test_crlb_d_frozen_value(cfg):
@@ -280,7 +290,8 @@ def test_slot_observations_over_episode_terms_match_block(cfg):
             config = noisy.replace(theta_mode=mode)
             block = generate_observation(v, W, config, z)
             assert not block.usable[3, 1]
-            terms = observation_terms(v, config, z)
+            terms = observation_terms(build_geometry(v.theta, v.dist,
+                                                     config), config, z)
             for s in range(n):
                 one = observe(type(terms)(*(None if f is None else f[s]
                                             for f in terms)),
@@ -293,20 +304,21 @@ def test_slot_observations_over_episode_terms_match_block(cfg):
 
 
 def test_observation_takes_callers_steering_and_checks_noise(cfg):
-    """observe() and generate_observation() under the caller's steering
+    """observe() and generate_observation() under the caller's geometry
     give the observation of generate_observation's default one; a noise
     block whose shape is not the vehicles' plus 2, such as the old block
     with a third (Doppler) column, is refused."""
     v = _vehicles_25()
     W = steering(v.theta + np.array([0.0, 0.02, -0.03]), cfg.n_tx)
     z = _noise(v, 5)
-    a = steering(v.theta, cfg.n_tx)
+    geom = build_geometry(v.theta, v.dist, cfg)
     for mode in ("relative", "crlb"):
         config = cfg.replace(theta_mode=mode)
         ob = generate_observation(v, W, config, z)
-        for with_a in (observe(observation_terms(v, config, z), W, a, config),
-                       generate_observation(v, W, config, z, a=a)):
-            assert all(np.array_equal(x, y) for x, y in zip(ob, with_a))
+        for with_geom in (observe(observation_terms(geom, config, z), W,
+                                  geom.a, config),
+                          generate_observation(geom, W, config, z)):
+            assert all(np.array_equal(x, y) for x, y in zip(ob, with_geom))
     old = np.random.default_rng(5).standard_normal(np.shape(v.theta) + (3,))
     for bad in (z[:, :1], z[:2], z[None], old):
         with pytest.raises(ValueError, match="noise block"):

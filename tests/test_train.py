@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from isacbf.channel import effective_channel
 from isacbf.nn.loss import build_geometry
 from isacbf.nn.model import HCLNet
 from isacbf.nn.train import TrainHyper, TrainingDiverged, train
@@ -11,9 +10,7 @@ def _problem(small_cfg, rng, ne=8):
     k, m, tau = small_cfg.n_vehicles, small_cfg.n_tx, small_cfg.history_len
     th = rng.uniform(0.4, 1.2, size=(ne, k))
     d = rng.uniform(15, 60, size=(ne, k))
-    h = np.stack([[effective_channel(th[i, j], d[i, j], small_cfg)
-                   for j in range(k)] for i in range(ne)])
-    geom = build_geometry(h, th, d, small_cfg)
+    geom = build_geometry(th, d, small_cfg)
     x = rng.normal(size=(ne, tau, k, m, 2))
     return x, geom
 
