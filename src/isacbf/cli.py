@@ -11,7 +11,7 @@ import numpy as np
 from .channel import steering
 from .config import SimConfig, load_config
 from .harness import (DEFAULT_POWER_GRID, Dataset, export, generate_dataset,
-                      monte_carlo_eval, power_sweep, train_hcl, train_naive)
+                      power_sweep, train_hcl, train_naive)
 from .kinematics import make_state
 from .nn.model import load_model
 from .nn.train import TrainHyper, TrainingDiverged
@@ -82,7 +82,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from(args) -> SimConfig:
-    return load_config(args.config, overrides=args.set, seed=args.seed)
+    """The run's config; an unknown key, load_config's KeyError, is a
+    ValueError like every other bad key or value."""
+    try:
+        return load_config(args.config, overrides=args.set, seed=args.seed)
+    except KeyError as exc:
+        # str() of a KeyError is the repr of its message, quotes and all
+        raise ValueError(exc.args[0]) from None
+
+
+def _check_out(args) -> None:
+    """Raise ValueError for a missing --out where the command writes one
+    (gen-data, train), or one that is a directory or whose directory does
+    not exist."""
+    out = getattr(args, "out", None)  # crlb has no --out
+    if not out:
+        if args.command in ("gen-data", "train"):
+            raise ValueError("--out is required")
+    elif os.path.isdir(out):
+        raise ValueError(f"--out {out}: is a directory")
+    elif not os.path.isdir(os.path.dirname(out) or "."):
+        raise ValueError(f"--out {out}: its directory does not exist")
 
 
 def _check_positive(name: str, *values: float) -> None:
@@ -116,16 +136,13 @@ def _load_models(paths: list[str], config: SimConfig) -> dict:
     return models
 
 
-def _written(path: str, write, *args) -> bool:
-    """Call write(*args), which writes path, printing an OSError (a full
-    disk, a path that became unwritable) as one error line naming path;
-    False when it raised."""
+def _write(path: str, write, *args) -> None:
+    """Call write(*args), which writes path; an OSError (a full disk, a path
+    that became unwritable) is raised again as one naming path."""
     try:
         write(*args)
     except OSError as exc:
-        print(f"error: failed writing {path}: {exc}", file=sys.stderr)
-        return False
-    return True
+        raise OSError(f"failed writing {path}: {exc}") from exc
 
 
 def _warn_if_not_improved(result) -> None:
@@ -142,133 +159,92 @@ def _warn_if_not_improved(result) -> None:
               file=sys.stderr)
 
 
+def _gen_data(args, config: SimConfig) -> None:
+    ds = generate_dataset(config, args.n_examples,
+                          np.random.default_rng(config.rng_seed))
+    _write(args.out, ds.save, args.out)
+    print(f"wrote {len(ds)} examples to {args.out} "
+          f"(sha256 {ds.sha256()[:16]})")
+
+
+def _train(args, config: SimConfig) -> None:
+    # the hyperparameters are checked before the data loads
+    hyper = TrainHyper(lr=args.lr, batch_size=args.batch_size,
+                       max_iters=args.iters, momentum=args.momentum,
+                       seed=config.rng_seed)
+    ds = Dataset.load(args.data)
+    ds.check(config)
+    trainer = train_hcl if args.arch == "hcl" else train_naive
+    # a diverging run overflows on its way to the non-finite loss that
+    # train() reports, so the overflow is not warned about too
+    with np.errstate(over="ignore", invalid="ignore"):
+        net, result = trainer(ds, config, hyper)
+    _write(args.out, net.save, args.out)
+    print(f"trained {args.arch} for {len(result.loss_trace)} iters; "
+          f"loss {result.loss_trace[0]:.6g} -> {result.loss_trace[-1]:.6g}; "
+          f"model saved to {args.out}")
+    _warn_if_not_improved(result)
+
+
+def _eval(args, config: SimConfig) -> None:
+    """eval and sweep: eval is the sweep of the one configured power."""
+    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    models = _load_models(args.model, config)
+    for m in methods:
+        if m in ("hcl", "naive_dl") and m not in models:
+            raise ValueError(f"model file required for method {m!r} "
+                             "(pass --model)")
+    grid = (_power_grid(args.power_grid) if args.command == "sweep"
+            else [config.power_budget])
+    # the eval checks its arguments before any episode runs
+    rows = power_sweep(config, grid, methods, args.realizations,
+                       models=models, seed=config.rng_seed,
+                       project=args.project_power)
+    if args.out:
+        _write(args.out, export, rows, config, args.out, args.format)
+        print(f"wrote {len(rows)} rows to {args.out}")
+        return
+    for r in rows:
+        print(f"{r.method}\tP={r.power:g}\trate={r.rate_mean:.4f}"
+              f"±{r.rate_ci:.4f}\tsqrt_crlb_theta="
+              f"{r.crlb_theta_sqrt:.4g}\tsqrt_crlb_d={r.crlb_d_sqrt:.4g}")
+
+
+def _crlb(args, config: SimConfig) -> None:
+    if not math.isfinite(args.theta):
+        raise ValueError(f"--theta must be finite, got {args.theta!r}")
+    _check_positive("dist", args.dist)
+    _check_positive("power", args.power)
+    w = math.sqrt(args.power) * steering(args.theta, config.n_tx)
+    state = make_state(args.dist * math.cos(args.theta),
+                       args.dist * math.sin(args.theta), 0.0)
+    info = fisher_information(state, w, config)
+    print(f"crlb_theta = {info.crlb_theta:.9g} rad^2 "
+          f"(sqrt {math.sqrt(info.crlb_theta):.9g} rad)")
+    print(f"crlb_d = {info.crlb_d:.9g} m^2 "
+          f"(sqrt {math.sqrt(info.crlb_d):.9g} m)")
+
+
+COMMANDS = {"gen-data": _gen_data, "train": _train, "eval": _eval,
+            "sweep": _eval, "crlb": _crlb}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command.  Bad input, a failed write or a diverged training
+    run is one error line on stderr and exit status 2; argparse's own
+    errors keep its exit status."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         config = _config_from(args)
-    except (KeyError, ValueError, FileNotFoundError) as exc:
-        # str() of a KeyError is the repr of its message, quotes and all
-        msg = exc.args[0] if isinstance(exc, KeyError) else exc
-        print(f"error: {msg}", file=sys.stderr)
+        _check_out(args)
+        COMMANDS[args.command](args, config)
+    except (ValueError, OSError, TrainingDiverged) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    out = getattr(args, "out", None)  # crlb has no --out
-    if out and os.path.isdir(out):
-        print(f"error: --out {out}: is a directory", file=sys.stderr)
-        return 2
-    if out and not os.path.isdir(os.path.dirname(out) or "."):
-        print(f"error: --out {out}: its directory does not exist",
-              file=sys.stderr)
-        return 2
-
-    if args.command == "gen-data":
-        if not args.out:
-            print("error: --out is required", file=sys.stderr)
-            return 2
-        rng = np.random.default_rng(config.rng_seed)
-        try:
-            ds = generate_dataset(config, args.n_examples, rng)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if not _written(args.out, ds.save, args.out):
-            return 2
-        print(f"wrote {len(ds)} examples to {args.out} "
-              f"(sha256 {ds.sha256()[:16]})")
-        return 0
-
-    if args.command == "train":
-        if not args.out:
-            print("error: --out is required", file=sys.stderr)
-            return 2
-        try:
-            hyper = TrainHyper(lr=args.lr, batch_size=args.batch_size,
-                               max_iters=args.iters, momentum=args.momentum,
-                               seed=config.rng_seed)
-            ds = Dataset.load(args.data)
-            ds.check(config)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        trainer = train_hcl if args.arch == "hcl" else train_naive
-        try:
-            # a diverging run overflows on its way to the non-finite loss
-            # that train() reports, so the overflow is not warned about too
-            with np.errstate(over="ignore", invalid="ignore"):
-                net, result = trainer(ds, config, hyper)
-        except TrainingDiverged as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if not _written(args.out, net.save, args.out):
-            return 2
-        print(f"trained {args.arch} for {len(result.loss_trace)} iters; "
-              f"loss {result.loss_trace[0]:.6g} -> {result.loss_trace[-1]:.6g}; "
-              f"model saved to {args.out}")
-        _warn_if_not_improved(result)
-        return 0
-
-    if args.command in ("eval", "sweep"):
-        methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-        try:
-            models = _load_models(args.model, config)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        for m in methods:
-            if m in ("hcl", "naive_dl") and m not in models:
-                print(f"error: model file required for method {m!r} "
-                      "(pass --model)", file=sys.stderr)
-                return 2
-        # the eval checks its arguments before any episode runs, and an
-        # episode with non-finite beams is a ValueError too
-        try:
-            if args.command == "eval":
-                rows = monte_carlo_eval(config, methods, args.realizations,
-                                        models=models, seed=config.rng_seed,
-                                        project=args.project_power).stats
-            else:
-                rows = power_sweep(config, _power_grid(args.power_grid),
-                                   methods, args.realizations, models=models,
-                                   seed=config.rng_seed,
-                                   project=args.project_power)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if args.out:
-            if not _written(args.out, export, rows, config, args.out,
-                            args.format):
-                return 2
-            print(f"wrote {len(rows)} rows to {args.out}")
-        else:
-            for r in rows:
-                print(f"{r.method}\tP={r.power:g}\trate={r.rate_mean:.4f}"
-                      f"±{r.rate_ci:.4f}\tsqrt_crlb_theta="
-                      f"{r.crlb_theta_sqrt:.4g}\tsqrt_crlb_d={r.crlb_d_sqrt:.4g}")
-        return 0
-
-    if args.command == "crlb":
-        try:
-            if not math.isfinite(args.theta):
-                raise ValueError(f"--theta must be finite, got {args.theta!r}")
-            _check_positive("dist", args.dist)
-            _check_positive("power", args.power)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        w = math.sqrt(args.power) * steering(args.theta, config.n_tx)
-        state = make_state(args.dist * math.cos(args.theta),
-                           args.dist * math.sin(args.theta), 0.0)
-        info = fisher_information(state, w, config)
-        print(f"crlb_theta = {info.crlb_theta:.9g} rad^2 "
-              f"(sqrt {math.sqrt(info.crlb_theta):.9g} rad)")
-        print(f"crlb_d = {info.crlb_d:.9g} m^2 "
-              f"(sqrt {math.sqrt(info.crlb_d):.9g} m)")
-        return 0
-
-    return 2
+    return 0
 
 
 if __name__ == "__main__":

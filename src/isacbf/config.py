@@ -174,17 +174,25 @@ def load_config(path: str | None = None, overrides: list[str] | None = None,
 
     The file uses a ``[sim]`` section whose keys are SimConfig field names.
     Overrides are applied on top of the file; ``seed``, when given, wins over
-    both.
+    both.  A file that cannot be opened raises the OSError of open(); one
+    that is not INI, or has no [sim] section, is a ValueError naming it.
     """
     values: dict = {}
     if path is not None:
         parser = configparser.ConfigParser()
-        read = parser.read(path)
-        if not read:
-            raise FileNotFoundError(path)
-        if parser.has_section("sim"):
-            for key, raw in parser.items("sim"):
-                values[key] = _coerce(key, raw)
+        with open(path) as fh:
+            try:
+                parser.read_file(fh)
+                items = parser.items("sim")
+            except configparser.NoSectionError:
+                raise ValueError(f"config file {path} has no [sim] "
+                                 "section") from None
+            except (configparser.Error, UnicodeDecodeError) as exc:
+                # configparser's messages run over several lines
+                raise ValueError(f"config file {path}: "
+                                 + " ".join(str(exc).split())) from None
+        for key, raw in items:
+            values[key] = _coerce(key, raw)
     for item in overrides or []:
         if "=" not in item:
             raise ValueError(f"override must be key=value, got: {item!r}")

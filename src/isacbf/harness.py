@@ -33,8 +33,8 @@ from .io_container import load_container, save_container
 from .kinematics import VehicleState, init_vehicles, step_motion
 from .nn.model import HCLNet, NaiveNet
 from .nn.train import TrainHyper, TrainResult, train
-from .sensing import (BatchGeometry, ObsTerms, build_geometry,
-                      fisher_information, generate_observation,
+from .sensing import (BatchGeometry, EchoConstants, ObsTerms,
+                      build_geometry, fisher_information, generate_observation,
                       observation_noise, observation_terms, observe)
 
 METHODS = ("genie", "naive_dl", "random", "hcl")
@@ -73,11 +73,14 @@ def _check_method(method: str, model) -> None:
 
 def check_eval_args(methods, n_realizations: int, models: dict) -> None:
     """Raise ValueError for no method, an unknown method, a predictive
-    method without a model, or fewer than one realization."""
+    method without a model, a method named twice, or fewer than one
+    realization."""
     if not methods:
         raise ValueError("no method to evaluate")
     for method in methods:
         _check_method(method, models.get(method))
+        if methods.count(method) > 1:
+            raise ValueError(f"method {method!r} is named more than once")
     if n_realizations < 1:
         raise ValueError("n_realizations must be >= 1")
 
@@ -191,7 +194,10 @@ def _decide(config: SimConfig, method: str, model, scenario: _Scenario,
     terms = observation_terms(geom.subset(_OBSERVED), config, scenario.z)
 
     def by_slot(f):
-        """A view of f, slot first: f_at[n] is slot n of every episode."""
+        """A view of f, slot first: f_at[n] is slot n of every episode; of
+        echo constants, the constants of each slot."""
+        if isinstance(f, EchoConstants):
+            return map(EchoConstants._make, zip(*map(by_slot, f)))
         return repeat(None) if f is None else f.swapaxes(0, 1)
 
     w = np.empty(scenario.angles.shape + (m,), dtype=complex)

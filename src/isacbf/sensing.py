@@ -130,6 +130,9 @@ class ObsTerms(NamedTuple):
     # from the beam): c_dist, and the angle estimates
     c_dist: np.ndarray | None
     theta_hat: np.ndarray | None
+    # crlb mode only (None in relative mode): the echo constants of the
+    # CRLBs that observe takes from the beam
+    echo: EchoConstants | None
 
 
 def observation_terms(geom: BatchGeometry, config: SimConfig,
@@ -140,18 +143,21 @@ def observation_terms(geom: BatchGeometry, config: SimConfig,
     z is their observation_noise block: the vehicles' shape plus a trailing 2,
     columns (distance, angle).  In config.theta_mode "relative" the angle
     estimate theta*(1+e), e ~ N(0, obs_rel_mse), needs no beam, and c_dist
-    is geom's; in "crlb" observe() takes both CRLBs from the beam.
+    is geom's; in "crlb" observe() takes both CRLBs from the beam and geom's
+    echo constants.
     """
     theta = geom.theta
     if z.shape != np.shape(theta) + (2,):
         raise ValueError(f"noise block {z.shape} does not match vehicles "
                          f"{np.shape(theta)} plus a trailing 2")
-    c_dist = theta_hat = None
+    c_dist = theta_hat = echo = None
     if config.theta_mode == "relative":
         c_dist = geom.echo.c_dist
         theta_hat = theta * (1.0 + math.sqrt(config.obs_rel_mse) * z[..., 1])
+    else:
+        echo = geom.echo
     return ObsTerms(theta=theta, dist=geom.dist, z=z, c_dist=c_dist,
-                    theta_hat=theta_hat)
+                    theta_hat=theta_hat, echo=echo)
 
 
 def observe(terms: ObsTerms, W: np.ndarray, a: np.ndarray,
@@ -167,8 +173,8 @@ def observe(terms: ObsTerms, W: np.ndarray, a: np.ndarray,
     observable = _observable(gain, W)
     theta_hat = terms.theta_hat
     if theta_hat is None:
-        crlb_theta, crlb_d = _crlbs(terms.theta, terms.dist, W, config, a, u,
-                                    observable)
+        crlb_theta, crlb_d = _crlbs(terms.theta, W, config, a, u,
+                                    observable, terms.echo)
         theta_hat = terms.theta + np.sqrt(crlb_theta) * terms.z[..., 1]
     else:
         # inf / gain is inf for any finite gain >= 0, zero included, and
@@ -253,19 +259,17 @@ def fisher_information(vehicles: VehicleState, W: np.ndarray,
     if geom is None:
         geom = build_geometry(vehicles.theta, vehicles.dist, config)
     u = np.vecdot(geom.a, W)
-    crlb_theta, crlb_d = _crlbs(geom.theta, geom.dist, W, config, geom.a, u,
+    crlb_theta, crlb_d = _crlbs(geom.theta, W, config, geom.a, u,
                                 _observable(np.abs(u) ** 2, W), geom.echo)
     return FisherInfo(crlb_theta=crlb_theta, crlb_d=crlb_d)
 
 
-def _crlbs(theta, dist, W: np.ndarray, config: SimConfig, a: np.ndarray,
-           u: np.ndarray, observable: np.ndarray, echo=None):
-    """(CRLB_theta, CRLB_d) of the beams W toward vehicles at (theta, dist),
-    given their steering vectors a, u = a^H w and where they are
-    observable; infinite where a vehicle is unobservable.  echo is the
-    vehicles' echo_constants if the caller has them."""
-    if echo is None:
-        echo = echo_constants(theta, dist, config)
+def _crlbs(theta, W: np.ndarray, config: SimConfig, a: np.ndarray,
+           u: np.ndarray, observable: np.ndarray, echo: EchoConstants):
+    """(CRLB_theta, CRLB_d) of the beams W toward vehicles at the angles
+    theta, given their steering vectors a, u = a^H w, where they are
+    observable and their echo_constants; infinite where a vehicle is
+    unobservable."""
     crlb_theta, crlb_d = crlbs(u, np.vecdot(steering_dtheta(
         theta, config.n_tx, a), W), echo, config.echo_noise_var)
     return (np.where(observable, crlb_theta, np.inf)[()],

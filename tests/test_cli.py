@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from isacbf import harness
+from isacbf import cli, harness
 from isacbf.cli import build_parser, main
 from isacbf.harness import Dataset
 from isacbf.io_container import load_container
@@ -71,6 +71,11 @@ def test_crlb_refuses_out(tmp_path, capsys):
     *([cmd, *SMALL, "--methods", methods, "--realizations", "1"]
       for cmd, methods in (("eval", ""), ("eval", ","), ("sweep", ""),
                            ("sweep", " , "))),
+    *([cmd, *SMALL, "--methods", methods, "--realizations", "1"]
+      for cmd, methods in (("eval", "random,random,genie"),
+                           ("sweep", "genie,random,genie"))),
+    *(["gen-data", *SMALL, "--config", path, "--out", "data.bin"]
+      for path in ("missing.ini", ".", os.devnull, __file__)),
 ])
 def test_bad_input_is_error(argv, tmp_path, monkeypatch, capsys):
     """Bad input prints one error line and exits 2 before any episode runs,
@@ -137,6 +142,24 @@ def test_failed_write_is_error(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1, argv[0]
         assert err.startswith("error: failed writing /dev/full: "), argv[0]
+
+
+@pytest.mark.parametrize("exc", [KeyError, TypeError, ValueError])
+def test_only_input_errors_are_reported(exc, monkeypatch, capsys):
+    """main turns a ValueError raised during a run into one error line and
+    exit status 2; any other exception, such as a KeyError or a TypeError,
+    leaves main as it was raised."""
+    def raising(*args, **kwargs):
+        raise exc("boom")
+
+    monkeypatch.setattr(cli, "generate_dataset", raising)
+    argv = ["gen-data", *SMALL, "--n-examples", "4", "--out", os.devnull]
+    if exc is ValueError:
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: boom\n")
+    else:
+        with pytest.raises(exc, match="boom"):
+            main(argv)
 
 
 def test_help_exits_cleanly():

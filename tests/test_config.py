@@ -91,3 +91,28 @@ def test_load_config_theta_mode(tmp_path):
     assert load_config(overrides=["theta_mode=crlb"]).theta_mode == "crlb"
     with pytest.raises(ValueError, match="theta_mode"):
         load_config(overrides=["theta_mode=CRLB"])
+
+
+@pytest.mark.parametrize("text, match", [
+    ("n_tx = 16\n", "File contains no section headers"),
+    ("[sim]\nn_tx = 16\nn_tx = 8\n", "option 'n_tx' in section 'sim' "
+     "already exists"),
+    ("[sm]\nn_tx = 16\n", r"has no \[sim\] section"),
+    ("", r"has no \[sim\] section"),
+])
+def test_load_config_refuses_a_file_that_is_not_sim_ini(text, match,
+                                                         tmp_path):
+    """A file that is not INI (no section header, a key given twice) or
+    that has no [sim] section is a one-line ValueError naming the file."""
+    p = tmp_path / "sim.ini"
+    p.write_text(text)
+    with pytest.raises(ValueError, match=match) as info:
+        load_config(str(p))
+    assert f"config file {p}" in str(info.value)
+    assert "\n" not in str(info.value)
+
+
+def test_load_config_raises_the_os_error(tmp_path):
+    """A path that cannot be read as a file raises open()'s OSError."""
+    with pytest.raises(IsADirectoryError):
+        load_config(str(tmp_path))

@@ -777,18 +777,36 @@ def test_monte_carlo_eval_ordering(small_cfg):
 
 
 def test_monte_carlo_eval_checks_inputs_first(small_cfg, monkeypatch):
-    """No method, an unknown method, a missing model or a realization
-    count < 1 is refused before any episode runs (every episode draws its
-    motion)."""
+    """No method, an unknown method, a missing model, a method named twice
+    or a realization count < 1 is refused before any episode runs (every
+    episode draws its motion)."""
     def no_episode(*args, **kwargs):
         raise AssertionError("an episode ran")
 
     monkeypatch.setattr(harness, "step_motion", no_episode)
     for methods, n in (([], 2), (["random", "bogus"], 2),
                        (["random", "hcl"], 2), (["random"], 0),
-                       (["random"], -3)):
+                       (["random"], -3), (["random", "random", "genie"], 2)):
         with pytest.raises(ValueError):
             monte_carlo_eval(small_cfg, methods, n)
+
+
+@pytest.mark.parametrize("mode", ["relative", "crlb"])
+def test_eval_takes_the_echo_constants_once(small_cfg, mode, monkeypatch):
+    """A naive_dl eval of one realization computes echo_constants once, in
+    its block's build_geometry: in crlb mode too, where every slot's
+    observation reads them from the block's geometry."""
+    calls = []
+    real = sensing.echo_constants
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    cfg = small_cfg.replace(theta_mode=mode)
+    monkeypatch.setattr(sensing, "echo_constants", counted)
+    monte_carlo_eval(cfg, ["naive_dl"], 1, models=_models(cfg), seed=3)
+    assert len(calls) == 1
 
 
 def _bits(stats):

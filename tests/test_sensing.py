@@ -7,9 +7,10 @@ from helpers import echo_dtheta, fd_fim
 from isacbf.config import SimConfig
 from isacbf.channel import steering
 from isacbf.kinematics import init_vehicles, make_state
-from isacbf.sensing import (build_geometry, echo_mean, fisher_information,
-                            generate_observation, observation_noise,
-                            observation_terms, observe, reflection_coeff)
+from isacbf.sensing import (EchoConstants, build_geometry, echo_mean,
+                            fisher_information, generate_observation,
+                            observation_noise, observation_terms, observe,
+                            reflection_coeff)
 
 # frozen oracle values at the 25 m geometry (state at x=15, y=20) with an
 # aligned unit-norm beam and default constants
@@ -271,6 +272,13 @@ def test_noise_block_is_the_per_slot_stream(cfg):
                                       getattr(one, field)), (mode, s, field)
 
 
+def _slot(field, s):
+    """Slot s of an ObsTerms field: an array, echo constants or None."""
+    if isinstance(field, EchoConstants):
+        return EchoConstants(*(c[s] for c in field))
+    return None if field is None else field[s]
+
+
 def test_slot_observations_over_episode_terms_match_block(cfg):
     """An episode's observation_terms, taken once as [n, K] blocks, with one
     observe() per slot under that slot's beams, give the observations of one
@@ -293,8 +301,7 @@ def test_slot_observations_over_episode_terms_match_block(cfg):
             terms = observation_terms(build_geometry(v.theta, v.dist,
                                                      config), config, z)
             for s in range(n):
-                one = observe(type(terms)(*(None if f is None else f[s]
-                                            for f in terms)),
+                one = observe(type(terms)(*(_slot(f, s) for f in terms)),
                               W[s], a[s], config)
                 for field in block._fields:
                     assert np.array_equal(getattr(block, field)[s],
