@@ -9,21 +9,12 @@ from .kinematics import VehicleState
 from .nn.model import NaiveNet, output_to_matrix
 
 
-def _aimed_beams(a: np.ndarray, config: SimConfig) -> np.ndarray:
+def genie_beamformer(a: np.ndarray, config: SimConfig) -> np.ndarray:
     """Equal-power-split beams sqrt(P/K) * a(theta_k), one row per steering
-    vector: [K, N_t] for K angles, [n, K, N_t] for [n, K] angles of n slots."""
+    row of a: the perfectly aligned genie beams from the true steering
+    vectors, [..., K, N_t] from [..., K, N_t]."""
     p = config.power_budget / config.n_vehicles
     return np.sqrt(p) * a
-
-
-def genie_beamformer(vehicles: VehicleState, config: SimConfig,
-                     a=None) -> np.ndarray:
-    """Perfectly aligned equal-power-split beams sqrt(P/K) * a(theta_k):
-    [K, N_t] for [K] vehicles, [n, K, N_t] for [n, K] vehicles of n slots;
-    a is steering(vehicles.theta, N_t) if the caller has it."""
-    if a is None:
-        a = steering(vehicles.theta, config.n_tx)
-    return _aimed_beams(a, config)
 
 
 def genie_rate(vehicles: VehicleState, config: SimConfig):
@@ -49,27 +40,20 @@ def naive_dl_beamformer(theta_hat: np.ndarray, d_hat: np.ndarray,
 
 
 def random_angles(config: SimConfig, rng: np.random.Generator,
-                  n_slots: int | None = None) -> np.ndarray:
-    """The i.i.d. U(0, pi) angles that random beams aim at: [K] from K
-    draws, or with n_slots [n_slots, K] from one draw, the per-slot draws
-    in slot order."""
-    k = config.n_vehicles
-    size = k if n_slots is None else (n_slots, k)
-    return rng.uniform(0.0, np.pi, size=size)
+                  n_slots: int) -> np.ndarray:
+    """The i.i.d. U(0, pi) angles that random beams aim at: [n_slots, K]
+    from one draw, the per-slot draws in slot order."""
+    return rng.uniform(0.0, np.pi, size=(n_slots, config.n_vehicles))
 
 
 def aimed_beams(angles: np.ndarray, config: SimConfig) -> np.ndarray:
     """Equal-power-split beams sqrt(P/K) * a(angle) at angles of any shape,
     that shape plus [N_t]; row by row the bits of one-row calls."""
-    return _aimed_beams(steering(angles, config.n_tx), config)
+    return genie_beamformer(steering(angles, config.n_tx), config)
 
 
 def random_beamformer(config: SimConfig, rng: np.random.Generator,
-                      n_slots: int | None = None) -> np.ndarray:
-    """Beams aimed at random_angles; ||W||_F^2 = P exactly.
-
-    [K, N_t] from K draws, or with n_slots the [n_slots, K, N_t] stack of
-    n_slots matrices from one [n_slots, K] draw, the per-slot draws in slot
-    order.
-    """
+                      n_slots: int) -> np.ndarray:
+    """The [n_slots, K, N_t] beams aimed at random_angles, one matrix per
+    slot with ||W||_F^2 = P exactly."""
     return aimed_beams(random_angles(config, rng, n_slots), config)

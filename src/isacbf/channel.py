@@ -49,11 +49,9 @@ def steering_direct(theta, n_ant: int) -> np.ndarray:
     return np.exp(phase) / np.sqrt(n_ant)
 
 
-def steering_dtheta(theta, n_ant: int, a=None) -> np.ndarray:
-    """Entry-wise derivative of steering() with respect to theta; pass the
-    caller's steering(theta, n_ant) as a to skip recomputing it."""
-    if a is None:
-        a = steering(theta, n_ant)
+def steering_dtheta(theta, n_ant: int, a: np.ndarray) -> np.ndarray:
+    """Entry-wise derivative of steering() with respect to theta, from a =
+    steering(theta, n_ant)."""
     ramp = (1j * np.pi * np.arange(n_ant)) * _per_antenna(np.sin(theta))
     return ramp * a
 
@@ -74,14 +72,13 @@ def path_loss_amp(dist, config: SimConfig, check: bool = True):
                    * (dist / config.ref_dist) ** (-config.pathloss_exp))
 
 
-def effective_channel(theta, dist, config: SimConfig, a=None,
+def effective_channel(theta, dist, config: SimConfig, a: np.ndarray,
                       check: bool = True) -> np.ndarray:
-    """Downlink channel h = sqrt(N_t) * alpha(d) * a(theta), length N_t;
-    a is steering(theta, N_t) if the caller has it.  check as in
-    path_loss_amp; a caller that discards the channels of distances that
-    are not > 0 skips it."""
-    if a is None:
-        a = steering(theta, config.n_tx)
+    """Downlink channels h = sqrt(N_t) * alpha(d) * a of vehicles at the
+    angles theta and distances dist, from their steering vectors a (such as
+    steering(theta, N_t)): the shape of a.  check as in path_loss_amp; a
+    caller that discards the channels of distances that are not > 0 skips
+    it."""
     gain = math.sqrt(config.n_tx) * path_loss_amp(dist, config, check)
     return _per_antenna(gain) * a
 

@@ -40,7 +40,8 @@ def _add_eval_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--project-power", action="store_true",
                    help="rescale hcl and naive_dl beams above the power "
                         "budget onto it")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--format", choices=("csv", "json"),
+                   help="format of the --out file (default csv)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -188,6 +189,8 @@ def _train(args, config: SimConfig) -> None:
 
 def _eval(args, config: SimConfig) -> None:
     """eval and sweep: eval is the sweep of the one configured power."""
+    if args.format and not args.out:
+        raise ValueError("--format needs --out")
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     models = _load_models(args.model, config)
     for m in methods:
@@ -201,7 +204,7 @@ def _eval(args, config: SimConfig) -> None:
                        models=models, seed=config.rng_seed,
                        project=args.project_power)
     if args.out:
-        _write(args.out, export, rows, config, args.out, args.format)
+        _write(args.out, export, rows, config, args.out, args.format or "csv")
         print(f"wrote {len(rows)} rows to {args.out}")
         return
     for r in rows:

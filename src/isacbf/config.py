@@ -127,6 +127,29 @@ class SimConfig:
         return cls(**{name: _from_json(name, v) for name, v in values.items()})
 
 
+# the SimConfig fields that no dataset example depends on: a run may
+# differ in these from the config of its dataset or model
+UNCHECKED_FIELDS = ("rng_seed", "gamma_theta", "gamma_d", "lambda_theta",
+                    "lambda_d", "lambda_power")
+
+
+def check_same_config(made: SimConfig, run: SimConfig, what: str,
+                      exempt: tuple = ()) -> None:
+    """Raise a ValueError naming every field, but UNCHECKED_FIELDS and
+    exempt, in which the run's config differs from made, the config a
+    dataset or model was made under, with both values: "<what> with f=1;
+    the run has f=2", what being, say, "dataset made"."""
+    differ = [f.name for f in dataclasses.fields(SimConfig)
+              if f.name not in UNCHECKED_FIELDS + exempt
+              and getattr(made, f.name) != getattr(run, f.name)]
+    if differ:
+        def values(cfg):
+            return ", ".join(f"{name}={getattr(cfg, name)}"
+                             for name in differ)
+        raise ValueError(f"{what} with {values(made)}; the run has "
+                         f"{values(run)}")
+
+
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(SimConfig)}
 # the JSON value types that as_dict writes for each field type, but complex
 _JSON_TYPES = {"int": int, "float": (int, float), "str": str, "complex": (),

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from typing import NamedTuple
@@ -27,8 +27,8 @@ import numpy as np
 # random_beamformer is not called here: isacbench's trace points look it up
 from .baselines import (aimed_beams, genie_beamformer, genie_rate,  # noqa: F401
                         naive_dl_beamformer, random_angles, random_beamformer)
-from .channel import effective_channel, steering_direct, sum_rate
-from .config import SimConfig
+from .channel import effective_channel, steering, steering_direct, sum_rate
+from .config import SimConfig, check_same_config
 from .io_container import load_container, save_container
 from .kinematics import VehicleState, init_vehicles, step_motion
 from .nn.model import HCLNet, NaiveNet
@@ -38,10 +38,6 @@ from .sensing import (BatchGeometry, EchoConstants, ObsTerms,
                       observation_noise, observation_terms, observe)
 
 METHODS = ("genie", "naive_dl", "random", "hcl")
-# the SimConfig fields that no dataset example depends on: Dataset.check
-# lets a run differ from its dataset in these
-UNCHECKED_FIELDS = ("rng_seed", "gamma_theta", "gamma_d", "lambda_theta",
-                    "lambda_d", "lambda_power")
 
 
 @dataclass
@@ -282,7 +278,7 @@ def _run_block(config: SimConfig, method: str, scenario: _Scenario, model,
     realization, for errors."""
     vehicles, geom = scenario.vehicles, scenario.geom
     if method == "genie":
-        w = genie_beamformer(vehicles, config, geom.a)
+        w = genie_beamformer(geom.a, config)
         rates = genie_rate(vehicles, config)
     else:
         if method == "random":
@@ -386,7 +382,8 @@ class Dataset:
         """[Ne, K, M] complex true next-slot channels (rows h_k),
         effective_channel of the true angles and distances under config.
         geometry() does not read it."""
-        return effective_channel(self.thetas, self.dists, self.config)
+        return effective_channel(self.thetas, self.dists, self.config,
+                                 steering(self.thetas, self.config.n_tx))
 
     @cached_property
     def _geometry(self) -> BatchGeometry:
@@ -415,16 +412,8 @@ class Dataset:
     def check(self, config: SimConfig) -> None:
         """Raise a ValueError naming every field in which config differs
         from the dataset's config, except those that shape no example:
-        rng_seed and the loss weights (UNCHECKED_FIELDS)."""
-        differ = [f.name for f in fields(SimConfig)
-                  if f.name not in UNCHECKED_FIELDS
-                  and getattr(self.config, f.name) != getattr(config, f.name)]
-        if differ:
-            def values(cfg):
-                return ", ".join(f"{name}={getattr(cfg, name)}"
-                                 for name in differ)
-            raise ValueError(f"dataset made with {values(self.config)}; the "
-                             f"run has {values(config)}")
+        rng_seed and the loss weights (config.UNCHECKED_FIELDS)."""
+        check_same_config(self.config, config, "dataset made")
 
     def geometry(self, config: SimConfig) -> BatchGeometry:
         """The examples' loss geometry, once config passes check(): built
@@ -726,11 +715,16 @@ def power_sweep(config: SimConfig, p_values, methods: list[str],
     """EvalReport rows over a transmit-power grid.
 
     By default, trained models are reused across power points; pass
-    ``train_fn(config) -> models`` to retrain per point instead.
+    ``train_fn(config) -> models`` to retrain per point instead.  A power
+    named twice is a ValueError, raised before any point runs.
     """
+    powers = [float(p) for p in p_values]
+    for p in powers:
+        if powers.count(p) > 1:
+            raise ValueError(f"power {p:g} is named more than once")
     rows = []
-    for p in p_values:
-        cfg = config.replace(power_budget=float(p))
+    for p in powers:
+        cfg = config.replace(power_budget=p)
         models_p = train_fn(cfg) if train_fn is not None else models
         report = monte_carlo_eval(cfg, methods, n_realizations,
                                   models=models_p, seed=seed, project=project)

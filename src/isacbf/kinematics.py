@@ -68,23 +68,14 @@ def init_vehicles(config: SimConfig, rng: np.random.Generator) -> VehicleState:
 
 
 def step_motion(state: VehicleState, config: SimConfig,
-                rng: np.random.Generator,
-                n_steps: int | None = None) -> VehicleState:
-    """Advance one slot: redraw the slot-average speeds, move parallel to the road.
-
-    The new speed is the average velocity within the slot, so the position
-    advances with it: x' = x + v_new * slot_dur.  One draw per vehicle, in
-    vehicle order.
-
-    With n_steps, advance n_steps slots from one [n_steps, K] speed draw (the
-    per-slot draws in slot order) and return the trajectory: state followed
-    by the n_steps states after it, as [n_steps + 1, K] arrays.  x
-    accumulates slot by slot, so every state has the bits of the same number
-    of one-slot steps.
+                rng: np.random.Generator, n_steps: int) -> VehicleState:
+    """Advance n_steps slots from one [n_steps, K] draw of slot-average
+    speeds (the per-slot draws in slot order, vehicle order within a slot)
+    and return the trajectory: state followed by the n_steps states after
+    it, as [n_steps + 1, K] arrays.  Vehicles move parallel to the road,
+    x' = x + v_new * slot_dur, and x accumulates slot by slot, so every
+    state has the bits of the same number of one-slot steps.
     """
-    if n_steps is None:
-        v_new = rng.uniform(config.v_min, config.v_max, size=np.shape(state.x))
-        return make_state(state.x + v_new * config.slot_dur, state.y, v_new)
     v_new = rng.uniform(config.v_min, config.v_max,
                         size=(n_steps,) + np.shape(state.x))
     x = np.cumsum(np.concatenate((state.x[None], v_new * config.slot_dur)),

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..config import SimConfig
+from ..config import SimConfig, check_same_config
 from ..io_container import load_container, save_container
 from . import kernels
 
@@ -466,27 +466,25 @@ class NaiveNet(_FlatParams):
                                 "b2": g_b2, "w3": g_w3, "b3": g_b3})
 
 
-
-# config fields that fix a model's weight shapes or its input window
-_SHAPE_FIELDS = ("n_tx", "n_vehicles", "history_len")
-
-
 _MODEL_KINDS = {HCLNet.KIND: HCLNet, NaiveNet.KIND: NaiveNet}
 
 
 def load_model(path: str, config: SimConfig):
     """The HCL-Net or naive-FC model saved at path, for a run under config;
-    a ValueError naming path if its parameters or kappa are not finite."""
+    a ValueError naming path if its recorded config is not one, differs
+    from config (check_same_config; power_budget may differ, so one model
+    serves every point of a power sweep), or its parameters or kappa are
+    not finite."""
     meta, arrays = load_container(path)
     kind = meta.get("kind")
     if kind not in _MODEL_KINDS:
         raise ValueError(f"{path}: unknown model kind {kind!r}")
-    saved = meta.get("config", {})
-    for field in _SHAPE_FIELDS:
-        if saved.get(field) != getattr(config, field):
-            raise ValueError(
-                f"{path}: model saved with {field}={saved.get(field)}, "
-                f"the run has {field}={getattr(config, field)}")
+    try:
+        saved = SimConfig.from_dict(meta.get("config"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: bad recorded config: {exc}") from None
+    check_same_config(saved, config, f"{path}: model saved",
+                      exempt=("power_budget",))
     net = _MODEL_KINDS[kind](config)
     if arrays["params"].shape != net.params.shape:
         raise ValueError(f"{path}: parameter count mismatch")

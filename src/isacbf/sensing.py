@@ -185,24 +185,22 @@ def observe(terms: ObsTerms, W: np.ndarray, a: np.ndarray,
                         usable=observable & (d_hat > 0))
 
 
-def generate_observation(vehicles, W: np.ndarray, config: SimConfig,
-                         z: np.ndarray) -> Observations:
-    """Noisy (angle, distance) observations of the K vehicles: observe()
-    over their observation_terms().
+def generate_observation(geom: BatchGeometry, W: np.ndarray,
+                         config: SimConfig, z: np.ndarray) -> Observations:
+    """Noisy (angle, distance) observations of the vehicles of the geometry
+    geom under the beams W, row k toward vehicle k: observe() over their
+    observation_terms().
 
-    vehicles is a VehicleState, or its BatchGeometry if the caller has it:
-    [K] arrays with a [K, N_t] W, or arrays of any leading shape with W of
-    that shape plus [N_t], such as the [n, K] arrays of n slots or the
-    [n_ep, n, K] arrays of n_ep episodes; the estimates take the vehicles'
-    shape.  z is the vehicles' observation_noise block.  Always
-    d_hat = d + N(0, CRLB(d, w)), and by config.theta_mode:
+    geom's arrays have any leading shape, such as the [n, K] of n slots or
+    the [n_ep, n, K] of n_ep episodes, and W is that shape plus [N_t]; the
+    estimates take the vehicles' shape.  z is the vehicles'
+    observation_noise block.  Always d_hat = d + N(0, CRLB(d, w)), and by
+    config.theta_mode:
     "relative": theta_hat = theta*(1+e), e ~ N(0, obs_rel_mse);
     "crlb":     theta_hat = theta + N(0, CRLB(theta, w)).
     A caller draws noise for every slot, in slot order, whether or not a
     vehicle is observable, so the stream stays aligned.
     """
-    geom = vehicles if isinstance(vehicles, BatchGeometry) \
-        else build_geometry(vehicles.theta, vehicles.dist, config)
     return observe(observation_terms(geom, config, z), W, geom.a, config)
 
 

@@ -13,7 +13,7 @@ from isacbf.baselines import (genie_beamformer, genie_rate,
 from isacbf.channel import (effective_channel, steering, steering_direct,
                             steering_dtheta, sum_rate)
 from isacbf.kinematics import init_vehicles, step_motion
-from isacbf.sensing import (echo_mean, fisher_information,
+from isacbf.sensing import (build_geometry, echo_mean, fisher_information,
                             generate_observation, observation_noise,
                             reflection_coeff)
 
@@ -118,6 +118,30 @@ def loop_maxpool2x2(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, idx
 
 
+def step_slot(vehicles, config, rng):
+    """The vehicles one slot later: a block of one step."""
+    return step_motion(vehicles, config, rng, 1).records()[-1]
+
+
+def random_slot(config, rng):
+    """One slot's random beams: a block of one slot."""
+    return random_beamformer(config, rng, 1)[0]
+
+
+def true_channel(vehicles, config):
+    """The effective channels of the vehicles from their steering."""
+    return effective_channel(vehicles.theta, vehicles.dist, config,
+                             steering(vehicles.theta, config.n_tx))
+
+
+def observe_slot(vehicles, w, config, rng_obs):
+    """One slot's observations of the vehicles under w, with one noise draw
+    of the K vehicles."""
+    return generate_observation(
+        build_geometry(vehicles.theta, vehicles.dist, config), w, config,
+        observation_noise(rng_obs, (config.n_vehicles,)))
+
+
 def slot_loop_episode(config, method: str, rng):
     """A genie or random episode one slot at a time: one motion step, one
     beam draw and one measurement per slot.  Returns the per-slot vehicles,
@@ -127,14 +151,15 @@ def slot_loop_episode(config, method: str, rng):
     out = []
     for n in range(config.n_slots):
         if n:
-            vehicles = step_motion(vehicles, config, rng_motion)
+            vehicles = step_slot(vehicles, config, rng_motion)
         if method == "genie":
-            w = genie_beamformer(vehicles, config)
+            w = genie_beamformer(steering(vehicles.theta, config.n_tx),
+                                 config)
             rate = genie_rate(vehicles, config)
         else:
-            w = random_beamformer(config, rng_beam)
-            h = effective_channel(vehicles.theta, vehicles.dist, config)
-            rate = sum_rate(h, w, config.noise_vehicle)
+            w = random_slot(config, rng_beam)
+            rate = sum_rate(true_channel(vehicles, config), w,
+                            config.noise_vehicle)
         info = fisher_information(vehicles, w, config)
         out.append((vehicles, w, rate, info.crlb_theta, info.crlb_d))
     return tuple(zip(*out))
@@ -166,15 +191,14 @@ def slot_loop_decide(config, method: str, model, rng, project: bool = False):
     k, tau = config.n_vehicles, config.history_len
     vehicles = init_vehicles(config, rng_motion)
     history = np.zeros((tau, k, config.n_tx), dtype=complex)
-    w = [random_beamformer(config, rng_beam)]
+    w = [random_slot(config, rng_beam)]
     observations = []
     for n in range(config.n_slots - 1):
         if n:
-            vehicles = step_motion(vehicles, config, rng_motion)
-        obs = generate_observation(vehicles, w[n], config,
-                                   observation_noise(rng_obs, (k,)))
+            vehicles = step_slot(vehicles, config, rng_motion)
+        obs = observe_slot(vehicles, w[n], config, rng_obs)
         observations.append(obs)
-        w.append(random_beamformer(config, rng_beam))
+        w.append(random_slot(config, rng_beam))
         beams = None
         if method == "hcl":
             history = shift_history(history, obs, config)
@@ -206,16 +230,14 @@ def slot_loop_dataset(config, n_examples: int, rng) -> dict:
                            dtype=complex)
         for n in range(config.n_slots):
             if n:
-                vehicles = step_motion(vehicles, config, rng_motion)
+                vehicles = step_slot(vehicles, config, rng_motion)
             if n >= tau and obs.usable.all():
                 rows.append((
                     np.stack((history.real, history.imag), axis=-1),
-                    effective_channel(vehicles.theta, vehicles.dist, config),
+                    true_channel(vehicles, config),
                     vehicles.theta, vehicles.dist, obs.theta_hat, obs.d_hat))
-            w = random_beamformer(config, rng_beam)
-            obs = generate_observation(
-                vehicles, w, config,
-                observation_noise(rng_obs, (config.n_vehicles,)))
+            obs = observe_slot(vehicles, random_slot(config, rng_beam),
+                               config, rng_obs)
             history = shift_history(history, obs, config)
     names = ("x", "h", "thetas", "dists", "est_thetas", "est_dists")
     return {name: np.stack(col) for name, col in

@@ -31,19 +31,20 @@ def test_genie_beams_are_vehicle_rows(cfg):
     p = cfg.power_budget / k
     rng = np.random.default_rng(0)
     slot = init_vehicles(cfg, rng)
-    w = _rows(genie_beamformer(slot, cfg), (k, m))
+    w = _rows(genie_beamformer(steering(slot.theta, m), cfg), (k, m))
     for i, theta in enumerate(slot.theta):
         assert np.array_equal(w[i], np.sqrt(p) * steering(theta, m))
     block = step_motion(slot, cfg, rng, 4)
-    wb = _rows(genie_beamformer(block, cfg), (5, k, m))
+    wb = _rows(genie_beamformer(steering(block.theta, m), cfg), (5, k, m))
     for n, v in enumerate(block.records()):
-        assert np.array_equal(wb[n], genie_beamformer(v, cfg))
+        assert np.array_equal(wb[n], genie_beamformer(steering(v.theta, m),
+                                                      cfg))
 
 
 def test_random_beams_are_vehicle_rows(cfg):
     k, m = cfg.n_vehicles, cfg.n_tx
     p = cfg.power_budget / k
-    w = _rows(random_beamformer(cfg, np.random.default_rng(7)), (k, m))
+    w = _rows(random_beamformer(cfg, np.random.default_rng(7), 1)[0], (k, m))
     thetas = np.random.default_rng(7).uniform(0.0, np.pi, size=k)
     for i, theta in enumerate(thetas):
         assert np.array_equal(w[i], np.sqrt(p) * steering(theta, m))

@@ -64,11 +64,13 @@ def test_steering_broadcasts_bit_identically():
     beams built either way feed the same observation noise."""
     thetas = np.random.default_rng(0).uniform(0.0, np.pi, size=(3, 4))
     a = steering(thetas, 32)
-    ap = steering_dtheta(thetas, 32)
+    ap = steering_dtheta(thetas, 32, a)
     assert a.shape == ap.shape == (3, 4, 32)
     for idx in np.ndindex(thetas.shape):
-        assert np.array_equal(a[idx], steering(float(thetas[idx]), 32))
-        assert np.array_equal(ap[idx], steering_dtheta(float(thetas[idx]), 32))
+        one = steering(float(thetas[idx]), 32)
+        assert np.array_equal(a[idx], one)
+        assert np.array_equal(ap[idx],
+                              steering_dtheta(float(thetas[idx]), 32, one))
 
 
 def test_steering_rejects_empty():
@@ -79,7 +81,8 @@ def test_steering_rejects_empty():
 def test_steering_dtheta_matches_fd():
     theta, n, eps = 0.9, 32, 1e-7
     fd = (steering(theta + eps, n) - steering(theta - eps, n)) / (2 * eps)
-    assert np.allclose(steering_dtheta(theta, n), fd, rtol=1e-6, atol=1e-9)
+    assert np.allclose(steering_dtheta(theta, n, steering(theta, n)), fd,
+                       rtol=1e-6, atol=1e-9)
 
 
 def test_path_loss_frozen_value(cfg):
@@ -99,22 +102,19 @@ def test_path_loss_monotone_decreasing(cfg):
 
 
 def test_effective_channel(cfg):
-    h = effective_channel(0.9272952180016122, 25.0, cfg)
+    a = steering(0.9272952180016122, cfg.n_tx)
+    h = effective_channel(0.9272952180016122, 25.0, cfg, a)
     assert h.shape == (cfg.n_tx,)
     assert np.linalg.norm(h) == pytest.approx(HNORM_25, rel=1e-12)
     # h is a scaled steering vector
-    a = steering(0.9272952180016122, cfg.n_tx)
     assert np.allclose(h, np.sqrt(cfg.n_tx) * ALPHA_25 * a, rtol=1e-10)
     # an array of geometries gives one channel per row
     th, d = np.array([0.9, 1.3]), np.array([25.0, 40.0])
-    rows = effective_channel(th, d, cfg)
+    rows = effective_channel(th, d, cfg, steering(th, cfg.n_tx))
     assert rows.shape == (2, cfg.n_tx)
     for k in range(2):
-        assert np.allclose(rows[k], effective_channel(th[k], d[k], cfg),
-                           rtol=1e-15, atol=0.0)
-    # the caller's steering vectors give the same bits
-    assert np.array_equal(effective_channel(th, d, cfg, steering(th, cfg.n_tx)),
-                          rows)
+        assert np.allclose(rows[k], effective_channel(
+            th[k], d[k], cfg, steering(th[k], cfg.n_tx)), rtol=1e-15, atol=0.0)
 
 
 def test_sinr_no_interference():

@@ -76,6 +76,10 @@ def test_crlb_refuses_out(tmp_path, capsys):
                            ("sweep", "genie,random,genie"))),
     *(["gen-data", *SMALL, "--config", path, "--out", "data.bin"]
       for path in ("missing.ini", ".", os.devnull, __file__)),
+    *(["sweep", *SMALL, "--methods", "random", "--power-grid", grid,
+       "--realizations", "1"] for grid in ("1,1", "0.5,1,0.50")),
+    *([cmd, *SMALL, "--methods", "random", "--realizations", "1", "--format",
+       fmt] for cmd, fmt in (("eval", "json"), ("sweep", "csv"))),
 ])
 def test_bad_input_is_error(argv, tmp_path, monkeypatch, capsys):
     """Bad input prints one error line and exits 2 before any episode runs,
@@ -405,6 +409,28 @@ def test_dataset_config_is_checked(tmp_path, capsys):
             assert rc == 2 and out == "" and not model.exists()
             assert err == ("error: dataset made with pathloss_exp=2.0; the "
                            "run has pathloss_exp=2.55\n")
+
+
+def test_model_config_is_checked(tmp_path, capsys):
+    """eval refuses a model trained under another pathloss_exp, naming the
+    field, and evaluates it under another power_budget or seed."""
+    data, model = str(tmp_path / "data.bin"), str(tmp_path / "m.bin")
+    foreign = ["--set", "pathloss_exp=2"]
+    assert main(["gen-data", *SMALL, *foreign, "--n-examples", "4",
+                 "--out", data]) == 0
+    assert main(["train", *SMALL, *foreign, "--data", data, "--arch",
+                 "naive", "--iters", "1", "--out", model]) == 0
+    capsys.readouterr()
+    argv = ["eval", *SMALL, "--methods", "naive_dl", "--model", model,
+            "--realizations", "1"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == (f"error: {model}: model saved with "
+                                 "pathloss_exp=2.0; the run has "
+                                 "pathloss_exp=2.55\n")
+    for extra in (["--set", "power_budget=2"], ["--seed", "5"]):
+        assert main([*argv, *foreign, *extra]) == 0, extra
+        assert "naive_dl" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("cmd", ["eval", "sweep"])

@@ -70,7 +70,8 @@ def test_episode_measurement_matches_per_slot_calls(small_cfg, monkeypatch):
             if method == "genie":
                 rate = genie_rate(v, cfg)
             else:
-                h = effective_channel(v.theta, v.dist, cfg)
+                h = effective_channel(v.theta, v.dist, cfg,
+                                      steering(v.theta, cfg.n_tx))
                 rate = sum_rate(h, w, cfg.noise_vehicle)
             assert trace.rates[s] == rate
             info = fisher_information(v, w, cfg)
@@ -434,7 +435,7 @@ class _BlockBeams:
     for the slots from zero_from on."""
 
     def __init__(self, config, episode=None, zero_from=None):
-        self.w = random_beamformer(config, np.random.default_rng(11))
+        self.w = random_beamformer(config, np.random.default_rng(11), 1)[0]
         self.tau = config.history_len
         self.episode, self.zero_from = episode, zero_from
         self.rows = []
@@ -935,6 +936,18 @@ def test_power_sweep_reuse_and_retrain(small_cfg):
     assert calls == grid
 
 
+def test_power_sweep_refuses_a_repeated_power(small_cfg, monkeypatch):
+    """A power named twice, as 1 and 1.0 too, is a ValueError naming it,
+    raised before any point trains or any episode runs."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran")
+
+    monkeypatch.setattr(harness, "step_motion", no_work)
+    for grid in ([1.0, 1.0], [0.5, 1, 2.0, 1.0]):
+        with pytest.raises(ValueError, match="power 1 is named more than once"):
+            power_sweep(small_cfg, grid, ["random"], 2, train_fn=no_work)
+
+
 def test_power_sweep_rates_increase_with_power(small_cfg):
     rows = power_sweep(small_cfg, [0.1, 1.0, 10.0], ["genie"], 4, seed=1)
     rates = [r.rate_mean for r in rows]
@@ -986,7 +999,7 @@ class _FixedBeams:
     for the slots from zero_from on."""
 
     def __init__(self, config, zero_from=None):
-        self.w = random_beamformer(config, np.random.default_rng(11))
+        self.w = random_beamformer(config, np.random.default_rng(11), 1)[0]
         self.tau = config.history_len
         self.slot = config.history_len   # the slot the next decision is for
         self.zero_from = zero_from

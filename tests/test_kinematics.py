@@ -53,7 +53,7 @@ def test_init_vehicles(cfg):
 
 def test_step_motion(cfg):
     s0 = init_vehicles(cfg, np.random.default_rng(0))
-    s1 = step_motion(s0, cfg, np.random.default_rng(3))
+    s1 = step_motion(s0, cfg, np.random.default_rng(3), 1).records()[-1]
     assert np.array_equal(s1.y, s0.y)
     assert np.all((cfg.v_min <= s1.v) & (s1.v <= cfg.v_max))
     assert s1.x == pytest.approx(s0.x + s1.v * cfg.slot_dur)
@@ -74,7 +74,7 @@ def test_step_motion_block_matches_slot_steps(cfg):
     assert traj.x.shape == traj.y.shape == (50, cfg.n_vehicles)
     rng, s, states = np.random.default_rng(3), s0, [s0.records()]
     for _ in range(49):
-        s = step_motion(s, cfg, rng)
+        s = step_motion(s, cfg, rng, 1).records()[-1]
         states.append(s.records())
     assert [v.records() for v in traj.records()] == states
     one = step_motion(s0, cfg, np.random.default_rng(3), 0)
@@ -82,10 +82,8 @@ def test_step_motion_block_matches_slot_steps(cfg):
 
 
 def test_vehicles_advance_downrange(cfg):
-    rng = np.random.default_rng(5)
-    s = make_state(15.0, 20.0, 8.0)
-    for _ in range(50):
-        s2 = step_motion(s, cfg, rng)
-        assert s2.x > s.x
-        s = s2
-    assert s.x == pytest.approx(15.0 + 50 * 8.125 * cfg.slot_dur, rel=0.01)
+    s = make_state(np.array([15.0]), np.array([20.0]), np.array([8.0]))
+    traj = step_motion(s, cfg, np.random.default_rng(5), 50)
+    assert np.all(np.diff(traj.x, axis=0) > 0)
+    assert traj.x[-1, 0] == pytest.approx(15.0 + 50 * 8.125 * cfg.slot_dur,
+                                          rel=0.01)

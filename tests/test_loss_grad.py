@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import echo_dtheta, fd_fim, sinr
-from isacbf.channel import effective_channel, steering_dtheta
+from isacbf.channel import effective_channel, steering, steering_dtheta
 from isacbf.kinematics import make_state
 from isacbf.nn import loss
 from isacbf.nn.loss import (CAP_FACTOR, build_geometry, gradient, penalty_loss,
@@ -17,8 +17,9 @@ def _geometry(cfg, rng, ne=4):
     k = cfg.n_vehicles
     th = rng.uniform(0.4, 1.2, size=(ne, k))
     d = rng.uniform(15, 60, size=(ne, k))
-    h = np.stack([[effective_channel(th[i, j], d[i, j], cfg) for j in range(k)]
-                  for i in range(ne)])
+    h = np.stack([[effective_channel(th[i, j], d[i, j], cfg,
+                                     steering(th[i, j], cfg.n_tx))
+                   for j in range(k)] for i in range(ne)])
     return h, th, d, build_geometry(th, d, cfg)
 
 
@@ -41,7 +42,7 @@ def test_build_geometry_constants(cfg, rng):
     i, j = 1, 2
     w = rng.normal(size=cfg.n_tx) + 1j * rng.normal(size=cfg.n_tx)
     echo = EchoConstants(*(c[i, j] for c in geom.echo))
-    ap = steering_dtheta(th[i, j], cfg.n_tx)
+    ap = steering_dtheta(th[i, j], cfg.n_tx, steering(th[i, j], cfg.n_tx))
     ct, cd = crlbs(np.vdot(geom.a[i, j], w), np.vdot(ap, w), echo,
                    cfg.echo_noise_var)
     dr = echo_dtheta(th[i, j], d[i, j], w, cfg)
@@ -168,8 +169,11 @@ def test_loss_forms_channels_elementwise(cfg, rng, monkeypatch):
     carry the bits of per-example channels.  Every penalty fires."""
     tight = _tight(cfg)
     _, th, d, geom = _geometry(tight, rng, ne=6)
-    h = np.stack([effective_channel(th[i], d[i], tight) for i in range(6)])
-    ap = np.stack([steering_dtheta(th[i], tight.n_tx) for i in range(6)])
+    a = [steering(th[i], tight.n_tx) for i in range(6)]
+    h = np.stack([effective_channel(th[i], d[i], tight, a[i])
+                  for i in range(6)])
+    ap = np.stack([steering_dtheta(th[i], tight.n_tx, a[i])
+                   for i in range(6)])
     o = rng.normal(size=(6, tight.n_vehicles, tight.n_tx, 2)) * 0.2
     idx = np.array([4, 1, 1, 5])
     cases = ((geom, np.arange(6)), (geom.subset(idx), idx))

@@ -4,6 +4,7 @@ import pytest
 from helpers import fd_grad, loop_maxpool2x2
 from isacbf.config import SimConfig
 from isacbf.harness import project_power
+from isacbf.io_container import load_container, save_container
 from isacbf.nn import kernels
 from isacbf.nn.model import (CONV_FILTERS, LSTM_HIDDEN, HCLNet, NaiveNet,
                              load_model, output_to_matrix)
@@ -483,6 +484,36 @@ def test_load_model_dispatch(cfg, rng, tmp_path):
         for path in (ph, pn):
             with pytest.raises(ValueError, match=field):
                 load_model(path, cfg.replace(**{field: value}))
+
+
+def test_load_model_refuses_a_foreign_config(small_cfg, rng, tmp_path):
+    """A model is loaded under the config it was saved with, up to rng_seed,
+    the loss weights and power_budget (a power sweep reuses one model); any
+    other field that differs is a ValueError naming the file and the field,
+    and so is a recorded config that SimConfig.from_dict refuses."""
+    saved = small_cfg.replace(pathloss_exp=2.0)
+    for cls in (HCLNet, NaiveNet):
+        net = cls(saved)
+        net.init_params(rng)
+        path = str(tmp_path / f"{cls.KIND}.bin")
+        net.save(path)
+        with pytest.raises(ValueError) as err:
+            load_model(path, small_cfg)
+        assert str(err.value) == (f"{path}: model saved with "
+                                  "pathloss_exp=2.0; the run has "
+                                  "pathloss_exp=2.55")
+        run = saved.replace(power_budget=5.0, rng_seed=3, gamma_theta=0.5,
+                            lambda_d=1.0)
+        got = load_model(path, run)
+        assert got.config == run
+        assert np.array_equal(got.params, net.params)
+    meta, arrays = load_container(path)
+    del meta["config"]["n_slots"]
+    save_container(path, meta, arrays)
+    with pytest.raises(ValueError, match="bad recorded config: .*n_slots") \
+            as err:
+        load_model(path, saved)
+    assert path in str(err.value)
 
 
 def test_params_are_aligned(small_cfg, rng, tmp_path):

@@ -26,6 +26,11 @@ def _vehicles_25(k=3, v=8.0):
     return make_state(np.full(k, 15.0), np.full(k, 20.0), np.full(k, v))
 
 
+def _geom(vehicles, config):
+    """The vehicles' true geometry under config."""
+    return build_geometry(vehicles.theta, vehicles.dist, config)
+
+
 def _noise(vehicles, seed):
     """The standard-normal observation block of the vehicles, from seed."""
     return observation_noise(np.random.default_rng(seed),
@@ -84,7 +89,7 @@ def test_delay_variance_scaling(cfg):
 def test_zero_beam_is_unobservable(cfg):
     s = _state_25()
     w = np.zeros(cfg.n_tx, dtype=complex)
-    ob = generate_observation(s, w, cfg, _noise(s, 0))
+    ob = generate_observation(_geom(s, cfg), w, cfg, _noise(s, 0))
     assert not ob.usable
     assert math.isinf(ob.d_hat)               # infinite CRLB_d
     info = fisher_information(s, w, cfg)
@@ -94,7 +99,7 @@ def test_zero_beam_is_unobservable(cfg):
     v = _vehicles_25()
     W = np.repeat(steering(s.theta, cfg.n_tx)[None], 3, axis=0)
     W[1] = 0.0
-    ob = generate_observation(v, W, cfg, _noise(v, 0))
+    ob = generate_observation(_geom(v, cfg), W, cfg, _noise(v, 0))
     assert ob.usable.tolist() == [True, False, True]
     info = fisher_information(v, W, cfg)
     assert np.isinf(info.crlb_theta).tolist() == [False, True, False]
@@ -105,7 +110,7 @@ def test_observation_noiseless_recovery():
     cfg = SimConfig(rho_nu=0.0, obs_rel_mse=0.0)
     v = init_vehicles(cfg, np.random.default_rng(1))
     W = steering(v.theta, cfg.n_tx)
-    ob = generate_observation(v, W, cfg, _noise(v, 0))
+    ob = generate_observation(_geom(v, cfg), W, cfg, _noise(v, 0))
     assert ob.usable.all()
     assert ob.d_hat == pytest.approx(v.dist, rel=1e-12)
     assert ob.theta_hat == pytest.approx(v.theta, rel=1e-12)
@@ -115,9 +120,10 @@ def test_observation_modes(cfg):
     v = _vehicles_25()
     W = np.repeat(steering(v.theta[0], cfg.n_tx)[None], 3, axis=0)
     rng = np.random.default_rng(0)
-    ob_rel = generate_observation(v, W, cfg.replace(theta_mode="relative"),
+    geom = _geom(v, cfg)
+    ob_rel = generate_observation(geom, W, cfg.replace(theta_mode="relative"),
                                   observation_noise(rng, (3,)))
-    ob_crlb = generate_observation(v, W, cfg.replace(theta_mode="crlb"),
+    ob_crlb = generate_observation(geom, W, cfg.replace(theta_mode="crlb"),
                                    observation_noise(rng, (3,)))
     assert ob_rel.usable.all() and ob_crlb.usable.all()
     # crlb-mode angle noise is tiny at these SNRs; relative mode is ~10% rms
@@ -140,7 +146,8 @@ def test_crlb_mode_angle_noise_is_the_fisher_crlb(cfg):
         config = cfg.replace(theta_mode=mode)
         for vehicles, beams in ((v, W), (vs, Ws)):
             z = _noise(vehicles, 9)
-            ob = generate_observation(vehicles, beams, config, z)
+            ob = generate_observation(_geom(vehicles, config), beams, config,
+                                      z)
             info = fisher_information(vehicles, beams, config)
             np.testing.assert_allclose(
                 ob.d_hat, vehicles.dist + np.sqrt(info.crlb_d) * z[..., 0],
@@ -158,7 +165,7 @@ def test_observation_statistics(cfg):
     n = 20000
     v = _vehicles_25(k=n)
     W = np.repeat(steering(v.theta[0], cfg.n_tx)[None], n, axis=0)
-    ob = generate_observation(v, W, cfg, _noise(v, 42))
+    ob = generate_observation(_geom(v, cfg), W, cfg, _noise(v, 42))
     sigma2 = SIGMA_NU2_25 * cfg.wave_speed ** 2 / 4.0
     assert ob.d_hat.mean() == pytest.approx(25.0, abs=4 * math.sqrt(sigma2 / n))
     assert ob.d_hat.var(ddof=1) / sigma2 == pytest.approx(1.0, abs=0.05)
@@ -197,7 +204,8 @@ def test_fisher_information_vs_fd_oracle(cfg, rng):
         assert info.crlb_theta == pytest.approx(1.0 / f_ref[0, 0], rel=1e-5)
         # distance CRLB equals the delay variance mapped through d = c*nu/2:
         # a unit distance draw moves the distance estimate by sqrt(CRLB_d)
-        ob = generate_observation(s, w, cfg, np.array([1.0, 0.0]))
+        ob = generate_observation(_geom(s, cfg), w, cfg,
+                                  np.array([1.0, 0.0]))
         assert ob.d_hat - s.dist == pytest.approx(math.sqrt(info.crlb_d),
                                                   rel=1e-6)
         # FIM structure: diagonal with non-negative entries
@@ -262,11 +270,12 @@ def test_noise_block_is_the_per_slot_stream(cfg):
     W[2, 1] = 0.0
     for mode in ("relative", "crlb"):
         config = cfg.replace(theta_mode=mode)
-        ob = generate_observation(v, W, config, block)
+        ob = generate_observation(_geom(v, config), W, config, block)
         assert not ob.usable[2, 1]
         for s in range(n):
             one = generate_observation(
-                make_state(v.x[s], v.y[s], v.v[s]), W[s], config, block[s])
+                _geom(make_state(v.x[s], v.y[s], v.v[s]), config), W[s],
+                config, block[s])
             for field in ob._fields:
                 assert np.array_equal(getattr(ob, field)[s],
                                       getattr(one, field)), (mode, s, field)
@@ -296,10 +305,10 @@ def test_slot_observations_over_episode_terms_match_block(cfg):
     for noisy in (cfg, cfg.replace(rho_nu=2.0)):
         for mode in ("relative", "crlb"):
             config = noisy.replace(theta_mode=mode)
-            block = generate_observation(v, W, config, z)
+            geom = _geom(v, config)
+            block = generate_observation(geom, W, config, z)
             assert not block.usable[3, 1]
-            terms = observation_terms(build_geometry(v.theta, v.dist,
-                                                     config), config, z)
+            terms = observation_terms(geom, config, z)
             for s in range(n):
                 one = observe(type(terms)(*(_slot(f, s) for f in terms)),
                               W[s], a[s], config)
@@ -311,22 +320,21 @@ def test_slot_observations_over_episode_terms_match_block(cfg):
 
 
 def test_observation_takes_callers_steering_and_checks_noise(cfg):
-    """observe() and generate_observation() under the caller's geometry
-    give the observation of generate_observation's default one; a noise
+    """generate_observation() of the caller's geometry is observe() over
+    its observation_terms() under the geometry's steering vectors; a noise
     block whose shape is not the vehicles' plus 2, such as the old block
     with a third (Doppler) column, is refused."""
     v = _vehicles_25()
     W = steering(v.theta + np.array([0.0, 0.02, -0.03]), cfg.n_tx)
     z = _noise(v, 5)
-    geom = build_geometry(v.theta, v.dist, cfg)
+    geom = _geom(v, cfg)
     for mode in ("relative", "crlb"):
         config = cfg.replace(theta_mode=mode)
-        ob = generate_observation(v, W, config, z)
-        for with_geom in (observe(observation_terms(geom, config, z), W,
-                                  geom.a, config),
-                          generate_observation(geom, W, config, z)):
-            assert all(np.array_equal(x, y) for x, y in zip(ob, with_geom))
+        ob = generate_observation(geom, W, config, z)
+        with_terms = observe(observation_terms(geom, config, z), W, geom.a,
+                             config)
+        assert all(np.array_equal(x, y) for x, y in zip(ob, with_terms))
     old = np.random.default_rng(5).standard_normal(np.shape(v.theta) + (3,))
     for bad in (z[:, :1], z[:2], z[None], old):
         with pytest.raises(ValueError, match="noise block"):
-            generate_observation(v, W, cfg, bad)
+            generate_observation(geom, W, cfg, bad)
