@@ -72,11 +72,11 @@ def path_loss_amp(dist, config: SimConfig, check: bool = True):
                    * (dist / config.ref_dist) ** (-config.pathloss_exp))
 
 
-def effective_channel(theta, dist, config: SimConfig, a: np.ndarray,
+def effective_channel(dist, config: SimConfig, a: np.ndarray,
                       check: bool = True) -> np.ndarray:
     """Downlink channels h = sqrt(N_t) * alpha(d) * a of vehicles at the
-    angles theta and distances dist, from their steering vectors a (such as
-    steering(theta, N_t)): the shape of a.  check as in path_loss_amp; a
+    distances dist, from their steering vectors a (such as steering(theta,
+    N_t) of their angles): the shape of a.  check as in path_loss_amp; a
     caller that discards the channels of distances that are not > 0 skips
     it."""
     gain = math.sqrt(config.n_tx) * path_loss_amp(dist, config, check)

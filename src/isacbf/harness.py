@@ -5,13 +5,14 @@ previous slot, receives noisy observations, refreshes the estimated-channel
 history, and decides the next slot's beams.  The first history_len slots warm
 up with random beams so predictive methods always see a full window.  Motion,
 random beams and the standard-normal observation noise never depend on an
-observation, so each episode draws them as [n_slots, K] blocks, and a block
-of episodes is one scenario (_scenario), drawn once and shared by a dataset
-or by every method of an evaluation; only the causal methods step through
-the slots.  One pass after the last slot measures every slot's sum-rate and
-CRLBs.  A Monte-Carlo evaluation runs its realizations in lockstep blocks:
-one causal step per slot over [R, K] arrays and one measurement pass per
-block and method; an episode is a block of one.
+observation, so each episode draws them as [n_slots, K] blocks, from three
+streams that its SeedSequence spawns (no Generator is built for the episode
+itself), and a block of episodes is one scenario (_scenario), drawn once and
+shared by a dataset or by every method of an evaluation; only the causal
+methods step through the slots.  One pass after the last slot measures every
+slot's sum-rate and CRLBs.  A Monte-Carlo evaluation runs its realizations in
+lockstep blocks: one causal step per slot over [R, K] arrays and one
+measurement pass per block and method; an episode is a block of one.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from .baselines import (aimed_beams, genie_beamformer, genie_rate,  # noqa: F401
 from .channel import effective_channel, steering, steering_direct, sum_rate
 from .config import SimConfig, check_same_config
 from .io_container import load_container, save_container
-from .kinematics import VehicleState, init_vehicles, step_motion
+from .kinematics import VehicleState, step_motion
 from .nn.model import HCLNet, NaiveNet
 from .nn.train import TrainHyper, TrainResult, train
 from .sensing import (BatchGeometry, EchoConstants, ObsTerms,
@@ -91,13 +92,15 @@ class _Scenario(NamedTuple):
     geom: BatchGeometry        # [R, n_slots, K] build_geometry of vehicles
 
 
-def _scenario(config: SimConfig, rngs: list, methods=None) -> _Scenario:
-    """One episode per generator of rngs, as one block: each spawns its
-    motion, observation and beam streams, in that order, and draws its
-    trajectory, its random-beam angles and its observation noise from them
-    as blocks over its slots, the per-slot draws in slot order.  The
-    block's one geometry (build_geometry of the true angles and distances)
-    follows, shared by the observations and by every method's measurement.
+def _scenario(config: SimConfig, seqs: list, methods=None) -> _Scenario:
+    """One episode per SeedSequence of seqs, as one block: each spawns its
+    motion, observation and beam streams, in that order, and a Generator is
+    built for each stream the block draws from, none for the episode.  The
+    trajectories are one step_motion over the motion streams; the random-beam
+    angles and the observation noise are blocks over each episode's slots,
+    the per-slot draws in slot order.  The block's one geometry
+    (build_geometry of the true angles and distances) follows, shared by the
+    observations and by every method's measurement.
 
     methods are those that run on the block, or None for a dataset's
     block, which draws everything.  The angles are drawn only when a method
@@ -106,19 +109,20 @@ def _scenario(config: SimConfig, rngs: list, methods=None) -> _Scenario:
     of one holds views of its episode's arrays."""
     n, k = config.n_slots, config.n_vehicles
     draws = METHODS if methods is None else methods
-    streams = [rng.spawn(3) for rng in rngs]
+    children = [seq.spawn(3) for seq in seqs]
+
+    def streams(i):
+        return [np.random.default_rng(c[i]) for c in children]
 
     def block(arrays):
         return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
-    vehicles = VehicleState(*map(block, zip(*(vars(step_motion(
-        init_vehicles(config, g), config, g, n - 1)).values()
-        for g, _, _ in streams))))
+    vehicles = step_motion(config, streams(0), n)
     angles = z = None
     if any(method != "genie" for method in draws):
-        angles = block([random_angles(config, g, n) for *_, g in streams])
+        angles = block([random_angles(config, g, n) for g in streams(2)])
     if "hcl" in draws or "naive_dl" in draws:
-        z = block([observation_noise(g, (n - 1, k)) for _, g, _ in streams])
+        z = block([observation_noise(g, (n - 1, k)) for g in streams(1)])
     return _Scenario(vehicles, angles, z,
                      build_geometry(vehicles.theta, vehicles.dist, config))
 
@@ -219,8 +223,7 @@ def _decide(config: SimConfig, method: str, model, scenario: _Scenario,
             deciding = slice(None)
             if method == "hcl":
                 rows = effective_channel(
-                    obs.theta_hat, obs.d_hat, config,
-                    steering_direct(obs.theta_hat, m)
+                    obs.d_hat, config, steering_direct(obs.theta_hat, m)
                     if a_hat_n is None else a_hat_n, check=False)
                 np.copyto(est, rows, where=obs.usable[..., None])
                 beams = stream.push(est)
@@ -285,8 +288,8 @@ def _run_block(config: SimConfig, method: str, scenario: _Scenario, model,
             w = aimed_beams(scenario.angles, config)
         else:
             w = _decide(config, method, model, scenario, project, first)
-        rates = sum_rate(effective_channel(geom.theta, geom.dist, config,
-                                           geom.a), w, config.noise_vehicle)
+        rates = sum_rate(effective_channel(geom.dist, config, geom.a), w,
+                         config.noise_vehicle)
     return w, rates, fisher_information(vehicles, w, config, geom)
 
 
@@ -295,9 +298,11 @@ def run_episode(config: SimConfig, method: str, rng: np.random.Generator,
     """Simulate one episode of config.n_slots slots under one beamforming method.
 
     Motion, observation noise, and random-beam draws use three independent
-    child streams so trajectories are comparable across methods at a fixed
-    seed; each is drawn as one [n_slots, K] block.  The genie aims at the
-    current truth each slot and is exempt from the causality invariant.
+    streams that the SeedSequence of rng's bit generator spawns (none is rng,
+    and no Generator is built for the episode), so trajectories are
+    comparable across methods at a fixed seed; each is drawn as one
+    [n_slots, K] block.  The genie aims at the current truth each slot and
+    is exempt from the causality invariant.
     Only hcl and naive_dl observe the vehicles, in a causal slot step.  One
     pass at the end measures every slot's sum-rate and CRLBs against the
     true state.  The true geometry (build_geometry) is built once and
@@ -308,7 +313,7 @@ def run_episode(config: SimConfig, method: str, rng: np.random.Generator,
     lockstep block.
     """
     _check_method(method, model)
-    scenario = _scenario(config, [rng], (method,))
+    scenario = _scenario(config, [rng.bit_generator.seed_seq], (method,))
     w, rates, info = _run_block(config, method, scenario, model, project)
     n = config.n_slots
     return EpisodeTrace(
@@ -358,8 +363,8 @@ class Dataset:
         seen = self.row_dists > 0
         theta = self.row_thetas[seen]
         rows = np.zeros(seen.shape + (m,), dtype=complex)
-        rows[seen] = effective_channel(theta, self.row_dists[seen],
-                                       self.config, steering_direct(theta, m))
+        rows[seen] = effective_channel(self.row_dists[seen], self.config,
+                                       steering_direct(theta, m))
         return rows.view(float).reshape(seen.shape + (m, 2))
 
     @cached_property
@@ -382,7 +387,7 @@ class Dataset:
         """[Ne, K, M] complex true next-slot channels (rows h_k),
         effective_channel of the true angles and distances under config.
         geometry() does not read it."""
-        return effective_channel(self.thetas, self.dists, self.config,
+        return effective_channel(self.dists, self.config,
                                  steering(self.thetas, self.config.n_tx))
 
     @cached_property
@@ -535,14 +540,17 @@ def generate_dataset(config: SimConfig, n_examples: int,
 
     Episodes run in blocks of at most _BLOCK_EPISODES, and of no more than
     the examples still wanted could need (an episode yields at most
-    n_slots - tau), so rng spawns one child per episode exactly as one
-    episode at a time would.  Each block is one _scenario, the draw that
-    monte_carlo_eval shares among its methods, observed under its random
-    beams in one observation call; no rates or CRLBs are measured, which
-    no example holds.  No example's window holds the last slot, so it is
-    not observed and its random beams are not computed.  The rows are each
-    slot's estimates (_row_estimates), and each window is the index of its
-    tau rows; no channel is formed here (Dataset.rows builds them on read).
+    n_slots - tau), so the SeedSequence of rng's bit generator spawns one
+    child per episode exactly as one episode at a time would; it spawns the
+    episode's three streams, and no Generator is built for the episode.
+    Each block is one _scenario, the draw that monte_carlo_eval shares among
+    its methods, observed under its random beams in one observation call;
+    no rates or CRLBs are measured, which no example holds.  No example's window holds the last slot, so it is not observed
+    and its random beams are not computed.  The rows are each slot's
+    estimates (_row_estimates), and each window is the index of its tau
+    rows; no channel is formed here (Dataset.rows builds them on read).
+    _BLOCK_EPISODES episodes in a row without an example, as when no
+    vehicle can be observed, are a ValueError.
     """
     if n_examples < 1:
         raise ValueError("n_examples must be >= 1")
@@ -553,10 +561,11 @@ def generate_dataset(config: SimConfig, n_examples: int,
     windows = np.empty((n_examples, tau), dtype=np.int64)
     thetas, dists = np.empty((2, n_examples, k))
     blocks = []
-    i = n_rows = 0
+    i = n_rows = barren = 0
     while i < n_examples:
         n_ep = min(_BLOCK_EPISODES, -(-(n_examples - i) // (n - tau)))
-        vehicles, angles, z, geom = _scenario(config, rng.spawn(n_ep))
+        vehicles, angles, z, geom = _scenario(
+            config, rng.bit_generator.seed_seq.spawn(n_ep))
         obs = generate_observation(geom.subset(_OBSERVED),
                                    aimed_beams(angles[:, :-1], config),
                                    config, z)
@@ -568,6 +577,11 @@ def generate_dataset(config: SimConfig, n_examples: int,
         ep, prev = (idx[:n_examples - i] for idx in np.nonzero(complete))
         slot = prev + 1
         j = i + len(slot)
+        barren = 0 if j > i else barren + n_ep
+        if barren >= _BLOCK_EPISODES:
+            raise ValueError(f"no slot of {barren} episodes in a row observed "
+                             "every vehicle: the echoes are likely too weak "
+                             "(power_budget too low or noise too high)")
         windows[i:j] = (n_rows + ep * n + slot - tau + 1)[:, None] \
             + np.arange(tau)
         thetas[i:j] = vehicles.theta[ep, slot]
@@ -662,9 +676,10 @@ def monte_carlo_eval(config: SimConfig, methods: list[str],
                      seed: int = 0, project: bool = False) -> EvalReport:
     """Independent episodes per realization; per-method means and 95% CIs.
 
-    Realization r is the episode of child r of SeedSequence(seed), the one
-    run_episode on that child runs, and every method runs on the same
-    realizations: the trajectories are common random numbers across
+    Realization r is the episode of child r of SeedSequence(seed), which
+    spawns its three streams (no Generator is built for the episode): the
+    one run_episode runs on a generator of that child.  Every method runs on
+    the same realizations: the trajectories are common random numbers across
     methods.  The realizations run in lockstep blocks of up to
     _BLOCK_EPISODES; each block is drawn once, as one _scenario, and every
     method then runs on it, so a method's row is the same whichever
@@ -679,9 +694,8 @@ def monte_carlo_eval(config: SimConfig, methods: list[str],
     children = np.random.SeedSequence(seed).spawn(n_realizations)
     per = [[] for _ in methods]
     for first in range(0, n_realizations, _BLOCK_EPISODES):
-        scenario = _scenario(config, [
-            np.random.default_rng(c)
-            for c in children[first:first + _BLOCK_EPISODES]], methods)
+        scenario = _scenario(
+            config, children[first:first + _BLOCK_EPISODES], methods)
         for method, blocks in zip(methods, per):
             blocks.append(_summaries(*_run_block(
                 config, method, scenario, models.get(method), project,

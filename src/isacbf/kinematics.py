@@ -12,15 +12,11 @@ import numpy as np
 
 from .config import SimConfig
 
-# nominal starting positions; vehicles beyond the third extend in +x
-_BASE_ANCHORS = ((15.0, 20.0), (25.0, 20.0), (35.0, 20.0))
-_ANCHOR_SPACING = 10.0
-
 
 @dataclass(frozen=True)
 class VehicleState:
     """The K vehicles of one slot as [K] arrays, of n slots as [n, K] arrays,
-    or one vehicle as scalars."""
+    of R episodes as [R, n, K] arrays, or one vehicle as scalars."""
     x: np.ndarray
     y: np.ndarray
     v: np.ndarray
@@ -34,51 +30,41 @@ class VehicleState:
             self.x, self.y, self.v, self.theta, self.dist)]
 
 
-def derive_geometry(x, y):
-    """Angle/range pair of vehicles at (x, y)."""
+def make_state(x, y, v) -> VehicleState:
+    """Vehicles at (x, y) with speeds v, and their angle and range."""
     dist = np.hypot(x, y)
     if np.any(dist == 0.0):
         raise ValueError("vehicle cannot be at the RSU origin")
-    return np.arctan2(y, x), dist
+    return VehicleState(x=x, y=y, v=v, theta=np.arctan2(y, x), dist=dist)
 
 
-def make_state(x, y, v) -> VehicleState:
-    theta, dist = derive_geometry(x, y)
-    return VehicleState(x=x, y=y, v=v, theta=theta, dist=dist)
+def anchor_points(k: int) -> np.ndarray:
+    """[k, 2] nominal starting (x, y) of k vehicles: 20 m from the road
+    axis, the first at x = 15 m and each next 10 m further in +x."""
+    return np.column_stack((15.0 + 10.0 * np.arange(k), np.full(k, 20.0)))
 
 
-def anchor_points(k: int) -> list[tuple[float, float]]:
-    anchors = list(_BASE_ANCHORS)
-    while len(anchors) < k:
-        last = anchors[-1]
-        anchors.append((last[0] + _ANCHOR_SPACING, last[1]))
-    return anchors[:k]
-
-
-def init_vehicles(config: SimConfig, rng: np.random.Generator) -> VehicleState:
-    """Place K vehicles at jittered anchors with uniform initial speeds.
-
-    Draw order per vehicle is (dx, dy, v): two standard normals for position
-    jitter, then U(v_min, v_max) for speed.
-    """
-    draws = [(ax + rng.standard_normal(), ay + rng.standard_normal(),
-              rng.uniform(config.v_min, config.v_max))
-             for ax, ay in anchor_points(config.n_vehicles)]
-    return make_state(*np.array(draws).T)
-
-
-def step_motion(state: VehicleState, config: SimConfig,
-                rng: np.random.Generator, n_steps: int) -> VehicleState:
-    """Advance n_steps slots from one [n_steps, K] draw of slot-average
-    speeds (the per-slot draws in slot order, vehicle order within a slot)
-    and return the trajectory: state followed by the n_steps states after
-    it, as [n_steps + 1, K] arrays.  Vehicles move parallel to the road,
-    x' = x + v_new * slot_dur, and x accumulates slot by slot, so every
+def step_motion(config: SimConfig, rngs: list, n_slots: int) -> VehicleState:
+    """The [R, n_slots, K] trajectories of R episodes, one per motion
+    generator of rngs.  Each generator draws its K vehicles' start, per
+    vehicle (dx, dy, v): two standard normals that jitter its anchor, then
+    U(v_min, v_max) for its speed; then one [n_slots - 1, K] block of
+    slot-average speeds (the per-slot draws in slot order, vehicle order
+    within a slot).  Vehicles move parallel to the road, x' = x + v *
+    slot_dur, and x accumulates slot by slot over the whole block, so every
     state has the bits of the same number of one-slot steps.
     """
-    v_new = rng.uniform(config.v_min, config.v_max,
-                        size=(n_steps,) + np.shape(state.x))
-    x = np.cumsum(np.concatenate((state.x[None], v_new * config.slot_dur)),
-                  axis=0)
-    return make_state(x, np.broadcast_to(state.y, x.shape).copy(),
-                      np.concatenate((state.v[None], v_new)))
+    k = config.n_vehicles
+    v = np.empty((len(rngs), n_slots, k))
+    start = []
+    for rng, v_r in zip(rngs, v):
+        start.append([(rng.standard_normal(), rng.standard_normal(),
+                       rng.uniform(config.v_min, config.v_max))
+                      for _ in range(k)])
+        v_r[1:] = rng.uniform(config.v_min, config.v_max,
+                              size=(n_slots - 1, k))
+    (dx, dy, v[:, 0]), (ax, ay) = np.moveaxis(start, -1, 0), anchor_points(k).T
+    x = v * config.slot_dur
+    x[:, 0] = ax + dx
+    return make_state(np.cumsum(x, axis=1, out=x),
+                      np.repeat((ay + dy)[:, None], n_slots, axis=1), v)

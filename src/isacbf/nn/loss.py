@@ -50,7 +50,7 @@ def penalty_loss_and_grad(o: np.ndarray, geom: BatchGeometry,
     cap_d = CAP_FACTOR * config.gamma_d
 
     # the true channels and steering derivatives of the batch's geometry
-    h = effective_channel(geom.theta, geom.dist, config, geom.a)
+    h = effective_channel(geom.dist, config, geom.a)
     ap = steering_dtheta(geom.theta, config.n_tx, geom.a)
     phi, s, denom = batch_sinr(h, w, config.noise_vehicle)
     rate = np.log2(1.0 + phi).sum() / nb

@@ -1,7 +1,8 @@
 """Shared test oracles: an extended-precision steering vector,
 finite-difference gradients, an independent FIM, a loop max-pool, the
 explicit one-user and one-vector forms behind the package's closed forms,
-and one-slot-at-a-time episode, decision and dataset loops."""
+and one-slot-at-a-time motion draws and episode, decision and dataset
+loops."""
 from __future__ import annotations
 
 import math
@@ -12,7 +13,7 @@ from isacbf.baselines import (genie_beamformer, genie_rate,
                               naive_dl_beamformer, random_beamformer)
 from isacbf.channel import (effective_channel, steering, steering_direct,
                             steering_dtheta, sum_rate)
-from isacbf.kinematics import init_vehicles, step_motion
+from isacbf.kinematics import make_state
 from isacbf.sensing import (build_geometry, echo_mean, fisher_information,
                             generate_observation, observation_noise,
                             reflection_coeff)
@@ -118,9 +119,23 @@ def loop_maxpool2x2(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, idx
 
 
+def start_vehicles(config, rng):
+    """An episode's K vehicles in slot 0, one vehicle at a time: its anchor
+    (x = 15 m plus 10 m per vehicle before it, y = 20 m) jittered by two
+    standard normals (dx, dy), then its speed from U(v_min, v_max)."""
+    draws = [(15.0 + 10.0 * k + rng.standard_normal(),
+              20.0 + rng.standard_normal(),
+              rng.uniform(config.v_min, config.v_max))
+             for k in range(config.n_vehicles)]
+    return make_state(*np.array(draws).T)
+
+
 def step_slot(vehicles, config, rng):
-    """The vehicles one slot later: a block of one step."""
-    return step_motion(vehicles, config, rng, 1).records()[-1]
+    """The vehicles one slot later: one speed drawn per vehicle, in vehicle
+    order, and x advanced by it over the slot."""
+    v = np.array([rng.uniform(config.v_min, config.v_max)
+                  for _ in vehicles.x])
+    return make_state(vehicles.x + v * config.slot_dur, vehicles.y, v)
 
 
 def random_slot(config, rng):
@@ -130,7 +145,7 @@ def random_slot(config, rng):
 
 def true_channel(vehicles, config):
     """The effective channels of the vehicles from their steering."""
-    return effective_channel(vehicles.theta, vehicles.dist, config,
+    return effective_channel(vehicles.dist, config,
                              steering(vehicles.theta, config.n_tx))
 
 
@@ -147,7 +162,7 @@ def slot_loop_episode(config, method: str, rng):
     beam draw and one measurement per slot.  Returns the per-slot vehicles,
     beams, rates, CRLB_theta and CRLB_d."""
     rng_motion, _, rng_beam = rng.spawn(3)
-    vehicles = init_vehicles(config, rng_motion)
+    vehicles = start_vehicles(config, rng_motion)
     out = []
     for n in range(config.n_slots):
         if n:
@@ -174,8 +189,7 @@ def shift_history(history, obs, config):
     usable = obs.usable
     theta_hat = obs.theta_hat[usable]
     latest[usable] = effective_channel(
-        theta_hat, obs.d_hat[usable], config,
-        steering_direct(theta_hat, config.n_tx))
+        obs.d_hat[usable], config, steering_direct(theta_hat, config.n_tx))
     return np.concatenate((history[1:], latest[None]))
 
 
@@ -189,7 +203,7 @@ def slot_loop_decide(config, method: str, model, rng, project: bool = False):
     sqrt(P / ||W||_F^2)."""
     rng_motion, rng_obs, rng_beam = rng.spawn(3)
     k, tau = config.n_vehicles, config.history_len
-    vehicles = init_vehicles(config, rng_motion)
+    vehicles = start_vehicles(config, rng_motion)
     history = np.zeros((tau, k, config.n_tx), dtype=complex)
     w = [random_slot(config, rng_beam)]
     observations = []
@@ -225,7 +239,7 @@ def slot_loop_dataset(config, n_examples: int, rng) -> dict:
     rows = []
     while len(rows) < n_examples:
         rng_motion, rng_obs, rng_beam = rng.spawn(1)[0].spawn(3)
-        vehicles = init_vehicles(config, rng_motion)
+        vehicles = start_vehicles(config, rng_motion)
         history = np.zeros((tau, config.n_vehicles, config.n_tx),
                            dtype=complex)
         for n in range(config.n_slots):

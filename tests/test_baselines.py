@@ -4,12 +4,14 @@ import pytest
 from isacbf.baselines import (genie_beamformer, genie_rate,
                               naive_dl_beamformer, random_beamformer)
 from isacbf.channel import effective_channel, path_loss_amp, steering, sum_rate
-from isacbf.kinematics import init_vehicles, make_state
+from isacbf.kinematics import make_state, step_motion
 from isacbf.nn.model import NaiveNet, output_to_matrix
 
 
 def _states(cfg, seed=0):
-    return init_vehicles(cfg, np.random.default_rng(seed))
+    """The K vehicles of slot 0 of an episode."""
+    return step_motion(cfg, [np.random.default_rng(seed)], 1).records()[0] \
+        .records()[0]
 
 
 def test_genie_beams_are_aligned(cfg):
@@ -30,8 +32,7 @@ def test_genie_rate_closed_form_and_upper_bound(cfg):
                 / cfg.noise_vehicle) for s in states.records())
     assert genie_rate(states, cfg) == pytest.approx(expect, rel=1e-12)
     # the interference-free bound dominates the realized rate of its own beams
-    h = np.stack([effective_channel(s.theta, s.dist, cfg,
-                                    steering(s.theta, cfg.n_tx))
+    h = np.stack([effective_channel(s.dist, cfg, steering(s.theta, cfg.n_tx))
                   for s in states.records()])
     realized = sum_rate(h, genie_beamformer(steering(states.theta, cfg.n_tx),
                                             cfg), cfg.noise_vehicle)

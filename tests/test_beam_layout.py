@@ -9,7 +9,7 @@ from isacbf import harness
 from isacbf.baselines import (genie_beamformer, naive_dl_beamformer,
                               random_beamformer)
 from isacbf.channel import steering
-from isacbf.kinematics import init_vehicles, step_motion
+from isacbf.kinematics import step_motion
 from isacbf.nn.model import HCLNet, NaiveNet, output_to_matrix
 
 
@@ -29,12 +29,11 @@ def _output_rows(o):
 def test_genie_beams_are_vehicle_rows(cfg):
     k, m = cfg.n_vehicles, cfg.n_tx
     p = cfg.power_budget / k
-    rng = np.random.default_rng(0)
-    slot = init_vehicles(cfg, rng)
+    block = step_motion(cfg, [np.random.default_rng(0)], 5).records()[0]
+    slot = block.records()[0]
     w = _rows(genie_beamformer(steering(slot.theta, m), cfg), (k, m))
     for i, theta in enumerate(slot.theta):
         assert np.array_equal(w[i], np.sqrt(p) * steering(theta, m))
-    block = step_motion(slot, cfg, rng, 4)
     wb = _rows(genie_beamformer(steering(block.theta, m), cfg), (5, k, m))
     for n, v in enumerate(block.records()):
         assert np.array_equal(wb[n], genie_beamformer(steering(v.theta, m),

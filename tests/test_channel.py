@@ -103,18 +103,18 @@ def test_path_loss_monotone_decreasing(cfg):
 
 def test_effective_channel(cfg):
     a = steering(0.9272952180016122, cfg.n_tx)
-    h = effective_channel(0.9272952180016122, 25.0, cfg, a)
+    h = effective_channel(25.0, cfg, a)
     assert h.shape == (cfg.n_tx,)
     assert np.linalg.norm(h) == pytest.approx(HNORM_25, rel=1e-12)
     # h is a scaled steering vector
     assert np.allclose(h, np.sqrt(cfg.n_tx) * ALPHA_25 * a, rtol=1e-10)
     # an array of geometries gives one channel per row
     th, d = np.array([0.9, 1.3]), np.array([25.0, 40.0])
-    rows = effective_channel(th, d, cfg, steering(th, cfg.n_tx))
+    rows = effective_channel(d, cfg, steering(th, cfg.n_tx))
     assert rows.shape == (2, cfg.n_tx)
     for k in range(2):
         assert np.allclose(rows[k], effective_channel(
-            th[k], d[k], cfg, steering(th[k], cfg.n_tx)), rtol=1e-15, atol=0.0)
+            d[k], cfg, steering(th[k], cfg.n_tx)), rtol=1e-15, atol=0.0)
 
 
 def test_sinr_no_interference():

@@ -166,6 +166,20 @@ def test_only_input_errors_are_reported(exc, monkeypatch, capsys):
             main(argv)
 
 
+def test_gen_data_of_unobservable_vehicles_is_error(tmp_path, monkeypatch,
+                                                    capsys):
+    """gen-data under a power budget at which no vehicle is observable, so
+    no slot yields an example, prints one error line naming the likely
+    cause and exits 2 without writing the dataset, instead of hanging."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen-data", *SMALL, "--set", "power_budget=1e-40",
+                 "--n-examples", "5", "--out", "data.bin"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert "power_budget" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_help_exits_cleanly():
     assert main(["--help"]) == 0
 

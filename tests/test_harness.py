@@ -70,8 +70,7 @@ def test_episode_measurement_matches_per_slot_calls(small_cfg, monkeypatch):
             if method == "genie":
                 rate = genie_rate(v, cfg)
             else:
-                h = effective_channel(v.theta, v.dist, cfg,
-                                      steering(v.theta, cfg.n_tx))
+                h = effective_channel(v.dist, cfg, steering(v.theta, cfg.n_tx))
                 rate = sum_rate(h, w, cfg.noise_vehicle)
             assert trace.rates[s] == rate
             info = fisher_information(v, w, cfg)
@@ -520,6 +519,76 @@ def test_generate_dataset(small_cfg):
         generate_dataset(small_cfg.replace(n_slots=3), 4, rng)
 
 
+def _count_episodes(monkeypatch) -> list:
+    """The list that receives the number of episodes of each step_motion
+    call made through the harness: one per scenario block."""
+    episodes = []
+    real_motion = harness.step_motion
+
+    def motion(config, rngs, n_slots):
+        episodes.append(len(rngs))
+        return real_motion(config, rngs, n_slots)
+
+    monkeypatch.setattr(harness, "step_motion", motion)
+    return episodes
+
+
+@pytest.mark.parametrize("n_examples", [5, 600])
+def test_dataset_of_unobservable_vehicles_is_error(small_cfg, monkeypatch,
+                                                   n_examples):
+    """Under a power budget at which no vehicle is ever observable, no slot
+    yields an example: generate_dataset draws _BLOCK_EPISODES episodes, in
+    blocks of one or of all of them, and then raises a ValueError naming
+    the likely cause, rather than drawing episodes forever."""
+    episodes = _count_episodes(monkeypatch)
+    with pytest.raises(ValueError, match="in a row observed every vehicle: "
+                       "the echoes are likely too weak .power_budget"):
+        generate_dataset(small_cfg.replace(power_budget=1e-40), n_examples,
+                         np.random.default_rng(0))
+    assert sum(episodes) == harness._BLOCK_EPISODES
+    assert len(episodes) == (harness._BLOCK_EPISODES if n_examples == 5
+                             else 1)
+
+
+class _CountingSeedSequence(np.random.SeedSequence):
+    """A SeedSequence, whose children are of its type, that counts the bit
+    generators seeded from it or from them: each reads generate_state
+    once."""
+    seeded = 0
+
+    def generate_state(self, *args, **kwargs):
+        _CountingSeedSequence.seeded += 1
+        return super().generate_state(*args, **kwargs)
+
+
+def test_three_bit_generators_per_episode(small_cfg, cfg, monkeypatch):
+    """An episode's SeedSequence spawns its motion, observation and beam
+    streams, and no Generator is built for the episode itself: an episode,
+    a one-realization eval of every method and a 600-example dataset seed
+    three bit generators per episode, and an eval of the genie, which draws
+    only motion, one."""
+    monkeypatch.setattr(np.random, "SeedSequence", _CountingSeedSequence)
+    episodes = _count_episodes(monkeypatch)
+
+    def seeded(run):
+        """The bit generators seeded and the episodes drawn by run(rng)."""
+        rng = np.random.default_rng(_CountingSeedSequence(4))
+        _CountingSeedSequence.seeded = 0
+        episodes.clear()
+        run(rng)
+        return _CountingSeedSequence.seeded, sum(episodes)
+
+    models = _models(small_cfg)
+    assert seeded(lambda rng: run_episode(small_cfg, "hcl", rng,
+                                          model=models["hcl"])) == (3, 1)
+    assert seeded(lambda _: monte_carlo_eval(
+        small_cfg, list(harness.METHODS), 1, models=models)) == (3, 1)
+    assert seeded(lambda _: monte_carlo_eval(small_cfg, ["genie"], 5)) \
+        == (5, 5)
+    n, n_ep = seeded(lambda rng: generate_dataset(cfg, 600, rng))
+    assert n_ep > 1 and n == 3 * n_ep
+
+
 def test_dataset_matches_slot_loop(small_cfg, monkeypatch):
     """generate_dataset, one observation call and one estimate array per
     block of episodes, picks the examples of the one-slot-at-a-time loop,
@@ -640,7 +709,7 @@ def test_dataset_channels_are_derived(cfg, tmp_path, monkeypatch, n_examples,
         (sc.vehicles.theta, sc.vehicles.dist, sc.geom.a) for sc in scenarios)))
     assert ds.thetas.tobytes() == theta.tobytes()
     assert ds.dists.tobytes() == dist.tobytes()
-    h = effective_channel(theta, dist, config, a)
+    h = effective_channel(dist, config, a)
     ref = harness.build_geometry(ds.thetas, ds.dists, config)
     geom = ds.geometry(config)
     for name in ("theta", "dist", "a"):
@@ -867,7 +936,7 @@ def test_slot_estimates_match_block_estimates(small_cfg, theta_mode):
 
     def observations(*seeds):
         _, angles, z, geom = harness._scenario(
-            cfg, [np.random.default_rng(s) for s in seeds])
+            cfg, [np.random.SeedSequence(s) for s in seeds])
         w = aimed_beams(angles[:, :-1], cfg)
         w[:, ::3, 1] = 0.0
         return harness.generate_observation(geom.subset(np.s_[:, :-1]), w,

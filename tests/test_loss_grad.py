@@ -17,7 +17,7 @@ def _geometry(cfg, rng, ne=4):
     k = cfg.n_vehicles
     th = rng.uniform(0.4, 1.2, size=(ne, k))
     d = rng.uniform(15, 60, size=(ne, k))
-    h = np.stack([[effective_channel(th[i, j], d[i, j], cfg,
+    h = np.stack([[effective_channel(d[i, j], cfg,
                                      steering(th[i, j], cfg.n_tx))
                    for j in range(k)] for i in range(ne)])
     return h, th, d, build_geometry(th, d, cfg)
@@ -170,7 +170,7 @@ def test_loss_forms_channels_elementwise(cfg, rng, monkeypatch):
     tight = _tight(cfg)
     _, th, d, geom = _geometry(tight, rng, ne=6)
     a = [steering(th[i], tight.n_tx) for i in range(6)]
-    h = np.stack([effective_channel(th[i], d[i], tight, a[i])
+    h = np.stack([effective_channel(d[i], tight, a[i])
                   for i in range(6)])
     ap = np.stack([steering_dtheta(th[i], tight.n_tx, a[i])
                    for i in range(6)])

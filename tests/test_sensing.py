@@ -6,7 +6,7 @@ import pytest
 from helpers import echo_dtheta, fd_fim
 from isacbf.config import SimConfig
 from isacbf.channel import steering
-from isacbf.kinematics import init_vehicles, make_state
+from isacbf.kinematics import make_state, step_motion
 from isacbf.sensing import (EchoConstants, build_geometry, echo_mean,
                             fisher_information, generate_observation,
                             observation_noise, observation_terms, observe,
@@ -108,7 +108,8 @@ def test_zero_beam_is_unobservable(cfg):
 
 def test_observation_noiseless_recovery():
     cfg = SimConfig(rho_nu=0.0, obs_rel_mse=0.0)
-    v = init_vehicles(cfg, np.random.default_rng(1))
+    v = step_motion(cfg, [np.random.default_rng(1)], 1).records()[0] \
+        .records()[0]
     W = steering(v.theta, cfg.n_tx)
     ob = generate_observation(_geom(v, cfg), W, cfg, _noise(v, 0))
     assert ob.usable.all()
@@ -136,7 +137,7 @@ def test_crlb_mode_angle_noise_is_the_fisher_crlb(cfg):
     those of fisher_information and z the slot's noise block, for one slot's
     [K] vehicles and a stack of slots alike."""
     rng = np.random.default_rng(2)
-    v = init_vehicles(cfg, rng)
+    v = step_motion(cfg, [rng], 1).records()[0].records()[0]
     W = steering(v.theta + rng.normal(0.0, 0.05, 3), cfg.n_tx)
     # two slots: the same vehicles, then with the beams of the first two
     # vehicles swapped
