@@ -71,7 +71,8 @@ def save_container(path: str, meta: dict, arrays: dict[str, np.ndarray]) -> None
 
 def load_container(path: str) -> tuple[dict, dict[str, np.ndarray]]:
     """(meta, arrays) of a container file; ValueError naming the path when
-    the file is not a well-formed container."""
+    the file is not a well-formed container, bytes after its last array
+    included."""
     def bad(why: str) -> ValueError:
         return ValueError(f"{path}: {why}")
 
@@ -113,4 +114,6 @@ def load_container(path: str) -> tuple[dict, dict[str, np.ndarray]]:
             if fh.readinto(arr.reshape(-1).view(np.uint8)) != nbytes:
                 raise bad(f"short read in array {name!r}")
             arrays[name] = arr
+        if left:
+            raise bad(f"{left} bytes after the last array")
     return meta, arrays

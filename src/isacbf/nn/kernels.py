@@ -15,8 +15,9 @@ Memory layout: the conv output and the pool's input gradient are
 batch-innermost, i.e. [B, H, W, C] views of a C-contiguous [H, W, C, B]
 buffer.  The conv computes its transposed product T^T X^T, which BLAS takes
 without a copy; each 2x2 window corner is then one long contiguous run over
-the batch, so the pool is four elementwise passes with no transposing copy.
-The logical shapes stay channels-last, so callers and the loop references
+the batch, and the pool maxima are one reduction over a window-splitting
+view of its input, in that input's layout, with no transposing copy.  The
+logical shapes stay channels-last, so callers and the loop references
 index them as before, and the pool kernels accept any layout.
 """
 from __future__ import annotations
@@ -66,7 +67,7 @@ def conv_by_matrix(x: np.ndarray, t: np.ndarray, b: np.ndarray) -> np.ndarray:
     nf = len(b)
     yt = (t.T @ x.reshape(bsz, -1).T).reshape(h * wd, nf, bsz)
     yt += b[:, None]
-    return yt.reshape(-1, bsz).T.reshape(bsz, h, wd, nf)
+    return yt.reshape(h, wd, nf, bsz).transpose(3, 0, 1, 2)
 
 
 def conv2d3x3_same_fwd(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -85,21 +86,36 @@ def conv2d3x3_same_bwd(x: np.ndarray, w: np.ndarray, gy: np.ndarray):
     return gw.reshape(w.shape), gy2.sum(axis=0).reshape(-1, nf).sum(axis=0)
 
 
+def _windows(x: np.ndarray) -> np.ndarray:
+    """[B, H/2, 2, W/2, 2, C] view of the 2x2 windows of [B, H, W, C] x."""
+    bsz, h, wd, c = x.shape
+    return x.reshape(bsz, h // 2, 2, wd // 2, 2, c)
+
+
 def _corners(x: np.ndarray):
     """The four corners of every 2x2 window of [B, H, W, C] x, as strided
     views in window order 2*dy + dx."""
-    bsz, h, wd, c = x.shape
-    win = x.reshape(bsz, h // 2, 2, wd // 2, 2, c)
+    win = _windows(x)
     return [win[:, :, q // 2, :, q % 2] for q in range(4)]
 
 
+def maxpool2x2(x: np.ndarray) -> np.ndarray:
+    """[B, H/2, W/2, C] window maxima of [B, H, W, C] x, in x's layout."""
+    return _windows(x).max(axis=(2, 4))
+
+
 def maxpool2x2_fwd(x: np.ndarray):
-    """Window maxima and the index 2*dy + dx of each window's first maximum."""
-    a, b, c, d = _corners(x)
-    top = np.maximum(a, b)
-    bot = np.maximum(c, d)
-    idx = np.where(bot > top, 2 + (d > c), b > a).astype(np.int64, copy=False)
-    return np.maximum(top, bot), idx
+    """Window maxima and the index 2*dy + dx of each window's first maximum:
+    the number of leading corners that differ from the maximum."""
+    p = maxpool2x2(x)
+    a, b, c, _ = _corners(x)
+    before = a != p
+    idx = before.astype(np.int64)
+    before &= b != p
+    idx += before
+    before &= c != p
+    idx += before
+    return p, idx
 
 
 def maxpool2x2_bwd(idx: np.ndarray, gy: np.ndarray, shape) -> np.ndarray:

@@ -123,39 +123,34 @@ class HCLNet(_FlatParams):
         flattened and concatenated along the axis before M.  [..., K, M, 2]
         rows give [..., K*M]; one M x 2 slice gives M.
 
-        A given cache dict receives what backward() needs, from the traced
-        kernels.  Without one (inference) the conv is the product with conv,
-        the kernels.conv_matrix of the current filters (built here when
-        None), in the batch-innermost [H, W, F, B] layout of
-        kernels.conv_by_matrix, and the pool maxima are one reduction over
-        that layout, with the same bits."""
+        A given cache dict (training) receives what backward() needs, and
+        the conv and pool run through kernels.conv2d3x3_same_fwd and
+        kernels.maxpool2x2_fwd.  Without one (inference) the conv is
+        kernels.conv_by_matrix with conv, the kernels.conv_matrix of the
+        current filters (built here when None), and the pool is
+        kernels.maxpool2x2, the same maxima without the index.  The arrays
+        the kernels return are read, never written."""
         if rows.shape[-2:] != (self.m, 2):
             raise ValueError(f"expected (..., {self.m}, 2) slices, "
                              f"got {rows.shape}")
         v = self._views
         hgt, wd = CNN_ROWS, self.m // CNN_ROWS
         xs = self.kappa * np.asarray(rows, dtype=np.float64)
-        # ReLU is monotone, so it commutes with the max: pooling first
-        # leaves 4x fewer entries to rectify, with the same outputs.
+        x4 = np.ascontiguousarray(xs.reshape(-1, hgt, wd, 2))
         if cache is None:
             if conv is None:
                 conv = kernels.conv_matrix(v["conv_w"], hgt, wd)
-            bsz = xs.size // (2 * self.m)
-            z = conv.T @ xs.reshape(bsz, -1).T
-            z = z.reshape(-1, CONV_FILTERS, bsz)
-            z += v["conv_b"][:, None]
-            p = z.reshape(hgt // 2, 2, wd // 2, 2, CONV_FILTERS, bsz).max(
-                axis=(1, 3))
-            p *= p > 0
-            return p.reshape(-1, bsz).T.reshape(rows.shape[:-3] + (-1,))
-        x4 = np.ascontiguousarray(xs.reshape(-1, hgt, wd, 2))
-        z = kernels.conv2d3x3_same_fwd(x4, v["conv_w"], v["conv_b"])
-        p, idx = kernels.maxpool2x2_fwd(z)
-        mask = p > 0
-        feat = p.reshape(rows.shape[:-3] + (-1,))
-        feat *= mask.reshape(feat.shape)
-        cache.update(x4=x4, mask=mask, idx=idx, pshape=z.shape)
-        return feat
+            p = kernels.maxpool2x2(kernels.conv_by_matrix(x4, conv,
+                                                          v["conv_b"]))
+        else:
+            z = kernels.conv2d3x3_same_fwd(x4, v["conv_w"], v["conv_b"])
+            p, idx = kernels.maxpool2x2_fwd(z)
+            cache.update(x4=x4, mask=p > 0, idx=idx, pshape=z.shape)
+        # ReLU is monotone, so it commutes with the max: pooling first
+        # leaves 4x fewer entries to rectify, with the same outputs.
+        feat = p.copy()
+        feat *= feat > 0
+        return feat.reshape(rows.shape[:-3] + (-1,))
 
     # ---- forward / backward ------------------------------------------------
 
@@ -473,8 +468,8 @@ def load_model(path: str, config: SimConfig):
     """The HCL-Net or naive-FC model saved at path, for a run under config;
     a ValueError naming path if its recorded config is not one, differs
     from config (check_same_config; power_budget may differ, so one model
-    serves every point of a power sweep), or its parameters or kappa are
-    not finite."""
+    serves every point of a power sweep), it has no float64 params array
+    or float kappa, or its parameters or kappa are not finite."""
     meta, arrays = load_container(path)
     kind = meta.get("kind")
     if kind not in _MODEL_KINDS:
@@ -486,10 +481,15 @@ def load_model(path: str, config: SimConfig):
     check_same_config(saved, config, f"{path}: model saved",
                       exempt=("power_budget",))
     net = _MODEL_KINDS[kind](config)
-    if arrays["params"].shape != net.params.shape:
+    params, kappa = arrays.get("params"), meta.get("kappa")
+    if params is None or params.dtype != np.float64:
+        raise ValueError(f"{path}: no float64 params array")
+    if params.shape != net.params.shape:
         raise ValueError(f"{path}: parameter count mismatch")
-    net.kappa = float(meta["kappa"])
-    if not (np.isfinite(arrays["params"]).all() and np.isfinite(net.kappa)):
+    if not isinstance(kappa, float):   # the saver writes float(kappa)
+        raise ValueError(f"{path}: kappa {kappa!r} is not a float")
+    net.kappa = kappa
+    if not (np.isfinite(params).all() and np.isfinite(net.kappa)):
         raise ValueError(f"{path}: non-finite model parameters")
-    net.params[:] = arrays["params"]
+    net.params[:] = params
     return net

@@ -93,12 +93,18 @@ def test_training_forward_calls_the_captured_kernels(small_cfg, monkeypatch):
     kernels.conv2d3x3_same_fwd and kernels.maxpool2x2_fwd once each through
     the module, with positional arguments, the pool returning (maxima,
     index): the benchmark's warm round captures these two calls by module
-    attribute and checks them against its loop references."""
+    attribute and checks them against its loop references after the round.
+    So neither forward nor backward may write into what the two calls
+    return: after both, each output still equals a fresh call on copies of
+    its inputs."""
+    names = ("conv2d3x3_same_fwd", "maxpool2x2_fwd")
+    real = {name: getattr(kernels, name) for name in names}
     calls = {}
-    for name in ("conv2d3x3_same_fwd", "maxpool2x2_fwd"):
-        def counted(*args, real=getattr(kernels, name), name=name):
-            out = real(*args)
-            calls.setdefault(name, []).append(out)
+    for name in names:
+        def counted(*args, name=name):
+            out = real[name](*args)
+            calls.setdefault(name, []).append(
+                ([np.array(a) for a in args], out))
             return out
         monkeypatch.setattr(kernels, name, counted)
     net = HCLNet(small_cfg)
@@ -106,11 +112,16 @@ def test_training_forward_calls_the_captured_kernels(small_cfg, monkeypatch):
     x = np.random.default_rng(1).normal(
         size=(4, small_cfg.history_len, small_cfg.n_vehicles, small_cfg.n_tx,
               2))
-    net.forward(x, want_cache=True)
-    assert sorted(calls) == ["conv2d3x3_same_fwd", "maxpool2x2_fwd"]
-    assert all(len(outs) == 1 for outs in calls.values())
-    p, idx = calls["maxpool2x2_fwd"][0]
+    out, cache = net.forward(x, want_cache=True)
+    net.backward(np.ones_like(out), cache)
+    assert sorted(calls) == sorted(names)
+    assert all(len(seen) == 1 for seen in calls.values())
+    [(args, y)] = calls["conv2d3x3_same_fwd"]
+    assert np.array_equal(y, real["conv2d3x3_same_fwd"](*args))
+    [(args, (p, idx))] = calls["maxpool2x2_fwd"]
+    fresh_p, fresh_idx = real["maxpool2x2_fwd"](*args)
     assert p.shape == idx.shape
+    assert np.array_equal(p, fresh_p) and np.array_equal(idx, fresh_idx)
 
 
 def test_train_calls_the_loss_through_its_module(small_cfg, monkeypatch):

@@ -104,6 +104,7 @@ def test_rejects_malformed_files_naming_the_path(tmp_path):
         "short": raw[:12],
         "long_header": MAGIC + struct.pack("<Q", 2 ** 63) + raw[16:],
         "truncated": raw[:-1],
+        "trailing": raw + bytes(24),
         "dtype": with_header({**header, "arrays": [entry]}),
         "no_meta": with_header({"arrays": header["arrays"]}),
         "no_arrays": with_header({"meta": header["meta"]}),

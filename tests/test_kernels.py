@@ -109,14 +109,15 @@ def test_conv_fwd_is_batch_innermost(backend, rng):
 
 
 def test_pool_is_layout_independent(backend, rng):
-    """Values, int64 indices and routed gradients do not depend on the
-    memory layout of the input or of the incoming gradient.  Small integers
-    make ties common."""
+    """Values (of maxpool2x2 and maxpool2x2_fwd), int64 indices and routed
+    gradients do not depend on the memory layout of the input or of the
+    incoming gradient.  Small integers make ties common."""
     x = rng.integers(-2, 3, size=(5, 4, 8, 4)).astype(float)
     ref, ref_idx = loop_maxpool2x2(x)
     g = rng.normal(size=ref.shape)
     ref_gr = backend.maxpool2x2_bwd(ref_idx, g, x.shape)
     for name, xl in _layouts(x).items():
+        assert np.array_equal(backend.maxpool2x2(xl), ref), name
         p, idx = backend.maxpool2x2_fwd(xl)
         assert idx.dtype == np.int64, name
         assert np.array_equal(p, ref) and np.array_equal(idx, ref_idx), name

@@ -534,7 +534,8 @@ def test_params_are_aligned(small_cfg, rng, tmp_path):
 
 
 def test_load_model_refuses_non_finite(small_cfg, rng, tmp_path):
-    """A model file whose parameters or kappa are not finite is a
+    """A model file whose parameters or kappa are not finite, that has no
+    float64 params array or no kappa, or whose kappa is not a float, is a
     ValueError naming the file."""
     for name, net, bad in (("p.bin", NaiveNet(small_cfg), "param"),
                            ("k.bin", HCLNet(small_cfg), "kappa")):
@@ -548,6 +549,26 @@ def test_load_model_refuses_non_finite(small_cfg, rng, tmp_path):
         with pytest.raises(ValueError, match="non-finite") as err:
             load_model(path, small_cfg)
         assert path in str(err.value)
+    net = HCLNet(small_cfg)
+    net.init_params(rng)
+    path = str(tmp_path / "h.bin")
+    net.save(path)
+    meta, arrays = load_container(path)
+    for name, m, a in (
+            ("no_kappa", {k: v for k, v in meta.items() if k != "kappa"},
+             arrays),
+            ("no_params", meta, {"w": arrays["params"]}),
+            ("complex_params", meta,
+             {"params": arrays["params"].astype(complex)}),
+            ("list_kappa", {**meta, "kappa": [1.0]}, arrays),
+            ("str_kappa", {**meta, "kappa": "abc"}, arrays),
+            ("bool_kappa", {**meta, "kappa": True}, arrays),
+            ("huge_int_kappa", {**meta, "kappa": 10 ** 400}, arrays)):
+        path = str(tmp_path / f"{name}.bin")
+        save_container(path, m, a)
+        with pytest.raises(ValueError) as err:
+            load_model(path, small_cfg)
+        assert path in str(err.value), name
 
 
 def test_conv_filter_count():
