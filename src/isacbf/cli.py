@@ -12,7 +12,7 @@ from .channel import steering
 from .config import SimConfig, load_config
 from .harness import (DEFAULT_POWER_GRID, Dataset, export, generate_dataset,
                       power_sweep, train_hcl, train_naive)
-from .kinematics import make_state
+from .kinematics import VehicleState
 from .nn.model import load_model
 from .nn.train import TrainHyper, TrainingDiverged
 from .sensing import fisher_information
@@ -80,16 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--power", type=float, required=True,
                    help="per-user beam power, W (aligned beam)")
     return p
-
-
-def _config_from(args) -> SimConfig:
-    """The run's config; an unknown key, load_config's KeyError, is a
-    ValueError like every other bad key or value."""
-    try:
-        return load_config(args.config, overrides=args.set, seed=args.seed)
-    except KeyError as exc:
-        # str() of a KeyError is the repr of its message, quotes and all
-        raise ValueError(exc.args[0]) from None
 
 
 def _check_out(args) -> None:
@@ -174,7 +164,6 @@ def _train(args, config: SimConfig) -> None:
                        max_iters=args.iters, momentum=args.momentum,
                        seed=config.rng_seed)
     ds = Dataset.load(args.data)
-    ds.check(config)
     trainer = train_hcl if args.arch == "hcl" else train_naive
     # a diverging run overflows on its way to the non-finite loss that
     # train() reports, so the overflow is not warned about too
@@ -219,8 +208,11 @@ def _crlb(args, config: SimConfig) -> None:
     _check_positive("dist", args.dist)
     _check_positive("power", args.power)
     w = math.sqrt(args.power) * steering(args.theta, config.n_tx)
-    state = make_state(args.dist * math.cos(args.theta),
-                       args.dist * math.sin(args.theta), 0.0)
+    # the state holds the given angle and distance themselves, which the
+    # round trip through (x, y) could move by an ulp
+    state = VehicleState(x=args.dist * math.cos(args.theta),
+                         y=args.dist * math.sin(args.theta), v=0.0,
+                         theta=args.theta, dist=args.dist)
     info = fisher_information(state, w, config)
     print(f"crlb_theta = {info.crlb_theta:.9g} rad^2 "
           f"(sqrt {math.sqrt(info.crlb_theta):.9g} rad)")
@@ -241,7 +233,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        config = _config_from(args)
+        config = load_config(args.config, overrides=args.set, seed=args.seed)
         _check_out(args)
         COMMANDS[args.command](args, config)
     except (ValueError, OSError, TrainingDiverged) as exc:

@@ -3,7 +3,10 @@
 All physical constants, optimization weights, and simulation knobs live in a
 single immutable SimConfig.  Defaults reproduce the mmWave roadside-unit
 scenario used throughout the test suite: a 32x32 ULA serving K=3 vehicles
-with -80 dBm noise floors.
+with -80 dBm noise floors.  load_config reads one from an INI file and
+key=value overrides, and SimConfig.from_dict from the dict that as_dict
+wrote; either refuses an unknown key or a malformed value with a ValueError
+naming the key.
 """
 from __future__ import annotations
 
@@ -174,9 +177,9 @@ def _from_json(name: str, value):
 
 def _coerce(name: str, raw: str):
     """The value of config key name read from the text raw; an unknown key
-    is a KeyError and a malformed value a ValueError, each naming the key."""
+    or a malformed value is a ValueError naming the key."""
     if name not in _FIELD_TYPES:
-        raise KeyError(f"unknown config key: {name}")
+        raise ValueError(f"unknown config key: {name}")
     raw = raw.strip()
     if name == "sigma_r2" and raw.lower() in ("none", ""):
         return None

@@ -7,12 +7,13 @@ up with random beams so predictive methods always see a full window.  Motion,
 random beams and the standard-normal observation noise never depend on an
 observation, so each episode draws them as [n_slots, K] blocks, from three
 streams that its SeedSequence spawns (no Generator is built for the episode
-itself), and a block of episodes is one scenario (_scenario), drawn once and
-shared by a dataset or by every method of an evaluation; only the causal
-methods step through the slots.  One pass after the last slot measures every
-slot's sum-rate and CRLBs.  A Monte-Carlo evaluation runs its realizations in
-lockstep blocks: one causal step per slot over [R, K] arrays and one
-measurement pass per block and method; an episode is a block of one.
+itself), and a block of episodes is one scenario (_scenario), drawn once for
+the methods that run on it (all of METHODS for a dataset) and shared by
+them; only the causal methods step through the slots.  One pass after the
+last slot measures every slot's sum-rate and CRLBs.  A Monte-Carlo
+evaluation runs its realizations in lockstep blocks: one causal step per
+slot over [R, K] arrays (hcl's through one HCLStream of the R episodes) and
+one measurement pass per block and method; an episode is a block of one.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ from .channel import effective_channel, steering, steering_direct, sum_rate
 from .config import SimConfig, check_same_config
 from .io_container import load_container, save_container
 from .kinematics import VehicleState, step_motion
-from .nn.model import HCLNet, NaiveNet
+from .nn.model import HCLNet, HCLStream, NaiveNet
 from .nn.train import TrainHyper, TrainResult, train
 from .sensing import (BatchGeometry, EchoConstants, ObsTerms,
                       build_geometry, fisher_information, generate_observation,
@@ -92,7 +93,7 @@ class _Scenario(NamedTuple):
     geom: BatchGeometry        # [R, n_slots, K] build_geometry of vehicles
 
 
-def _scenario(config: SimConfig, seqs: list, methods=None) -> _Scenario:
+def _scenario(config: SimConfig, seqs: list, methods) -> _Scenario:
     """One episode per SeedSequence of seqs, as one block: each spawns its
     motion, observation and beam streams, in that order, and a Generator is
     built for each stream the block draws from, none for the episode.  The
@@ -102,13 +103,13 @@ def _scenario(config: SimConfig, seqs: list, methods=None) -> _Scenario:
     (build_geometry of the true angles and distances) follows, shared by the
     observations and by every method's measurement.
 
-    methods are those that run on the block, or None for a dataset's
-    block, which draws everything.  The angles are drawn only when a method
-    other than genie runs, and the noise only when hcl or naive_dl does.
+    methods are those that run on the block (a dataset's block passes
+    METHODS, which draws everything).  The angles are drawn only when a
+    method other than genie runs, and the noise only when hcl or naive_dl
+    does.
     No noise is drawn for the last slot, which is not observed.  A block
     of one holds views of its episode's arrays."""
     n, k = config.n_slots, config.n_vehicles
-    draws = METHODS if methods is None else methods
     children = [seq.spawn(3) for seq in seqs]
 
     def streams(i):
@@ -119,9 +120,9 @@ def _scenario(config: SimConfig, seqs: list, methods=None) -> _Scenario:
 
     vehicles = step_motion(config, streams(0), n)
     angles = z = None
-    if any(method != "genie" for method in draws):
+    if any(method != "genie" for method in methods):
         angles = block([random_angles(config, g, n) for g in streams(2)])
-    if "hcl" in draws or "naive_dl" in draws:
+    if "hcl" in methods or "naive_dl" in methods:
         z = block([observation_noise(g, (n - 1, k)) for g in streams(1)])
     return _Scenario(vehicles, angles, z,
                      build_geometry(vehicles.theta, vehicles.dist, config))
@@ -208,7 +209,7 @@ def _decide(config: SimConfig, method: str, model, scenario: _Scenario,
     w_at[:warm] = aimed_beams(angles_at[:warm], config)
     a_hat = repeat(None)
     if method == "hcl":
-        stream = model.stream((r,))
+        stream = HCLStream(model, r)
         # each episode's latest estimated channels, zeros before slot 0
         est = np.zeros((r, k, m), dtype=complex)
         if terms.theta_hat is not None:
@@ -446,11 +447,13 @@ class Dataset:
         the rows (numpy would wrap a negative index into another episode's
         rows), per-example arrays of different lengths or not [Ne, K], row
         estimates that are not [N_rows, K] of one length, or arrays of
-        angles and distances that are not float.  Row estimates that
+        angles and distances that are not float.  Values that
         generate_dataset never writes are refused too, naming the first
-        such row: a non-finite angle or distance, a negative distance, and
-        a distance of 0 (no estimate) in an example's last window row,
-        which holds its naive-DL input."""
+        such example or row and its vehicle: a true angle that is not
+        finite, a true distance that is not finite and > 0, a non-finite
+        angle or distance estimate, a negative distance estimate, and a
+        distance of 0 (no estimate) in an example's last window row, which
+        holds its naive-DL input."""
         meta, arrays = load_container(path)
         if meta.get("kind") != "dataset":
             raise ValueError(f"{path}: not a dataset file")
@@ -497,17 +500,21 @@ class Dataset:
             e, t = (int(v) for v in np.argwhere(out)[0])
             raise ValueError(f"{path}: example {e} window slot {t} reads row "
                              f"{windows[e, t]}, outside the {n_rows} rows")
-        row_thetas, row_dists = arrays["row_thetas"], arrays["row_dists"]
-        for what, bad in (
-                ("an angle estimate that is not finite",
-                 ~np.isfinite(row_thetas)),
-                ("a distance estimate that is not finite",
+        dists, row_dists = arrays["dists"], arrays["row_dists"]
+        for where, what, bad in (
+                ("example", "a true angle that is not finite",
+                 ~np.isfinite(arrays["thetas"])),
+                ("example", "a true distance that is not a finite number > 0",
+                 ~((dists > 0) & (dists < np.inf))),
+                ("row", "an angle estimate that is not finite",
+                 ~np.isfinite(arrays["row_thetas"])),
+                ("row", "a distance estimate that is not finite",
                  ~np.isfinite(row_dists)),
-                ("a negative distance estimate", row_dists < 0)):
+                ("row", "a negative distance estimate", row_dists < 0)):
             if bad.any():
-                r, v = (int(i) for i in np.argwhere(bad)[0])
-                raise ValueError(f"{path}: row {r} holds {what} for vehicle "
-                                 f"{v}")
+                i, v = (int(j) for j in np.argwhere(bad)[0])
+                raise ValueError(f"{path}: {where} {i} holds {what} for "
+                                 f"vehicle {v}")
         bad = row_dists[windows[:, -1]] == 0
         if bad.any():
             e, v = (int(i) for i in np.argwhere(bad)[0])
@@ -565,7 +572,7 @@ def generate_dataset(config: SimConfig, n_examples: int,
     while i < n_examples:
         n_ep = min(_BLOCK_EPISODES, -(-(n_examples - i) // (n - tau)))
         vehicles, angles, z, geom = _scenario(
-            config, rng.bit_generator.seed_seq.spawn(n_ep))
+            config, rng.bit_generator.seed_seq.spawn(n_ep), METHODS)
         obs = generate_observation(geom.subset(_OBSERVED),
                                    aimed_beams(angles[:, :-1], config),
                                    config, z)
@@ -598,18 +605,20 @@ def generate_dataset(config: SimConfig, n_examples: int,
 
 def train_hcl(dataset: Dataset, config: SimConfig,
               hyper: TrainHyper) -> tuple[HCLNet, TrainResult]:
+    geom = dataset.geometry(config)   # refuses another config's dataset
     net = HCLNet(config, kappa=dataset.kappa())
     net.init_params(np.random.default_rng(hyper.seed))
-    result = train(net, dataset.x, dataset.geometry(config), config, hyper)
+    result = train(net, dataset.x, geom, config, hyper)
     return net, result
 
 
 def train_naive(dataset: Dataset, config: SimConfig,
                 hyper: TrainHyper) -> tuple[NaiveNet, TrainResult]:
+    geom = dataset.geometry(config)
     net = NaiveNet(config)
     net.init_params(np.random.default_rng(hyper.seed))
     inputs = net.features(dataset.est_thetas, dataset.est_dists)
-    result = train(net, inputs, dataset.geometry(config), config, hyper)
+    result = train(net, inputs, geom, config, hyper)
     return net, result
 
 
@@ -764,9 +773,9 @@ def export(rows: list[MethodStats], config: SimConfig, path: str,
         lines = [f"# {k}={v}" for k, v in sorted(config.as_dict().items())]
         lines.append(CSV_HEADER)
         for r in rows:
-            lines.append(",".join(_fmt(v) for v in (
-                r.method, r.power, r.rate_mean, r.rate_ci,
-                r.crlb_theta_sqrt, r.crlb_d_sqrt, r.n_realizations)))
+            values = r.as_dict()
+            lines.append(",".join(_fmt(values[name])
+                                  for name in CSV_HEADER.split(",")))
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
     elif fmt == "json":

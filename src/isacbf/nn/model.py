@@ -13,7 +13,6 @@ NaiveNet: the fully-connected baseline mapping the last slot's estimated
 """
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -235,22 +234,17 @@ class HCLNet(_FlatParams):
 
     # ---- inference ---------------------------------------------------------
 
-    def stream(self, lead: tuple = ()) -> "HCLStream":
-        """Decisions over one episode, or over the episodes of the leading
-        shape lead in lockstep, one slot at a time (see HCLStream)."""
-        return HCLStream(self, lead)
-
     def predict(self, history: np.ndarray) -> np.ndarray:
         """[K, N_t] beams, row k vehicle k's, for one [tau, K, M] complex
         history of estimated channels, oldest slot first."""
         if history.shape != (self.tau, self.k, self.m):
             raise ValueError(f"expected a ({self.tau}, {self.k}, {self.m}) "
                              f"history, got {history.shape}")
-        stream = self.stream()
+        stream = HCLStream(self, 1)
         with np.errstate(over="ignore"):   # see _lstm_cell
             for rows in history:
-                w = stream.push(rows)
-        return w
+                w = stream.push(rows[None])
+        return w[0]
 
 
 def _sigmoid_(x: np.ndarray) -> None:
@@ -312,15 +306,14 @@ def _lstm_cell(s: _Cell) -> None:
 
 
 class HCLStream:
-    """HCL-Net decisions over one episode, or R episodes in lockstep, one
-    slot at a time.
+    """HCL-Net decisions over R >= 1 episodes in lockstep, one slot at a
+    time.
 
     push() runs the CNN on the new slot's K rows of each episode only and
     takes that slot's LSTM input product x_t W_x^T, as the [R, 4H] product
-    of the batched forward() on the R episodes' windows (R = 1 for one
-    episode).  Up to tau windows are in flight per episode: the one
-    starting at this slot and the tau - 1 started before it.  Their (h, c)
-    states live in an age-ordered [tau, R, H] ring, row j the window that
+    of the batched forward() on the R episodes' windows.  Up to tau windows
+    are in flight per episode: the one starting at this slot and the
+    tau - 1 started before it.  Their (h, c) states live in an age-ordered [tau, R, H] ring, row j the window that
     started j slots ago, and two ring pairs alternate: a push reads one and
     writes the other a row older.  Only the carried windows, rows
     1 .. tau - 1 of the new ring, take h W_h^T, each as an [R, H] block; row
@@ -333,15 +326,15 @@ class HCLStream:
     change of the weights.
     """
 
-    def __init__(self, net: HCLNet, lead: tuple = ()):
+    def __init__(self, net: HCLNet, r: int):
         v = net._views
         self.net = net
-        self._shape = tuple(lead) + (net.k, net.m)   # of the pushed rows
+        self._shape = (r, net.k, net.m)   # of the pushed rows
         self._conv = kernels.conv_matrix(v["conv_w"], CNN_ROWS,
                                          net.m // CNN_ROWS)
         self._wx_t, self._wh_t = v["wx"].T, v["wh"].T
         self._lstm_b, self._fc_w, self._fc_b = v["lstm_b"], v["fc_w"], v["fc_b"]
-        r, hh = math.prod(lead), net.hidden
+        hh = net.hidden
         # [pair, h or c, age, R, H]: pair n % 2 holds the states after slot n
         self._rings = np.zeros((2, 2, net.tau, r, hh))
         self._gates = np.empty((net.tau, r, 4 * hh))
@@ -359,11 +352,11 @@ class HCLStream:
         return cell, h_old[:live - 1]
 
     def push(self, rows: np.ndarray) -> np.ndarray | None:
-        """Take the next slot's complex estimated channels, [K, M] for one
-        episode or the stream's leading shape plus [K, M]; return the beams
-        of that shape for the windows of the last tau slots, or None while
-        fewer than tau slots are in.  The beams are a new array each push.
-        The caller holds np.errstate(over="ignore") (see _lstm_cell)."""
+        """Take the next slot's complex [R, K, M] estimated channels; return
+        the [R, K, N_t] beams for the windows of the last tau slots, or None
+        while fewer than tau slots are in.  The beams are a new array each
+        push.  The caller holds np.errstate(over="ignore") (see
+        _lstm_cell)."""
         net, n = self.net, self._n
         if rows.shape != self._shape:
             raise ValueError(f"expected {self._shape} rows, "
@@ -376,7 +369,7 @@ class HCLStream:
                     else self._step(n, n + 1))
         # row 0 x W_x^T + b, the carried rows (h W_h^T + x W_x^T) + b
         first, carried = s.gates[0], s.gates[1:]
-        np.matmul(x.reshape(-1, net.feat), self._wx_t, out=first)
+        np.matmul(x, self._wx_t, out=first)
         if s.c_old is not None:
             np.matmul(h_old, self._wh_t, out=carried)
             np.add(carried, first, out=carried)
@@ -469,7 +462,8 @@ def load_model(path: str, config: SimConfig):
     a ValueError naming path if its recorded config is not one, differs
     from config (check_same_config; power_budget may differ, so one model
     serves every point of a power sweep), it has no float64 params array
-    or float kappa, or its parameters or kappa are not finite."""
+    or float kappa, its parameters or kappa are not finite, or its kappa
+    is not > 0."""
     meta, arrays = load_container(path)
     kind = meta.get("kind")
     if kind not in _MODEL_KINDS:
@@ -488,8 +482,10 @@ def load_model(path: str, config: SimConfig):
         raise ValueError(f"{path}: parameter count mismatch")
     if not isinstance(kappa, float):   # the saver writes float(kappa)
         raise ValueError(f"{path}: kappa {kappa!r} is not a float")
-    net.kappa = kappa
-    if not (np.isfinite(params).all() and np.isfinite(net.kappa)):
+    if not (np.isfinite(params).all() and np.isfinite(kappa)):
         raise ValueError(f"{path}: non-finite model parameters")
+    if not kappa > 0:   # the saver writes 1 / a median norm, or 1.0
+        raise ValueError(f"{path}: kappa {kappa!r} is not > 0")
+    net.kappa = kappa
     net.params[:] = params
     return net

@@ -6,9 +6,11 @@ The measurement model is over (theta, d): a decision reads only the angle
 and distance estimates, and the sensing constraints bound only their CRLBs.
 The delay error variance scales inversely with the beam gain |a^H w|^2, so
 CRLB_d = c_dist / |a^H w|^2.  The angle and distance CRLBs have one closed
-form over arrays (crlbs), shared by the loss, the simulator and the CLI, and
-a distance estimate is the truth plus sqrt(CRLB_d) noise.  All of them read
-the vehicles' true geometry from one record (BatchGeometry, build_geometry).
+form over arrays (crlbs), shared by the loss, the simulator and the CLI; its
+per-geometry constants (echo_constants) derive from one evaluation of the
+echo power gain |psi|^2.  A distance estimate is the truth plus
+sqrt(CRLB_d) noise.  All of them read the vehicles' true geometry from one
+record (BatchGeometry, build_geometry).
 """
 from __future__ import annotations
 
@@ -59,21 +61,6 @@ def reflection_coeff(dist, config: SimConfig):
     """Two-way reflection coefficient rho_rcs / (2 d)."""
     check_distance(dist)
     return config.rcs_coeff / (2.0 * dist)
-
-
-def _psi2(dist, config: SimConfig):
-    """|psi|^2 = N_t*N_r*|beta|^2, the echo power gain of a unit beam gain."""
-    return config.n_tx * config.n_rx * abs(reflection_coeff(dist, config)) ** 2
-
-
-def _c_dist(dist, config: SimConfig):
-    """c_dist of vehicles at dist, the numerator of CRLB_d = c_dist /
-    |a^H w|^2: d = c*nu/2, so CRLB_d = (c/2)^2 sigma_nu^2, and the delay
-    error variance sigma_nu^2 = rho_nu^2 sigma^2 / (xi |psi|^2 |a^H w|^2),
-    xi |psi|^2 being the matched-filtered echo power of a unit beam gain."""
-    echo = config.mf_gain * _psi2(dist, config)
-    return (config.wave_speed / 2.0) ** 2 \
-        * (config.rho_nu ** 2 * config.noise_rsu / echo)
 
 
 def observation_noise(rng: np.random.Generator, shape) -> np.ndarray:
@@ -215,15 +202,24 @@ def echo_mean(theta: float, dist: float, w_k: np.ndarray,
 
 
 def echo_constants(theta, dist, config: SimConfig) -> EchoConstants:
-    """The CRLB constants of each geometry; theta and dist broadcast."""
+    """The CRLB constants of each geometry; theta and dist broadcast.
+
+    Both echo-power constants derive from |psi|^2 = N_t*N_r*|beta|^2, the
+    echo power gain of a unit beam gain.  c_dist is the numerator of
+    CRLB_d = c_dist / |a^H w|^2: d = c*nu/2, so CRLB_d = (c/2)^2
+    sigma_nu^2, and the delay error variance sigma_nu^2 = rho_nu^2 sigma^2
+    / (xi |psi|^2 |a^H w|^2), xi |psi|^2 being the matched-filtered echo
+    power of a unit beam gain."""
     nr = config.n_rx
     sin_t = np.sin(theta)
     # ||b'||^2 = (pi sin)^2 * sum_m m^2 / Nr ; b'^H b = -j pi sin (Nr-1)/2
     s_bp = (np.pi * sin_t) ** 2 * ((nr - 1) * nr * (2 * nr - 1) / 6) / nr
     q_bp = -1j * np.pi * sin_t * (nr - 1) / 2.0
-    c1sq = _psi2(dist, config) * config.mf_gain ** 2
-    return EchoConstants(s_bp=s_bp, q_bp=q_bp, c1sq=c1sq,
-                         c_dist=_c_dist(dist, config))
+    psi2 = config.n_tx * config.n_rx * abs(reflection_coeff(dist, config)) ** 2
+    c_dist = (config.wave_speed / 2.0) ** 2 \
+        * (config.rho_nu ** 2 * config.noise_rsu / (config.mf_gain * psi2))
+    return EchoConstants(s_bp=s_bp, q_bp=q_bp, c1sq=psi2 * config.mf_gain ** 2,
+                         c_dist=c_dist)
 
 
 def crlbs(u, v, echo: EchoConstants, sigma_r2: float):

@@ -11,17 +11,39 @@ from isacbf.cli import build_parser, main
 from isacbf.harness import Dataset
 from isacbf.io_container import load_container
 from isacbf.nn.model import HCLNet, NaiveNet
+from isacbf.sensing import fisher_information
 
 SMALL = ["--set", "n_tx=8", "--set", "n_rx=8", "--set", "n_vehicles=2",
          "--set", "history_len=3", "--set", "n_slots=12"]
 
 
-def test_crlb_subcommand(capsys):
-    rc = main(["crlb", "--theta", "0.9272952180016122", "--dist", "25",
-               "--power", "1.0"])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "crlb_theta" in out and "crlb_d" in out and "rad^2" in out
+def test_crlb_subcommand(capsys, monkeypatch):
+    """crlb prints the CRLBs that fisher_information gives for a vehicle at
+    exactly the given angle and distance, bit for bit: a round trip through
+    (x, y) would move the first pair's angle and the second pair's
+    distance by an ulp."""
+    seen = []
+
+    def spy(state, w, config):
+        seen.append((state.theta, state.dist,
+                     fisher_information(state, w, config)))
+        return seen[-1][-1]
+
+    monkeypatch.setattr(cli, "fisher_information", spy)
+    for theta, dist in ((0.175, 8.2), (3.091, 196.3),
+                        (0.9272952180016122, 25.0)):
+        rc = main(["crlb", "--theta", repr(theta), "--dist", repr(dist),
+                   "--power", "1.0"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        (t, d, info), = seen
+        seen.clear()
+        assert (t, d) == (theta, dist)
+        assert out == (
+            f"crlb_theta = {info.crlb_theta:.9g} rad^2 "
+            f"(sqrt {np.sqrt(info.crlb_theta):.9g} rad)\n"
+            f"crlb_d = {info.crlb_d:.9g} m^2 "
+            f"(sqrt {np.sqrt(info.crlb_d):.9g} m)\n")
 
 
 def test_crlb_refuses_out(tmp_path, capsys):

@@ -66,7 +66,7 @@ def test_load_config_file_overrides_seed(tmp_path):
 def test_load_config_errors(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_config(str(tmp_path / "missing.ini"))
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="unknown config key: no_such_key"):
         load_config(overrides=["no_such_key=1"])
     with pytest.raises(ValueError):
         load_config(overrides=["malformed"])

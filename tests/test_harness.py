@@ -427,11 +427,17 @@ def test_lockstep_blocks_match_run_episode(small_cfg, monkeypatch,
     assert any(c.any() and not c.all() for c in complete)
 
 
+def _stand_in_streams(monkeypatch):
+    """Make the eval's HCL stream of a model model.stream(r), so that a
+    stand-in model below decides in its place."""
+    monkeypatch.setattr(harness, "HCLStream", lambda model, r: model.stream(r))
+
+
 class _BlockBeams:
     """A stand-in HCL model for blocks of episodes: its stream records the
     [R, K, M] rows pushed into it and returns the same beams for every
     episode, except that episode `episode`'s row toward vehicle 1 is zero
-    for the slots from zero_from on."""
+    for the slots from zero_from on (see _stand_in_streams)."""
 
     def __init__(self, config, episode=None, zero_from=None):
         self.w = random_beamformer(config, np.random.default_rng(11), 1)[0]
@@ -439,8 +445,7 @@ class _BlockBeams:
         self.episode, self.zero_from = episode, zero_from
         self.rows = []
 
-    def stream(self, lead=()):
-        assert len(lead) == 1
+    def stream(self, r):
         slot = self.tau   # the slot the next decision is for
 
         def push(rows):
@@ -448,7 +453,7 @@ class _BlockBeams:
             self.rows.append(rows.copy())
             if len(self.rows) < self.tau:
                 return None
-            w = np.repeat(self.w[None], lead[0], axis=0)
+            w = np.repeat(self.w[None], r, axis=0)
             if self.zero_from is not None and slot >= self.zero_from:
                 w[self.episode, 1] = 0.0
             slot += 1
@@ -457,11 +462,12 @@ class _BlockBeams:
         return SimpleNamespace(push=push)
 
 
-def test_unusable_vehicle_carries_its_own_row(small_cfg):
+def test_unusable_vehicle_carries_its_own_row(small_cfg, monkeypatch):
     """In a block of 4 episodes, vehicle 1 of episode 2 gets no beam energy
     from slot 6 on: its row is then held at its slot-5 estimate, while every
     other row of every episode equals that of a block whose beams all aim
     at every vehicle."""
+    _stand_in_streams(monkeypatch)
     zero_from, episode, n_real = 6, 2, 4
     aimed, zeroed = (_BlockBeams(small_cfg),
                      _BlockBeams(small_cfg, episode, zero_from))
@@ -823,16 +829,18 @@ def test_dataset_refuses_a_foreign_config(small_cfg, tmp_path):
 def test_train_entry_points(small_cfg):
     ds = generate_dataset(small_cfg, 10, np.random.default_rng(2))
     hyper = TrainHyper(lr=1e-4, batch_size=100, max_iters=5)
-    hcl, res_h = train_hcl(ds, small_cfg, hyper)
-    naive, res_n = train_naive(ds, small_cfg, hyper)
-    assert len(res_h.loss_trace) == 5 and len(res_n.loss_trace) == 5
-    assert hcl.kappa == pytest.approx(ds.kappa())
-    # a dataset made under another window shape is refused by both
+    # a dataset made under another window shape is refused by both, before
+    # kappa or any input array is built
     for field in ("n_tx", "n_vehicles", "history_len"):
         other = small_cfg.replace(**{field: 2 * getattr(small_cfg, field)})
         for trainer in (train_hcl, train_naive):
             with pytest.raises(ValueError, match=field):
                 trainer(ds, other, hyper)
+    assert not {"rows", "x", "est_thetas", "est_dists"} & set(vars(ds))
+    hcl, res_h = train_hcl(ds, small_cfg, hyper)
+    naive, res_n = train_naive(ds, small_cfg, hyper)
+    assert len(res_h.loss_trace) == 5 and len(res_n.loss_trace) == 5
+    assert hcl.kappa == pytest.approx(ds.kappa())
 
 
 def test_monte_carlo_eval_ordering(small_cfg):
@@ -936,7 +944,7 @@ def test_slot_estimates_match_block_estimates(small_cfg, theta_mode):
 
     def observations(*seeds):
         _, angles, z, geom = harness._scenario(
-            cfg, [np.random.SeedSequence(s) for s in seeds])
+            cfg, [np.random.SeedSequence(s) for s in seeds], harness.METHODS)
         w = aimed_beams(angles[:, :-1], cfg)
         w[:, ::3, 1] = 0.0
         return harness.generate_observation(geom.subset(np.s_[:, :-1]), w,
@@ -1065,7 +1073,7 @@ class _FixedBeams:
     """A stand-in HCL model for one episode, a block of one: its stream
     records each [tau, K, M] window of the rows pushed into it and returns
     the same beams whatever the window, with the row toward vehicle 1 zero
-    for the slots from zero_from on."""
+    for the slots from zero_from on (see _stand_in_streams)."""
 
     def __init__(self, config, zero_from=None):
         self.w = random_beamformer(config, np.random.default_rng(11), 1)[0]
@@ -1074,8 +1082,8 @@ class _FixedBeams:
         self.zero_from = zero_from
         self.histories = []
 
-    def stream(self, lead=()):
-        assert lead == (1,)
+    def stream(self, r):
+        assert r == 1
         rows = []
 
         def push(row):
@@ -1112,6 +1120,7 @@ def test_estimated_channel_falls_back_to_previous(small_cfg, monkeypatch):
     previous row (zeros before the first slot)."""
     cfg = _noisy(small_cfg)
     obs = _record_observations(monkeypatch)
+    _stand_in_streams(monkeypatch)
     model = _FixedBeams(cfg)
     run_episode(cfg, "hcl", np.random.default_rng(2), model=model)
     expected = _expected_histories(cfg, obs)[cfg.history_len - 1:]
@@ -1131,6 +1140,7 @@ def test_zero_beam_keeps_streams_aligned(small_cfg, monkeypatch):
     the same seed with aimed beams."""
     zero_from = 4
     obs = _record_observations(monkeypatch)
+    _stand_in_streams(monkeypatch)
 
     def episode(model):
         obs.clear()

@@ -189,9 +189,10 @@ def test_dataset_load_refuses_arrays_that_do_not_fit(tmp_path):
     that is not a 2-D integer array or reads a row outside the rows (a
     negative index would wrap to another episode's row), per-example arrays
     of different lengths, row estimates that are not [N_rows, K] of one
-    length or not float, and, naming the first such row, an estimate that
-    is not finite, a negative distance, and a last window row without an
-    estimate (distance 0)."""
+    length or not float, and, naming the first such example or row, a true
+    angle that is not finite, a true distance that is not finite and > 0,
+    an estimate that is not finite, a negative distance estimate, and a
+    last window row without an estimate (distance 0)."""
     path = tmp_path / "ok.bin"
     save_container(str(path), _DATASET_META, _dataset_arrays())
     ds = Dataset.load(str(path))
@@ -219,6 +220,16 @@ def test_dataset_load_refuses_arrays_that_do_not_fit(tmp_path):
         "windows_tau": ({"windows": np.array([[0, 1, 2], [0, 1, 2]])},
                         "history_len=2"),
         "dists_k": ({"dists": np.ones((2, 2))}, "dists"),
+        "nan_true_theta": ({"thetas": np.array([[1.0], [np.nan]])},
+                           "example 1 holds a true angle that is not finite "
+                           "for vehicle 0"),
+        "zero_true_dist": ({"dists": np.array([[1.0], [0.0]])},
+                           "example 1 holds a true distance that is not a "
+                           "finite number > 0 for vehicle 0"),
+        "negative_true_dist": ({"dists": np.array([[-1.0], [1.0]])},
+                               "example 0 holds a true distance"),
+        "inf_true_dist": ({"dists": np.array([[np.inf], [1.0]])},
+                          "example 0 holds a true distance"),
         "nan_theta": ({"row_thetas": np.array([[0.0], [np.nan], [np.inf]])},
                       "row 1 holds an angle estimate that is not finite"),
         "inf_dist": ({"row_dists": np.array([[0.0], [20.0], [np.inf]])},

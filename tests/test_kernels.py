@@ -42,17 +42,12 @@ def _rand_io(rng, nb=3, h=4, w=8, cin=2, f=4):
     return x, cw, cb
 
 
-@pytest.fixture(params=["selected"])
-def backend():
-    return kernels
-
-
-def test_conv_fwd_matches_naive(backend, rng):
+def test_conv_fwd_matches_naive(rng):
     # widths 8 and 2 (n_tx 32 and 8) in one process: each slice shape needs
     # its own Toeplitz index map
     for w in (8, 2, 8):
         x, cw, cb = _rand_io(rng, w=w)
-        out = backend.conv2d3x3_same_fwd(x, cw, cb)
+        out = kernels.conv2d3x3_same_fwd(x, cw, cb)
         assert np.allclose(out, _naive_conv(x, cw, cb), rtol=1e-12, atol=1e-12)
 
 
@@ -68,14 +63,14 @@ def test_conv_matrix_matches_conv_and_loops(rng):
         assert np.allclose(y, _naive_conv(x, cw, cb), rtol=1e-12, atol=1e-12)
 
 
-def test_conv_bwd_matches_fd(backend, rng):
+def test_conv_bwd_matches_fd(rng):
     x, cw, cb = _rand_io(rng, nb=2, h=4, w=4)
     g = rng.normal(size=(2, 4, 4, 4))
 
     def loss(xx, ww, bb):
-        return float((backend.conv2d3x3_same_fwd(xx, ww, bb) * g).sum())
+        return float((kernels.conv2d3x3_same_fwd(xx, ww, bb) * g).sum())
 
-    gw, gb = backend.conv2d3x3_same_bwd(x, cw, g)
+    gw, gb = kernels.conv2d3x3_same_bwd(x, cw, g)
     eps = 1e-6
     for arr, grad, which in ((cw, gw, "w"), (cb, gb, "b")):
         flat = arr.ravel()
@@ -92,56 +87,56 @@ def test_conv_bwd_matches_fd(backend, rng):
             assert grad.ravel()[i] == pytest.approx(fd, rel=1e-5, abs=1e-8), which
 
 
-def test_pool_fwd_matches_naive(backend, rng):
+def test_pool_fwd_matches_naive(rng):
     x = rng.normal(size=(3, 4, 8, 4))
-    p, idx = backend.maxpool2x2_fwd(x)
+    p, idx = kernels.maxpool2x2_fwd(x)
     ref, ref_idx = loop_maxpool2x2(x)
     assert np.array_equal(p, ref) and np.array_equal(idx, ref_idx)
 
 
-def test_conv_fwd_is_batch_innermost(backend, rng):
+def test_conv_fwd_is_batch_innermost(rng):
     """The conv output is a [B, H, W, F] view whose batch axis is the
     contiguous one, so each window corner the pool reads is one run."""
     x, cw, cb = _rand_io(rng, nb=5)
-    y = backend.conv2d3x3_same_fwd(x, cw, cb)
+    y = kernels.conv2d3x3_same_fwd(x, cw, cb)
     assert y.shape == (5, 4, 8, 4)
     assert y.transpose(1, 2, 3, 0).flags.c_contiguous
 
 
-def test_pool_is_layout_independent(backend, rng):
+def test_pool_is_layout_independent(rng):
     """Values (of maxpool2x2 and maxpool2x2_fwd), int64 indices and routed
     gradients do not depend on the memory layout of the input or of the
     incoming gradient.  Small integers make ties common."""
     x = rng.integers(-2, 3, size=(5, 4, 8, 4)).astype(float)
     ref, ref_idx = loop_maxpool2x2(x)
     g = rng.normal(size=ref.shape)
-    ref_gr = backend.maxpool2x2_bwd(ref_idx, g, x.shape)
+    ref_gr = kernels.maxpool2x2_bwd(ref_idx, g, x.shape)
     for name, xl in _layouts(x).items():
-        assert np.array_equal(backend.maxpool2x2(xl), ref), name
-        p, idx = backend.maxpool2x2_fwd(xl)
+        assert np.array_equal(kernels.maxpool2x2(xl), ref), name
+        p, idx = kernels.maxpool2x2_fwd(xl)
         assert idx.dtype == np.int64, name
         assert np.array_equal(p, ref) and np.array_equal(idx, ref_idx), name
         for gname, gl in _layouts(g).items():
-            gr = backend.maxpool2x2_bwd(idx, gl, xl.shape)
+            gr = kernels.maxpool2x2_bwd(idx, gl, xl.shape)
             assert np.array_equal(gr, ref_gr), (name, gname)
 
 
-def test_conv_bwd_is_layout_independent(backend, rng):
+def test_conv_bwd_is_layout_independent(rng):
     x, cw, cb = _rand_io(rng, nb=6)
     g = rng.normal(size=(6, 4, 8, 4))
-    ref_w, ref_b = backend.conv2d3x3_same_bwd(x, cw, g)
+    ref_w, ref_b = kernels.conv2d3x3_same_bwd(x, cw, g)
     for name, gl in _layouts(g).items():
-        gw, gb = backend.conv2d3x3_same_bwd(x, cw, gl)
+        gw, gb = kernels.conv2d3x3_same_bwd(x, cw, gl)
         # the bias gradient's sum may run in another order
         assert np.allclose(gw, ref_w, rtol=1e-14, atol=0), name
         assert np.allclose(gb, ref_b, rtol=1e-14, atol=1e-14), name
 
 
-def test_pool_bwd_scatters_to_argmax(backend, rng):
+def test_pool_bwd_scatters_to_argmax(rng):
     x = rng.normal(size=(2, 4, 8, 4))
-    p, idx = backend.maxpool2x2_fwd(x)
+    p, idx = kernels.maxpool2x2_fwd(x)
     g = rng.normal(size=p.shape)
-    gr = backend.maxpool2x2_bwd(idx, g, x.shape)
+    gr = kernels.maxpool2x2_bwd(idx, g, x.shape)
     assert gr.shape == x.shape
     # mass conservation and sparsity: one nonzero per window
     assert gr.sum() == pytest.approx(g.sum(), rel=1e-12)
@@ -153,15 +148,15 @@ def test_pool_bwd_scatters_to_argmax(backend, rng):
     for i in np.random.default_rng(1).choice(flat.size, size=10, replace=False):
         orig = flat[i]
         flat[i] = orig + eps
-        fp = float((backend.maxpool2x2_fwd(x)[0] * g).sum())
+        fp = float((kernels.maxpool2x2_fwd(x)[0] * g).sum())
         flat[i] = orig - eps
-        fm = float((backend.maxpool2x2_fwd(x)[0] * g).sum())
+        fm = float((kernels.maxpool2x2_fwd(x)[0] * g).sum())
         flat[i] = orig
         assert gr.ravel()[i] == pytest.approx((fp - fm) / (2 * eps),
                                               rel=1e-5, abs=1e-8)
 
 
-def test_pool_tie_break_first_max(backend):
+def test_pool_tie_break_first_max():
     """The index is the first maximum in the order 2*dy + dx, and the
     gradient goes there alone."""
     cases = [
@@ -175,7 +170,7 @@ def test_pool_tie_break_first_max(backend):
     ]
     for window, first in cases:
         x = np.array(window, dtype=float)[None, :, :, None]
-        p, idx = backend.maxpool2x2_fwd(x)
+        p, idx = kernels.maxpool2x2_fwd(x)
         assert idx.item() == first and p.item() == x.max(), window
-        gr = backend.maxpool2x2_bwd(idx, np.ones_like(p), x.shape)
+        gr = kernels.maxpool2x2_bwd(idx, np.ones_like(p), x.shape)
         assert gr[0, first // 2, first % 2, 0] == 1.0 and gr.sum() == 1.0

@@ -6,8 +6,8 @@ from isacbf.config import SimConfig
 from isacbf.harness import project_power
 from isacbf.io_container import load_container, save_container
 from isacbf.nn import kernels
-from isacbf.nn.model import (CONV_FILTERS, LSTM_HIDDEN, HCLNet, NaiveNet,
-                             load_model, output_to_matrix)
+from isacbf.nn.model import (CONV_FILTERS, LSTM_HIDDEN, HCLNet, HCLStream,
+                             NaiveNet, load_model, output_to_matrix)
 
 
 def _lstm_step(net, x, h_prev, c_prev):
@@ -31,8 +31,8 @@ def _window(cfg, rng):
 
 def test_history_window_roundtrip(cfg, rng, monkeypatch):
     """The real rows predict feeds the CNN from a [tau, K, M] complex
-    history, one [K, M, 2] slot at a time, stack to [tau, K, M, 2] and
-    unpack back to that history exactly."""
+    history, one [1, K, M, 2] slot at a time (a stream of one episode),
+    join to [tau, K, M, 2] and unpack back to that history exactly."""
     net = HCLNet(cfg)
     net.init_params(rng)
     hist = _window(cfg, rng)
@@ -41,7 +41,7 @@ def test_history_window_roundtrip(cfg, rng, monkeypatch):
     monkeypatch.setattr(net, "features", lambda x, *args: seen.append(
         x.copy()) or features(x, *args))
     net.predict(hist)
-    x = np.stack(seen)
+    x = np.concatenate(seen)
     assert x.shape == (cfg.history_len, cfg.n_vehicles, cfg.n_tx, 2)
     assert np.array_equal(x[..., 0] + 1j * x[..., 1], hist)
 
@@ -301,16 +301,16 @@ def test_stream_matches_forward_on_every_window(cfg, rng):
     rows = rng.normal(size=(12, k, m)) + 1j * rng.normal(size=(12, k, m))
     rows[:tau - 2] = 0.0
     rows[7, 1] = rows[6, 1]
-    stream = net.stream()
+    stream = HCLStream(net, 1)
     for n, row in enumerate(rows):
-        w = stream.push(row)
+        w = stream.push(row[None])
         if n < tau - 1:
             assert w is None
             continue
         want = _forward_beams(net, rows[n - tau + 1:n + 1])
-        assert np.array_equal(w, want), n
+        assert np.array_equal(w[0], want), n
     with pytest.raises(ValueError):
-        net.stream().push(rows[0, :, :-1])
+        HCLStream(net, 1).push(rows[0, None, :, :-1])
 
 
 @pytest.mark.parametrize("tau", [1, 2, 5])
@@ -327,15 +327,15 @@ def test_stream_windows_in_flight(cfg, rng, tau):
     n = 3 * tau + 2
     rows = rng.normal(size=(n, k, m)) + 1j * rng.normal(size=(n, k, m))
     rows[tau, 1] = rows[tau - 1, 1]
-    stream = net.stream()
+    stream = HCLStream(net, 1)
     for s, row in enumerate(rows):
-        w = stream.push(row)
+        w = stream.push(row[None])
         if s < tau - 1:
             assert w is None
             continue
         window = rows[s - tau + 1:s + 1]
         want = _forward_beams(net, window)
-        assert np.array_equal(w, want), s
+        assert np.array_equal(w[0], want), s
         assert np.array_equal(net.predict(window), want), s
 
 
@@ -355,7 +355,7 @@ def test_lockstep_stream_matches_forward(cfg, rng, n_real):
         + 1j * rng.normal(size=(n, n_real, k, m))
     rows[:tau - 2] = 0.0
     rows[tau + 1:, n_real // 2, 1] = rows[tau, n_real // 2, 1]
-    stream = net.stream((n_real,))
+    stream = HCLStream(net, n_real)
     with np.errstate(over="ignore"):
         for s, row in enumerate(rows):
             w = stream.push(row)
@@ -367,7 +367,7 @@ def test_lockstep_stream_matches_forward(cfg, rng, n_real):
             assert np.array_equal(w, output_to_matrix(net.forward(x))), s
     for bad in (rows[0, 0], rows[0, :, :-1], rows[:2, 0]):
         with pytest.raises(ValueError):
-            net.stream((n_real,)).push(bad)
+            HCLStream(net, n_real).push(bad)
 
 
 @pytest.mark.parametrize("tau", [1, 2])
@@ -384,7 +384,7 @@ def test_lockstep_stream_short_windows(cfg, rng, tau):
     k, m, n = cfg.n_vehicles, cfg.n_tx, 3 * tau + 3
     rows = rng.normal(size=(n, 2, k, m)) + 1j * rng.normal(size=(n, 2, k, m))
     rows[tau, 1, 0] = rows[tau - 1, 1, 0]
-    stream = net.stream((2,))
+    stream = HCLStream(net, 2)
     with np.errstate(over="ignore"):
         for s, row in enumerate(rows):
             w = stream.push(row)
@@ -405,7 +405,7 @@ def test_stream_beams_are_not_aliased(cfg, rng):
     n = tau + 4
     rows = rng.normal(size=(n, 2, k, m)) + 1j * rng.normal(size=(n, 2, k, m))
     kept, overwritten = [], []
-    untouched, written = net.stream((2,)), net.stream((2,))
+    untouched, written = HCLStream(net, 2), HCLStream(net, 2)
     with np.errstate(over="ignore"):
         for row in rows:
             w = untouched.push(row)
@@ -535,8 +535,8 @@ def test_params_are_aligned(small_cfg, rng, tmp_path):
 
 def test_load_model_refuses_non_finite(small_cfg, rng, tmp_path):
     """A model file whose parameters or kappa are not finite, that has no
-    float64 params array or no kappa, or whose kappa is not a float, is a
-    ValueError naming the file."""
+    float64 params array or no kappa, or whose kappa is not a float or not
+    > 0, is a ValueError naming the file."""
     for name, net, bad in (("p.bin", NaiveNet(small_cfg), "param"),
                            ("k.bin", HCLNet(small_cfg), "kappa")):
         net.init_params(rng)
@@ -563,7 +563,9 @@ def test_load_model_refuses_non_finite(small_cfg, rng, tmp_path):
             ("list_kappa", {**meta, "kappa": [1.0]}, arrays),
             ("str_kappa", {**meta, "kappa": "abc"}, arrays),
             ("bool_kappa", {**meta, "kappa": True}, arrays),
-            ("huge_int_kappa", {**meta, "kappa": 10 ** 400}, arrays)):
+            ("huge_int_kappa", {**meta, "kappa": 10 ** 400}, arrays),
+            ("zero_kappa", {**meta, "kappa": 0.0}, arrays),
+            ("negative_kappa", {**meta, "kappa": -3.0}, arrays)):
         path = str(tmp_path / f"{name}.bin")
         save_container(path, m, a)
         with pytest.raises(ValueError) as err:
