@@ -5,7 +5,6 @@ import numpy as np
 
 from .channel import path_loss_amp, steering
 from .config import SimConfig
-from .kinematics import VehicleState
 from .nn.model import NaiveNet, output_to_matrix
 
 
@@ -17,11 +16,12 @@ def genie_beamformer(a: np.ndarray, config: SimConfig) -> np.ndarray:
     return np.sqrt(p) * a
 
 
-def genie_rate(vehicles: VehicleState, config: SimConfig):
+def genie_rate(dist, config: SimConfig):
     """Interference-free perfect-CSI sum-rate, the upper bound on the problem,
-    over the last (vehicle) axis: [n, K] states of n slots give [n] rates."""
+    of vehicles at the distances dist, over the last (vehicle) axis: [n, K]
+    distances of n slots give [n] rates."""
     p = config.power_budget / config.n_vehicles
-    alpha2 = path_loss_amp(vehicles.dist, config) ** 2
+    alpha2 = path_loss_amp(dist, config) ** 2
     return np.log2(1.0 + p * config.n_tx * alpha2
                    / config.noise_vehicle).sum(axis=-1)
 

@@ -12,10 +12,9 @@ from .channel import steering
 from .config import SimConfig, load_config
 from .harness import (DEFAULT_POWER_GRID, Dataset, export, generate_dataset,
                       power_sweep, train_hcl, train_naive)
-from .kinematics import VehicleState
 from .nn.model import load_model
 from .nn.train import TrainHyper, TrainingDiverged
-from .sensing import fisher_information
+from .sensing import build_geometry, fisher_information
 
 
 def _add_common(p: argparse.ArgumentParser, out: bool = True) -> None:
@@ -208,12 +207,8 @@ def _crlb(args, config: SimConfig) -> None:
     _check_positive("dist", args.dist)
     _check_positive("power", args.power)
     w = math.sqrt(args.power) * steering(args.theta, config.n_tx)
-    # the state holds the given angle and distance themselves, which the
-    # round trip through (x, y) could move by an ulp
-    state = VehicleState(x=args.dist * math.cos(args.theta),
-                         y=args.dist * math.sin(args.theta), v=0.0,
-                         theta=args.theta, dist=args.dist)
-    info = fisher_information(state, w, config)
+    info = fisher_information(build_geometry(args.theta, args.dist, config),
+                              w, config)
     print(f"crlb_theta = {info.crlb_theta:.9g} rad^2 "
           f"(sqrt {math.sqrt(info.crlb_theta):.9g} rad)")
     print(f"crlb_d = {info.crlb_d:.9g} m^2 "

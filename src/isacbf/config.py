@@ -89,8 +89,10 @@ class SimConfig:
                 raise ValueError(f"{name} must be >= 0")
         if self.sigma_r2 is not None and not self.sigma_r2 > 0:
             raise ValueError("sigma_r2 override must be > 0")
-        if self.n_slots < 1:
-            raise ValueError("n_slots must be >= 1")
+        if self.n_slots <= self.history_len:
+            raise ValueError(f"n_slots={self.n_slots} must exceed "
+                             f"history_len={self.history_len}: no slot of a "
+                             "shorter episode has a full history window")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be >= 0")
         if self.theta_mode not in ("relative", "crlb"):

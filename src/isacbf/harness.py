@@ -9,8 +9,10 @@ observation, so each episode draws them as [n_slots, K] blocks, from three
 streams that its SeedSequence spawns (no Generator is built for the episode
 itself), and a block of episodes is one scenario (_scenario), drawn once for
 the methods that run on it (all of METHODS for a dataset) and shared by
-them; only the causal methods step through the slots.  One pass after the
-last slot measures every slot's sum-rate and CRLBs.  A Monte-Carlo
+them; only the causal methods step through the slots.  What the simulator
+reads of the vehicles is the block's one true geometry (a BatchGeometry):
+the observations, the genie's beams and rate, and one pass after the last
+slot that measures every slot's sum-rate and CRLBs.  A Monte-Carlo
 evaluation runs its realizations in lockstep blocks: one causal step per
 slot over [R, K] arrays (hcl's through one HCLStream of the R episodes) and
 one measurement pass per block and method; an episode is a block of one.
@@ -35,9 +37,9 @@ from .io_container import load_container, save_container
 from .kinematics import VehicleState, step_motion
 from .nn.model import HCLNet, HCLStream, NaiveNet
 from .nn.train import TrainHyper, TrainResult, train
-from .sensing import (BatchGeometry, EchoConstants, ObsTerms,
+from .sensing import (BatchGeometry, EchoConstants, angle_estimates,
                       build_geometry, fisher_information, generate_observation,
-                      observation_noise, observation_terms, observe)
+                      observation_noise, observe)
 
 METHODS = ("genie", "naive_dl", "random", "hcl")
 
@@ -87,7 +89,9 @@ class _Scenario(NamedTuple):
     """The draws of a block of R episodes that no decision depends on, and
     their true geometry, which the observations and the measurement pass
     read and no beam changes."""
-    vehicles: VehicleState     # [R, n_slots, K] trajectories
+    # [R, n_slots, K] trajectories, read only by run_episode's trace: the
+    # simulator reads geom
+    vehicles: VehicleState
     angles: np.ndarray | None  # [R, n_slots, K] random-beam angles
     z: np.ndarray | None       # [R, n_slots - 1, K, 2] observation noise
     geom: BatchGeometry        # [R, n_slots, K] build_geometry of vehicles
@@ -177,10 +181,11 @@ def _decide(config: SimConfig, method: str, model, scenario: _Scenario,
     one, applies the random beams aimed at its angles, computed for those
     slots only.
 
-    What the observations need that no beam changes (observation_terms of
-    the scenario's noise) is computed before the loop, and so in
-    config.theta_mode "relative" is the steering of the angle estimates;
-    each slot's views of them, and of the beams and true steering, are taken
+    What the observations need that no beam changes is taken before the
+    loop: the observed slots' subset of the scenario's geometry, and in
+    config.theta_mode "relative" the angle_estimates of the scenario's
+    noise and their steering.  Each slot's views of them (a BatchGeometry
+    of the slot's [R, K] vehicles), of the noise and of the beams are taken
     once, and a slot computes only what depends on its beams, on [R, K]
     arrays.  An hcl vehicle without a usable estimate keeps its episode's
     previous row.  Decided beams whose power is not finite are a ValueError
@@ -189,10 +194,10 @@ def _decide(config: SimConfig, method: str, model, scenario: _Scenario,
     Overflow, division by zero and invalid values raise no warning within
     the step: the rows of unusable estimates are discarded, and the power
     check catches what a net overflows to."""
-    r, _, k = scenario.vehicles.theta.shape
+    observed = scenario.geom.subset(_OBSERVED)
+    r, _, k = observed.theta.shape
     m = config.n_tx
-    geom = scenario.geom
-    terms = observation_terms(geom.subset(_OBSERVED), config, scenario.z)
+    theta_hat = angle_estimates(observed.theta, scenario.z, config)
 
     def by_slot(f):
         """A view of f, slot first: f_at[n] is slot n of every episode; of
@@ -212,15 +217,15 @@ def _decide(config: SimConfig, method: str, model, scenario: _Scenario,
         stream = HCLStream(model, r)
         # each episode's latest estimated channels, zeros before slot 0
         est = np.zeros((r, k, m), dtype=complex)
-        if terms.theta_hat is not None:
-            a_hat = by_slot(steering_direct(terms.theta_hat, m))
-    # per observed slot: its terms, beams, true steering and, for hcl in
-    # relative mode, the steering of its angle estimates
-    slots = zip(map(ObsTerms._make, zip(*map(by_slot, terms))), w_at,
-                by_slot(geom.a), a_hat)
+        if theta_hat is not None:
+            a_hat = by_slot(steering_direct(theta_hat, m))
+    # per observed slot: its geometry, noise, angle estimates and beams and,
+    # for hcl in relative mode, the steering of its angle estimates
+    slots = zip(map(BatchGeometry, *map(by_slot, vars(observed).values())),
+                by_slot(scenario.z), by_slot(theta_hat), w_at, a_hat)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for n, (slot, w_n, a_n, a_hat_n) in enumerate(slots):
-            obs = observe(slot, w_n, a_n, config)
+        for n, (geom, z, theta_hat_n, w_n, a_hat_n) in enumerate(slots):
+            obs = observe(geom, w_n, z, theta_hat_n, config)
             deciding = slice(None)
             if method == "hcl":
                 rows = effective_channel(
@@ -280,10 +285,10 @@ def _run_block(config: SimConfig, method: str, scenario: _Scenario, model,
     [R, n_slots, K] FisherInfo of one method over the R episodes of
     scenario, in lockstep.  first is the eval's index of the first
     realization, for errors."""
-    vehicles, geom = scenario.vehicles, scenario.geom
+    geom = scenario.geom
     if method == "genie":
         w = genie_beamformer(geom.a, config)
-        rates = genie_rate(vehicles, config)
+        rates = genie_rate(geom.dist, config)
     else:
         if method == "random":
             w = aimed_beams(scenario.angles, config)
@@ -291,7 +296,7 @@ def _run_block(config: SimConfig, method: str, scenario: _Scenario, model,
             w = _decide(config, method, model, scenario, project, first)
         rates = sum_rate(effective_channel(geom.dist, config, geom.a), w,
                          config.noise_vehicle)
-    return w, rates, fisher_information(vehicles, w, config, geom)
+    return w, rates, fisher_information(geom, w, config)
 
 
 def run_episode(config: SimConfig, method: str, rng: np.random.Generator,
@@ -552,26 +557,25 @@ def generate_dataset(config: SimConfig, n_examples: int,
     episode's three streams, and no Generator is built for the episode.
     Each block is one _scenario, the draw that monte_carlo_eval shares among
     its methods, observed under its random beams in one observation call;
-    no rates or CRLBs are measured, which no example holds.  No example's window holds the last slot, so it is not observed
-    and its random beams are not computed.  The rows are each slot's
-    estimates (_row_estimates), and each window is the index of its tau
-    rows; no channel is formed here (Dataset.rows builds them on read).
+    no rates or CRLBs are measured, which no example holds.  No example's
+    window holds the last slot, so it is not observed and its random beams
+    are not computed.  An example's true angles and distances are those of
+    the block's geometry.  The rows are each slot's estimates
+    (_row_estimates), and each window is the index of its tau rows; no
+    channel is formed here (Dataset.rows builds them on read).
     _BLOCK_EPISODES episodes in a row without an example, as when no
     vehicle can be observed, are a ValueError.
     """
     if n_examples < 1:
         raise ValueError("n_examples must be >= 1")
     n, tau, k = config.n_slots, config.history_len, config.n_vehicles
-    if n <= tau:
-        raise ValueError("n_slots must exceed history_len for an episode "
-                         "to yield an example")
     windows = np.empty((n_examples, tau), dtype=np.int64)
     thetas, dists = np.empty((2, n_examples, k))
     blocks = []
     i = n_rows = barren = 0
     while i < n_examples:
         n_ep = min(_BLOCK_EPISODES, -(-(n_examples - i) // (n - tau)))
-        vehicles, angles, z, geom = _scenario(
+        _, angles, z, geom = _scenario(
             config, rng.bit_generator.seed_seq.spawn(n_ep), METHODS)
         obs = generate_observation(geom.subset(_OBSERVED),
                                    aimed_beams(angles[:, :-1], config),
@@ -591,8 +595,8 @@ def generate_dataset(config: SimConfig, n_examples: int,
                              "(power_budget too low or noise too high)")
         windows[i:j] = (n_rows + ep * n + slot - tau + 1)[:, None] \
             + np.arange(tau)
-        thetas[i:j] = vehicles.theta[ep, slot]
-        dists[i:j] = vehicles.dist[ep, slot]
+        thetas[i:j] = geom.theta[ep, slot]
+        dists[i:j] = geom.dist[ep, slot]
         n_rows += n_ep * n
         i = j
     est = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
@@ -657,7 +661,6 @@ class MethodStats:
 @dataclass
 class EvalReport:
     stats: list          # list[MethodStats]
-    config: SimConfig
 
 
 def _summaries(w: np.ndarray, rates: np.ndarray, info, tau: int):
@@ -725,7 +728,7 @@ def monte_carlo_eval(config: SimConfig, methods: list[str],
             method=method, power=config.power_budget, rate_mean=means[0],
             rate_ci=ci, crlb_theta_mean=means[1], crlb_d_mean=means[2],
             n_realizations=n_realizations, w_power_mean=means[3]))
-    return EvalReport(stats=stats, config=config)
+    return EvalReport(stats=stats)
 
 
 DEFAULT_POWER_GRID = (0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0)

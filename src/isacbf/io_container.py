@@ -72,7 +72,9 @@ def save_container(path: str, meta: dict, arrays: dict[str, np.ndarray]) -> None
 def load_container(path: str) -> tuple[dict, dict[str, np.ndarray]]:
     """(meta, arrays) of a container file; ValueError naming the path when
     the file is not a well-formed container, bytes after its last array
-    included."""
+    included, and an array entry whose name or dtype is not a string,
+    whose shape is not a list of integers >= 0, or whose name an earlier
+    entry has."""
     def bad(why: str) -> ValueError:
         return ValueError(f"{path}: {why}")
 
@@ -98,9 +100,15 @@ def load_container(path: str) -> tuple[dict, dict[str, np.ndarray]]:
         for entry in entries:
             try:
                 name, key, shape = entry["name"], entry["dtype"], entry["shape"]
-                shape = [int(n) for n in shape]
-            except (KeyError, TypeError, ValueError):
+            except (KeyError, TypeError):
                 raise bad(f"malformed array entry {entry!r}") from None
+            # type() is int, not isinstance: a bool is no dimension
+            if not (isinstance(name, str) and isinstance(key, str)
+                    and isinstance(shape, list)
+                    and all(type(n) is int for n in shape)):
+                raise bad(f"malformed array entry {entry!r}")
+            if name in arrays:
+                raise bad(f"array {name!r} is named twice")
             if key not in _DTYPES:
                 raise bad(f"array {name!r} has unknown dtype {key!r}")
             if any(n < 0 for n in shape):

@@ -10,7 +10,10 @@ form over arrays (crlbs), shared by the loss, the simulator and the CLI; its
 per-geometry constants (echo_constants) derive from one evaluation of the
 echo power gain |psi|^2.  A distance estimate is the truth plus
 sqrt(CRLB_d) noise.  All of them read the vehicles' true geometry from one
-record (BatchGeometry, build_geometry).
+record (BatchGeometry, build_geometry): observe() takes a geometry, the
+beams, the noise and the angle estimates that need no beam
+(angle_estimates), and fisher_information takes a geometry, or builds one
+from a record of angles and distances.
 """
 from __future__ import annotations
 
@@ -22,7 +25,6 @@ import numpy as np
 
 from .channel import check_distance, steering, steering_dtheta
 from .config import SimConfig
-from .kinematics import VehicleState
 
 # beams with |a^H w|^2 below this (relative to ||w||^2) are unobservable
 _GAIN_FLOOR = 1e-30
@@ -106,68 +108,40 @@ def build_geometry(theta, dist, config: SimConfig) -> BatchGeometry:
                          echo_constants(theta, dist, config))
 
 
-class ObsTerms(NamedTuple):
-    """What observations of vehicles need that no beam changes, as arrays of
-    the vehicles' shape: an episode takes them once, as [n_slots, K]
-    blocks, and observes each slot under views of its rows."""
-    theta: np.ndarray      # true angles, rad
-    dist: np.ndarray       # true distances, m
-    z: np.ndarray          # observation_noise: trailing (distance, angle)
-    # relative mode only (None in crlb mode, where observe takes both CRLBs
-    # from the beam): c_dist, and the angle estimates
-    c_dist: np.ndarray | None
-    theta_hat: np.ndarray | None
-    # crlb mode only (None in relative mode): the echo constants of the
-    # CRLBs that observe takes from the beam
-    echo: EchoConstants | None
-
-
-def observation_terms(geom: BatchGeometry, config: SimConfig,
-                      z: np.ndarray) -> ObsTerms:
-    """The beam-independent terms of noisy observations of the vehicles of
-    the geometry geom.
-
-    z is their observation_noise block: the vehicles' shape plus a trailing 2,
-    columns (distance, angle).  In config.theta_mode "relative" the angle
-    estimate theta*(1+e), e ~ N(0, obs_rel_mse), needs no beam, and c_dist
-    is geom's; in "crlb" observe() takes both CRLBs from the beam and geom's
-    echo constants.
-    """
-    theta = geom.theta
+def angle_estimates(theta, z: np.ndarray, config: SimConfig):
+    """The angle estimates that need no beam, of vehicles at the true angles
+    theta whose observation_noise block is z (theta's shape plus a trailing
+    2, columns (distance, angle); another shape is a ValueError): in
+    config.theta_mode "relative" theta*(1+e), e ~ N(0, obs_rel_mse); None
+    in "crlb", where observe() takes CRLB_theta from the beam."""
     if z.shape != np.shape(theta) + (2,):
         raise ValueError(f"noise block {z.shape} does not match vehicles "
                          f"{np.shape(theta)} plus a trailing 2")
-    c_dist = theta_hat = echo = None
     if config.theta_mode == "relative":
-        c_dist = geom.echo.c_dist
-        theta_hat = theta * (1.0 + math.sqrt(config.obs_rel_mse) * z[..., 1])
-    else:
-        echo = geom.echo
-    return ObsTerms(theta=theta, dist=geom.dist, z=z, c_dist=c_dist,
-                    theta_hat=theta_hat, echo=echo)
+        return theta * (1.0 + math.sqrt(config.obs_rel_mse) * z[..., 1])
+    return None
 
 
-def observe(terms: ObsTerms, W: np.ndarray, a: np.ndarray,
+def observe(geom: BatchGeometry, W: np.ndarray, z: np.ndarray, theta_hat,
             config: SimConfig) -> Observations:
-    """The observations of the vehicles of terms under the beams W, row k
-    toward vehicle k, whose true steering vectors are a: the part of an
-    observation that depends on the beam.  d_hat = d + sqrt(CRLB_d) z_d,
-    and in crlb mode theta_hat = theta + sqrt(CRLB_theta) z_theta.  A
-    vehicle whose beam carries no energy toward it (infinite CRLBs), or
-    whose distance estimate is not positive, is marked unusable."""
-    u = np.vecdot(a, W)
+    """The observations of the vehicles of the geometry geom under the beams
+    W, row k toward vehicle k, with their observation_noise z and their
+    angle_estimates theta_hat: the part of an observation that depends on
+    the beam.  d_hat = d + sqrt(CRLB_d) z_d, and in crlb mode (theta_hat
+    None) theta_hat = theta + sqrt(CRLB_theta) z_theta.  A vehicle whose
+    beam carries no energy toward it (infinite CRLBs), or whose distance
+    estimate is not positive, is marked unusable."""
+    u = np.vecdot(geom.a, W)
     gain = np.abs(u) ** 2
     observable = _observable(gain, W)
-    theta_hat = terms.theta_hat
     if theta_hat is None:
-        crlb_theta, crlb_d = _crlbs(terms.theta, W, config, a, u,
-                                    observable, terms.echo)
-        theta_hat = terms.theta + np.sqrt(crlb_theta) * terms.z[..., 1]
+        crlb_theta, crlb_d = _crlbs(geom, W, config, u, observable)
+        theta_hat = geom.theta + np.sqrt(crlb_theta) * z[..., 1]
     else:
         # inf / gain is inf for any finite gain >= 0, zero included, and
         # raises no floating-point exception, so no errstate is needed
-        crlb_d = (np.where(observable, terms.c_dist, np.inf) / gain)[()]
-    d_hat = terms.dist + np.sqrt(crlb_d) * terms.z[..., 0]
+        crlb_d = (np.where(observable, geom.echo.c_dist, np.inf) / gain)[()]
+    d_hat = geom.dist + np.sqrt(crlb_d) * z[..., 0]
     return Observations(theta_hat=theta_hat, d_hat=d_hat,
                         usable=observable & (d_hat > 0))
 
@@ -175,8 +149,8 @@ def observe(terms: ObsTerms, W: np.ndarray, a: np.ndarray,
 def generate_observation(geom: BatchGeometry, W: np.ndarray,
                          config: SimConfig, z: np.ndarray) -> Observations:
     """Noisy (angle, distance) observations of the vehicles of the geometry
-    geom under the beams W, row k toward vehicle k: observe() over their
-    observation_terms().
+    geom under the beams W, row k toward vehicle k: observe() with their
+    angle_estimates().
 
     geom's arrays have any leading shape, such as the [n, K] of n slots or
     the [n_ep, n, K] of n_ep episodes, and W is that shape plus [N_t]; the
@@ -188,7 +162,7 @@ def generate_observation(geom: BatchGeometry, W: np.ndarray,
     A caller draws noise for every slot, in slot order, whether or not a
     vehicle is observable, so the stream stays aligned.
     """
-    return observe(observation_terms(geom, config, z), W, geom.a, config)
+    return observe(geom, W, z, angle_estimates(geom.theta, z, config), config)
 
 
 def echo_mean(theta: float, dist: float, w_k: np.ndarray,
@@ -236,35 +210,34 @@ def crlbs(u, v, echo: EchoConstants, sigma_r2: float):
         return sigma_r2 / dr2, echo.c_dist / u2
 
 
-def fisher_information(vehicles: VehicleState, W: np.ndarray,
-                       config: SimConfig,
-                       geom: BatchGeometry | None = None) -> FisherInfo:
+def fisher_information(vehicles, W: np.ndarray,
+                       config: SimConfig) -> FisherInfo:
     """Diagonal FIMs over (theta, d) and the angle/distance CRLBs of the
-    vehicles, row k of W being the beam toward vehicle k.  The vehicles
-    are [K] arrays with a [K, N_t] W, or arrays of any leading shape, such
-    as the [n, K] of n slots or the [R, n, K] of R episodes, with W of that
-    shape plus [N_t]; the CRLBs take the vehicles' shape.
+    vehicles, row k of W being the beam toward vehicle k.  vehicles is
+    their BatchGeometry, or any record of their theta and dist (such as a
+    VehicleState), whose geometry is built here.  The vehicles are [K]
+    arrays with a [K, N_t] W, or arrays of any leading shape, such as the
+    [n, K] of n slots or the [R, n, K] of R episodes, with W of that shape
+    plus [N_t]; the CRLBs take the vehicles' shape.
 
     f11 = 1/CRLB_theta = ||d(echo)/d(theta)||^2 / sigma_r^2,
     f22 = 1/CRLB_d = (2/c)^2 / sigma_nu^2.
-    An unobservable vehicle gets infinite CRLBs.  geom is the vehicles'
-    build_geometry if the caller has it.
+    An unobservable vehicle gets infinite CRLBs.
     """
-    if geom is None:
-        geom = build_geometry(vehicles.theta, vehicles.dist, config)
+    geom = vehicles if isinstance(vehicles, BatchGeometry) \
+        else build_geometry(vehicles.theta, vehicles.dist, config)
     u = np.vecdot(geom.a, W)
-    crlb_theta, crlb_d = _crlbs(geom.theta, W, config, geom.a, u,
-                                _observable(np.abs(u) ** 2, W), geom.echo)
+    crlb_theta, crlb_d = _crlbs(geom, W, config, u,
+                                _observable(np.abs(u) ** 2, W))
     return FisherInfo(crlb_theta=crlb_theta, crlb_d=crlb_d)
 
 
-def _crlbs(theta, W: np.ndarray, config: SimConfig, a: np.ndarray,
-           u: np.ndarray, observable: np.ndarray, echo: EchoConstants):
-    """(CRLB_theta, CRLB_d) of the beams W toward vehicles at the angles
-    theta, given their steering vectors a, u = a^H w, where they are
-    observable and their echo_constants; infinite where a vehicle is
-    unobservable."""
+def _crlbs(geom: BatchGeometry, W: np.ndarray, config: SimConfig,
+           u: np.ndarray, observable: np.ndarray):
+    """(CRLB_theta, CRLB_d) of the beams W toward the vehicles of the
+    geometry geom, given u = a^H w and where they are observable; infinite
+    where a vehicle is unobservable."""
     crlb_theta, crlb_d = crlbs(u, np.vecdot(steering_dtheta(
-        theta, config.n_tx, a), W), echo, config.echo_noise_var)
+        geom.theta, config.n_tx, geom.a), W), geom.echo, config.echo_noise_var)
     return (np.where(observable, crlb_theta, np.inf)[()],
             np.where(observable, crlb_d, np.inf)[()])

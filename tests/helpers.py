@@ -170,7 +170,7 @@ def slot_loop_episode(config, method: str, rng):
         if method == "genie":
             w = genie_beamformer(steering(vehicles.theta, config.n_tx),
                                  config)
-            rate = genie_rate(vehicles, config)
+            rate = genie_rate(vehicles.dist, config)
         else:
             w = random_slot(config, rng_beam)
             rate = sum_rate(true_channel(vehicles, config), w,

@@ -30,23 +30,24 @@ def test_genie_rate_closed_form_and_upper_bound(cfg):
     expect = sum(
         np.log2(1 + p * cfg.n_tx * path_loss_amp(s.dist, cfg) ** 2
                 / cfg.noise_vehicle) for s in states.records())
-    assert genie_rate(states, cfg) == pytest.approx(expect, rel=1e-12)
+    assert genie_rate(states.dist, cfg) == pytest.approx(expect, rel=1e-12)
     # the interference-free bound dominates the realized rate of its own beams
     h = np.stack([effective_channel(s.dist, cfg, steering(s.theta, cfg.n_tx))
                   for s in states.records()])
     realized = sum_rate(h, genie_beamformer(steering(states.theta, cfg.n_tx),
                                             cfg), cfg.noise_vehicle)
-    assert genie_rate(states, cfg) >= realized
+    assert genie_rate(states.dist, cfg) >= realized
 
 
 def test_genie_rate_over_a_stack_of_slots(cfg):
-    """[n, K] vehicle arrays of n slots give the n per-slot genie rates."""
+    """[n, K] vehicle distances of n slots give the n per-slot genie
+    rates."""
     x = np.random.default_rng(0).uniform(-50.0, 50.0, size=(3, cfg.n_vehicles))
     stack = make_state(x, np.full_like(x, 20.0), np.full_like(x, 8.0))
-    rates = genie_rate(stack, cfg)
+    rates = genie_rate(stack.dist, cfg)
     assert rates.shape == (3,)
     np.testing.assert_allclose(
-        rates, [genie_rate(v, cfg) for v in stack.records()], rtol=1e-14)
+        rates, [genie_rate(d, cfg) for d in stack.dist], rtol=1e-14)
 
 
 def test_naive_dl_beamformer(cfg):

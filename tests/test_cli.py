@@ -24,9 +24,9 @@ def test_crlb_subcommand(capsys, monkeypatch):
     distance by an ulp."""
     seen = []
 
-    def spy(state, w, config):
-        seen.append((state.theta, state.dist,
-                     fisher_information(state, w, config)))
+    def spy(vehicles, w, config):
+        seen.append((vehicles.theta, vehicles.dist,
+                     fisher_information(vehicles, w, config)))
         return seen[-1][-1]
 
     monkeypatch.setattr(cli, "fisher_information", spy)

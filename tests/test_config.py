@@ -29,7 +29,7 @@ def test_echo_noise_var_default_and_override(cfg):
     {"pathloss_exp": float("nan")}, {"rho_nu": float("nan")},
     {"power_budget": float("inf")}, {"slot_dur": float("inf")},
     {"v_min": float("nan")}, {"rcs_coeff": complex("nan+1j")},
-    {"sigma_r2": float("inf")},
+    {"sigma_r2": float("inf")}, {"n_slots": 5, "history_len": 5},
 ])
 def test_validation_rejects(kwargs):
     with pytest.raises(ValueError):

@@ -68,7 +68,7 @@ def test_episode_measurement_matches_per_slot_calls(small_cfg, monkeypatch):
         for s, (v, w) in enumerate(zip(trace.vehicles.records(),
                                        trace.w_applied.swapaxes(1, 2))):
             if method == "genie":
-                rate = genie_rate(v, cfg)
+                rate = genie_rate(v.dist, cfg)
             else:
                 h = effective_channel(v.dist, cfg, steering(v.theta, cfg.n_tx))
                 rate = sum_rate(h, w, cfg.noise_vehicle)
@@ -303,8 +303,8 @@ def test_only_infinite_crlbs_are_left_out(small_cfg, monkeypatch):
     assert np.isnan(first[1]) and second == [1.0, 4.0, np.inf, k]
     real_fisher = harness.fisher_information
 
-    def fisher(vehicles, w, config, geom):
-        info = real_fisher(vehicles, w, config, geom)
+    def fisher(vehicles, w, config):
+        info = real_fisher(vehicles, w, config)
         info.crlb_d[..., -1, 0] = np.nan
         return info
 

@@ -100,6 +100,17 @@ def test_rejects_malformed_files_naming_the_path(tmp_path):
         return MAGIC + struct.pack("<Q", len(text)) + text + raw[16 + hlen:]
 
     entry = dict(header["arrays"][0], dtype="float32")
+
+    def with_first(**change):
+        """The file without the last value of its first array, whose entry
+        has shape [2] and the changed fields: a shape that reads as two
+        values fits the payload."""
+        first = {**header["arrays"][0], "shape": [2], **change}
+        text = json.dumps({**header, "arrays": [first, *header["arrays"][1:]]})
+        payload = raw[16 + hlen:]
+        return MAGIC + struct.pack("<Q", len(text)) + text.encode() \
+            + payload[:16] + payload[24:]
+
     cases = {
         "short": raw[:12],
         "long_header": MAGIC + struct.pack("<Q", 2 ** 63) + raw[16:],
@@ -109,7 +120,23 @@ def test_rejects_malformed_files_naming_the_path(tmp_path):
         "no_meta": with_header({"arrays": header["arrays"]}),
         "no_arrays": with_header({"meta": header["meta"]}),
         "not_json": MAGIC + struct.pack("<Q", 2) + b"\xff{",
+        "list_name": with_first(name=["a"]),
+        "int_name": with_first(name=3),
+        "list_dtype": with_first(dtype=["float64"]),
+        "string_shape": with_first(shape="12"),
+        "float_shape": with_first(shape=[2.7]),
+        "integral_float_shape": with_first(shape=[2.0]),
+        "bool_shape": with_first(shape=[True, 2]),
+        "scalar_shape": with_first(shape=2),
+        # the second array's bytes, as 8 floats, under the first one's name
+        "named_twice": with_header({**header, "arrays": [
+            header["arrays"][0], {**header["arrays"][1], "name": "a",
+                                  "dtype": "float64", "shape": [8]}]}),
     }
+    # the unchanged entry loads: only the changes are refused
+    fits = tmp_path / "fits.bin"
+    fits.write_bytes(with_first())
+    assert np.array_equal(load_container(str(fits))[1]["a"], [0.0, 1.0])
     for name, data in cases.items():
         path = tmp_path / f"{name}.bin"
         path.write_bytes(data)

@@ -7,10 +7,9 @@ from helpers import echo_dtheta, fd_fim
 from isacbf.config import SimConfig
 from isacbf.channel import steering
 from isacbf.kinematics import make_state, step_motion
-from isacbf.sensing import (EchoConstants, build_geometry, echo_mean,
+from isacbf.sensing import (angle_estimates, build_geometry, echo_mean,
                             fisher_information, generate_observation,
-                            observation_noise, observation_terms, observe,
-                            reflection_coeff)
+                            observation_noise, observe, reflection_coeff)
 
 # frozen oracle values at the 25 m geometry (state at x=15, y=20) with an
 # aligned unit-norm beam and default constants
@@ -215,10 +214,11 @@ def test_fisher_information_vs_fd_oracle(cfg, rng):
 
 
 def test_fisher_information_takes_callers_steering(cfg):
-    """fisher_information with the caller's geometry (build_geometry of the
-    vehicles, which holds their steering vectors) gives the bits of its own
-    evaluation, for [n, K] vehicles, and so does a geometry's subset for
-    the vehicles it covers."""
+    """fisher_information of the vehicles' geometry (build_geometry of the
+    vehicles, which holds their steering vectors) gives the bits of
+    fisher_information of the vehicles' states, which builds that geometry
+    itself, for [n, K] vehicles, and so does a geometry's subset for the
+    vehicles it covers."""
     rng = np.random.default_rng(4)
     v = make_state(rng.uniform(5, 80, (4, 3)), rng.uniform(5, 40, (4, 3)),
                    np.full((4, 3), 8.0))
@@ -226,10 +226,9 @@ def test_fisher_information_takes_callers_steering(cfg):
     W[1, 2] = 0.0
     own = fisher_information(v, W, cfg)
     geom = build_geometry(v.theta, v.dist, cfg)
-    given = fisher_information(v, W, cfg, geom)
+    given = fisher_information(geom, W, cfg)
     assert np.isinf(own.crlb_theta[1, 2])
-    sub = fisher_information(make_state(v.x[1:3], v.y[1:3], v.v[1:3]),
-                             W[1:3], cfg, geom.subset(np.s_[1:3]))
+    sub = fisher_information(geom.subset(np.s_[1:3]), W[1:3], cfg)
     for field in ("crlb_theta", "crlb_d"):
         assert getattr(own, field).tobytes() == \
             getattr(given, field).tobytes()
@@ -282,24 +281,17 @@ def test_noise_block_is_the_per_slot_stream(cfg):
                                       getattr(one, field)), (mode, s, field)
 
 
-def _slot(field, s):
-    """Slot s of an ObsTerms field: an array, echo constants or None."""
-    if isinstance(field, EchoConstants):
-        return EchoConstants(*(c[s] for c in field))
-    return None if field is None else field[s]
-
-
 def test_slot_observations_over_episode_terms_match_block(cfg):
-    """An episode's observation_terms, taken once as [n, K] blocks, with one
-    observe() per slot under that slot's beams, give the observations of one
-    block generate_observation bit for bit: in both modes, with a zero beam
-    (an unobservable vehicle) and, at rho_nu = 2, negative distance
+    """An episode's angle_estimates, taken once as an [n, K] block, with one
+    observe() per slot of the slot's geometry (a subset of the episode's),
+    beams, noise and angle estimates, give the observations of one block
+    generate_observation bit for bit: in both modes, with a zero beam (an
+    unobservable vehicle) and, at rho_nu = 2, negative distance
     estimates."""
     n, k = 8, cfg.n_vehicles
     rng = np.random.default_rng(4)
     v = make_state(*(rng.uniform(lo, hi, (n, k))
                      for lo, hi in ((5, 80), (5, 40), (8, 8.25))))
-    a = steering(v.theta, cfg.n_tx)
     W = steering(v.theta + rng.normal(0.0, 0.05, (n, k)), cfg.n_tx)
     W[3, 1] = 0.0
     z = observation_noise(rng, (n, k))
@@ -309,10 +301,12 @@ def test_slot_observations_over_episode_terms_match_block(cfg):
             geom = _geom(v, config)
             block = generate_observation(geom, W, config, z)
             assert not block.usable[3, 1]
-            terms = observation_terms(geom, config, z)
+            theta_hat = angle_estimates(geom.theta, z, config)
+            assert (theta_hat is None) == (mode == "crlb")
             for s in range(n):
-                one = observe(type(terms)(*(_slot(f, s) for f in terms)),
-                              W[s], a[s], config)
+                one = observe(geom.subset(s), W[s], z[s],
+                              None if theta_hat is None else theta_hat[s],
+                              config)
                 for field in block._fields:
                     assert np.array_equal(getattr(block, field)[s],
                                           getattr(one, field)), (mode, s)
@@ -321,21 +315,24 @@ def test_slot_observations_over_episode_terms_match_block(cfg):
 
 
 def test_observation_takes_callers_steering_and_checks_noise(cfg):
-    """generate_observation() of the caller's geometry is observe() over
-    its observation_terms() under the geometry's steering vectors; a noise
-    block whose shape is not the vehicles' plus 2, such as the old block
-    with a third (Doppler) column, is refused."""
+    """generate_observation() of the caller's geometry is observe() of the
+    geometry with its angle_estimates(); a noise block whose shape is not
+    the vehicles' plus 2, such as the old block with a third (Doppler)
+    column, is refused by both, in both modes."""
     v = _vehicles_25()
     W = steering(v.theta + np.array([0.0, 0.02, -0.03]), cfg.n_tx)
     z = _noise(v, 5)
     geom = _geom(v, cfg)
+    old = np.random.default_rng(5).standard_normal(np.shape(v.theta) + (3,))
     for mode in ("relative", "crlb"):
         config = cfg.replace(theta_mode=mode)
         ob = generate_observation(geom, W, config, z)
-        with_terms = observe(observation_terms(geom, config, z), W, geom.a,
-                             config)
-        assert all(np.array_equal(x, y) for x, y in zip(ob, with_terms))
-    old = np.random.default_rng(5).standard_normal(np.shape(v.theta) + (3,))
-    for bad in (z[:, :1], z[:2], z[None], old):
-        with pytest.raises(ValueError, match="noise block"):
-            generate_observation(geom, W, cfg, bad)
+        with_estimates = observe(geom, W, z,
+                                 angle_estimates(geom.theta, z, config),
+                                 config)
+        assert all(np.array_equal(x, y) for x, y in zip(ob, with_estimates))
+        for bad in (z[:, :1], z[:2], z[None], old):
+            with pytest.raises(ValueError, match="noise block"):
+                generate_observation(geom, W, config, bad)
+            with pytest.raises(ValueError, match="noise block"):
+                angle_estimates(geom.theta, bad, config)
